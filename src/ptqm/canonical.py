@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import IllConditionedError, NotPTSymmetricError, ValidationError
-from .linalg import _cluster_chains, _cluster_indices, as_square
+from .linalg import _cluster_chains, _cluster_indices, _phase_normalize, _schur_form, as_square
 from .symmetry import PTPair, is_pt_symmetric
 
 _EPS = float(np.finfo(float).eps)
@@ -111,6 +111,7 @@ def _analyze(h: np.ndarray, pair: PTPair, tol: float, cluster_tol: float,
     w = np.linalg.eigvals(h)
     tol_abs = cluster_tol * scale
     groups = _cluster_indices(w, tol_abs)
+    schur = _schur_form(h)
 
     reps = []
     for g in groups:
@@ -133,7 +134,7 @@ def _analyze(h: np.ndarray, pair: PTPair, tol: float, cluster_tol: float,
         rep = reps[gi]
         if rep.imag == 0.0:
             used.add(gi)
-            chains = _cluster_chains(h, w, g, rep, rank_tol, scale, conj_mat=conj_mat)
+            chains = _cluster_chains(schur, w, g, rep, rank_tol, scale, conj_mat=conj_mat)
             if build_basis:
                 chains = [_sign_normalize(c) for c in chains]
             for chain in chains:
@@ -157,9 +158,9 @@ def _analyze(h: np.ndarray, pair: PTPair, tol: float, cluster_tol: float,
         used.update((gi, partner))
 
         plus_gi, plus_rep = (gi, rep) if rep.imag > 0 else (partner, reps[partner])
-        plus_chains = _cluster_chains(h, w, groups[plus_gi], plus_rep, rank_tol, scale)
+        plus_chains = _cluster_chains(schur, w, groups[plus_gi], plus_rep, rank_tol, scale)
         if build_basis:
-            plus_chains = [_phase_fix(c) for c in plus_chains]
+            plus_chains = [_phase_normalize(c) for c in plus_chains]
             minus_chains = [[pair.pt @ np.conj(v) for v in chain] for chain in plus_chains]
         else:
             minus_chains = [[None] * len(c) for c in plus_chains]
@@ -169,13 +170,6 @@ def _analyze(h: np.ndarray, pair: PTPair, tol: float, cluster_tol: float,
     pair_units.sort(key=lambda u: (u[0].real, u[0].imag, len(u[1])))
     real_units.sort(key=lambda u: (u[0], len(u[1])))
     return pair_units, real_units, in_band
-
-
-def _phase_fix(chain: list[np.ndarray]) -> list[np.ndarray]:
-    bottom = chain[0]
-    z = bottom[int(np.argmax(np.abs(bottom)))]
-    phase = np.conj(z) / abs(z)
-    return [phase * v for v in chain]
 
 
 def _block_descriptors(pair_units, real_units) -> tuple:

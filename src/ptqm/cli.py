@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .bender import critical_sweep, stokes_vector
-from .canonical import pt_canonical_form
+from .canonical import COMPLEX_PAIR, pt_canonical_form
 from .dilation import embedded_evolution_check, uniform_bound
 from .dynamics import TimeGrid, evolve_density, invariant_report, normalize_density, validate_density
 from .errors import (
@@ -212,7 +212,7 @@ def _block_eigenvalues(blocks) -> list:
     vals = []
     for b in blocks:
         vals.extend([_complex_pair(b.eigenvalue)] * b.order)
-        if b.kind == "ComplexConjugatePair":
+        if b.kind == COMPLEX_PAIR:
             vals.extend([_complex_pair(np.conj(b.eigenvalue))] * b.order)
     return vals
 

@@ -5,13 +5,16 @@ validate shape and finiteness up front. Dimensions are desk-scale
 (d of a few up to a few hundred), so robustness is preferred over
 speed throughout.
 
-Jordan structure is computed by Schur deflation: each eigenvalue
-cluster is first separated into an invariant subspace via a sorted
-Schur decomposition, and chain construction happens inside the small
-deflated block. There the "zero" singular values sit near the cluster
-diameter while the structural couplings stay at the scale of the
-matrix, so rank decisions remain clean even when the raw eigenvalues
-of a defective cluster split at the square-root-of-epsilon scale.
+Jordan structure is computed by Schur deflation. The matrix is
+reduced to complex Schur form once per decomposition; each eigenvalue
+cluster is then moved to the leading diagonal block by reordering that
+form with LAPACK ztrsen (Bai & Demmel 1993), which separates the
+cluster's invariant subspace without factoring the matrix again. Chain
+construction happens inside the small deflated block. There the "zero"
+singular values sit near the cluster diameter while the structural
+couplings stay at the scale of the matrix, so rank decisions remain
+clean even when the raw eigenvalues of a defective cluster split at
+the square-root-of-epsilon scale.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import (
     DimensionError,
@@ -138,7 +142,12 @@ def _assemble(eigenvalues, chains_per_cluster) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cluster_indices(w: np.ndarray, tol_abs: float) -> list[np.ndarray]:
-    """Connected components of the spectrum under |wi - wj| <= tol_abs."""
+    """Connected components of the spectrum under |wi - wj| <= tol_abs.
+
+    Pairs are swept in order of real part: |wi - wj| is at least the
+    real-part gap, so only pairs whose real parts lie within tol_abs of
+    each other can be linked.
+    """
     n = len(w)
     parent = list(range(n))
 
@@ -148,8 +157,14 @@ def _cluster_indices(w: np.ndarray, tol_abs: float) -> list[np.ndarray]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
+    order = np.argsort(w.real, kind="stable")
+    re = w.real[order]
+    for a in range(n):
+        i = order[a]
+        for b in range(a + 1, n):
+            if re[b] - re[a] > tol_abs:
+                break
+            j = order[b]
             if abs(w[i] - w[j]) <= tol_abs:
                 parent[find(i)] = find(j)
 
@@ -161,14 +176,33 @@ def _cluster_indices(w: np.ndarray, tol_abs: float) -> list[np.ndarray]:
     return out
 
 
-def _deflate_cluster(a: np.ndarray, lam: complex, radius: float):
+def _schur_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form (T, Z) of a, with a = Z T Z^dag.
+
+    Computed once per decomposition; _deflate_cluster reorders it for
+    each cluster.
+    """
+    return sla.schur(a, output="complex")
+
+
+def _deflate_cluster(schur: tuple[np.ndarray, np.ndarray], lam: complex, radius: float):
     """Schur basis of the invariant subspace of eigenvalues near lam.
 
-    Returns (q, b, sdim) with a @ q = q @ b to machine precision, where
-    q has orthonormal columns and b is the upper-triangular restriction.
+    schur is the pair (T, Z) from _schur_form. ztrsen reorders it so
+    the diagonal entries within radius of lam lead, leaving T and Z
+    themselves untouched; this is the reordering step a sorted Schur
+    decomposition performs after its factorisation. Returns (q, b, sdim)
+    with a @ q = q @ b to machine precision, where q has orthonormal
+    columns and b is the upper-triangular restriction.
     """
-    t, zmat, sdim = sla.schur(a, output="complex", sort=lambda x: abs(x - lam) <= radius)
-    return zmat[:, :sdim], t[:sdim, :sdim], int(sdim)
+    t, z = schur
+    select = np.abs(np.diag(t) - lam) <= radius
+    ts, zs, _, sdim, _, _, info = lapack.ztrsen(select, t, z, job="N")
+    sdim = int(sdim)
+    if info != 0 or not np.all(np.abs(np.diag(ts)[:sdim] - lam) <= radius):
+        raise IllConditionedError(
+            "Schur reordering could not isolate the eigenvalue cluster")
+    return zs[:, :sdim], ts[:sdim, :sdim], sdim
 
 
 def _orth(a: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
@@ -214,6 +248,16 @@ def _nilpotent_chains(mblock: np.ndarray, rank_tol: float, zero_floor: float,
     it, which makes all chain vectors fixed as well.
     """
     m = mblock.shape[0]
+    if m == 1:
+        # a simple eigenvalue: one chain of length one, gated like the SVD path below
+        s0 = abs(mblock[0, 0])
+        if s0 > max(rank_tol * s0, 10.0 * zero_floor):
+            raise IllConditionedError("cluster block is not nilpotent at the working tolerance")
+        top = np.ones(1, dtype=complex)
+        if conj_op is not None:
+            top = _fixed_under(conj_op, top, np.zeros((1, 0), dtype=complex))
+        return [[top]]
+
     smax = max(1.0, float(np.linalg.norm(mblock, 2)))
 
     nullbases: list[np.ndarray] = [np.zeros((m, 0), dtype=complex)]
@@ -271,12 +315,13 @@ def _nilpotent_chains(mblock: np.ndarray, rank_tol: float, zero_floor: float,
     return out
 
 
-def _cluster_chains(a: np.ndarray, w: np.ndarray, idx: np.ndarray, rep: complex,
-                    rank_tol: float, scale: float,
+def _cluster_chains(schur: tuple[np.ndarray, np.ndarray], w: np.ndarray, idx: np.ndarray,
+                    rep: complex, rank_tol: float, scale: float,
                     conj_mat: np.ndarray | None = None) -> list[list[np.ndarray]]:
     """Jordan chains of one eigenvalue cluster, lifted to the full space.
 
-    rep may differ from the cluster mean (e.g. snapped to the real
+    schur is the Schur form (T, Z) of the matrix from _schur_form. rep
+    may differ from the cluster mean (e.g. snapped to the real
     axis); the deflation radius and the zero floor account for the
     spread of the members around it.
     """
@@ -290,7 +335,7 @@ def _cluster_chains(a: np.ndarray, w: np.ndarray, idx: np.ndarray, rep: complex,
     else:
         radius = internal + 1.0
 
-    q, b, sdim = _deflate_cluster(a, rep, radius)
+    q, b, sdim = _deflate_cluster(schur, rep, radius)
     if sdim != len(idx):
         raise IllConditionedError(
             f"Schur selection returned {sdim} eigenvalues for a cluster of {len(idx)}")
@@ -335,6 +380,7 @@ def eigen_decompose(a, cluster_tol: float = 1e-8, rank_tol: float = 1e-10) -> Ei
     scale = max(1.0, float(np.linalg.norm(m, 2)))
     w = np.linalg.eigvals(m)
     groups = _cluster_indices(w, cluster_tol * scale)
+    schur = _schur_form(m)
 
     eigenvalues = []
     mults = []
@@ -342,7 +388,7 @@ def eigen_decompose(a, cluster_tol: float = 1e-8, rank_tol: float = 1e-10) -> Ei
     all_chains = []
     for g in groups:
         rep = complex(w[g].mean())
-        chains = _cluster_chains(m, w, g, rep, rank_tol, scale)
+        chains = _cluster_chains(schur, w, g, rep, rank_tol, scale)
         chains = [_phase_normalize(c) for c in chains]
         eigenvalues.append(rep)
         mults.append(int(len(g)))
