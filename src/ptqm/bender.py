@@ -167,6 +167,7 @@ def bender_eigensystem(p: BenderParams, crit_tol: float = 1e-6) -> BenderEigensy
     sing = np.linalg.svd(psi, compute_uv=False)
     decomp = CanonicalDecomposition(
         hamiltonian=h,
+        h_norm=float(np.linalg.norm(h, 2)),
         Psi=psi,
         J=j,
         K=np.eye(2, dtype=complex),

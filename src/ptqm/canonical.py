@@ -60,12 +60,14 @@ class CanonicalDecomposition:
     blocks lists the units in the column order of Psi: conjugate pairs
     first (ascending Re, the Im > 0 member leading inside each pair),
     then real blocks ascending by eigenvalue then order. K is exact
-    (0/1 entries). residuals holds the similarity and K-relation
+    (0/1 entries). h_norm is ||H||_2, computed once here for every
+    later scale. residuals holds the similarity and K-relation
     defects; warning is set when the structure was decided inside the
     clustering tolerance band or Psi is badly conditioned.
     """
 
     hamiltonian: np.ndarray
+    h_norm: float
     Psi: np.ndarray
     J: np.ndarray
     K: np.ndarray
@@ -99,15 +101,16 @@ def _classify_blocks(blocks: tuple) -> SpectralClass:
     return SpectralClass(tag=tag, detail=blocks)
 
 
-def _analyze(h: np.ndarray, pair: PTPair, tol: float, cluster_tol: float,
-             rank_tol: float, build_basis: bool):
+def _analyze(h: np.ndarray, h_norm: float, pair: PTPair, tol: float,
+             cluster_tol: float, rank_tol: float, build_basis: bool):
     """Cluster, snap, pair conjugates, and construct chains.
 
-    Returns (pair_units, real_units, diam_flag) where pair_units are
-    (lam, plus_chains, minus_chains) and real_units are (lam, chains);
-    chain vectors are only populated when build_basis is true.
+    h_norm is ||H||_2. Returns (pair_units, real_units, diam_flag) where
+    pair_units are (lam, plus_chains, minus_chains) and real_units are
+    (lam, chains); chain vectors are only populated when build_basis is
+    true.
     """
-    scale = max(1.0, float(np.linalg.norm(h, 2)))
+    scale = max(1.0, h_norm)
     w = np.linalg.eigvals(h)
     tol_abs = cluster_tol * scale
     groups = _cluster_indices(w, tol_abs)
@@ -196,8 +199,8 @@ def classify_spectrum(h, pair: PTPair, tol: float = 1e-8, *,
         raise NotPTSymmetricError(
             f"H is not PT-symmetric (residual {residual:.6e})")
     cluster_tol = tol if cluster_tol is None else cluster_tol
-    pair_units, real_units, _ = _analyze(h, pair, tol, cluster_tol, rank_tol,
-                                         build_basis=False)
+    pair_units, real_units, _ = _analyze(h, float(np.linalg.norm(h, 2)), pair, tol,
+                                         cluster_tol, rank_tol, build_basis=False)
     return _classify_blocks(_block_descriptors(pair_units, real_units))
 
 
@@ -221,7 +224,8 @@ def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
             f"H is not PT-symmetric (residual {residual:.6e})")
     cluster_tol = tol if cluster_tol is None else cluster_tol
 
-    pair_units, real_units, in_band = _analyze(h, pair, tol, cluster_tol, rank_tol,
+    h_norm = float(np.linalg.norm(h, 2))
+    pair_units, real_units, in_band = _analyze(h, h_norm, pair, tol, cluster_tol, rank_tol,
                                                build_basis=True)
     blocks = _block_descriptors(pair_units, real_units)
 
@@ -248,7 +252,7 @@ def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
     sing = np.linalg.svd(psi, compute_uv=False)
     cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
 
-    h_scale = max(1.0, float(np.linalg.norm(h, 2)))
+    h_scale = max(1.0, h_norm)
     psi_scale = max(1.0, float(sing[0]))
     sim_res = float(np.linalg.norm(np.linalg.solve(psi, h @ psi) - j, 2))
     krel_res = float(np.linalg.norm(pair.pt @ np.conj(psi) - psi @ k, 2))
@@ -266,6 +270,7 @@ def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
 
     return CanonicalDecomposition(
         hamiltonian=h,
+        h_norm=h_norm,
         Psi=psi,
         J=j,
         K=k,

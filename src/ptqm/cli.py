@@ -189,6 +189,11 @@ def _load_pair(args, cfg):
     return validate_pt_pair(p, t, cfg.val_tol)
 
 
+def _decompose(h, pair, cfg):
+    return pt_canonical_form(h, pair, cfg.tol, cluster_tol=cfg.cluster_tol,
+                             rank_tol=cfg.rank_tol, can_tol=cfg.can_tol)
+
+
 def _grid(cfg) -> TimeGrid:
     return TimeGrid(cfg.t_start, cfg.t_end, cfg.num_points)
 
@@ -236,8 +241,7 @@ def cmd_classify(args, cfg) -> None:
     ok, residual = is_pt_symmetric(h, pair, cfg.tol)
     if not ok:
         raise NotPTSymmetricError(f"H is not PT-symmetric (residual {residual:.6e})")
-    decomp = pt_canonical_form(h, pair, cfg.tol, cluster_tol=cfg.cluster_tol,
-                               rank_tol=cfg.rank_tol, can_tol=cfg.can_tol)
+    decomp = _decompose(h, pair, cfg)
     report = {
         "pt_symmetric": True,
         "residual": residual,
@@ -251,8 +255,7 @@ def cmd_classify(args, cfg) -> None:
 def cmd_canonical(args, cfg) -> None:
     h = load_matrix_file(args.hamiltonian)
     pair = _load_pair(args, cfg)
-    decomp = pt_canonical_form(h, pair, cfg.tol, cluster_tol=cfg.cluster_tol,
-                               rank_tol=cfg.rank_tol, can_tol=cfg.can_tol)
+    decomp = _decompose(h, pair, cfg)
     report = {
         "class": decomp.spectral_class.tag,
         "blocks": _block_report(decomp.blocks),
@@ -269,8 +272,7 @@ def cmd_canonical(args, cfg) -> None:
 def cmd_metric(args, cfg) -> None:
     h = load_matrix_file(args.hamiltonian)
     pair = _load_pair(args, cfg)
-    decomp = pt_canonical_form(h, pair, cfg.tol, cluster_tol=cfg.cluster_tol,
-                               rank_tol=cfg.rank_tol, can_tol=cfg.can_tol)
+    decomp = _decompose(h, pair, cfg)
     met = build_metric(decomp, _signs_arg(cfg), cfg.met_tol)
     report = {
         "eta": _matrix_doc(met.eta),
@@ -287,8 +289,7 @@ def cmd_inner(args, cfg) -> None:
     pair = _load_pair(args, cfg)
     v1 = load_vector_file(args.vector1)
     v2 = load_vector_file(args.vector2)
-    decomp = pt_canonical_form(h, pair, cfg.tol, cluster_tol=cfg.cluster_tol,
-                               rank_tol=cfg.rank_tol, can_tol=cfg.can_tol)
+    decomp = _decompose(h, pair, cfg)
     met = build_metric(decomp, _signs_arg(cfg), cfg.met_tol)
     value = eta_inner(v1, v2, met.eta)
     report = {
@@ -394,8 +395,9 @@ def cmd_stokes(args, cfg) -> None:
 def cmd_dilate(args, cfg) -> None:
     h = load_matrix_file(args.hamiltonian)
     pair = _load_pair(args, cfg)
-    rho = load_matrix_file(args.state)
-    report = embedded_evolution_check(h, pair, rho, _grid(cfg), cfg.slack)
+    rho = validate_density(load_matrix_file(args.state))
+    report = embedded_evolution_check(h, pair, rho, _grid(cfg), cfg.slack,
+                                      decomp=_decompose(h, pair, cfg))
     doc = {
         "c": float(report.c),
         "max_deviation": float(report.max_deviation),
@@ -409,12 +411,11 @@ def cmd_dilate(args, cfg) -> None:
 def cmd_free_check(args, cfg) -> None:
     h = load_matrix_file(args.hamiltonian)
     pair = _load_pair(args, cfg)
+    decomp = _decompose(h, pair, cfg)
     c = args.c
     if c is None:
-        decomp = pt_canonical_form(h, pair, cfg.tol, cluster_tol=cfg.cluster_tol,
-                                   rank_tol=cfg.rank_tol, can_tol=cfg.can_tol)
         c = uniform_bound(decomp, cfg.slack)
-    report = verify_free_evolution(h, pair, c, _grid(cfg), cfg.free_tol)
+    report = verify_free_evolution(h, pair, c, _grid(cfg), cfg.free_tol, decomp=decomp)
     doc = {
         "ok": bool(report.ok),
         "c": float(c),

@@ -13,6 +13,11 @@ column eigenvalues satisfy lam_a = conj(lam_b), and the anti-diagonal
 sum of every Jordan or conjugate-pair unit is constant because the
 reversal matrix satisfies S e^{itJ^dag} S = e^{itJ} block by block.
 Tr(eta rho(t)) is constant for every intertwining metric.
+
+A whole time grid is evaluated in one stacked step rather than point
+by point: U[t] = Psi E(t) Psi^-1 with E(t) = e^{-itJ} in closed form
+(Higham, Functions of Matrices, SIAM 2008, ch. 1). Long grids are
+processed in chunks of time points so that memory stays bounded.
 """
 
 from __future__ import annotations
@@ -22,12 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import COMPLEX_PAIR, CanonicalDecomposition, SpectralClass, pt_canonical_form
-from .errors import InvalidDensityError, PreconditionError, ValidationError
-from .linalg import as_square, matrix_exponential
-from .metric import MetricOperator, SignCharacteristic, basis_coefficients, build_metric, eta_trace
+from .errors import InvalidDensityError, NumericalError, PreconditionError, ValidationError
+from .linalg import as_square, dagger, first_index, matrix_exponential
+from .metric import MetricOperator, SignCharacteristic, basis_coefficients, build_metric
 from .symmetry import PTPair
 
 OVERFLOW_EXPONENT = 30.0
+# byte budget of one stacked (points, 2d, 2d) complex array in the grid analyses
+GRID_CHUNK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -72,41 +79,80 @@ class InvariantReport:
     metric: MetricOperator
 
 
-def _unit_exponential(lam: complex, n: int, s: complex) -> np.ndarray:
-    """e^{s J_n(lam)} = e^{s lam} sum_k s^k N^k / k! (N nilpotent)."""
-    out = np.zeros((n, n), dtype=complex)
-    coeff = 1.0 + 0.0j
-    for k in range(n):
-        out += coeff * np.eye(n, k=k)
-        coeff = coeff * s / (k + 1)
-    return np.exp(s * lam) * out
+def _grid_chunks(num_points: int, dim: int):
+    """Slices that cover a time grid in order, chunk by chunk.
+
+    A chunk holds as many points as fit one stacked (points, 2 dim,
+    2 dim) complex array, the largest stack the grid analyses build,
+    into GRID_CHUNK_BYTES; at least one point per chunk. Memory then
+    stays bounded whatever the grid length.
+    """
+    step = max(1, GRID_CHUNK_BYTES // (16 * (2 * dim) ** 2))
+    for start in range(0, num_points, step):
+        yield slice(start, min(start + step, num_points))
 
 
-def _canonical_exponential(decomp: CanonicalDecomposition, s: complex) -> np.ndarray:
-    d = decomp.J.shape[0]
-    out = np.zeros((d, d), dtype=complex)
+def _require_finite(stack: np.ndarray, times: np.ndarray, what: str) -> None:
+    """Raise NumericalError naming the first t whose matrix is not finite."""
+    bad = first_index(~np.isfinite(stack).all(axis=(-2, -1)))
+    if bad is not None:
+        raise NumericalError(f"{what} is not finite at t = {times[bad]:.6f}")
+
+
+def _exponential_stack(decomp: CanonicalDecomposition, s: np.ndarray) -> np.ndarray:
+    """e^{s J} for every entry of s, shape (len(s), d, d).
+
+    Each Jordan block J_n(lam) contributes e^{s lam} s^k / k! on its
+    k-th superdiagonal (N nilpotent, e^{sN} = sum_k s^k N^k / k!).
+    """
+    lams, _, _ = _column_eigenvalues(decomp)
+    d = lams.shape[0]
+    phase = np.exp(np.multiply.outer(s, lams))
+    out = np.zeros((s.shape[0], d, d), dtype=complex)
+    out[:, np.arange(d), np.arange(d)] = phase
     off = 0
     for b in decomp.blocks:
-        lams = ((b.eigenvalue, np.conj(b.eigenvalue))
-                if b.kind == COMPLEX_PAIR else (b.eigenvalue,))
-        for lam in lams:
-            out[off:off + b.order, off:off + b.order] = _unit_exponential(lam, b.order, s)
+        for _ in range(2 if b.kind == COMPLEX_PAIR else 1):
+            coeff = np.ones_like(s)
+            for k in range(1, b.order):
+                coeff = coeff * s / k
+                rows = np.arange(off, off + b.order - k)
+                out[:, rows, rows + k] = phase[:, rows] * coeff[:, None]
             off += b.order
     return out
+
+
+def _closed_form_stack(decomp: CanonicalDecomposition, times: np.ndarray) -> np.ndarray:
+    """Psi e^{-itJ} Psi^-1 for every t; entries that overflow stay inf or nan."""
+    psi = decomp.Psi
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _exponential_stack(decomp, -1j * times)
+        return np.linalg.solve(psi.T, (psi @ e).swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def propagator_stack(decomp: CanonicalDecomposition, times) -> np.ndarray:
+    """U(t) = Psi e^{-itJ} Psi^-1 for every t in times, shape (len(times), d, d).
+
+    The closed form avoids the squaring error growth of the dense route
+    when t ||H|| is large. Overflow raises NumericalError naming the
+    first t whose propagator is not finite.
+    """
+    times = np.asarray(times, dtype=float)
+    u = _closed_form_stack(decomp, times)
+    _require_finite(u, times, "propagator")
+    return u
 
 
 def propagator(h, t: float, decomp: CanonicalDecomposition | None = None) -> np.ndarray:
     """U(t) = e^{-itH}.
 
-    Given the canonical decomposition of the same H, the exponential is
-    assembled from closed-form unit exponentials, U = Psi e^{-itJ}
-    Psi^-1, which avoids the squaring error growth of the dense route
-    when t ||H|| is large.
+    Given the canonical decomposition of the same H, this is the
+    one-point case of propagator_stack; otherwise the dense
+    scaling-and-squaring exponential of H.
     """
     if decomp is None:
         return matrix_exponential(h, -1j * float(t))
-    e = _canonical_exponential(decomp, -1j * float(t))
-    return np.linalg.solve(decomp.Psi.T, (decomp.Psi @ e).T).T
+    return propagator_stack(decomp, [float(t)])[0]
 
 
 def validate_density(rho, tol: float = 1e-10) -> np.ndarray:
@@ -176,7 +222,10 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
     from the detected block structure; Tr(eta rho(t)) is always
     tracked. In broken cases with t ||H|| beyond the overflow exponent
     the report flags overflow risk and computes drift only on the
-    usable part of the grid.
+    usable part of the grid. The evolved states, their coefficient
+    matrices and the eta-trace series are computed for the whole grid
+    at once; an evolution that overflows raises NumericalError naming
+    the first t where it does.
     """
     h = as_square(h, "H")
     rho = validate_density(rho)
@@ -189,12 +238,16 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
     d = h.shape[0]
     series = np.empty((len(times), d, d), dtype=complex)
     traces = np.empty(len(times), dtype=complex)
-    for i, t in enumerate(times):
-        rho_t = evolve_density(rho, h, t, decomp=decomp)
-        series[i] = basis_coefficients(rho_t, decomp)
-        traces[i] = eta_trace(rho_t, met.eta)
+    for chunk in _grid_chunks(len(times), d):
+        u = _closed_form_stack(decomp, times[chunk])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho_t = u @ rho @ dagger(u)
+        # an overflowed entry of U leaves rho_t non-finite as well
+        _require_finite(rho_t, times[chunk], "evolved density")
+        series[chunk] = basis_coefficients(rho_t, decomp)
+        traces[chunk] = np.einsum("ij,tji->t", met.eta, rho_t)
 
-    h_norm = float(np.linalg.norm(h, 2))
+    h_norm = decomp.h_norm
     overflow = False
     t_cap = None
     usable = np.ones(len(times), dtype=bool)

@@ -35,10 +35,9 @@ from .errors import (
 _EPS = float(np.finfo(float).eps)
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a 2-d complex ndarray copy of the input."""
+def _as_array(a, name: str, stacked: bool) -> np.ndarray:
     m = np.array(a, dtype=complex)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stacked and m.ndim > 2):
         raise DimensionError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if m.size == 0:
         raise ValidationError(f"{name} is empty")
@@ -47,11 +46,35 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate and return a 2-d complex ndarray copy of the input."""
+    return _as_array(a, name, stacked=False)
+
+
 def as_square(a, name: str = "matrix") -> np.ndarray:
     m = as_matrix(a, name)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
     return m
+
+
+def as_square_stack(a, name: str = "matrix") -> np.ndarray:
+    """as_square for one matrix or a stack of them, shape (..., n, n)."""
+    m = _as_array(a, name, stacked=True)
+    if m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"{name} must be square, got shape {m.shape}")
+    return m
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def first_index(mask: np.ndarray) -> int | None:
+    """Position of the first true entry of a 1-d or 0-d mask, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
@@ -66,10 +89,14 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return w
 
 
-def operator_norm(a) -> float:
-    """Largest singular value of a (not necessarily square) matrix."""
-    m = as_matrix(a, "A")
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+def operator_norm(a):
+    """Largest singular value of a (not necessarily square) matrix.
+
+    A stack of matrices, shape (..., m, n), gives one value per matrix.
+    """
+    m = _as_array(a, "A", stacked=True)
+    top = np.linalg.svd(m, compute_uv=False)[..., 0]
+    return float(top) if m.ndim == 2 else top
 
 
 def matrix_exponential(a, z: complex = 1.0) -> np.ndarray:
@@ -91,20 +118,23 @@ def psd_square_root(a, herm_tol: float = 1e-10, neg_floor: float = 1e-12) -> np.
 
     Eigenvalues in [-neg_floor * max(1, ||A||), 0) are clamped to zero
     so that defect operators of near-contractions survive rounding.
-    Anything more negative raises.
+    Anything more negative raises. A stack of matrices, shape
+    (..., n, n), is taken matrix by matrix; the first to fail a check
+    is the one reported.
     """
-    m = as_square(a, "A")
-    scale = max(1.0, operator_norm(m))
-    if operator_norm(m - m.conj().T) > herm_tol * scale:
+    m = as_square_stack(a, "A")
+    scale = np.maximum(1.0, operator_norm(m))
+    if np.any(operator_norm(m - dagger(m)) > herm_tol * scale):
         raise ValidationError("matrix is not Hermitian within tolerance")
-    m = 0.5 * (m + m.conj().T)
+    m = 0.5 * (m + dagger(m))
     w, v = np.linalg.eigh(m)
-    if w[0] < -neg_floor * scale:
+    low = first_index(w[..., 0] < -neg_floor * scale)
+    if low is not None:
         raise NotPositiveSemidefiniteError(
-            f"eigenvalue {w[0]:.6e} below the positive semidefinite floor"
+            f"eigenvalue {w[..., 0].flat[low]:.6e} below the positive semidefinite floor"
         )
-    b = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return 0.5 * (b + b.conj().T)
+    b = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dagger(v)
+    return 0.5 * (b + dagger(b))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import scipy.linalg as sla
 
 from .canonical import COMPLEX_PAIR, CanonicalDecomposition
 from .errors import DimensionError, NumericalError, SingularMatrixError, ValidationError
-from .linalg import as_square, as_vector, operator_norm
+from .linalg import as_square, as_square_stack, as_vector, dagger, first_index, operator_norm
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def build_metric(decomp: CanonicalDecomposition,
 
     h = decomp.hamiltonian
     defect = verify_metric(h, eta)
-    if defect > met_tol * eta_norm * max(1.0, operator_norm(h)):
+    if defect > met_tol * eta_norm * max(1.0, decomp.h_norm):
         raise NumericalError(
             f"intertwining defect {defect:.6e} exceeds tolerance")
 
@@ -137,21 +137,23 @@ def basis_coefficients(rho, decomp: CanonicalDecomposition,
     """Coefficient matrix R with rho = Psi R Psi^dag.
 
     Computed by linear solves rather than an explicit inverse; the
-    reconstruction Psi R Psi^dag is checked against rho.
+    reconstruction Psi R Psi^dag is checked against rho. A stack of
+    density matrices, shape (..., d, d), gives one R per matrix.
     """
-    rho = as_square(rho, "rho")
+    rho = as_square_stack(rho, "rho")
     psi = decomp.Psi
-    if rho.shape != psi.shape:
+    if rho.shape[-2:] != psi.shape:
         raise DimensionError(f"rho dimension {rho.shape} does not match basis {psi.shape}")
     try:
         half = np.linalg.solve(psi, rho)
-        r = np.linalg.solve(psi, half.conj().T).conj().T
+        r = dagger(np.linalg.solve(psi, dagger(half)))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("Psi is numerically singular") from exc
     recon = psi @ r @ psi.conj().T
     defect = operator_norm(recon - rho)
-    if defect > recon_tol * max(1.0, operator_norm(rho)):
-        raise NumericalError(f"coefficient reconstruction defect {defect:.6e}")
+    bad = first_index(defect > recon_tol * np.maximum(1.0, operator_norm(rho)))
+    if bad is not None:
+        raise NumericalError(f"coefficient reconstruction defect {np.ravel(defect)[bad]:.6e}")
     return r
 
 
