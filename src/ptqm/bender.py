@@ -28,6 +28,7 @@ from .canonical import (
     CanonicalDecomposition,
     SpectralClass,
     _classify_blocks,
+    _decomposition,
 )
 from .errors import (
     BrokenRegimeError,
@@ -158,28 +159,11 @@ def bender_eigensystem(p: BenderParams, crit_tol: float = 1e-6) -> BenderEigensy
         cols, lams = [e_minus, e_plus], [lam_minus, lam_plus]
     else:
         cols, lams = [e_plus, e_minus], [lam_plus, lam_minus]
-    psi = np.column_stack(cols)
-    j = np.diag(np.array(lams, dtype=complex))
     blocks = (
         BlockDescriptor(REAL_SIMPLE, complex(lams[0]), 1),
         BlockDescriptor(REAL_SIMPLE, complex(lams[1]), 1),
     )
-    sing = np.linalg.svd(psi, compute_uv=False)
-    decomp = CanonicalDecomposition(
-        hamiltonian=h,
-        h_norm=float(np.linalg.norm(h, 2)),
-        Psi=psi,
-        J=j,
-        K=np.eye(2, dtype=complex),
-        blocks=blocks,
-        spectral_class=_classify_blocks(blocks),
-        residuals={
-            "similarity": float(np.linalg.norm(np.linalg.solve(psi, h @ psi) - j, 2)),
-            "k_relation": float(np.linalg.norm(pair.pt @ np.conj(psi) - psi, 2)),
-        },
-        condition_number=float(sing[0] / sing[-1]),
-        warning=None,
-    )
+    decomp = _decomposition(h, float(np.linalg.norm(h, 2)), pair, np.column_stack(cols), blocks)
     eta = build_metric(decomp)
     return BenderEigensystem(
         params=p,

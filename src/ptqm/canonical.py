@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import IllConditionedError, NotPTSymmetricError, ValidationError
-from .linalg import _cluster_chains, _cluster_indices, _phase_normalize, _schur_form, as_square
+from .linalg import (BlockLayout, _cluster_chains, _cluster_indices, _phase_normalize,
+                     _schur_form, as_square)
 from .symmetry import PTPair, is_pt_symmetric
 
 _EPS = float(np.finfo(float).eps)
@@ -59,8 +59,9 @@ class CanonicalDecomposition:
 
     blocks lists the units in the column order of Psi: conjugate pairs
     first (ascending Re, the Im > 0 member leading inside each pair),
-    then real blocks ascending by eigenvalue then order. K is exact
-    (0/1 entries). h_norm is ||H||_2, computed once here for every
+    then real blocks ascending by eigenvalue then order. layout is the
+    column layout of those units, from which J and K are built; K is
+    exact (0/1 entries). h_norm is ||H||_2, computed once here for every
     later scale. residuals holds the similarity and K-relation
     defects; warning is set when the structure was decided inside the
     clustering tolerance band or Psi is badly conditioned.
@@ -72,6 +73,7 @@ class CanonicalDecomposition:
     J: np.ndarray
     K: np.ndarray
     blocks: tuple
+    layout: BlockLayout
     spectral_class: SpectralClass
     residuals: dict
     condition_number: float
@@ -230,24 +232,26 @@ def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
     blocks = _block_descriptors(pair_units, real_units)
 
     cols = []
-    jblocks = []
-    kblocks = []
-    for lam, cp, cm in pair_units:
-        n = len(cp)
+    for _, cp, cm in pair_units:
         cols.extend(cp)
         cols.extend(cm)
-        jn = lam * np.eye(n, dtype=complex) + np.diag(np.ones(n - 1), 1)
-        jblocks.append(sla.block_diag(jn, np.conj(jn)))
-        kblocks.append(np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(n)))
-    for lam, chain in real_units:
-        n = len(chain)
+    for _, chain in real_units:
         cols.extend(chain)
-        jblocks.append(lam * np.eye(n, dtype=complex) + np.diag(np.ones(n - 1), 1))
-        kblocks.append(np.eye(n))
+    return _decomposition(h, h_norm, pair, np.column_stack(cols), blocks, can_tol, in_band)
 
-    psi = np.column_stack(cols)
-    j = sla.block_diag(*jblocks).astype(complex)
-    k = sla.block_diag(*kblocks).astype(complex)
+
+def _decomposition(h: np.ndarray, h_norm: float, pair: PTPair, psi: np.ndarray,
+                   blocks: tuple, can_tol: float = 1e-8,
+                   in_band: bool = False) -> CanonicalDecomposition:
+    """CanonicalDecomposition of H in the basis psi, whose columns follow blocks.
+
+    J and K are built from the block layout. Raises when the similarity
+    or K-relation residual exceeds can_tol; in_band says the structure
+    was decided inside the clustering tolerance band.
+    """
+    layout = BlockLayout.from_units((b.eigenvalue, b.order, b.kind == COMPLEX_PAIR)
+                                    for b in blocks)
+    j, k = layout.matrices()
 
     sing = np.linalg.svd(psi, compute_uv=False)
     cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
@@ -275,6 +279,7 @@ def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
         J=j,
         K=k,
         blocks=blocks,
+        layout=layout,
         spectral_class=_classify_blocks(blocks),
         residuals={"similarity": sim_res, "k_relation": krel_res},
         condition_number=cond,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .bender import critical_sweep, stokes_vector
-from .canonical import COMPLEX_PAIR, pt_canonical_form
+from .canonical import pt_canonical_form
 from .dilation import embedded_evolution_check, uniform_bound
 from .dynamics import TimeGrid, evolve_density, invariant_report, normalize_density, validate_density
 from .errors import (
@@ -57,8 +57,7 @@ def _add_common(sub):
     for flag, dest in (("--tol", "tol"), ("--cluster-tol", "cluster_tol"),
                        ("--rank-tol", "rank_tol"), ("--val-tol", "val_tol"),
                        ("--met-tol", "met_tol"), ("--can-tol", "can_tol"),
-                       ("--crit-tol", "crit_tol"), ("--p-tol", "p_tol"),
-                       ("--lin-tol", "lin_tol"), ("--free-tol", "free_tol"),
+                       ("--crit-tol", "crit_tol"), ("--free-tol", "free_tol"),
                        ("--slack", "slack")):
         sub.add_argument(flag, dest=dest, type=float, default=None)
 
@@ -171,7 +170,7 @@ def build_parser() -> _Parser:
 
 def _overrides(args) -> dict:
     names = ("tol", "cluster_tol", "rank_tol", "val_tol", "met_tol", "can_tol",
-             "crit_tol", "p_tol", "lin_tol", "free_tol", "slack",
+             "crit_tol", "free_tol", "slack",
              "t_start", "t_end", "num_points")
     out = {name: getattr(args, name, None) for name in names}
     signs_text = getattr(args, "signs", None)
@@ -213,15 +212,6 @@ def _block_report(blocks) -> list:
              "order": int(b.order)} for b in blocks]
 
 
-def _block_eigenvalues(blocks) -> list:
-    vals = []
-    for b in blocks:
-        vals.extend([_complex_pair(b.eigenvalue)] * b.order)
-        if b.kind == COMPLEX_PAIR:
-            vals.extend([_complex_pair(np.conj(b.eigenvalue))] * b.order)
-    return vals
-
-
 def _matrix_doc(a: np.ndarray) -> dict:
     return {"dim": int(a.shape[0]), "rows": matrix_to_rows(a)}
 
@@ -247,7 +237,7 @@ def cmd_classify(args, cfg) -> None:
         "residual": residual,
         "class": decomp.spectral_class.tag,
         "blocks": _block_report(decomp.blocks),
-        "eigenvalues": _block_eigenvalues(decomp.blocks),
+        "eigenvalues": [_complex_pair(z) for z in decomp.layout.eigenvalues],
     }
     _emit(args, render_json(report) + "\n")
 
@@ -319,9 +309,9 @@ def cmd_evolve(args, cfg) -> None:
 def cmd_invariants(args, cfg) -> None:
     h = load_matrix_file(args.hamiltonian)
     pair = _load_pair(args, cfg)
-    rho = load_matrix_file(args.state)
-    report = invariant_report(h, pair, rho, _grid(cfg), _signs_arg(cfg),
-                              cfg.tol, cluster_tol=cfg.cluster_tol)
+    rho = validate_density(load_matrix_file(args.state))
+    report = invariant_report(h, pair, rho, _grid(cfg), _signs_arg(cfg), cfg.tol,
+                              met_tol=cfg.met_tol, decomp=_decompose(h, pair, cfg))
     d = report.coefficient_series.shape[1]
     header = ["t"]
     for i in range(d):

@@ -18,7 +18,7 @@ from .errors import ValidationError
 ENV_CONFIG = "PTQM_CONFIG"
 
 _TOL_FIELDS = ("tol", "cluster_tol", "rank_tol", "val_tol", "met_tol",
-               "can_tol", "crit_tol", "p_tol", "lin_tol", "free_tol")
+               "can_tol", "crit_tol", "free_tol")
 
 
 @dataclasses.dataclass
@@ -30,8 +30,6 @@ class RunConfig:
     met_tol: float = 1e-8        # metric intertwining residual
     can_tol: float = 1e-8        # canonical-form residuals
     crit_tol: float = 1e-6       # cos(alpha) critical-point floor
-    p_tol: float = 1e-9          # free-weight nonnegativity
-    lin_tol: float = 1e-10       # basis linear independence
     free_tol: float = 1e-8       # Kraus parallelism defect
     slack: float = 0.99          # dilation contraction slack
     t_start: float = 0.0

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalDecomposition, pt_canonical_form
-from .dynamics import TimeGrid, _grid_chunks, default_grid, propagator_stack, validate_density
+from .dynamics import TimeGrid, _grid_chunks, _matching_density, default_grid, propagator_stack
 from .errors import (
     BrokenSymmetryError,
     DegeneratePostSelectionError,
@@ -117,7 +117,7 @@ def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
     first t where it fails.
     """
     h = as_square(h, "H")
-    rho = validate_density(rho)
+    rho = _matching_density(rho, h)
     if decomp is None:
         decomp = pt_canonical_form(h, pair)
     c = uniform_bound(decomp, slack)

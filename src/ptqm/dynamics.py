@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import COMPLEX_PAIR, CanonicalDecomposition, SpectralClass, pt_canonical_form
-from .errors import InvalidDensityError, NumericalError, PreconditionError, ValidationError
+from .canonical import CanonicalDecomposition, SpectralClass, pt_canonical_form
+from .errors import (DimensionError, InvalidDensityError, NumericalError, PreconditionError,
+                     ValidationError)
 from .linalg import as_square, dagger, first_index, matrix_exponential
 from .metric import MetricOperator, SignCharacteristic, basis_coefficients, build_metric
 from .symmetry import PTPair
@@ -105,20 +106,17 @@ def _exponential_stack(decomp: CanonicalDecomposition, s: np.ndarray) -> np.ndar
     Each Jordan block J_n(lam) contributes e^{s lam} s^k / k! on its
     k-th superdiagonal (N nilpotent, e^{sN} = sum_k s^k N^k / k!).
     """
-    lams, _, _ = _column_eigenvalues(decomp)
+    lams = decomp.layout.eigenvalues
     d = lams.shape[0]
     phase = np.exp(np.multiply.outer(s, lams))
     out = np.zeros((s.shape[0], d, d), dtype=complex)
     out[:, np.arange(d), np.arange(d)] = phase
-    off = 0
-    for b in decomp.blocks:
-        for _ in range(2 if b.kind == COMPLEX_PAIR else 1):
-            coeff = np.ones_like(s)
-            for k in range(1, b.order):
-                coeff = coeff * s / k
-                rows = np.arange(off, off + b.order - k)
-                out[:, rows, rows + k] = phase[:, rows] * coeff[:, None]
-            off += b.order
+    for offset, length in decomp.layout.chains:
+        coeff = np.ones_like(s)
+        for k in range(1, length):
+            coeff = coeff * s / k
+            rows = np.arange(offset, offset + length - k)
+            out[:, rows, rows + k] = phase[:, rows] * coeff[:, None]
     return out
 
 
@@ -169,10 +167,18 @@ def validate_density(rho, tol: float = 1e-10) -> np.ndarray:
     return m
 
 
+def _matching_density(rho, h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """validate_density, plus a DimensionError when rho and H differ in size."""
+    m = validate_density(rho, tol)
+    if m.shape != h.shape:
+        raise DimensionError(f"rho dimension {m.shape} does not match H {h.shape}")
+    return m
+
+
 def evolve_density(rho, h, t: float, val_tol: float = 1e-10,
                    decomp: CanonicalDecomposition | None = None) -> np.ndarray:
     """U(t) rho U(t)^dag, not renormalized."""
-    m = validate_density(rho, val_tol)
+    m = _matching_density(rho, as_square(h, "H"), val_tol)
     u = propagator(h, t, decomp)
     return u @ m @ u.conj().T
 
@@ -186,35 +192,12 @@ def normalize_density(rho, floor: float = 1e-12) -> np.ndarray:
     return m / tr
 
 
-def _column_eigenvalues(decomp: CanonicalDecomposition):
-    """Per-column eigenvalue and unit bookkeeping.
-
-    Returns (lams, simple, units) where lams[c] is the eigenvalue of
-    column c, simple[c] says the column belongs to an order-1 unit, and
-    units lists (offset, span) for every unit of order >= 2.
-    """
-    lams = []
-    simple = []
-    units = []
-    offset = 0
-    for b in decomp.blocks:
-        span = 2 * b.order if b.kind == COMPLEX_PAIR else b.order
-        if b.kind == COMPLEX_PAIR:
-            lams.extend([b.eigenvalue] * b.order)
-            lams.extend([np.conj(b.eigenvalue)] * b.order)
-        else:
-            lams.extend([b.eigenvalue] * b.order)
-        simple.extend([b.order == 1] * span)
-        if b.order >= 2:
-            units.append((offset, span))
-        offset += span
-    return np.array(lams), simple, units
-
-
 def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
                      signs: SignCharacteristic | None = None,
                      tol: float = 1e-8, *,
-                     cluster_tol: float | None = None) -> InvariantReport:
+                     cluster_tol: float | None = None,
+                     met_tol: float = 1e-8,
+                     decomp: CanonicalDecomposition | None = None) -> InvariantReport:
     """Track the conserved coefficient combinations along the evolution.
 
     The drift of an invariant is the maximum absolute deviation of its
@@ -225,14 +208,17 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
     usable part of the grid. The evolved states, their coefficient
     matrices and the eta-trace series are computed for the whole grid
     at once; an evolution that overflows raises NumericalError naming
-    the first t where it does.
+    the first t where it does. The decomposition of H is computed here
+    at tol and cluster_tol unless decomp is given; met_tol bounds the
+    metric's intertwining defect.
     """
     h = as_square(h, "H")
-    rho = validate_density(rho)
+    rho = _matching_density(rho, h)
     grid = grid if grid is not None else default_grid()
 
-    decomp = pt_canonical_form(h, pair, tol, cluster_tol=cluster_tol)
-    met = build_metric(decomp, signs)
+    if decomp is None:
+        decomp = pt_canonical_form(h, pair, tol, cluster_tol=cluster_tol)
+    met = build_metric(decomp, signs, met_tol)
     times = grid.times
 
     d = h.shape[0]
@@ -258,7 +244,10 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
             usable = np.abs(times) <= t_cap
 
     scale = max(1.0, h_norm)
-    lams, simple, units = _column_eigenvalues(decomp)
+    layout = decomp.layout
+    lams = layout.eigenvalues
+    # an order-1 unit is one column, or two for a pair: chains of length 1
+    simple = [offset for offset, length in layout.chains if length == 1]
 
     drift: dict[str, float] = {}
 
@@ -266,11 +255,13 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
         drift[key] = float(np.max(np.abs(values[usable] - values[0])))
 
     record("eta_trace", traces)
-    for a in range(d):
-        for b in range(d):
-            if simple[a] and simple[b] and abs(lams[a] - np.conj(lams[b])) <= tol * scale:
+    for a in simple:
+        for b in simple:
+            if abs(lams[a] - np.conj(lams[b])) <= tol * scale:
                 record(f"R_{a + 1}_{b + 1}", series[:, a, b])
-    for offset, span in units:
+    for block, (offset, span) in zip(decomp.blocks, layout.units):
+        if block.order == 1:
+            continue
         idx = [(offset + i, offset + span - 1 - i) for i in range(span)]
         key = "+".join(f"R_{a + 1}_{b + 1}" for a, b in idx)
         values = np.sum([series[:, a, b] for a, b in idx], axis=0)

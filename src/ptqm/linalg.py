@@ -19,7 +19,7 @@ the square-root-of-epsilon scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -29,6 +29,7 @@ from .errors import (
     DimensionError,
     IllConditionedError,
     NotPositiveSemidefiniteError,
+    SingularMatrixError,
     ValidationError,
 )
 
@@ -138,6 +139,73 @@ def psd_square_root(a, herm_tol: float = 1e-10, neg_floor: float = 1e-12) -> np.
 
 
 @dataclass(frozen=True)
+class BlockLayout:
+    """Column layout of a Jordan matrix, unit by unit.
+
+    A unit is one Jordan chain, or a conjugate pair of two chains of
+    equal length: the chain of lam, then the chain of conj(lam).
+    eigenvalues[c] is the eigenvalue of column c. chains lists the
+    (offset, length) of every chain and units the (offset, span) of
+    every unit, both in column order; paired marks the conjugate-pair
+    units.
+    """
+
+    eigenvalues: np.ndarray
+    chains: tuple
+    units: tuple
+    paired: tuple
+
+    @classmethod
+    def from_units(cls, units) -> "BlockLayout":
+        """Layout of (eigenvalue, order, paired) units placed in order."""
+        lams: list = []
+        chains = []
+        spans = []
+        paired = []
+        for lam, order, pair in units:
+            offset = len(lams)
+            for z in (lam, np.conj(lam)) if pair else (lam,):
+                chains.append((len(lams), order))
+                lams.extend([z] * order)
+            spans.append((offset, len(lams) - offset))
+            paired.append(bool(pair))
+        return cls(np.array(lams, dtype=complex), tuple(chains), tuple(spans), tuple(paired))
+
+    @property
+    def n_real(self) -> int:
+        """Number of units that are not conjugate pairs."""
+        return self.paired.count(False)
+
+    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """(J, K): J holds the eigenvalues on its diagonal and a 1 on the
+        superdiagonal inside each chain; K swaps the two chains of every
+        conjugate-pair unit and fixes every other column."""
+        d = self.eigenvalues.shape[0]
+        nilpotent = np.zeros((d, d))
+        for offset, length in self.chains:
+            rows = np.arange(offset, offset + length - 1)
+            nilpotent[rows, rows + 1] = 1.0
+        k = np.zeros((d, d), dtype=complex)
+        for (offset, span), pair in zip(self.units, self.paired):
+            cols = np.arange(offset, offset + span)
+            k[cols, np.roll(cols, span // 2) if pair else cols] = 1.0
+        return np.diag(self.eigenvalues) + nilpotent, k
+
+
+def congruence_solve(c: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:
+    """C^-1 X C^-dag by two linear solves, for one X or a stack of them.
+
+    name is how C is called in the SingularMatrixError raised when C
+    is singular.
+    """
+    try:
+        half = np.linalg.solve(c, x)
+        return dagger(np.linalg.solve(c, dagger(half)))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"{name} is numerically singular") from exc
+
+
+@dataclass(frozen=True)
 class EigenStructure:
     """Clustered spectrum of a square matrix with Jordan chains.
 
@@ -155,20 +223,11 @@ class EigenStructure:
 
     def assemble(self) -> tuple[np.ndarray, np.ndarray]:
         """Stack all chains into (Psi, J) with A Psi = Psi J."""
-        return _assemble(self.eigenvalues, self.chains)
-
-
-def _assemble(eigenvalues, chains_per_cluster) -> tuple[np.ndarray, np.ndarray]:
-    cols = []
-    jblocks = []
-    for lam, chains in zip(eigenvalues, chains_per_cluster):
-        for chain in chains:
-            k = len(chain)
-            cols.extend(chain)
-            jblocks.append(lam * np.eye(k, dtype=complex) + np.diag(np.ones(k - 1), 1))
-    psi = np.column_stack(cols)
-    j = sla.block_diag(*jblocks).astype(complex)
-    return psi, j
+        layout = BlockLayout.from_units(
+            (lam, len(chain), False)
+            for lam, chains in zip(self.eigenvalues, self.chains) for chain in chains)
+        psi = np.column_stack([v for chains in self.chains for chain in chains for v in chain])
+        return psi, layout.matrices()[0]
 
 
 def _cluster_indices(w: np.ndarray, tol_abs: float) -> list[np.ndarray]:
@@ -425,12 +484,12 @@ def eigen_decompose(a, cluster_tol: float = 1e-8, rank_tol: float = 1e-10) -> Ei
         geoms.append(len(chains))
         all_chains.append(tuple(tuple(c) for c in chains))
 
-    psi, j = _assemble(eigenvalues, all_chains)
-    residual = float(np.linalg.norm(m @ psi - psi @ j, 2))
-    return EigenStructure(
+    structure = EigenStructure(
         eigenvalues=tuple(eigenvalues),
         multiplicities=tuple(mults),
         geometric_multiplicities=tuple(geoms),
         chains=tuple(all_chains),
-        residual=residual,
+        residual=np.nan,
     )
+    psi, j = structure.assemble()
+    return replace(structure, residual=float(np.linalg.norm(m @ psi - psi @ j, 2)))

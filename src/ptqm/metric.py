@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .canonical import COMPLEX_PAIR, CanonicalDecomposition
+from .canonical import CanonicalDecomposition
 from .errors import DimensionError, NumericalError, SingularMatrixError, ValidationError
-from .linalg import as_square, as_square_stack, as_vector, dagger, first_index, operator_norm
+from .linalg import (as_square, as_square_stack, as_vector, congruence_solve, first_index,
+                     operator_norm)
 
 
 @dataclass(frozen=True)
@@ -42,21 +42,16 @@ class MetricOperator:
     source: CanonicalDecomposition
 
 
-def _reversal(n: int) -> np.ndarray:
-    return np.fliplr(np.eye(n))
-
-
 def structure_matrix(decomp: CanonicalDecomposition,
                      signs: SignCharacteristic) -> np.ndarray:
     """The exact congruence target S: reversal blocks per unit."""
-    sblocks = []
+    layout = decomp.layout
+    s = np.zeros((decomp.dim, decomp.dim), dtype=complex)
     eps = iter(signs.epsilons)
-    for b in decomp.blocks:
-        if b.kind == COMPLEX_PAIR:
-            sblocks.append(_reversal(2 * b.order))
-        else:
-            sblocks.append(next(eps) * _reversal(b.order))
-    return sla.block_diag(*sblocks).astype(complex)
+    for (offset, span), paired in zip(layout.units, layout.paired):
+        cols = np.arange(offset, offset + span)
+        s[cols, cols[::-1]] = 1 if paired else next(eps)
+    return s
 
 
 def build_metric(decomp: CanonicalDecomposition,
@@ -70,7 +65,7 @@ def build_metric(decomp: CanonicalDecomposition,
     Hamiltonian is verified and must stay below
     met_tol * ||eta|| * max(1, ||H||).
     """
-    n_real = sum(1 for b in decomp.blocks if b.kind != COMPLEX_PAIR)
+    n_real = decomp.layout.n_real
     if signs is None:
         signs = SignCharacteristic(epsilons=(1,) * n_real)
     if len(signs.epsilons) != n_real:
@@ -79,8 +74,7 @@ def build_metric(decomp: CanonicalDecomposition,
             f"decomposition has {n_real} real blocks")
 
     psi = decomp.Psi
-    sing = np.linalg.svd(psi, compute_uv=False)
-    if sing[-1] <= 1e-14 * sing[0]:
+    if decomp.condition_number >= 1e14:
         raise SingularMatrixError("Psi is numerically singular")
 
     s = structure_matrix(decomp, signs)
@@ -144,11 +138,7 @@ def basis_coefficients(rho, decomp: CanonicalDecomposition,
     psi = decomp.Psi
     if rho.shape[-2:] != psi.shape:
         raise DimensionError(f"rho dimension {rho.shape} does not match basis {psi.shape}")
-    try:
-        half = np.linalg.solve(psi, rho)
-        r = dagger(np.linalg.solve(psi, dagger(half)))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("Psi is numerically singular") from exc
+    r = congruence_solve(psi, rho, "Psi")
     recon = psi @ r @ psi.conj().T
     defect = operator_norm(recon - rho)
     bad = first_index(defect > recon_tol * np.maximum(1.0, operator_norm(rho)))
@@ -158,6 +148,6 @@ def basis_coefficients(rho, decomp: CanonicalDecomposition,
 
 
 def is_positive_definite(metric: MetricOperator) -> bool:
-    """True iff the smallest eigenvalue of eta clears 1e-12 * ||eta||."""
-    evals = np.linalg.eigvalsh(metric.eta)
-    return bool(evals[0] > 1e-12 * float(np.max(np.abs(evals))))
+    """True iff the smallest eigenvalue of eta clears 1e-12 * ||eta||,
+    as build_metric decided when it built the metric."""
+    return metric.positive_definite

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import BlockLayout
 from .symmetry import PTPair, apply_antilinear, validate_pt_pair
 
 
@@ -103,23 +104,6 @@ def _block_structure(rng: np.random.Generator, d: int, kind: str):
     return units, kind
 
 
-def _assemble_j_k(units):
-    import scipy.linalg as sla
-
-    jblocks = []
-    kblocks = []
-    for shape, n, lam in units:
-        jn = lam * np.eye(n, dtype=complex) + np.diag(np.ones(n - 1), 1)
-        if shape == "pair":
-            jblocks.append(sla.block_diag(jn, np.conj(jn)))
-            kblocks.append(np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(n)))
-        else:
-            jblocks.append(jn)
-            kblocks.append(np.eye(n))
-    return (sla.block_diag(*jblocks).astype(complex),
-            sla.block_diag(*kblocks).astype(complex))
-
-
 def _random_adapted_basis(rng: np.random.Generator, pair: PTPair, units,
                           max_cond=12.0) -> np.ndarray:
     """Basis columns following the K conjugation pattern: fixed vectors
@@ -157,7 +141,7 @@ def random_instance(rng: np.random.Generator, d: int, kind: str = "mixed",
     """
     pair = random_pt_pair(rng, d, pair_kind)
     units, drawn = _block_structure(rng, d, kind)
-    j0, k0 = _assemble_j_k(units)
+    j0, k0 = BlockLayout.from_units((lam, n, shape == "pair") for shape, n, lam in units).matrices()
     psi0 = _random_adapted_basis(rng, pair, units)
     h = np.linalg.solve(psi0.T, (psi0 @ j0).T).T
     return {"h": h, "pair": pair, "j0": j0, "k0": k0, "psi0": psi0, "kind": drawn}

@@ -25,10 +25,9 @@ from .errors import (
     BrokenSymmetryError,
     DimensionError,
     PreconditionError,
-    SingularMatrixError,
     ValidationError,
 )
-from .linalg import as_square, as_square_stack, as_vector, dagger, operator_norm
+from .linalg import as_square, as_square_stack, as_vector, congruence_solve, dagger, operator_norm
 from .symmetry import PTPair
 
 
@@ -76,15 +75,6 @@ class FreeDecomposition:
     residual: float
 
 
-def _coefficients(rho: np.ndarray, basis: FreeBasis) -> np.ndarray:
-    c = basis.matrix
-    try:
-        half = np.linalg.solve(c, rho)
-        return np.linalg.solve(c, half.conj().T).conj().T
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("basis matrix is numerically singular") from exc
-
-
 def is_superposition_free(rho, basis: FreeBasis,
                           tol: float = 1e-9) -> tuple[bool, FreeDecomposition]:
     """Test rho = sum_i p_i |c_i><c_i| via the dual-frame coefficients.
@@ -95,7 +85,7 @@ def is_superposition_free(rho, basis: FreeBasis,
     rho = validate_density(rho)
     if rho.shape[0] != basis.dim:
         raise DimensionError("rho dimension does not match the basis")
-    r = _coefficients(rho, basis)
+    r = congruence_solve(basis.matrix, rho, "basis matrix")
     off = r - np.diag(np.diag(r))
     residual = float(np.max(np.abs(off))) if off.size else 0.0
     weights = np.real(np.diag(r))

@@ -323,3 +323,36 @@ def test_config_rejects_unknown_key(files, capsys, tmp_path):
                                 paths["t_id"], "--config", str(cfg_file)])
     assert code == 2
     assert json.loads(err)["error"] == "validation"
+
+
+@pytest.mark.parametrize("command", ["invariants", "dilate", "evolve"])
+def test_state_of_wrong_dimension_is_validation(files, capsys, command):
+    paths, tmp_path = files
+    rho3 = write_matrix(tmp_path / "rho3.json", np.eye(3) / 3)
+    pair = [] if command == "evolve" else [paths["p_swap"], paths["t_id"]]
+    grid = ["--t", "1.0"] if command == "evolve" else ["--num-points", "5"]
+    code, out, err = run(capsys, [command, paths["h_unbroken"], *pair, rho3, *grid])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "validation" and "dimension" in doc["detail"]
+
+
+@pytest.mark.parametrize("flag", ["--p-tol", "--lin-tol"])
+def test_removed_tolerance_flags_are_rejected(files, capsys, flag):
+    paths, _ = files
+    code, _, err = run(capsys, ["invariants", paths["h_unbroken"], paths["p_swap"],
+                                paths["t_id"], paths["rho"], flag, "5"])
+    assert code == 2
+    assert json.loads(err)["error"] == "validation"
+
+
+@pytest.mark.parametrize("key", ["p_tol", "lin_tol"])
+def test_config_rejects_removed_tolerance_keys(files, capsys, tmp_path, key):
+    paths, _ = files
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: 1e-9}))
+    code, _, err = run(capsys, ["classify", paths["h_unbroken"], paths["p_swap"],
+                                paths["t_id"], "--config", str(cfg_file)])
+    assert code == 2
+    assert f"unknown key '{key}'" in json.loads(err)["detail"]

@@ -350,15 +350,23 @@ def test_free_check_decomposes_once(tmp_path, monkeypatch, capsys, extra):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
-@pytest.mark.parametrize("command", ["dilate", "free-check"])
+@pytest.mark.parametrize("command", ["dilate", "free-check", "invariants"])
 def test_grid_commands_honour_canonical_tolerances(tmp_path, capsys, command):
     files = _cli_files(tmp_path)
-    files = files if command == "dilate" else files[:3]
+    files = files[:3] if command == "free-check" else files
     assert cli.main([command, *files, "--num-points", "5"]) == 0
     capsys.readouterr()
     # a residual bound no decomposition can meet reaches the canonical form
-    assert cli.main([command, *files, "--num-points", "5", "--can-tol", "1e-30"]) == 4
+    assert cli.main([command, *files, "--num-points", "5", "--can-tol", "1e-300"]) == 4
     assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+
+
+def test_invariants_honour_metric_tolerance(tmp_path, capsys):
+    files = _cli_files(tmp_path)
+    # an intertwining bound no metric can meet reaches build_metric
+    assert cli.main(["invariants", *files, "--num-points", "5", "--met-tol", "1e-300"]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical" and "intertwining" in err["detail"]
 
 
 def test_decomposition_carries_operator_norm():

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from ptqm.errors import NotPositiveSemidefiniteError, ValidationError
+from ptqm.errors import NotPositiveSemidefiniteError, SingularMatrixError, ValidationError
 from ptqm.linalg import (
+    BlockLayout,
     EigenStructure,
+    congruence_solve,
     eigen_decompose,
     matrix_exponential,
     operator_norm,
@@ -158,3 +161,39 @@ def test_validators_reject_bad_input():
         eigen_decompose(np.array([[np.nan, 0], [0, 1.0]]))
     with pytest.raises(ValidationError):
         operator_norm(np.array([]))
+
+
+def test_block_layout_matches_blockwise_assembly():
+    lam = 0.5 + 0.7j
+    units = [(lam, 2, True), (-1.0 + 0j, 3, False), (2.0 + 0j, 1, False), (1.5 - 0.2j, 1, True)]
+    layout = BlockLayout.from_units(units)
+
+    assert np.array_equal(layout.eigenvalues,
+                          [lam, lam, np.conj(lam), np.conj(lam), -1, -1, -1, 2,
+                           1.5 - 0.2j, 1.5 + 0.2j])
+    assert layout.chains == ((0, 2), (2, 2), (4, 3), (7, 1), (8, 1), (9, 1))
+    assert layout.units == ((0, 4), (4, 3), (7, 1), (8, 2))
+    assert layout.paired == (True, False, False, True)
+    assert layout.n_real == 2
+
+    # reference: one Jordan block per chain, one swap or identity block per unit
+    def jordan(z, n):
+        return z * np.eye(n) + np.diag(np.ones(n - 1), 1)
+
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    j_ref = sla.block_diag(jordan(lam, 2), jordan(np.conj(lam), 2), jordan(-1.0, 3),
+                           jordan(2.0, 1), jordan(1.5 - 0.2j, 1), jordan(1.5 + 0.2j, 1))
+    k_ref = sla.block_diag(np.kron(swap, np.eye(2)), np.eye(3), np.eye(1), swap)
+    j, k = layout.matrices()
+    assert np.array_equal(j, j_ref) and np.array_equal(k, k_ref)
+
+
+def test_congruence_solve_stack_and_singular_basis():
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    x = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    r = congruence_solve(c, x, "C")
+    assert np.allclose(c @ r @ c.conj().T, x, atol=1e-12)
+    assert np.array_equal(r[2], congruence_solve(c, x[2], "C"))
+    with pytest.raises(SingularMatrixError, match="C is numerically singular"):
+        congruence_solve(np.zeros((3, 3)), x[0], "C")
