@@ -12,6 +12,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import config as cfgmod
 from .bender import critical_sweep, stokes_vector
 from .canonical import pt_canonical_form
 from .dilation import embedded_evolution_check, uniform_bound
-from .dynamics import TimeGrid, evolve_density, invariant_report, normalize_density, validate_density
+from .dynamics import TimeGrid, evolve_density, invariant_report, normalize_density
 from .errors import (
     BrokenRegimeError,
     BrokenSymmetryError,
@@ -51,134 +52,82 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", default=None, help="config file path")
-    sub.add_argument("--output", "-o", default=None, help="write main output here")
-    for flag, dest in (("--tol", "tol"), ("--cluster-tol", "cluster_tol"),
-                       ("--rank-tol", "rank_tol"), ("--val-tol", "val_tol"),
-                       ("--met-tol", "met_tol"), ("--can-tol", "can_tol"),
-                       ("--crit-tol", "crit_tol"), ("--free-tol", "free_tol"),
-                       ("--slack", "slack")):
-        sub.add_argument(flag, dest=dest, type=float, default=None)
+_PAIR = ("hamiltonian", "parity", "timereversal")
+_DECOMPOSE = ("val_tol", "tol", "cluster_tol", "rank_tol", "can_tol")
+_GRID = ("t_start", "t_end", "num_points")
+
+# argparse keywords of the settings that are not plain floats
+_SETTING_FLAGS = {
+    "num_points": {"type": int},
+    "signs": {"help": "comma-separated +-1 per real block"},
+    "probe": {"help": "re(x),im(x),re(y),im(y)"},
+}
+# parsed after argparse: as a type= callable, their ValidationError (a
+# ValueError) would be reworded by argparse
+_SETTING_TEXT = {"signs": cfgmod.parse_signs, "probe": cfgmod.parse_probe}
 
 
-def _add_grid(sub):
-    sub.add_argument("--t-start", dest="t_start", type=float, default=None)
-    sub.add_argument("--t-end", dest="t_end", type=float, default=None)
-    sub.add_argument("--num-points", dest="num_points", type=int, default=None)
-
-
-def _add_signs(sub):
-    sub.add_argument("--signs", default=None,
-                     help="comma-separated +-1 per real block")
+def _commands() -> dict:
+    """Subcommand -> (handler, help, positional arguments, the RunConfig
+    fields it reads). Each field is a flag of the same name, --cluster-tol
+    for cluster_tol; a subcommand accepts no other setting flag."""
+    return {
+        "classify": (cmd_classify, "spectral classification report", _PAIR, _DECOMPOSE),
+        "canonical": (cmd_canonical, "canonical form (Psi, J, K)", _PAIR, _DECOMPOSE),
+        "metric": (cmd_metric, "metric operator and positivity", _PAIR,
+                   _DECOMPOSE + ("met_tol", "signs")),
+        "inner": (cmd_inner, "eta inner product of two vectors",
+                  _PAIR + ("vector1", "vector2"), _DECOMPOSE + ("met_tol", "signs")),
+        "evolve": (cmd_evolve, "evolve a density matrix to time t",
+                   ("hamiltonian", "state"), ("val_tol",)),
+        "invariants": (cmd_invariants, "conserved-coefficient time series", _PAIR + ("state",),
+                       _DECOMPOSE + ("met_tol", "signs") + _GRID),
+        "bender-sweep": (cmd_bender_sweep, "two-level family theta sweep", (),
+                         ("tol", "crit_tol", "probe")),
+        "stokes": (cmd_stokes, "Stokes parameters of a two-component field", (), ()),
+        "dilate": (cmd_dilate, "post-selected embedding check", _PAIR + ("state",),
+                   _DECOMPOSE + ("slack",) + _GRID),
+        "free-check": (cmd_free_check, "free-operation property of c U(t)", _PAIR,
+                       _DECOMPOSE + ("slack", "free_tol") + _GRID),
+    }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="ptqm", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
+    sp = {}
+    for name, (handler, help_text, positionals, settings) in _commands().items():
+        sp[name] = sub = subs.add_parser(name, help=help_text)
+        for positional in positionals:
+            sub.add_argument(positional)
+        sub.add_argument("--config", default=None, help="config file path")
+        sub.add_argument("--output", "-o", default=None, help="write main output here")
+        for setting in settings:
+            sub.add_argument("--" + setting.replace("_", "-"),
+                             **_SETTING_FLAGS.get(setting, {"type": float}))
+        sub.set_defaults(handler=handler)
 
-    sp = subs.add_parser("classify", help="spectral classification report")
-    sp.add_argument("hamiltonian")
-    sp.add_argument("parity")
-    sp.add_argument("timereversal")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_classify)
-
-    sp = subs.add_parser("canonical", help="canonical form (Psi, J, K)")
-    sp.add_argument("hamiltonian")
-    sp.add_argument("parity")
-    sp.add_argument("timereversal")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_canonical)
-
-    sp = subs.add_parser("metric", help="metric operator and positivity")
-    sp.add_argument("hamiltonian")
-    sp.add_argument("parity")
-    sp.add_argument("timereversal")
-    _add_common(sp)
-    _add_signs(sp)
-    sp.set_defaults(handler=cmd_metric)
-
-    sp = subs.add_parser("inner", help="eta inner product of two vectors")
-    sp.add_argument("hamiltonian")
-    sp.add_argument("parity")
-    sp.add_argument("timereversal")
-    sp.add_argument("vector1")
-    sp.add_argument("vector2")
-    _add_common(sp)
-    _add_signs(sp)
-    sp.set_defaults(handler=cmd_inner)
-
-    sp = subs.add_parser("evolve", help="evolve a density matrix to time t")
-    sp.add_argument("hamiltonian")
-    sp.add_argument("state")
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--normalize", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_evolve)
-
-    sp = subs.add_parser("invariants", help="conserved-coefficient time series")
-    sp.add_argument("hamiltonian")
-    sp.add_argument("parity")
-    sp.add_argument("timereversal")
-    sp.add_argument("state")
-    _add_common(sp)
-    _add_grid(sp)
-    _add_signs(sp)
-    sp.add_argument("--summary", default=None,
-                    help="write drift summary JSON to this path")
-    sp.set_defaults(handler=cmd_invariants)
-
-    sp = subs.add_parser("bender-sweep", help="two-level family theta sweep")
-    sp.add_argument("--r", type=float, required=True)
-    sp.add_argument("--s", type=float, required=True)
-    sp.add_argument("--theta-min", dest="theta_min", type=float, required=True)
-    sp.add_argument("--theta-max", dest="theta_max", type=float, required=True)
-    sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--probe", default=None,
-                    help="re(x),im(x),re(y),im(y)")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_bender_sweep)
-
-    sp = subs.add_parser("stokes", help="Stokes parameters of a two-component field")
-    sp.add_argument("--ex", required=True, help="re,im")
-    sp.add_argument("--ey", required=True, help="re,im")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_stokes)
-
-    sp = subs.add_parser("dilate", help="post-selected embedding check")
-    sp.add_argument("hamiltonian")
-    sp.add_argument("parity")
-    sp.add_argument("timereversal")
-    sp.add_argument("state")
-    _add_common(sp)
-    _add_grid(sp)
-    sp.set_defaults(handler=cmd_dilate)
-
-    sp = subs.add_parser("free-check", help="free-operation property of c U(t)")
-    sp.add_argument("hamiltonian")
-    sp.add_argument("parity")
-    sp.add_argument("timereversal")
-    sp.add_argument("--c", type=float, default=None,
-                    help="contraction scale; default from the uniform bound")
-    _add_common(sp)
-    _add_grid(sp)
-    sp.set_defaults(handler=cmd_free_check)
-
+    sp["evolve"].add_argument("--t", type=float, required=True)
+    sp["evolve"].add_argument("--normalize", action="store_true")
+    sp["invariants"].add_argument("--summary", default=None,
+                                  help="write drift summary JSON to this path")
+    for flag in ("--r", "--s", "--theta-min", "--theta-max"):
+        sp["bender-sweep"].add_argument(flag, type=float, required=True)
+    sp["bender-sweep"].add_argument("--steps", type=int, required=True)
+    sp["stokes"].add_argument("--ex", required=True, help="re,im")
+    sp["stokes"].add_argument("--ey", required=True, help="re,im")
+    sp["free-check"].add_argument("--c", type=float, default=None,
+                                  help="contraction scale; default from the uniform bound")
     return parser
 
 
 def _overrides(args) -> dict:
-    names = ("tol", "cluster_tol", "rank_tol", "val_tol", "met_tol", "can_tol",
-             "crit_tol", "free_tol", "slack",
-             "t_start", "t_end", "num_points")
-    out = {name: getattr(args, name, None) for name in names}
-    signs_text = getattr(args, "signs", None)
-    if signs_text is not None:
-        out["signs"] = cfgmod.parse_signs(signs_text)
-    probe_text = getattr(args, "probe", None)
-    if probe_text is not None:
-        out["probe"] = cfgmod.parse_probe(probe_text)
+    """The RunConfig fields given as flags; None where a flag is absent
+    or the subcommand has no such flag."""
+    out = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cfgmod.RunConfig)}
+    for name, parse in _SETTING_TEXT.items():
+        if out[name] is not None:
+            out[name] = parse(out[name])
     return out
 
 
@@ -292,7 +241,6 @@ def cmd_inner(args, cfg) -> None:
 def cmd_evolve(args, cfg) -> None:
     h = load_matrix_file(args.hamiltonian)
     rho = load_matrix_file(args.state)
-    rho = validate_density(rho, cfg.val_tol)
     rho_t = evolve_density(rho, h, args.t, cfg.val_tol)
     if args.normalize:
         rho_t = normalize_density(rho_t)
@@ -309,9 +257,10 @@ def cmd_evolve(args, cfg) -> None:
 def cmd_invariants(args, cfg) -> None:
     h = load_matrix_file(args.hamiltonian)
     pair = _load_pair(args, cfg)
-    rho = validate_density(load_matrix_file(args.state))
+    rho = load_matrix_file(args.state)
     report = invariant_report(h, pair, rho, _grid(cfg), _signs_arg(cfg), cfg.tol,
-                              met_tol=cfg.met_tol, decomp=_decompose(h, pair, cfg))
+                              val_tol=cfg.val_tol, met_tol=cfg.met_tol,
+                              decomp=_decompose(h, pair, cfg))
     d = report.coefficient_series.shape[1]
     header = ["t"]
     for i in range(d):
@@ -385,9 +334,9 @@ def cmd_stokes(args, cfg) -> None:
 def cmd_dilate(args, cfg) -> None:
     h = load_matrix_file(args.hamiltonian)
     pair = _load_pair(args, cfg)
-    rho = validate_density(load_matrix_file(args.state))
+    rho = load_matrix_file(args.state)
     report = embedded_evolution_check(h, pair, rho, _grid(cfg), cfg.slack,
-                                      decomp=_decompose(h, pair, cfg))
+                                      val_tol=cfg.val_tol, decomp=_decompose(h, pair, cfg))
     doc = {
         "c": float(report.c),
         "max_deviation": float(report.max_deviation),

@@ -47,8 +47,7 @@ def uniform_bound(decomp: CanonicalDecomposition, slack: float = DEFAULT_SLACK) 
         raise BrokenSymmetryError("uniform bound requires an unbroken Hamiltonian")
     if not 0 < slack < 1:
         raise ValidationError("slack must lie in (0, 1)")
-    sing = np.linalg.svd(decomp.Psi, compute_uv=False)
-    return float(slack * sing[-1] / sing[0])
+    return float(slack / decomp.condition_number)
 
 
 @dataclass(frozen=True)
@@ -103,6 +102,7 @@ class EmbeddingReport:
 
 def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
                              slack: float = DEFAULT_SLACK, *,
+                             val_tol: float = 1e-10,
                              decomp: CanonicalDecomposition | None = None) -> EmbeddingReport:
     """Compare post-selected dilated evolution with the direct route.
 
@@ -114,10 +114,10 @@ def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
     U(t) comes from the canonical decomposition of H (computed here
     unless decomp is given), and every check runs on the stacked grid
     at once; a failed contraction or post-selection check names the
-    first t where it fails.
+    first t where it fails. val_tol bounds the validation of rho.
     """
     h = as_square(h, "H")
-    rho = _matching_density(rho, h)
+    rho = _matching_density(rho, h, val_tol)
     if decomp is None:
         decomp = pt_canonical_form(h, pair)
     c = uniform_bound(decomp, slack)

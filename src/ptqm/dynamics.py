@@ -177,10 +177,16 @@ def _matching_density(rho, h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 def evolve_density(rho, h, t: float, val_tol: float = 1e-10,
                    decomp: CanonicalDecomposition | None = None) -> np.ndarray:
-    """U(t) rho U(t)^dag, not renormalized."""
+    """U(t) rho U(t)^dag, not renormalized.
+
+    An evolution that overflows raises NumericalError naming t.
+    """
     m = _matching_density(rho, as_square(h, "H"), val_tol)
-    u = propagator(h, t, decomp)
-    return u @ m @ u.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = propagator(h, t, decomp)
+        rho_t = u @ m @ u.conj().T
+    _require_finite(rho_t[np.newaxis], np.array([float(t)]), "evolved density")
+    return rho_t
 
 
 def normalize_density(rho, floor: float = 1e-12) -> np.ndarray:
@@ -196,6 +202,7 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
                      signs: SignCharacteristic | None = None,
                      tol: float = 1e-8, *,
                      cluster_tol: float | None = None,
+                     val_tol: float = 1e-10,
                      met_tol: float = 1e-8,
                      decomp: CanonicalDecomposition | None = None) -> InvariantReport:
     """Track the conserved coefficient combinations along the evolution.
@@ -209,11 +216,11 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
     matrices and the eta-trace series are computed for the whole grid
     at once; an evolution that overflows raises NumericalError naming
     the first t where it does. The decomposition of H is computed here
-    at tol and cluster_tol unless decomp is given; met_tol bounds the
-    metric's intertwining defect.
+    at tol and cluster_tol unless decomp is given; val_tol bounds the
+    validation of rho and met_tol the metric's intertwining defect.
     """
     h = as_square(h, "H")
-    rho = _matching_density(rho, h)
+    rho = _matching_density(rho, h, val_tol)
     grid = grid if grid is not None else default_grid()
 
     if decomp is None:

@@ -119,16 +119,16 @@ def psd_square_root(a, herm_tol: float = 1e-10, neg_floor: float = 1e-12) -> np.
 
     Eigenvalues in [-neg_floor * max(1, ||A||), 0) are clamped to zero
     so that defect operators of near-contractions survive rounding.
-    Anything more negative raises. A stack of matrices, shape
-    (..., n, n), is taken matrix by matrix; the first to fail a check
-    is the one reported.
+    Anything more negative raises. ||A|| is the largest |eigenvalue|
+    of the Hermitian part, which the eigendecomposition returns. A
+    stack of matrices, shape (..., n, n), is taken matrix by matrix;
+    the first to fail a check is the one reported.
     """
     m = as_square_stack(a, "A")
-    scale = np.maximum(1.0, operator_norm(m))
+    w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
     if np.any(operator_norm(m - dagger(m)) > herm_tol * scale):
         raise ValidationError("matrix is not Hermitian within tolerance")
-    m = 0.5 * (m + dagger(m))
-    w, v = np.linalg.eigh(m)
     low = first_index(w[..., 0] < -neg_floor * scale)
     if low is not None:
         raise NotPositiveSemidefiniteError(

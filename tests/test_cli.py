@@ -1,13 +1,21 @@
 """End-to-end command line behavior, run in process."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ptqm import cli
 from ptqm.bender import BenderParams, bender_hamiltonian
 from ptqm.cli import main
+from ptqm.config import RunConfig
 from ptqm.matio import matrix_to_rows, render_json
+
+GOLDEN = Path(__file__).with_name("golden")
+DECOMPOSE = ("val_tol", "tol", "cluster_tol", "rank_tol", "can_tol")
+GRID = ("t_start", "t_end", "num_points")
 
 
 def write_matrix(path, m):
@@ -338,13 +346,110 @@ def test_state_of_wrong_dimension_is_validation(files, capsys, command):
     assert doc["error"] == "validation" and "dimension" in doc["detail"]
 
 
-@pytest.mark.parametrize("flag", ["--p-tol", "--lin-tol"])
-def test_removed_tolerance_flags_are_rejected(files, capsys, flag):
-    paths, _ = files
-    code, _, err = run(capsys, ["invariants", paths["h_unbroken"], paths["p_swap"],
-                                paths["t_id"], paths["rho"], flag, "5"])
-    assert code == 2
-    assert json.loads(err)["error"] == "validation"
+# the RunConfig fields each subcommand reads; it accepts exactly these as flags
+SETTINGS_READ = {
+    "classify": DECOMPOSE,
+    "canonical": DECOMPOSE,
+    "metric": DECOMPOSE + ("met_tol", "signs"),
+    "inner": DECOMPOSE + ("met_tol", "signs"),
+    "evolve": ("val_tol",),
+    "invariants": DECOMPOSE + ("met_tol", "signs") + GRID,
+    "bender-sweep": ("tol", "crit_tol", "probe"),
+    "stokes": (),
+    "dilate": DECOMPOSE + ("slack",) + GRID,
+    "free-check": DECOMPOSE + ("slack", "free_tol") + GRID,
+}
+# a valid value for every setting, so that only an unread flag can fail a run
+SETTING_VALUES = {"tol": "1e-8", "cluster_tol": "1e-6", "rank_tol": "1e-10",
+                  "val_tol": "1e-10", "met_tol": "1e-8", "can_tol": "1e-8",
+                  "crit_tol": "1e-6", "free_tol": "1e-8", "slack": "0.99",
+                  "t_start": "0", "t_end": "1", "num_points": "5",
+                  "signs": "1,1", "probe": "1,0,0,0"}
+
+
+def flag(setting):
+    return "--" + setting.replace("_", "-")
+
+
+def golden_success_argv(command, summary):
+    """The recorded command line of a golden run of command that exits 0."""
+    name = command if command in ("bender-sweep", "stokes") else f"{command}_unbroken2"
+    case = next(c for c in json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+                if c["name"] == name)
+    assert case["exit"] == 0
+    return [a.replace("{inputs}", str(GOLDEN / "inputs")).replace("{summary}", str(summary))
+            for a in case["argv"]]
+
+
+@pytest.mark.parametrize(
+    ("command", "setting"),
+    [pytest.param("invariants", "p_tol", id="--p-tol"),
+     pytest.param("invariants", "lin_tol", id="--lin-tol")]
+    + [pytest.param(command, setting, id=f"{command}:{flag(setting)}")
+       for command, read in SETTINGS_READ.items()
+       for setting in SETTING_VALUES if setting not in read])
+def test_removed_tolerance_flags_are_rejected(capsys, tmp_path, command, setting):
+    argv = golden_success_argv(command, tmp_path / "summary.json")
+    code, out, err = run(capsys, argv + [flag(setting), SETTING_VALUES.get(setting, "5")])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "validation"
+    assert doc["detail"].startswith("unrecognized arguments: " + flag(setting))
+
+
+@pytest.mark.parametrize("command", list(SETTINGS_READ))
+def test_each_command_reads_exactly_the_settings_it_accepts(capsys, tmp_path, monkeypatch,
+                                                            command):
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(SETTING_VALUES) == names
+    argv = golden_success_argv(command, tmp_path / "summary.json")
+    read = SETTINGS_READ[command]
+
+    # every accepted setting flag reaches the config overrides
+    args = cli.build_parser().parse_args(
+        argv + [part for s in read for part in (flag(s), SETTING_VALUES[s])])
+    assert {k for k, v in cli._overrides(args).items() if v is not None} == set(read)
+
+    reads = set()
+
+    class LoggedConfig(RunConfig):
+        def __getattribute__(self, name):
+            if name in names:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    resolve = cli.cfgmod.resolve_config
+    monkeypatch.setattr(cli.cfgmod, "resolve_config",
+                        lambda *a: LoggedConfig(**vars(resolve(*a))))
+    code, _, err = run(capsys, argv)
+    assert code == 0, err
+    assert reads == set(read)
+
+
+@pytest.mark.parametrize("command", ["invariants", "dilate", "evolve"])
+def test_state_is_validated_at_val_tol(files, capsys, command):
+    paths, tmp_path = files
+    rho = write_matrix(tmp_path / "rho_off.json", np.diag([0.5, 0.5 + 1e-8]))
+    pair = [] if command == "evolve" else [paths["p_swap"], paths["t_id"]]
+    grid = ["--t", "1.0"] if command == "evolve" else ["--num-points", "5"]
+    argv = [command, paths["h_unbroken"], *pair, rho, *grid]
+    code, _, err = run(capsys, argv + ["--val-tol", "1e-6"])
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "validation",
+                               "detail": "density matrix trace is not 1"}
+
+
+def test_evolve_overflow_is_numerical_error(capsys):
+    inputs = GOLDEN / "inputs"
+    code, out, err = run(capsys, ["evolve", str(inputs / "h_complex2.json"),
+                                  str(inputs / "rho_complex2.json"), "--t", "1e4"])
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "numerical" and "t = 10000" in doc["detail"]
 
 
 @pytest.mark.parametrize("key", ["p_tol", "lin_tol"])

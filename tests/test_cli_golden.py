@@ -124,7 +124,8 @@ def _command_lines(tags) -> list:
                 ("invariants", hpt + [f["rho"], *grid, "--summary", "{summary}"]),
                 ("dilate", hpt + [f["rho"], *grid]),
                 ("free-check", hpt + grid)):
-            lines.append((f"{cmd}_{tag}", [cmd, *args, *extra]))
+            # evolve does not decompose H, so it takes no --cluster-tol
+            lines.append((f"{cmd}_{tag}", [cmd, *args, *(extra if cmd != "evolve" else [])]))
     lines.append(("bender-sweep", ["bender-sweep", "--r", "1", "--s", "0.8",
                                    "--theta-min", "0.5", "--theta-max", "1.2",
                                    "--steps", "11"]))
