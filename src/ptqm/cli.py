@@ -93,11 +93,11 @@ def _commands() -> dict:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="ptqm", description=__doc__)
+    parser = _Parser(prog="ptqm", description=__doc__, allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
     sp = {}
     for name, (handler, help_text, positionals, settings) in _commands().items():
-        sp[name] = sub = subs.add_parser(name, help=help_text)
+        sp[name] = sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
         for positional in positionals:
             sub.add_argument(positional)
         sub.add_argument("--config", default=None, help="config file path")
@@ -348,6 +348,8 @@ def cmd_dilate(args, cfg) -> None:
 
 
 def cmd_free_check(args, cfg) -> None:
+    if args.c is not None and args.slack is not None:
+        raise ValidationError("--slack has no effect with --c")
     h = load_matrix_file(args.hamiltonian)
     pair = _load_pair(args, cfg)
     decomp = _decompose(h, pair, cfg)
@@ -383,7 +385,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = cfgmod.resolve_config(getattr(args, "config", None), _overrides(args))
-        args.handler(args, cfg)
+        # an overflow the library does not handle itself (the Jordan chain
+        # of an EP Hamiltonian scaled by 1e155) ends the run as a numerical
+        # failure, not as a numpy warning followed by a LAPACK error
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            args.handler(args, cfg)
         return 0
     except ParseError as exc:
         _fail("parse", exc)
@@ -399,7 +405,9 @@ def main(argv=None) -> int:
         else:
             _fail("precondition", exc)
         return 3
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError, OverflowError) as exc:
+        # OverflowError: Python float arithmetic, as in stokes on a field
+        # scaled by 1e155
         _fail("numerical", exc)
         return 4
 

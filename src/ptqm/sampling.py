@@ -7,11 +7,11 @@ and set H = Psi0 J0 Psi0^-1. The construction is exact because the
 block matrices satisfy J0 K0 = K0 conj(J0): real blocks are real, and
 the swap blocks exchange a conjugate pair.
 
-Eigenvalues are kept at least 0.5 apart between clusters and the
-basis is resampled until its condition number is at most 20, so the
-instances stay comfortably inside the default tolerances. Imaginary
-parts of broken pairs stay in [0.3, 0.6]: over a [0, 10] horizon the
-coefficient growth e^{2 Im(lam) t} then stays within double range.
+No draw is rejected, so every sampler returns at every dimension.
+Eigenvalues sit on centred slots 0.75 apart with jitter 0.1, and the
+basis has condition number below 12 by construction (_adapted_basis).
+Imaginary parts of broken pairs stay in [0.3, 0.5]: over a [0, 10]
+horizon the coefficient growth e^{2 Im(lam) t} stays in double range.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import BlockLayout
-from .symmetry import PTPair, apply_antilinear, validate_pt_pair
+from .symmetry import PTPair, validate_pt_pair
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -29,12 +29,22 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
+    return np.linalg.qr(rng.normal(size=(d, d)))[0]
+
+
+def _bounded(rng: np.random.Generator, frame, d: int, cond: float) -> np.ndarray:
+    """frame D frame with D diagonal in [1, cond]: singular values in [1, cond]."""
+    return frame(rng, d) * rng.uniform(1.0, cond, size=d) @ frame(rng, d)
+
+
 def random_pt_pair(rng: np.random.Generator, d: int, kind: str | None = None) -> PTPair:
     """A valid (P, T) pair of one of several shapes.
 
     trivial: P = T = I. swap: P is the reversal permutation, T = I.
-    real_involution: P = V S V^-1 with real V and diagonal signs S,
-    T = I. householder_t: P = I and T a real reflection I - 2 u u^T.
+    real_involution: P = V S V^-1 with real V, cond(V) <= 2, and
+    diagonal signs S, T = I. householder_t: P = I and T a real
+    reflection I - 2 u u^T.
     """
     kinds = ("trivial", "swap", "real_involution", "householder_t")
     if kind is None:
@@ -45,11 +55,7 @@ def random_pt_pair(rng: np.random.Generator, d: int, kind: str | None = None) ->
     elif kind == "swap":
         p, t = np.fliplr(eye), eye
     elif kind == "real_involution":
-        while True:
-            v = rng.normal(size=(d, d))
-            sv = np.linalg.svd(v, compute_uv=False)
-            if sv[0] / sv[-1] <= 10.0:
-                break
+        v = _bounded(rng, _orthogonal, d, 2.0)
         signs = np.diag(rng.choice([-1.0, 1.0], size=d))
         p = v @ signs @ np.linalg.inv(v)
         t = eye
@@ -63,12 +69,10 @@ def random_pt_pair(rng: np.random.Generator, d: int, kind: str | None = None) ->
     return validate_pt_pair(p, t, 1e-8)
 
 
-def _spaced_values(rng: np.random.Generator, count: int, lo=-3.0, hi=3.0,
-                   gap=0.75, jitter=0.1):
-    """count reals with pairwise separation at least gap - 2 * jitter."""
-    slots = np.arange(lo, hi + 1e-9, gap)
-    picks = rng.choice(len(slots), size=count, replace=False)
-    return slots[picks] + rng.uniform(-jitter, jitter, size=count)
+def _spaced_values(rng: np.random.Generator, count: int, gap=0.75, jitter=0.1):
+    """count reals on centred slots, pairwise at least gap - 2 * jitter apart."""
+    slots = (np.arange(count) - 0.5 * (count - 1)) * gap
+    return rng.permutation(slots) + rng.uniform(-jitter, jitter, size=count)
 
 
 def _block_structure(rng: np.random.Generator, d: int, kind: str):
@@ -83,8 +87,7 @@ def _block_structure(rng: np.random.Generator, d: int, kind: str):
         if d < 2:
             raise ValueError("complex pair needs d >= 2")
         n_pairs = 1 + (d >= 5 and rng.random() < 0.3)
-        n_real = d - 2 * n_pairs
-        vals = _spaced_values(rng, n_pairs + n_real)
+        vals = _spaced_values(rng, d - n_pairs)
         # Im capped at 0.5: over t <= 10 the conserved combinations are
         # eps kappa^2 e^{2 Im t} cancellations, and this keeps that
         # product a few times below 1e-8 for kappa <= 12 bases
@@ -104,32 +107,28 @@ def _block_structure(rng: np.random.Generator, d: int, kind: str):
     return units, kind
 
 
-def _random_adapted_basis(rng: np.random.Generator, pair: PTPair, units,
-                          max_cond=12.0) -> np.ndarray:
-    """Basis columns following the K conjugation pattern: fixed vectors
-    for real units, (a, PT conj(a)) column pairs for pair units."""
-    d = pair.dim
-    for _ in range(200):
-        cols = []
-        for shape, n, _ in units:
-            if shape == "pair":
-                a = rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))
-                b = np.column_stack([apply_antilinear(pair, a[:, i]) for i in range(n)])
-                cols.extend([a, b])
-            else:
-                w = rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))
-                fixed = np.column_stack(
-                    [w[:, i] + apply_antilinear(pair, w[:, i]) for i in range(n)])
-                cols.append(fixed)
-        psi = np.hstack(cols)
-        norms = np.linalg.norm(psi, axis=0)
-        if np.min(norms) < 1e-6:
-            continue
-        psi = psi / norms
-        sv = np.linalg.svd(psi, compute_uv=False)
-        if sv[0] / sv[-1] <= max_cond:
-            return psi
-    raise RuntimeError("failed to draw a well-conditioned adapted basis")
+def _fixed_frame(pt: np.ndarray) -> np.ndarray:
+    """Real-orthonormal columns spanning the vectors fixed by v -> pt conj(v):
+    the null space of that map minus I, written on (Re v, Im v)."""
+    d = pt.shape[0]
+    a, b = pt.real, pt.imag
+    real_map = np.block([[a, b], [b, -a]]) - np.eye(2 * d)
+    frame = np.linalg.svd(real_map)[2][d:].T
+    return frame[:d] + 1j * frame[d:]
+
+
+def _adapted_basis(rng: np.random.Generator, pair: PTPair, layout: BlockLayout) -> np.ndarray:
+    """Psi0 = M X Q following the K pattern of layout: the columns of M X
+    (M from _fixed_frame, X real with singular values in [1, 3]) are
+    PT-fixed, and Q turns the chains f, g of each pair unit into
+    a = (f + i g) / sqrt(2) and PT conj(a). M is unitary when PT is, so
+    cond(Psi0) <= 3; for real_involution pairs cond(M) <= 2 + sqrt(3)."""
+    psi = _fixed_frame(pair.pt) @ _bounded(rng, _orthogonal, pair.dim, 3.0)
+    for (offset, span), paired in zip(layout.units, layout.paired):
+        if paired:
+            f, g = np.split(psi[:, offset:offset + span], 2, axis=1)
+            psi[:, offset:offset + span] = np.hstack([f + 1j * g, f - 1j * g]) / np.sqrt(2.0)
+    return psi
 
 
 def random_instance(rng: np.random.Generator, d: int, kind: str = "mixed",
@@ -141,8 +140,9 @@ def random_instance(rng: np.random.Generator, d: int, kind: str = "mixed",
     """
     pair = random_pt_pair(rng, d, pair_kind)
     units, drawn = _block_structure(rng, d, kind)
-    j0, k0 = BlockLayout.from_units((lam, n, shape == "pair") for shape, n, lam in units).matrices()
-    psi0 = _random_adapted_basis(rng, pair, units)
+    layout = BlockLayout.from_units((lam, n, shape == "pair") for shape, n, lam in units)
+    j0, k0 = layout.matrices()
+    psi0 = _adapted_basis(rng, pair, layout)
     h = np.linalg.solve(psi0.T, (psi0 @ j0).T).T
     return {"h": h, "pair": pair, "j0": j0, "k0": k0, "psi0": psi0, "kind": drawn}
 
@@ -158,13 +158,11 @@ def random_density(rng: np.random.Generator, d: int, pure: bool = False) -> np.n
 
 
 def random_free_basis(rng: np.random.Generator, d: int, min_sv=0.2):
+    """Free basis with smallest singular value at least min_sv: U1 D U2, D in
+    [1, 1/min_sv], has singular values >= 1 and column norms <= 1/min_sv."""
     from .superposition import free_basis
 
-    while True:
-        c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        c = c / np.linalg.norm(c, axis=0)
-        if np.linalg.svd(c, compute_uv=False)[-1] >= min_sv:
-            return free_basis([c[:, i] for i in range(d)])
+    return free_basis(list(_bounded(rng, random_unitary, d, 1.0 / min_sv).T))
 
 
 def random_free_kraus(rng: np.random.Generator, basis, zero_prob=0.2) -> np.ndarray:

@@ -11,7 +11,7 @@ from ptqm import cli
 from ptqm.bender import BenderParams, bender_hamiltonian
 from ptqm.cli import main
 from ptqm.config import RunConfig
-from ptqm.matio import matrix_to_rows, render_json
+from ptqm.matio import load_matrix_file, matrix_to_rows, render_json
 
 GOLDEN = Path(__file__).with_name("golden")
 DECOMPOSE = ("val_tol", "tol", "cluster_tol", "rank_tol", "can_tol")
@@ -384,7 +384,11 @@ def golden_success_argv(command, summary):
 @pytest.mark.parametrize(
     ("command", "setting"),
     [pytest.param("invariants", "p_tol", id="--p-tol"),
-     pytest.param("invariants", "lin_tol", id="--lin-tol")]
+     pytest.param("invariants", "lin_tol", id="--lin-tol"),
+     # prefixes of accepted flags (--num-points, --slack, --config) are not flags
+     pytest.param("dilate", "num", id="dilate:--num"),
+     pytest.param("dilate", "sl", id="dilate:--sl"),
+     pytest.param("stokes", "c", id="stokes:--c")]
     + [pytest.param(command, setting, id=f"{command}:{flag(setting)}")
        for command, read in SETTINGS_READ.items()
        for setting in SETTING_VALUES if setting not in read])
@@ -396,6 +400,19 @@ def test_removed_tolerance_flags_are_rejected(capsys, tmp_path, command, setting
     doc = json.loads(err)
     assert doc["error"] == "validation"
     assert doc["detail"].startswith("unrecognized arguments: " + flag(setting))
+
+
+def test_free_check_rejects_slack_with_c(capsys, tmp_path):
+    argv = golden_success_argv("free-check", tmp_path / "summary.json") + ["--c", "0.5"]
+    code, out, err = run(capsys, argv + ["--slack", "0.3"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "validation", "detail": "--slack has no effect with --c"}
+    # slack from a config file is a default, not a request, and stays allowed
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"slack": 0.3}))
+    code, with_config, err = run(capsys, argv + ["--config", str(cfg_file)])
+    assert code == 0 and err == ""
+    assert with_config == run(capsys, argv)[1]
 
 
 @pytest.mark.parametrize("command", list(SETTINGS_READ))
@@ -450,6 +467,27 @@ def test_evolve_overflow_is_numerical_error(capsys):
     assert len(err.splitlines()) == 1
     doc = json.loads(err)
     assert doc["error"] == "numerical" and "t = 10000" in doc["detail"]
+
+
+@pytest.mark.parametrize("command", ["classify", "dilate"])
+@pytest.mark.parametrize("scale", [1e155, 1e158])
+def test_overflowing_ep_hamiltonian_is_numerical_error(capsys, tmp_path, command, scale):
+    # the Jordan chain of an EP scaled near 1e155 overflows inside the
+    # decomposition: in the chain norms at 1e155, in the matrix powers at 1e158
+    inputs = GOLDEN / "inputs"
+    h = write_matrix(tmp_path / "h.json", load_matrix_file(inputs / "h_ep2.json") * scale)
+    state = [str(inputs / "rho_ep2.json")] if command == "dilate" else []
+    code, out, err = run(capsys, [command, h, str(inputs / "p_ep2.json"),
+                                  str(inputs / "t_ep2.json"), *state, "--cluster-tol", "1e-6"])
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "numerical"
+
+
+def test_overflowing_stokes_field_is_numerical_error(capsys):
+    code, out, err = run(capsys, ["stokes", "--ex=3e154,-1.2e155", "--ey=7e154,4e154"])
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "numerical"
 
 
 @pytest.mark.parametrize("key", ["p_tol", "lin_tol"])

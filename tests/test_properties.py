@@ -1,0 +1,70 @@
+"""Property tests of the identities the eta-inner product rests on.
+
+Hypothesis draws seeds, instance kinds, PT-pair kinds and dimensions up
+to 64 for the random-instance samplers, and parameters of the two-level
+family. The runs are derandomized and keep no example database, so the
+suite is deterministic; tests/conftest.py keeps Hypothesis's other
+caches out of the checkout.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ptqm.bender import BenderParams, bender_eigensystem, bender_hamiltonian
+from ptqm.canonical import pt_canonical_form
+from ptqm.dynamics import TimeGrid, evolve_density
+from ptqm.linalg import operator_norm
+from ptqm.metric import build_metric, eta_trace, verify_metric
+from ptqm.sampling import random_density, random_instance
+
+SETTINGS = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+seeds = st.integers(0, 2**32 - 1)
+kinds = st.sampled_from(("unbroken", "complex", "ep", "mixed"))
+pair_kinds = st.sampled_from(("trivial", "swap", "real_involution", "householder_t"))
+dims = st.integers(2, 64)
+
+
+@SETTINGS
+@given(seeds, dims, kinds, pair_kinds)
+def test_instance_identities(seed, d, kind, pair_kind):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, d, kind, pair_kind)
+    h, pair = inst["h"], inst["pair"]
+    dec = pt_canonical_form(h, pair, cluster_tol=1e-6)
+    eta = build_metric(dec).eta
+    eta_norm = operator_norm(eta)
+
+    # H^dag eta = eta H
+    assert verify_metric(h, eta) <= 1e-9 * eta_norm * max(1.0, operator_norm(h))
+
+    # PT conj(Psi) = Psi K
+    k_defect = pair.pt @ np.conj(dec.Psi) - dec.Psi @ dec.K
+    assert operator_norm(k_defect) <= 1e-9 * operator_norm(dec.Psi)
+
+    # Tr(eta rho(t)) is conserved
+    rho = random_density(rng, d)
+    base = eta_trace(rho, eta)
+    for t in TimeGrid(0.0, 2.0, 5).times:
+        rho_t = evolve_density(rho, h, t, decomp=dec)
+        drift = abs(eta_trace(rho_t, eta) - base)
+        assert drift <= 1e-9 * eta_norm * max(1.0, operator_norm(rho_t))
+
+
+@SETTINGS
+@given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(0.0, np.pi),
+       st.sampled_from((1.0, -1.0)))
+def test_two_level_closed_form_matches_canonical_form(r, s, theta, sign):
+    assume(abs(r * np.sin(theta) / s) <= 0.95)
+    p = BenderParams(r, sign * s, theta)
+    es = bender_eigensystem(p)
+    h, pair = bender_hamiltonian(p)
+    dec = pt_canonical_form(h, pair)
+    assert dec.spectral_class.tag == "Unbroken"
+    assert np.allclose(np.diag(dec.J), sorted(es.eigenvalues), atol=1e-9 * (r + s))
+    # the canonical basis is an eigenbasis that the closed-form metric
+    # makes orthogonal with positive norms
+    gram = dec.Psi.conj().T @ es.eta.eta @ dec.Psi
+    assert abs(gram[0, 1]) <= 1e-9 * operator_norm(gram)
+    assert min(gram[0, 0].real, gram[1, 1].real) > 0.0

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from ptqm.canonical import COMPLEX_PAIR, REAL_JORDAN, classify_spectrum
+from ptqm.canonical import (
+    COMPLEX_PAIR,
+    REAL_JORDAN,
+    REAL_SIMPLE,
+    classify_spectrum,
+    pt_canonical_form,
+)
 from ptqm.linalg import operator_norm
 from ptqm.sampling import (
     random_density,
@@ -74,6 +80,40 @@ def test_random_instance_planted_class():
         inst = random_instance(rng, 4, "ep")
         cls = classify_spectrum(inst["h"], inst["pair"], cluster_tol=1e-6)
         assert any(b.kind == REAL_JORDAN and b.order >= 2 for b in cls.detail)
+
+
+def planted_blocks(inst) -> list:
+    """Sorted (kind, order) of the planted units: the sampler plants
+    conjugate pairs of order 1 and real Jordan blocks of order 2."""
+    d = inst["h"].shape[0]
+    n_pairs = int(np.sum(np.diag(inst["k0"]) == 0)) // 2
+    n_jordan = int(np.count_nonzero(np.diag(inst["j0"], 1)))
+    return sorted([(COMPLEX_PAIR, 1)] * n_pairs + [(REAL_JORDAN, 2)] * n_jordan
+                  + [(REAL_SIMPLE, 1)] * (d - 2 * n_pairs - 2 * n_jordan))
+
+
+@pytest.mark.parametrize("pair_kind", PAIR_KINDS)
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+@pytest.mark.parametrize("d", (10, 16, 64))
+def test_random_instance_terminates_at_every_dimension(d, kind, pair_kind):
+    rng = np.random.default_rng(d)
+    inst = random_instance(rng, d, kind, pair_kind)
+    assert np.linalg.cond(inst["psi0"]) <= 12.0
+    dec = pt_canonical_form(inst["h"], inst["pair"],
+                            cluster_tol=1e-6 if inst["kind"] == "ep" else None)
+    assert sorted((b.kind, b.order) for b in dec.blocks) == planted_blocks(inst)
+    assert np.allclose(np.sort_complex(np.diag(dec.J)),
+                       np.sort_complex(np.diag(inst["j0"])), atol=1e-6)
+
+
+def test_real_involution_pair_terminates_at_d64():
+    pair = random_pt_pair(np.random.default_rng(64), 64, "real_involution")
+    assert np.linalg.svd(pair.parity, compute_uv=False)[-1] >= 0.2
+
+
+def test_free_basis_terminates_at_d64():
+    basis = random_free_basis(np.random.default_rng(64), 64)
+    assert np.linalg.svd(basis.matrix, compute_uv=False)[-1] >= 0.2
 
 
 def test_random_density_properties():
