@@ -16,6 +16,7 @@ cos(alpha) value is what the constructed metric reproduces.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,20 @@ from .errors import (
 )
 from .metric import MetricOperator, build_metric
 from .symmetry import PTPair, validate_pt_pair
+
+
+@contextmanager
+def _float_range(what: str):
+    """Raise NumericalError where a closed form leaves the float range.
+
+    Python float powers raise OverflowError there, and numpy arithmetic
+    raises FloatingPointError under the error state set here.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (OverflowError, FloatingPointError) as exc:
+        raise NumericalError(f"{what} out of the floating-point range") from exc
 
 
 @dataclass(frozen=True)
@@ -95,10 +110,11 @@ def bender_classify(p: BenderParams, tol: float = 1e-8) -> SpectralClass:
     unless r sin(theta) also vanishes there, in which case it is a
     degenerate but diagonalizable (hence unbroken) point.
     """
-    rs = p.r * np.sin(p.theta)
-    disc = p.s ** 2 - rs ** 2
-    a = p.r * np.cos(p.theta)
-    tol_abs = tol * max(1.0, p.r ** 2, p.s ** 2)
+    with _float_range("the discriminant"):
+        rs = p.r * np.sin(p.theta)
+        disc = p.s ** 2 - rs ** 2
+        a = p.r * np.cos(p.theta)
+        tol_abs = tol * max(1.0, p.r ** 2, p.s ** 2)
     if disc > tol_abs:
         gap = float(np.sqrt(disc))
         blocks = (
@@ -213,8 +229,9 @@ def s0_eta(x: complex, y: complex, alpha: float, crit_tol: float = 1e-6) -> floa
     ca = _check_alpha(alpha, crit_tol)
     x = complex(x)
     y = complex(y)
-    cross = 1j * (x * np.conj(y) - y * np.conj(x)) * np.sin(alpha)
-    return float(((abs(x) ** 2 + abs(y) ** 2) + cross.real) / ca)
+    with _float_range("S0"):
+        cross = 1j * (x * np.conj(y) - y * np.conj(x)) * np.sin(alpha)
+        return float(((abs(x) ** 2 + abs(y) ** 2) + cross.real) / ca)
 
 
 def stokes_vector(ex: complex, ey: complex) -> StokesVector:
@@ -222,15 +239,18 @@ def stokes_vector(ex: complex, ey: complex) -> StokesVector:
 
     S3 = i (Ex conj(Ey) - Ey conj(Ex)), so that (1, i)/sqrt(2) gives
     S3 = +1. Scalar inputs always satisfy S0^2 = S1^2 + S2^2 + S3^2.
+    Fields whose squares leave the float range raise NumericalError.
     """
     ex = complex(ex)
     ey = complex(ey)
     if not all(np.isfinite([ex.real, ex.imag, ey.real, ey.imag])):
         raise ValidationError("field components must be finite")
-    s0 = abs(ex) ** 2 + abs(ey) ** 2
-    s1 = abs(ex) ** 2 - abs(ey) ** 2
-    s2 = (ex * np.conj(ey) + ey * np.conj(ex)).real
-    s3 = (1j * (ex * np.conj(ey) - ey * np.conj(ex))).real
+    with _float_range("Stokes parameters"):
+        # a sum of Python floats overflows to inf silently; numpy's raises here
+        s0 = np.add(abs(ex) ** 2, abs(ey) ** 2)
+        s1 = abs(ex) ** 2 - abs(ey) ** 2
+        s2 = (ex * np.conj(ey) + ey * np.conj(ex)).real
+        s3 = (1j * (ex * np.conj(ey) - ey * np.conj(ex))).real
     return StokesVector(S0=float(s0), S1=float(s1), S2=float(s2), S3=float(s3))
 
 

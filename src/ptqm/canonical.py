@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedError, NotPTSymmetricError, ValidationError
-from .linalg import (BlockLayout, _cluster_chains, _cluster_indices, _phase_normalize,
-                     _schur_form, as_square)
-from .symmetry import PTPair, is_pt_symmetric
+from .errors import IllConditionedError, NotPTSymmetricError
+from .linalg import BlockLayout, _cluster_chains, _clustered_spectrum, first_index
+from .symmetry import PTPair, _pt_test
 
-_EPS = float(np.finfo(float).eps)
 
 REAL_SIMPLE = "RealSimple"
 REAL_JORDAN = "RealJordan"
@@ -84,93 +82,63 @@ class CanonicalDecomposition:
         return self.Psi.shape[0]
 
 
-def _sign_normalize(chain: list[np.ndarray]) -> list[np.ndarray]:
-    """Flip a whole chain by -1 if needed so the dominant entry of its
-    eigenvector has positive real part (positive imaginary part when
-    the real part vanishes). Complex phases would break PT-fixedness,
-    so only the sign is free here."""
-    bottom = chain[0]
-    z = bottom[int(np.argmax(np.abs(bottom)))]
-    if abs(z.real) >= 1e-12 * abs(z):
-        s = 1.0 if z.real >= 0 else -1.0
-    else:
-        s = 1.0 if z.imag >= 0 else -1.0
-    return [s * v for v in chain]
-
-
 def _classify_blocks(blocks: tuple) -> SpectralClass:
     tag = "Unbroken" if all(b.kind == REAL_SIMPLE for b in blocks) else "Broken"
     return SpectralClass(tag=tag, detail=blocks)
 
 
 def _analyze(h: np.ndarray, h_norm: float, pair: PTPair, tol: float,
-             cluster_tol: float, rank_tol: float, build_basis: bool):
+             cluster_tol: float, rank_tol: float):
     """Cluster, snap, pair conjugates, and construct chains.
 
-    h_norm is ||H||_2. Returns (pair_units, real_units, diam_flag) where
-    pair_units are (lam, plus_chains, minus_chains) and real_units are
-    (lam, chains); chain vectors are only populated when build_basis is
-    true.
+    h_norm is ||H||_2. Returns (pair_units, real_units, in_band) where
+    pair_units are (lam, plus_chain) with Im lam > 0 and real_units are
+    (lam, chain); every chain passes the same gates whether or not the
+    caller keeps its vectors. in_band says a cluster was decided inside
+    the clustering tolerance band.
     """
     scale = max(1.0, h_norm)
-    w = np.linalg.eigvals(h)
     tol_abs = cluster_tol * scale
-    groups = _cluster_indices(w, tol_abs)
-    schur = _schur_form(h)
+    spectrum = _clustered_spectrum(h, scale, tol_abs)
+    groups = spectrum.groups
+    means = spectrum.means
+    reps = np.where(np.abs(means.imag) <= tol * scale, means.real, means)
 
-    reps = []
-    for g in groups:
-        rep = complex(w[g].mean())
-        if abs(rep.imag) <= tol * scale:
-            rep = complex(rep.real)
-        reps.append(rep)
+    spread = np.abs(spectrum.w[np.concatenate(groups)]
+                    - np.repeat(reps, [len(g) for g in groups]))
+    in_band = bool(np.max(spread) > 0.1 * tol_abs)
 
-    in_band = any(
-        np.max(np.abs(w[g] - reps[i])) > 0.1 * tol_abs for i, g in enumerate(groups)
-    )
-
-    conj_mat = pair.pt if build_basis else None
-    pair_units = []
-    real_units = []
-    used = set()
-    for gi, g in enumerate(groups):
-        if gi in used:
+    # real clusters and the Im > 0 member of each conjugate pair; the
+    # minus chains are the PT images of the plus chains
+    wanted = []
+    used = np.zeros(len(groups), dtype=bool)
+    for gi, rep in enumerate(reps):
+        if used[gi]:
             continue
-        rep = reps[gi]
+        used[gi] = True
         if rep.imag == 0.0:
-            used.add(gi)
-            chains = _cluster_chains(schur, w, g, rep, rank_tol, scale, conj_mat=conj_mat)
-            if build_basis:
-                chains = [_sign_normalize(c) for c in chains]
-            for chain in chains:
-                real_units.append((rep.real, chain))
+            wanted.append((gi, complex(rep)))
             continue
-
-        # complex cluster: locate the conjugate partner and build the
-        # minus chains as PT images of the plus chains
-        target = np.conj(rep)
-        partner = None
-        for gj in range(len(groups)):
-            if gj != gi and gj not in used and abs(reps[gj] - target) <= 2 * tol_abs:
-                partner = gj
-                break
+        partner = first_index(~used & (np.abs(reps - np.conj(rep)) <= 2 * tol_abs))
         if partner is None:
             raise IllConditionedError(
-                f"eigenvalue {rep:.6e} has no conjugate partner cluster")
-        if len(groups[partner]) != len(g):
+                f"eigenvalue {complex(rep):.6e} has no conjugate partner cluster")
+        if len(groups[partner]) != len(groups[gi]):
             raise IllConditionedError(
                 "conjugate clusters have different algebraic multiplicities")
-        used.update((gi, partner))
+        used[partner] = True
+        plus = gi if rep.imag > 0 else partner
+        wanted.append((plus, complex(reps[plus])))
 
-        plus_gi, plus_rep = (gi, rep) if rep.imag > 0 else (partner, reps[partner])
-        plus_chains = _cluster_chains(schur, w, groups[plus_gi], plus_rep, rank_tol, scale)
-        if build_basis:
-            plus_chains = [_phase_normalize(c) for c in plus_chains]
-            minus_chains = [[pair.pt @ np.conj(v) for v in chain] for chain in plus_chains]
-        else:
-            minus_chains = [[None] * len(c) for c in plus_chains]
-        for cp, cm in zip(plus_chains, minus_chains):
-            pair_units.append((complex(plus_rep), cp, cm))
+    pair_units = []
+    real_units = []
+    for (_, rep), chains in zip(wanted, _cluster_chains(spectrum, wanted, rank_tol,
+                                                        conj_mat=pair.pt)):
+        for chain in chains:
+            if rep.imag == 0.0:
+                real_units.append((rep.real, chain))
+            else:
+                pair_units.append((rep, chain))
 
     pair_units.sort(key=lambda u: (u[0].real, u[0].imag, len(u[1])))
     real_units.sort(key=lambda u: (u[0], len(u[1])))
@@ -179,12 +147,21 @@ def _analyze(h: np.ndarray, h_norm: float, pair: PTPair, tol: float,
 
 def _block_descriptors(pair_units, real_units) -> tuple:
     blocks = []
-    for lam, cp, _ in pair_units:
+    for lam, cp in pair_units:
         blocks.append(BlockDescriptor(COMPLEX_PAIR, lam, len(cp)))
     for lam, chain in real_units:
         kind = REAL_SIMPLE if len(chain) == 1 else REAL_JORDAN
         blocks.append(BlockDescriptor(kind, complex(lam), len(chain)))
     return tuple(blocks)
+
+
+def _pt_hamiltonian(h, pair: PTPair, tol: float) -> tuple[np.ndarray, float]:
+    """H validated against the pair, and ||H||_2; raises unless H is PT-symmetric at tol."""
+    h, ok, residual, h_norm = _pt_test(h, pair, tol)
+    if not ok:
+        raise NotPTSymmetricError(
+            f"H is not PT-symmetric (residual {residual:.6e})")
+    return h, h_norm
 
 
 def classify_spectrum(h, pair: PTPair, tol: float = 1e-8, *,
@@ -193,16 +170,12 @@ def classify_spectrum(h, pair: PTPair, tol: float = 1e-8, *,
     """Classify the spectrum as Unbroken or Broken with block detail.
 
     Eigenvalues with |Im| <= tol * max(1, ||H||) are snapped to the
-    real axis before classification.
+    real axis before classification. The chains are built and gated as
+    for pt_canonical_form; only the basis is not assembled.
     """
-    h = as_square(h, "H")
-    ok, residual = is_pt_symmetric(h, pair, tol)
-    if not ok:
-        raise NotPTSymmetricError(
-            f"H is not PT-symmetric (residual {residual:.6e})")
+    h, h_norm = _pt_hamiltonian(h, pair, tol)
     cluster_tol = tol if cluster_tol is None else cluster_tol
-    pair_units, real_units, _ = _analyze(h, float(np.linalg.norm(h, 2)), pair, tol,
-                                         cluster_tol, rank_tol, build_basis=False)
+    pair_units, real_units, _ = _analyze(h, h_norm, pair, tol, cluster_tol, rank_tol)
     return _classify_blocks(_block_descriptors(pair_units, real_units))
 
 
@@ -216,25 +189,15 @@ def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
     basis fails the similarity or K-relation residual bounds at
     can_tol (the achieved residual is attached to the error).
     """
-    h = as_square(h, "H")
-    if h.shape[0] != pair.dim:
-        raise ValidationError(
-            f"H dimension {h.shape[0]} does not match pair dimension {pair.dim}")
-    ok, residual = is_pt_symmetric(h, pair, tol)
-    if not ok:
-        raise NotPTSymmetricError(
-            f"H is not PT-symmetric (residual {residual:.6e})")
+    h, h_norm = _pt_hamiltonian(h, pair, tol)
     cluster_tol = tol if cluster_tol is None else cluster_tol
-
-    h_norm = float(np.linalg.norm(h, 2))
-    pair_units, real_units, in_band = _analyze(h, h_norm, pair, tol, cluster_tol, rank_tol,
-                                               build_basis=True)
+    pair_units, real_units, in_band = _analyze(h, h_norm, pair, tol, cluster_tol, rank_tol)
     blocks = _block_descriptors(pair_units, real_units)
 
     cols = []
-    for _, cp, cm in pair_units:
+    for _, cp in pair_units:
         cols.extend(cp)
-        cols.extend(cm)
+        cols.extend(pair.pt @ np.conj(v) for v in cp)
     for _, chain in real_units:
         cols.extend(chain)
     return _decomposition(h, h_norm, pair, np.column_stack(cols), blocks, can_tol, in_band)

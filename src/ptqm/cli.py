@@ -385,9 +385,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = cfgmod.resolve_config(getattr(args, "config", None), _overrides(args))
-        # an overflow the library does not handle itself (the Jordan chain
-        # of an EP Hamiltonian scaled by 1e155) ends the run as a numerical
-        # failure, not as a numpy warning followed by a LAPACK error
+        # an overflow that no library check catches ends the run as a
+        # numerical failure, not as a numpy warning followed by a LAPACK error
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             args.handler(args, cfg)
         return 0
@@ -405,9 +404,7 @@ def main(argv=None) -> int:
         else:
             _fail("precondition", exc)
         return 3
-    except (NumericalError, FloatingPointError, OverflowError) as exc:
-        # OverflowError: Python float arithmetic, as in stokes on a field
-        # scaled by 1e155
+    except (NumericalError, FloatingPointError) as exc:
         _fail("numerical", exc)
         return 4
 

@@ -63,7 +63,10 @@ def _coerce(name: str, value):
     if name == "signs":
         if not isinstance(value, list):
             raise ValidationError("config: signs must be a list")
-        return [int(v) for v in value]
+        try:
+            return [int(v) for v in value]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError("config: signs entries must be +1 or -1") from exc
     if name == "probe":
         if not isinstance(value, list) or len(value) != 2:
             raise ValidationError("config: probe must be a list of two [re, im] pairs")
@@ -71,7 +74,10 @@ def _coerce(name: str, value):
         for part in value:
             if not isinstance(part, list) or len(part) != 2:
                 raise ValidationError("config: probe entries must be [re, im] pairs")
-            out.append(complex(float(part[0]), float(part[1])))
+            try:
+                out.append(complex(float(part[0]), float(part[1])))
+            except (TypeError, ValueError) as exc:
+                raise ValidationError("config: probe entries must be [re, im] pairs") from exc
         return tuple(out)
     if name == "num_points":
         if isinstance(value, bool) or not isinstance(value, int):

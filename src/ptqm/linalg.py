@@ -5,11 +5,16 @@ validate shape and finiteness up front. Dimensions are desk-scale
 (d of a few up to a few hundred), so robustness is preferred over
 speed throughout.
 
-Jordan structure is computed by Schur deflation. The matrix is
-reduced to complex Schur form once per decomposition; each eigenvalue
-cluster is then moved to the leading diagonal block by reordering that
-form with LAPACK ztrsen (Bai & Demmel 1993), which separates the
-cluster's invariant subspace without factoring the matrix again. Chain
+Jordan structure starts from one eigendecomposition (np.linalg.eig),
+whose eigenvalues are clustered. A cluster with a single member is a
+simple eigenvalue: its vector is the eigenvector eig returned, and all
+such vectors are gated and normalised together, with the same checks
+and thresholds a deflated 1x1 block would meet. Only clusters with
+more than one member, the exceptional points, are deflated. The matrix
+is then reduced to complex Schur form once, and each such cluster is
+moved to the leading diagonal block by reordering that form with
+LAPACK ztrsen (Bai & Demmel 1993), which separates the cluster's
+invariant subspace without factoring the matrix again. Chain
 construction happens inside the small deflated block. There the "zero"
 singular values sit near the cluster diameter while the structural
 couplings stay at the scale of the matrix, so rank decisions remain
@@ -29,6 +34,7 @@ from .errors import (
     DimensionError,
     IllConditionedError,
     NotPositiveSemidefiniteError,
+    NumericalError,
     SingularMatrixError,
     ValidationError,
 )
@@ -230,12 +236,13 @@ class EigenStructure:
         return psi, layout.matrices()[0]
 
 
-def _cluster_indices(w: np.ndarray, tol_abs: float) -> list[np.ndarray]:
+def _clusters(w: np.ndarray, tol_abs: float) -> tuple[list[np.ndarray], np.ndarray]:
     """Connected components of the spectrum under |wi - wj| <= tol_abs.
 
-    Pairs are swept in order of real part: |wi - wj| is at least the
-    real-part gap, so only pairs whose real parts lie within tol_abs of
-    each other can be linked.
+    Returns the member indices of every cluster and the cluster means,
+    ordered by mean (real part, then imaginary part). Pairs are swept in
+    order of real part: |wi - wj| is at least the real-part gap, so only
+    pairs whose real parts lie within tol_abs of each other can be linked.
     """
     n = len(w)
     parent = list(range(n))
@@ -260,16 +267,49 @@ def _cluster_indices(w: np.ndarray, tol_abs: float) -> list[np.ndarray]:
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    out = [np.array(g) for g in groups.values()]
-    out.sort(key=lambda g: (w[g].mean().real, w[g].mean().imag))
-    return out
+    found = [np.array(g) for g in groups.values()]
+    means = [w[g].mean() for g in found]
+    ranked = sorted(range(len(found)), key=lambda k: (means[k].real, means[k].imag))
+    return [found[k] for k in ranked], np.array([means[k] for k in ranked], dtype=complex)
+
+
+def _cluster_indices(w: np.ndarray, tol_abs: float) -> list[np.ndarray]:
+    """The clusters of _clusters without their means."""
+    return _clusters(w, tol_abs)[0]
+
+
+@dataclass(frozen=True)
+class ClusteredSpectrum:
+    """Spectrum of a square matrix from one eigendecomposition, clustered.
+
+    w and vectors are the eigenvalues and eigenvectors np.linalg.eig
+    returns. groups[i] indexes the members of cluster i in w and
+    means[i] is their mean, in the order of _clusters. scale is
+    max(1, ||matrix||_2), the reference of every absolute threshold.
+    """
+
+    matrix: np.ndarray
+    scale: float
+    w: np.ndarray
+    vectors: np.ndarray
+    groups: list
+    means: np.ndarray
+
+
+def _clustered_spectrum(a: np.ndarray, scale: float, tol_abs: float) -> ClusteredSpectrum:
+    """Eigendecomposition of a, clustered at |wi - wj| <= tol_abs."""
+    w, vectors = np.linalg.eig(a)
+    groups, means = _clusters(w, tol_abs)
+    return ClusteredSpectrum(a, scale, w, vectors, groups, means)
 
 
 def _schur_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form (T, Z) of a, with a = Z T Z^dag.
 
-    Computed once per decomposition; _deflate_cluster reorders it for
-    each cluster.
+    Computed at most once per decomposition, and only when a cluster
+    has more than one member; _deflate_cluster reorders it for each
+    such cluster. Simple clusters take their vectors from the
+    eigendecomposition instead.
     """
     return sla.schur(a, output="complex")
 
@@ -280,9 +320,10 @@ def _deflate_cluster(schur: tuple[np.ndarray, np.ndarray], lam: complex, radius:
     schur is the pair (T, Z) from _schur_form. ztrsen reorders it so
     the diagonal entries within radius of lam lead, leaving T and Z
     themselves untouched; this is the reordering step a sorted Schur
-    decomposition performs after its factorisation. Returns (q, b, sdim)
-    with a @ q = q @ b to machine precision, where q has orthonormal
-    columns and b is the upper-triangular restriction.
+    decomposition performs after its factorisation. It runs once per
+    multi-member cluster. Returns (q, b, sdim) with a @ q = q @ b to
+    machine precision, where q has orthonormal columns and b is the
+    upper-triangular restriction.
     """
     t, z = schur
     select = np.abs(np.diag(t) - lam) <= radius
@@ -337,16 +378,6 @@ def _nilpotent_chains(mblock: np.ndarray, rank_tol: float, zero_floor: float,
     it, which makes all chain vectors fixed as well.
     """
     m = mblock.shape[0]
-    if m == 1:
-        # a simple eigenvalue: one chain of length one, gated like the SVD path below
-        s0 = abs(mblock[0, 0])
-        if s0 > max(rank_tol * s0, 10.0 * zero_floor):
-            raise IllConditionedError("cluster block is not nilpotent at the working tolerance")
-        top = np.ones(1, dtype=complex)
-        if conj_op is not None:
-            top = _fixed_under(conj_op, top, np.zeros((1, 0), dtype=complex))
-        return [[top]]
-
     smax = max(1.0, float(np.linalg.norm(mblock, 2)))
 
     nullbases: list[np.ndarray] = [np.zeros((m, 0), dtype=complex)]
@@ -404,9 +435,9 @@ def _nilpotent_chains(mblock: np.ndarray, rank_tol: float, zero_floor: float,
     return out
 
 
-def _cluster_chains(schur: tuple[np.ndarray, np.ndarray], w: np.ndarray, idx: np.ndarray,
-                    rep: complex, rank_tol: float, scale: float,
-                    conj_mat: np.ndarray | None = None) -> list[list[np.ndarray]]:
+def _deflated_chains(schur: tuple[np.ndarray, np.ndarray], w: np.ndarray, idx: np.ndarray,
+                     rep: complex, rank_tol: float, scale: float,
+                     conj_mat: np.ndarray | None = None) -> list[list[np.ndarray]]:
     """Jordan chains of one eigenvalue cluster, lifted to the full space.
 
     schur is the Schur form (T, Z) of the matrix from _schur_form. rep
@@ -443,14 +474,102 @@ def _cluster_chains(schur: tuple[np.ndarray, np.ndarray], w: np.ndarray, idx: np
     return [[q @ v for v in chain] for chain in chains]
 
 
-def _phase_normalize(chain: list[np.ndarray]) -> list[np.ndarray]:
-    """Rotate a whole chain so the dominant entry of its eigenvector is
-    real positive. Chains admit only a global scalar, so the bottom
-    vector fixes the phase for every member."""
-    bottom = chain[0]
-    z = bottom[int(np.argmax(np.abs(bottom)))]
-    phase = np.conj(z) / abs(z)
-    return [phase * v for v in chain]
+def _simple_vectors(spectrum: ClusteredSpectrum, members: np.ndarray, reps: np.ndarray,
+                    fixed: np.ndarray, rank_tol: float,
+                    conj_mat: np.ndarray | None) -> np.ndarray:
+    """Unit eigenvectors of simple clusters, one column per cluster.
+
+    members[k] indexes the one member of cluster k in spectrum.w and
+    reps[k] is its representative. Every column passes the checks
+    _deflated_chains applies to a 1x1 block, with the same thresholds:
+    the separability margin, the nilpotency gate on q^H A q - rep and,
+    where fixed[k], invariance under v -> G conj(v) with G = conj_mat.
+    Those columns are then made fixed under it as _fixed_under does.
+    """
+    w, scale = spectrum.w, spectrum.scale
+    internal = np.abs(w[members] - reps)
+    gaps = np.abs(w[None, :] - reps[:, None])
+    gaps[np.arange(len(members)), members] = np.inf
+    if np.any(gaps.min(axis=1) <= 2.0 * internal + 16.0 * _EPS * scale):
+        raise IllConditionedError("eigenvalue clusters are not separable")
+
+    q = spectrum.vectors[:, members]
+    q = q / np.linalg.norm(q, axis=0)
+    offset = np.abs(np.einsum("ij,ij->j", q.conj(), spectrum.matrix @ q) - reps)
+    zero_floor = internal + 64.0 * _EPS * scale
+    if np.any(offset > np.maximum(rank_tol * offset, 10.0 * zero_floor)):
+        raise IllConditionedError("cluster block is not nilpotent at the working tolerance")
+
+    if np.any(fixed):
+        qf = q[:, fixed]
+        c = np.einsum("ij,ij->j", qf.conj(), conj_mat @ qf.conj())
+        if np.any(np.abs(c * np.conj(c) - 1.0) > 1e-6):
+            raise IllConditionedError("cluster subspace is not conjugation-invariant")
+        # _fixed_under on the 1x1 block (c): the larger of 1 + c and i(1 - c)
+        plus, minus = 1.0 + c, 1j * (1.0 - c)
+        top = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
+        if np.any(np.abs(top) < 0.5):
+            raise IllConditionedError("conjugation-fixed chain top degenerated")
+        q[:, fixed] = qf * (top / np.abs(top))
+    return q
+
+
+def _normalizing_factors(bottoms: np.ndarray, fixed) -> np.ndarray:
+    """The scalar that normalises each chain, from its eigenvector (a column of bottoms).
+
+    A chain admits only a global scalar, fixed by the dominant entry z of
+    its eigenvector: a phase making z real positive or, for a chain fixed
+    under a conjugation, where a complex phase would break fixedness, a
+    sign making Re z positive (Im z when Re z vanishes).
+    """
+    z = bottoms[np.argmax(np.abs(bottoms), axis=0), np.arange(bottoms.shape[1])]
+    positive = np.where(np.abs(z.real) >= 1e-12 * np.abs(z), z.real, z.imag) >= 0
+    return np.where(fixed, np.where(positive, 1.0, -1.0), np.conj(z) / np.abs(z))
+
+
+def _cluster_chains(spectrum: ClusteredSpectrum, wanted, rank_tol: float,
+                    conj_mat: np.ndarray | None = None) -> list:
+    """Normalised Jordan chains of the wanted clusters.
+
+    wanted lists (cluster index, representative) pairs; the result
+    holds the chains of each, longest first, bottom vector first. With
+    conj_mat G, a cluster with a real representative gets chains fixed
+    under v -> G conj(v), normalised by sign; every other chain is
+    normalised by phase (_normalizing_factors).
+
+    Simple clusters take their vectors from the eigendecomposition, all
+    in one batch (_simple_vectors). Only clusters with more than one
+    member are deflated from the Schur form, which is computed on the
+    first of them.
+    """
+    fixed = np.array([conj_mat is not None and rep.imag == 0.0 for _, rep in wanted], dtype=bool)
+    out: list = [None] * len(wanted)
+    # chain vectors and powers of a defective block scale like ||A||^k: at
+    # ||A|| near 1e155 they leave the float range
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            simple = [k for k, (i, _) in enumerate(wanted) if len(spectrum.groups[i]) == 1]
+            if simple:
+                members = np.array([spectrum.groups[wanted[k][0]][0] for k in simple])
+                reps = np.array([wanted[k][1] for k in simple], dtype=complex)
+                q = _simple_vectors(spectrum, members, reps, fixed[simple], rank_tol, conj_mat)
+                q = q * _normalizing_factors(q, fixed[simple])
+                for k, col in zip(simple, q.T):
+                    out[k] = [[col]]
+
+            schur = None
+            for k, (i, rep) in enumerate(wanted):
+                if out[k] is not None:
+                    continue
+                if schur is None:
+                    schur = _schur_form(spectrum.matrix)
+                chains = _deflated_chains(schur, spectrum.w, spectrum.groups[i], rep, rank_tol,
+                                          spectrum.scale, conj_mat if fixed[k] else None)
+                factors = _normalizing_factors(np.column_stack([c[0] for c in chains]), fixed[k])
+                out[k] = [[f * v for v in chain] for f, chain in zip(factors, chains)]
+    except FloatingPointError as exc:
+        raise NumericalError("Jordan chain construction overflowed the floating-point range") from exc
+    return out
 
 
 def eigen_decompose(a, cluster_tol: float = 1e-8, rank_tol: float = 1e-10) -> EigenStructure:
@@ -467,28 +586,15 @@ def eigen_decompose(a, cluster_tol: float = 1e-8, rank_tol: float = 1e-10) -> Ei
     if cluster_tol <= 0 or rank_tol <= 0:
         raise ValidationError("tolerances must be positive")
     scale = max(1.0, float(np.linalg.norm(m, 2)))
-    w = np.linalg.eigvals(m)
-    groups = _cluster_indices(w, cluster_tol * scale)
-    schur = _schur_form(m)
-
-    eigenvalues = []
-    mults = []
-    geoms = []
-    all_chains = []
-    for g in groups:
-        rep = complex(w[g].mean())
-        chains = _cluster_chains(schur, w, g, rep, rank_tol, scale)
-        chains = [_phase_normalize(c) for c in chains]
-        eigenvalues.append(rep)
-        mults.append(int(len(g)))
-        geoms.append(len(chains))
-        all_chains.append(tuple(tuple(c) for c in chains))
+    spectrum = _clustered_spectrum(m, scale, cluster_tol * scale)
+    eigenvalues = [complex(z) for z in spectrum.means]
+    chains = _cluster_chains(spectrum, list(enumerate(eigenvalues)), rank_tol)
 
     structure = EigenStructure(
         eigenvalues=tuple(eigenvalues),
-        multiplicities=tuple(mults),
-        geometric_multiplicities=tuple(geoms),
-        chains=tuple(all_chains),
+        multiplicities=tuple(len(g) for g in spectrum.groups),
+        geometric_multiplicities=tuple(len(c) for c in chains),
+        chains=tuple(tuple(tuple(chain) for chain in c) for c in chains),
         residual=np.nan,
     )
     psi, j = structure.assemble()

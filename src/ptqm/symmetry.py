@@ -77,15 +77,26 @@ def apply_antilinear(pair: PTPair, v) -> np.ndarray:
     return pair.pt @ np.conj(w)
 
 
+def _pt_test(h, pair: PTPair, tol: float) -> tuple[np.ndarray, bool, float, float]:
+    """(H, ok, residual, ||H||_2) of the PT-symmetry test of is_pt_symmetric.
+
+    H comes back validated as a square matrix of the pair's dimension,
+    with its 2-norm, so that a caller going on to decompose H needs no
+    second SVD of it.
+    """
+    m = as_square(h, "H")
+    if m.shape[0] != pair.dim:
+        raise DimensionError(f"H dimension {m.shape[0]} does not match pair dimension {pair.dim}")
+    residual = operator_norm(m @ pair.pt - pair.pt @ np.conj(m))
+    h_norm = operator_norm(m)
+    return m, residual <= tol * max(1.0, h_norm), float(residual), h_norm
+
+
 def is_pt_symmetric(h, pair: PTPair, tol: float = 1e-10) -> tuple[bool, float]:
     """Test H (PT) = (PT) conj(H) and report the residual.
 
     Returns (ok, residual) with ok true iff the residual is within
     tol * max(1, ||H||).
     """
-    m = as_square(h, "H")
-    if m.shape[0] != pair.dim:
-        raise DimensionError(f"H dimension {m.shape[0]} does not match pair dimension {pair.dim}")
-    residual = operator_norm(m @ pair.pt - pair.pt @ np.conj(m))
-    scale = max(1.0, operator_norm(m))
-    return residual <= tol * scale, float(residual)
+    _, ok, residual, _ = _pt_test(h, pair, tol)
+    return ok, residual

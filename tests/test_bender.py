@@ -14,7 +14,7 @@ from ptqm.bender import (
     stokes_vector,
 )
 from ptqm.canonical import COMPLEX_PAIR, REAL_JORDAN, REAL_SIMPLE, pt_canonical_form
-from ptqm.errors import BrokenRegimeError, CriticalPointError, ValidationError
+from ptqm.errors import BrokenRegimeError, CriticalPointError, NumericalError, ValidationError
 from ptqm.linalg import operator_norm
 from ptqm.metric import eta_inner, eta_trace
 from ptqm.symmetry import is_pt_symmetric
@@ -209,6 +209,20 @@ def test_stokes_pure_field_identity():
         ex, ey = rng.normal(size=2) + 1j * rng.normal(size=2)
         sv = stokes_vector(ex, ey)
         assert abs(sv.S0 ** 2 - (sv.S1 ** 2 + sv.S2 ** 2 + sv.S3 ** 2)) <= 1e-10
+
+
+@pytest.mark.parametrize("ex, ey", [(3e154 - 1.2e155j, 7e154 + 4e154j),
+                                    (1.2e154, 1.2e154j), (1.5e308 + 1.5e308j, 1.0)])
+def test_stokes_overflow_raises_numerical_error(ex, ey):
+    with pytest.raises(NumericalError, match="floating-point range"):
+        stokes_vector(ex, ey)
+
+
+@pytest.mark.parametrize("r, s, probe", [(1e200, 1e200, (1.0, 0.0)), (1e200, 1.0, (1.0, 0.0)),
+                                         (2.0, 1.0, (1e200, 0.0))])
+def test_sweep_overflow_raises_numerical_error(r, s, probe):
+    with pytest.raises(NumericalError, match="floating-point range"):
+        critical_sweep(r, s, [0.1], probe)
 
 
 def test_sweep_crosses_the_critical_point():

@@ -1,5 +1,7 @@
 """Spectral classification and the structured canonical form (Psi, J, K)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,13 @@ from ptqm.canonical import (
     classify_spectrum,
     pt_canonical_form,
 )
-from ptqm.errors import NotPTSymmetricError, ValidationError
+from ptqm.errors import NotPTSymmetricError, NumericalError, ValidationError
 from ptqm.linalg import operator_norm
+from ptqm.matio import load_matrix_file
 from ptqm.sampling import random_instance, random_pt_pair
 from ptqm.symmetry import apply_antilinear, validate_pt_pair
 
-
+INPUTS = Path(__file__).with_name("golden") / "inputs"
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -185,3 +188,12 @@ def test_canonical_output_is_deterministic():
     d2 = pt_canonical_form(h, pair)
     assert np.array_equal(d1.Psi, d2.Psi)
     assert np.array_equal(d1.J, d2.J)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e158])
+def test_overflowing_jordan_chain_raises_numerical_error(scale):
+    # the chain vectors and block powers of an EP Hamiltonian grow like
+    # ||H||^k; warnings fail the suite, so none may escape either
+    h, p, t = (load_matrix_file(INPUTS / f"{name}_ep2.json") for name in "hpt")
+    with pytest.raises(NumericalError, match="floating-point range"):
+        pt_canonical_form(h * scale, validate_pt_pair(p, t), cluster_tol=1e-6)

@@ -323,6 +323,18 @@ def test_config_file_flag_and_env(files, capsys, tmp_path, monkeypatch):
     assert code == 0 and len(out.strip().split("\n")) == 4
 
 
+@pytest.mark.parametrize("doc", [{"signs": [1e999]}, {"signs": ["x"]}, {"signs": [[1]]},
+                                 {"probe": [["x", 0], [0, 0]]}, {"probe": [[[1], 0], [0, 0]]}])
+def test_config_rejects_malformed_entries(files, capsys, tmp_path, doc):
+    paths, _ = files
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc).replace("Infinity", "1e999"))
+    code, _, err = run(capsys, ["metric", paths["h_unbroken"], paths["p_swap"],
+                                paths["t_id"], "--config", str(cfg_file)])
+    assert code == 2
+    assert json.loads(err)["error"] == "validation"
+
+
 def test_config_rejects_unknown_key(files, capsys, tmp_path):
     paths, _ = files
     cfg_file = tmp_path / "cfg.json"

@@ -1,20 +1,23 @@
-"""Cluster deflation from a single Schur form.
+"""Cluster chains from one eigendecomposition.
 
-Every decomposition factors H once and isolates each eigenvalue
-cluster by reordering that Schur form. The reference path below
-deflates each cluster with its own sorted Schur decomposition of H;
-both must give the same canonical form.
+Every decomposition takes the vectors of all simple eigenvalue clusters
+from one np.linalg.eig, in a batch that applies the same gates as a 1x1
+deflated block. Only clusters with more than one member (exceptional
+points) are isolated from a Schur form, computed once and reordered by
+ztrsen per such cluster. The reference path below deflates every
+cluster, simple ones included, with its own sorted Schur decomposition
+of H; both must give the same canonical form.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-import ptqm.canonical as canonical
 import ptqm.linalg as linalg
 from ptqm.canonical import classify_spectrum, pt_canonical_form
 from ptqm.errors import IllConditionedError
-from ptqm.linalg import _cluster_indices, _nilpotent_chains, eigen_decompose
+from ptqm.linalg import ClusteredSpectrum, _cluster_indices, _simple_vectors, eigen_decompose
+from ptqm.sampling import random_instance
 from ptqm.symmetry import validate_pt_pair
 
 CASES = ("real_simple", "complex_pairs", "jordan")
@@ -50,34 +53,76 @@ def _sorted_schur_deflation(a, lam, radius):
     return z[:, :sdim], t[:sdim, :sdim], int(sdim)
 
 
+def _per_cluster_simple_vectors(spectrum, members, reps, fixed, rank_tol, conj_mat):
+    cols = []
+    for member, rep, f in zip(members, reps, fixed):
+        [[v]] = linalg._deflated_chains(spectrum.matrix, spectrum.w, np.array([member]), rep,
+                                        rank_tol, spectrum.scale, conj_mat if f else None)
+        cols.append(v)
+    return np.column_stack(cols)
+
+
 @pytest.fixture
-def schur_counter(monkeypatch):
-    calls = []
-    original = sla.schur
+def per_cluster_schur(monkeypatch):
+    """Route every cluster through its own sorted Schur form of H: hand H
+    itself down as the Schur form, deflate by a sorted factorisation, and
+    build simple clusters by the same deflation instead of the batch."""
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("sort"))
-        return original(*args, **kwargs)
+    def use():
+        monkeypatch.setattr(linalg, "_schur_form", lambda a: a)
+        monkeypatch.setattr(linalg, "_deflate_cluster", _sorted_schur_deflation)
+        monkeypatch.setattr(linalg, "_simple_vectors", _per_cluster_simple_vectors)
 
-    monkeypatch.setattr(sla, "schur", counted)
+    return use
+
+
+@pytest.fixture
+def factorisations(monkeypatch):
+    """Count Schur factorisations and ztrsen reorderings."""
+    calls = {"schur": [], "ztrsen": 0}
+    schur, ztrsen = sla.schur, linalg.lapack.ztrsen
+
+    def counted_schur(*args, **kwargs):
+        calls["schur"].append(kwargs.get("sort"))
+        return schur(*args, **kwargs)
+
+    def counted_ztrsen(*args, **kwargs):
+        calls["ztrsen"] += 1
+        return ztrsen(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "schur", counted_schur)
+    monkeypatch.setattr(linalg.lapack, "ztrsen", counted_ztrsen)
     return calls
 
 
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("d", [48, 64])
-def test_one_schur_per_decomposition(d, case, schur_counter):
+def test_one_schur_per_decomposition(d, case, factorisations):
+    """No Schur form without a multi-member cluster; with one, a single
+    Schur form and one reordering per multi-member cluster."""
     h, pair, cluster_tol = real_pt_instance(d, case, seed=d)
+    multi = 1 if case == "jordan" else 0
     pt_canonical_form(h, pair, cluster_tol=cluster_tol)
-    assert len(schur_counter) == 1
+    assert (len(factorisations["schur"]), factorisations["ztrsen"]) == (multi, multi)
     classify_spectrum(h, pair, cluster_tol=cluster_tol)
-    assert len(schur_counter) == 2
-    eigen_decompose(h, cluster_tol=cluster_tol or 1e-8)
-    assert schur_counter == [None, None, None]
+    assert (len(factorisations["schur"]), factorisations["ztrsen"]) == (2 * multi, 2 * multi)
+    es = eigen_decompose(h, cluster_tol=cluster_tol or 1e-8)
+    assert sum(m > 1 for m in es.multiplicities) == multi
+    assert factorisations["schur"] == [None] * 3 * multi
+    assert factorisations["ztrsen"] == 3 * multi
+
+
+def _assert_matches_reference(dec, ref, psi_tol):
+    assert dec.blocks == ref.blocks
+    assert dec.warning == ref.warning
+    assert np.array_equal(dec.J, ref.J)
+    assert np.array_equal(dec.K, ref.K)
+    assert np.max(np.abs(dec.Psi - ref.Psi)) <= psi_tol
 
 
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("d", [48, 64])
-def test_reordering_matches_sorted_schur_per_cluster(d, case, monkeypatch):
+def test_reordering_matches_sorted_schur_per_cluster(d, case, per_cluster_schur):
     h, pair, cluster_tol = real_pt_instance(d, case, seed=d)
     dec = pt_canonical_form(h, pair, cluster_tol=cluster_tol)
     if case == "complex_pairs":
@@ -85,15 +130,52 @@ def test_reordering_matches_sorted_schur_per_cluster(d, case, monkeypatch):
     if case == "jordan":
         assert any(b.order == 2 for b in dec.blocks)
 
-    # reference: hand H itself down and factor it once per cluster
-    monkeypatch.setattr(canonical, "_schur_form", lambda a: a)
-    monkeypatch.setattr(linalg, "_deflate_cluster", _sorted_schur_deflation)
+    per_cluster_schur()
     ref = pt_canonical_form(h, pair, cluster_tol=cluster_tol)
+    _assert_matches_reference(dec, ref, 1e-13)
 
-    assert dec.blocks == ref.blocks
-    assert dec.warning == ref.warning
-    for name in ("Psi", "J", "K"):
-        assert np.max(np.abs(getattr(dec, name) - getattr(ref, name))) <= 1e-13, name
+
+@pytest.mark.parametrize("kind", ("unbroken", "complex", "ep"))
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 32, 64])
+def test_sampled_instances_match_the_per_cluster_reference(d, kind, per_cluster_schur):
+    inst = random_instance(np.random.default_rng(1000 + d), d, kind)
+    dec = pt_canonical_form(inst["h"], inst["pair"], cluster_tol=1e-6)
+    assert dec.spectral_class.unbroken == (kind == "unbroken")
+    per_cluster_schur()
+    ref = pt_canonical_form(inst["h"], inst["pair"], cluster_tol=1e-6)
+    _assert_matches_reference(dec, ref, 1e-13)
+
+
+def _near_pair_instance(gap_in_tols: float, cluster_tol: float):
+    """Real H = O D O^T with D = diag(-3, 0.5, 0.5 + gap, 1.5, 2): ||H|| = 3,
+    so the pair (0.5, 0.5 + gap) sits gap_in_tols clustering tolerances apart."""
+    o, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(5, 5)))
+    gap = gap_in_tols * cluster_tol * 3.0
+    h = o @ np.diag([-3.0, 0.5, 0.5 + gap, 1.5, 2.0]) @ o.T
+    return h, validate_pt_pair(np.eye(5), np.eye(5)), gap
+
+
+@pytest.mark.parametrize("cluster_tol", [1e-8, 1e-3])
+def test_simple_eigenvalues_just_outside_cluster_tol(cluster_tol, per_cluster_schur):
+    h, pair, gap = _near_pair_instance(1.5, cluster_tol)
+    dec = pt_canonical_form(h, pair, cluster_tol=cluster_tol)
+    assert [b.kind for b in dec.blocks] == ["RealSimple"] * 5
+    assert dec.warning is None
+    assert abs(dec.blocks[2].eigenvalue - dec.blocks[1].eigenvalue - gap) <= 1e-14
+    per_cluster_schur()
+    ref = pt_canonical_form(h, pair, cluster_tol=cluster_tol)
+    _assert_matches_reference(dec, ref, 1e-13)
+
+
+def test_simple_eigenvalues_just_inside_cluster_tol():
+    h, pair, gap = _near_pair_instance(0.5, 1e-8)
+    dec = pt_canonical_form(h, pair, cluster_tol=1e-8)
+    # one cluster at the mean of the pair, with two eigenvectors
+    assert [b.kind for b in dec.blocks] == ["RealSimple"] * 5
+    assert dec.blocks[1].eigenvalue == dec.blocks[2].eigenvalue
+    assert abs(dec.blocks[1].eigenvalue.real - (0.5 + gap / 2)) <= 1e-14
+    assert "clustering tolerance band" in dec.warning
+    assert classify_spectrum(h, pair, cluster_tol=1e-8).detail == dec.blocks
 
 
 def _brute_force_clusters(w, tol_abs):
@@ -153,20 +235,44 @@ def test_failed_reordering_raises_ill_conditioned(failure, monkeypatch):
         return t, q, w, m, s, sep, info
 
     monkeypatch.setattr(linalg.lapack, "ztrsen", failing)
-    h, pair, _ = real_pt_instance(8, "real_simple", seed=3)
+    h, pair, cluster_tol = real_pt_instance(8, "jordan", seed=3)
     with pytest.raises(IllConditionedError, match="reordering"):
-        pt_canonical_form(h, pair)
+        pt_canonical_form(h, pair, cluster_tol=cluster_tol)
     with pytest.raises(IllConditionedError, match="reordering"):
-        eigen_decompose(h)
+        eigen_decompose(h, cluster_tol=cluster_tol)
+
+
+def _spectrum(diagonal, w, scale=1.0):
+    """Spectrum of diag(diagonal) as if eig had returned w and unit vectors."""
+    a = np.diag(np.asarray(diagonal, dtype=complex))
+    w = np.asarray(w, dtype=complex)
+    return ClusteredSpectrum(a, scale, w, np.eye(len(w), dtype=complex),
+                             [np.array([i]) for i in range(len(w))], w)
+
+
+def _first_vector(spectrum, rep, fixed=False, conj_mat=None):
+    return _simple_vectors(spectrum, np.array([0]), np.array([rep], dtype=complex),
+                           np.array([fixed]), 1e-10, conj_mat)[:, 0]
 
 
 def test_simple_eigenvalue_block_keeps_the_nilpotency_gate():
-    zero_floor = 1e-12
-    assert _nilpotent_chains(np.array([[1e-13]]), 1e-10, zero_floor)[0][0] == [1.0]
+    # |q^H A q - rep| is gated at 10 * zero_floor, zero_floor = internal + 64 eps scale
+    internal = 1e-12
+    limit = 10.0 * (internal + 64.0 * np.finfo(float).eps)
+    assert np.array_equal(_first_vector(_spectrum([0.99 * limit, 5.0], [internal, 5.0]), 0.0),
+                          [1.0, 0.0])
     with pytest.raises(IllConditionedError, match="not nilpotent"):
-        _nilpotent_chains(np.array([[1e-3]]), 1e-10, zero_floor)
-    # with a conjugation the chain vector is fixed under v -> G conj(v)
-    g = np.array([[1j]])
-    [[top]] = _nilpotent_chains(np.array([[0.0]]), 1e-10, zero_floor, conj_op=g)
+        _first_vector(_spectrum([1.01 * limit, 5.0], [internal, 5.0]), 0.0)
+    with pytest.raises(IllConditionedError, match="not nilpotent"):
+        _first_vector(_spectrum([1e-3, 5.0], [0.0, 5.0]), 0.0)
+    # the separability margin: external > 2 internal + 16 eps scale
+    with pytest.raises(IllConditionedError, match="not separable"):
+        _first_vector(_spectrum([0.0, 1e-15], [0.0, 1e-15], scale=10.0), 0.0)
+    # with a conjugation the vector is fixed under v -> G conj(v)
+    g = np.diag([1j, 1.0])
+    top = _first_vector(_spectrum([0.0, 5.0], [0.0, 5.0]), 0.0, fixed=True, conj_mat=g)
     assert abs(abs(top[0]) - 1.0) < 1e-15
-    assert abs(top[0] - (g @ np.conj(top))[0]) < 1e-15
+    assert np.max(np.abs(top - g @ np.conj(top))) < 1e-15
+    with pytest.raises(IllConditionedError, match="conjugation-invariant"):
+        _first_vector(_spectrum([0.0, 5.0], [0.0, 5.0]), 0.0, fixed=True,
+                      conj_mat=np.array([[0.0, 1.0], [1.0, 0.0]]))
