@@ -231,7 +231,8 @@ def s0_eta(x: complex, y: complex, alpha: float, crit_tol: float = 1e-6) -> floa
     y = complex(y)
     with _float_range("S0"):
         cross = 1j * (x * np.conj(y) - y * np.conj(x)) * np.sin(alpha)
-        return float(((abs(x) ** 2 + abs(y) ** 2) + cross.real) / ca)
+        # numpy, not Python floats, so that an overflowing sum or quotient raises
+        return float((np.add(abs(x) ** 2, abs(y) ** 2) + cross.real) / ca)
 
 
 def stokes_vector(ex: complex, ey: complex) -> StokesVector:

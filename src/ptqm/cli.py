@@ -404,7 +404,8 @@ def main(argv=None) -> int:
         else:
             _fail("precondition", exc)
         return 3
-    except (NumericalError, FloatingPointError) as exc:
+    except (NumericalError, FloatingPointError, OverflowError) as exc:
+        # OverflowError: Python float arithmetic that no library check catches
         _fail("numerical", exc)
         return 4
 

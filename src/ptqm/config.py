@@ -76,7 +76,7 @@ def _coerce(name: str, value):
                 raise ValidationError("config: probe entries must be [re, im] pairs")
             try:
                 out.append(complex(float(part[0]), float(part[1])))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError("config: probe entries must be [re, im] pairs") from exc
         return tuple(out)
     if name == "num_points":
@@ -85,7 +85,10 @@ def _coerce(name: str, value):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"config: {name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"config: {name} is outside the floating-point range") from exc
 
 
 def load_config_file(path: str) -> dict:
@@ -94,7 +97,8 @@ def load_config_file(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # invalid JSON, or an integer literal longer than Python converts
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"config {path}: expected a JSON object")

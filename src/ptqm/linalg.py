@@ -40,6 +40,12 @@ from .errors import (
 )
 
 _EPS = float(np.finfo(float).eps)
+# a cluster subspace is conjugation-invariant when the conjugation, restricted
+# to it, squares to the identity within this 2-norm distance
+_INVOLUTION_TOL = 1e-6
+# a conjugation-fixed chain top keeps at least this norm outside the span
+# already established, or the choice has degenerated
+_FIXED_TOP_FLOOR = 0.5
 
 
 def _as_array(a, name: str, stacked: bool) -> np.ndarray:
@@ -357,9 +363,16 @@ def _fixed_under(gmat: np.ndarray, w: np.ndarray, established: np.ndarray) -> np
         return float(np.linalg.norm(u - established @ (established.conj().T @ u)))
 
     best = max(cands, key=outside)
-    if outside(best) < 0.5:
+    if outside(best) < _FIXED_TOP_FLOOR:
         raise IllConditionedError("conjugation-fixed chain top degenerated")
     return best / np.linalg.norm(best)
+
+
+def _zero_threshold(top, rank_tol: float, zero_floor, m: int = 1, smax: float = 1.0,
+                    k: int = 1):
+    """Largest singular value of M^k that counts as zero, for an m x m block
+    M with ||M||_2 <= smax whose top singular value of M^k is top."""
+    return np.maximum(rank_tol * top, 10.0 * m * zero_floor * smax ** (k - 1))
 
 
 def _nilpotent_chains(mblock: np.ndarray, rank_tol: float, zero_floor: float,
@@ -387,7 +400,7 @@ def _nilpotent_chains(mblock: np.ndarray, rank_tol: float, zero_floor: float,
     for k in range(1, m + 1):
         power = power @ mblock
         _, s, vh = np.linalg.svd(power)
-        tau = max(rank_tol * float(s[0]), 10.0 * m * zero_floor * smax ** (k - 1))
+        tau = _zero_threshold(float(s[0]), rank_tol, zero_floor, m, smax, k)
         nullity = int(np.sum(s <= tau))
         if nullity < nullities[-1]:
             raise IllConditionedError("nullity sequence is not monotone; "
@@ -435,39 +448,28 @@ def _nilpotent_chains(mblock: np.ndarray, rank_tol: float, zero_floor: float,
     return out
 
 
-def _deflated_chains(schur: tuple[np.ndarray, np.ndarray], w: np.ndarray, idx: np.ndarray,
-                     rep: complex, rank_tol: float, scale: float,
+def _deflated_chains(schur: tuple[np.ndarray, np.ndarray], size: int, rep: complex,
+                     radius: float, zero_floor: float, rank_tol: float,
                      conj_mat: np.ndarray | None = None) -> list[list[np.ndarray]]:
-    """Jordan chains of one eigenvalue cluster, lifted to the full space.
+    """Jordan chains of one eigenvalue cluster of size members, lifted to the full space.
 
     schur is the Schur form (T, Z) of the matrix from _schur_form. rep
-    may differ from the cluster mean (e.g. snapped to the real
-    axis); the deflation radius and the zero floor account for the
-    spread of the members around it.
+    may differ from the cluster mean (e.g. snapped to the real axis);
+    radius isolates the cluster around it and zero_floor is the zero
+    threshold of the deflated block, both from _cluster_chains.
     """
-    internal = float(np.max(np.abs(w[idx] - rep)))
-    others = np.delete(w, idx)
-    if others.size:
-        external = float(np.min(np.abs(others - rep)))
-        if external <= 2.0 * internal + 16.0 * _EPS * scale:
-            raise IllConditionedError("eigenvalue clusters are not separable")
-        radius = 0.5 * (internal + external)
-    else:
-        radius = internal + 1.0
-
     q, b, sdim = _deflate_cluster(schur, rep, radius)
-    if sdim != len(idx):
+    if sdim != size:
         raise IllConditionedError(
-            f"Schur selection returned {sdim} eigenvalues for a cluster of {len(idx)}")
+            f"Schur selection returned {sdim} eigenvalues for a cluster of {size}")
 
     mblock = b - rep * np.eye(sdim)
-    zero_floor = internal + 64.0 * _EPS * scale
 
     conj_block = None
     if conj_mat is not None:
         conj_block = q.conj().T @ conj_mat @ np.conj(q)
         invol = conj_block @ np.conj(conj_block)
-        if np.linalg.norm(invol - np.eye(sdim), 2) > 1e-6:
+        if np.linalg.norm(invol - np.eye(sdim), 2) > _INVOLUTION_TOL:
             raise IllConditionedError("cluster subspace is not conjugation-invariant")
 
     chains = _nilpotent_chains(mblock, rank_tol, zero_floor, conj_op=conj_block)
@@ -475,40 +477,32 @@ def _deflated_chains(schur: tuple[np.ndarray, np.ndarray], w: np.ndarray, idx: n
 
 
 def _simple_vectors(spectrum: ClusteredSpectrum, members: np.ndarray, reps: np.ndarray,
-                    fixed: np.ndarray, rank_tol: float,
+                    zero_floor: np.ndarray, fixed: np.ndarray, rank_tol: float,
                     conj_mat: np.ndarray | None) -> np.ndarray:
     """Unit eigenvectors of simple clusters, one column per cluster.
 
-    members[k] indexes the one member of cluster k in spectrum.w and
-    reps[k] is its representative. Every column passes the checks
-    _deflated_chains applies to a 1x1 block, with the same thresholds:
-    the separability margin, the nilpotency gate on q^H A q - rep and,
+    members[k] indexes the one member of cluster k in spectrum.w, reps[k]
+    is its representative and zero_floor[k] its zero threshold. Every
+    column passes the checks _deflated_chains applies to a 1x1 block,
+    with the same thresholds: the nilpotency gate on q^H A q - rep and,
     where fixed[k], invariance under v -> G conj(v) with G = conj_mat.
     Those columns are then made fixed under it as _fixed_under does.
     """
-    w, scale = spectrum.w, spectrum.scale
-    internal = np.abs(w[members] - reps)
-    gaps = np.abs(w[None, :] - reps[:, None])
-    gaps[np.arange(len(members)), members] = np.inf
-    if np.any(gaps.min(axis=1) <= 2.0 * internal + 16.0 * _EPS * scale):
-        raise IllConditionedError("eigenvalue clusters are not separable")
-
     q = spectrum.vectors[:, members]
     q = q / np.linalg.norm(q, axis=0)
     offset = np.abs(np.einsum("ij,ij->j", q.conj(), spectrum.matrix @ q) - reps)
-    zero_floor = internal + 64.0 * _EPS * scale
-    if np.any(offset > np.maximum(rank_tol * offset, 10.0 * zero_floor)):
+    if np.any(offset > _zero_threshold(offset, rank_tol, zero_floor)):
         raise IllConditionedError("cluster block is not nilpotent at the working tolerance")
 
     if np.any(fixed):
         qf = q[:, fixed]
         c = np.einsum("ij,ij->j", qf.conj(), conj_mat @ qf.conj())
-        if np.any(np.abs(c * np.conj(c) - 1.0) > 1e-6):
+        if np.any(np.abs(c * np.conj(c) - 1.0) > _INVOLUTION_TOL):
             raise IllConditionedError("cluster subspace is not conjugation-invariant")
         # _fixed_under on the 1x1 block (c): the larger of 1 + c and i(1 - c)
         plus, minus = 1.0 + c, 1j * (1.0 - c)
         top = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
-        if np.any(np.abs(top) < 0.5):
+        if np.any(np.abs(top) < _FIXED_TOP_FLOOR):
             raise IllConditionedError("conjugation-fixed chain top degenerated")
         q[:, fixed] = qf * (top / np.abs(top))
     return q
@@ -527,6 +521,21 @@ def _normalizing_factors(bottoms: np.ndarray, fixed) -> np.ndarray:
     return np.where(fixed, np.where(positive, 1.0, -1.0), np.conj(z) / np.abs(z))
 
 
+def _cluster_margins(spectrum: ClusteredSpectrum, idx: np.ndarray, reps: np.ndarray):
+    """(internal, external) distances of each cluster idx[k] from reps[k].
+
+    internal is the largest distance of a member, external the smallest
+    distance of a non-member (inf when there is none).
+    """
+    label = np.empty(len(spectrum.w), dtype=int)
+    label[np.concatenate(spectrum.groups)] = np.repeat(
+        np.arange(len(spectrum.groups)), [len(g) for g in spectrum.groups])
+    member = label[None, :] == idx[:, None]
+    dist = np.abs(spectrum.w[None, :] - reps[:, None])
+    return (np.max(dist, axis=1, where=member, initial=0.0),
+            np.min(dist, axis=1, where=~member, initial=np.inf))
+
+
 def _cluster_chains(spectrum: ClusteredSpectrum, wanted, rank_tol: float,
                     conj_mat: np.ndarray | None = None) -> list:
     """Normalised Jordan chains of the wanted clusters.
@@ -537,34 +546,47 @@ def _cluster_chains(spectrum: ClusteredSpectrum, wanted, rank_tol: float,
     under v -> G conj(v), normalised by sign; every other chain is
     normalised by phase (_normalizing_factors).
 
-    Simple clusters take their vectors from the eigendecomposition, all
-    in one batch (_simple_vectors). Only clusters with more than one
+    Every cluster must be separable from the rest of the spectrum:
+    external > 2 internal + 16 eps scale (_cluster_margins). Its zero
+    floor, internal + 64 eps scale, bounds what counts as zero in its
+    block. Simple clusters take their vectors from the eigendecomposition,
+    all in one batch (_simple_vectors). Only clusters with more than one
     member are deflated from the Schur form, which is computed on the
     first of them.
     """
-    fixed = np.array([conj_mat is not None and rep.imag == 0.0 for _, rep in wanted], dtype=bool)
+    idx = np.array([i for i, _ in wanted])
+    reps = np.array([rep for _, rep in wanted], dtype=complex)
+    fixed = (reps.imag == 0.0) & (conj_mat is not None)
     out: list = [None] * len(wanted)
     # chain vectors and powers of a defective block scale like ||A||^k: at
     # ||A|| near 1e155 they leave the float range
     try:
         with np.errstate(over="raise", invalid="raise"):
-            simple = [k for k, (i, _) in enumerate(wanted) if len(spectrum.groups[i]) == 1]
-            if simple:
-                members = np.array([spectrum.groups[wanted[k][0]][0] for k in simple])
-                reps = np.array([wanted[k][1] for k in simple], dtype=complex)
-                q = _simple_vectors(spectrum, members, reps, fixed[simple], rank_tol, conj_mat)
+            internal, external = _cluster_margins(spectrum, idx, reps)
+            if np.any(external <= 2.0 * internal + 16.0 * _EPS * spectrum.scale):
+                raise IllConditionedError("eigenvalue clusters are not separable")
+            zero_floor = internal + 64.0 * _EPS * spectrum.scale
+
+            simple = np.flatnonzero([len(spectrum.groups[i]) == 1 for i in idx])
+            if simple.size:
+                members = np.concatenate([spectrum.groups[i] for i in idx[simple]])
+                q = _simple_vectors(spectrum, members, reps[simple], zero_floor[simple],
+                                    fixed[simple], rank_tol, conj_mat)
                 q = q * _normalizing_factors(q, fixed[simple])
                 for k, col in zip(simple, q.T):
                     out[k] = [[col]]
 
             schur = None
-            for k, (i, rep) in enumerate(wanted):
+            for k, i in enumerate(idx):
                 if out[k] is not None:
                     continue
                 if schur is None:
                     schur = _schur_form(spectrum.matrix)
-                chains = _deflated_chains(schur, spectrum.w, spectrum.groups[i], rep, rank_tol,
-                                          spectrum.scale, conj_mat if fixed[k] else None)
+                radius = (0.5 * (internal[k] + external[k]) if np.isfinite(external[k])
+                          else internal[k] + 1.0)
+                chains = _deflated_chains(schur, len(spectrum.groups[i]), reps[k], radius,
+                                          zero_floor[k], rank_tol,
+                                          conj_mat if fixed[k] else None)
                 factors = _normalizing_factors(np.column_stack([c[0] for c in chains]), fixed[k])
                 out[k] = [[f * v for v in chain] for f, chain in zip(factors, chains)]
     except FloatingPointError as exc:

@@ -31,7 +31,11 @@ def _entry_to_complex(entry, where: str) -> complex:
             or not all(isinstance(p, (int, float)) and not isinstance(p, bool)
                        for p in entry)):
         raise ValidationError(f"{where}: expected a [re, im] number pair, got {entry!r}")
-    z = complex(float(entry[0]), float(entry[1]))
+    try:
+        z = complex(float(entry[0]), float(entry[1]))
+    except OverflowError as exc:
+        # an integer literal too large for a float
+        raise ValidationError(f"{where}: entry outside the floating-point range") from exc
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise ValidationError(f"{where}: non-finite entry {entry!r}")
     return z
@@ -45,6 +49,9 @@ def _load_json(path: str) -> Any:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # an integer literal longer than Python converts
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
 
 
 def load_matrix_file(path: str) -> np.ndarray:

@@ -219,7 +219,8 @@ def test_stokes_overflow_raises_numerical_error(ex, ey):
 
 
 @pytest.mark.parametrize("r, s, probe", [(1e200, 1e200, (1.0, 0.0)), (1e200, 1.0, (1.0, 0.0)),
-                                         (2.0, 1.0, (1e200, 0.0))])
+                                         (2.0, 1.0, (1e200, 0.0)),
+                                         (2.0, 1.0, (1.2e154, 1.2e154))])
 def test_sweep_overflow_raises_numerical_error(r, s, probe):
     with pytest.raises(NumericalError, match="floating-point range"):
         critical_sweep(r, s, [0.1], probe)

@@ -324,7 +324,8 @@ def test_config_file_flag_and_env(files, capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("doc", [{"signs": [1e999]}, {"signs": ["x"]}, {"signs": [[1]]},
-                                 {"probe": [["x", 0], [0, 0]]}, {"probe": [[[1], 0], [0, 0]]}])
+                                 {"probe": [["x", 0], [0, 0]]}, {"probe": [[[1], 0], [0, 0]]},
+                                 {"tol": 10 ** 400}, {"probe": [[10 ** 400, 0], [0, 0]]}])
 def test_config_rejects_malformed_entries(files, capsys, tmp_path, doc):
     paths, _ = files
     cfg_file = tmp_path / "cfg.json"
@@ -333,6 +334,25 @@ def test_config_rejects_malformed_entries(files, capsys, tmp_path, doc):
                                 paths["t_id"], "--config", str(cfg_file)])
     assert code == 2
     assert json.loads(err)["error"] == "validation"
+
+
+@pytest.mark.parametrize("where, digits, error", [("matrix", 400, "validation"),
+                                                  ("matrix", 5000, "parse"),
+                                                  ("config", 5000, "validation")])
+def test_oversized_integer_literal_is_rejected(files, capsys, tmp_path, where, digits, error):
+    """400 digits overflow a float; 5000 exceed Python's int string conversion limit."""
+    paths, _ = files
+    literal = "9" * digits
+    h, cfg = paths["h_unbroken"], tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    if where == "matrix":
+        h = tmp_path / "h_huge.json"
+        h.write_text('{"dim": 2, "rows": [[[%s, 0], [1, 0]], [[1, 0], [0, 0]]]}' % literal)
+    else:
+        cfg.write_text('{"tol": %s}' % literal)
+    code, _, err = run(capsys, ["metric", str(h), paths["p_swap"], paths["t_id"],
+                                "--config", str(cfg)])
+    assert (code, json.loads(err)["error"]) == (2, error)
 
 
 def test_config_rejects_unknown_key(files, capsys, tmp_path):

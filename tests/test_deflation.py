@@ -16,7 +16,7 @@ import scipy.linalg as sla
 import ptqm.linalg as linalg
 from ptqm.canonical import classify_spectrum, pt_canonical_form
 from ptqm.errors import IllConditionedError
-from ptqm.linalg import ClusteredSpectrum, _cluster_indices, _simple_vectors, eigen_decompose
+from ptqm.linalg import ClusteredSpectrum, _cluster_chains, _cluster_indices, eigen_decompose
 from ptqm.sampling import random_instance
 from ptqm.symmetry import validate_pt_pair
 
@@ -53,11 +53,14 @@ def _sorted_schur_deflation(a, lam, radius):
     return z[:, :sdim], t[:sdim, :sdim], int(sdim)
 
 
-def _per_cluster_simple_vectors(spectrum, members, reps, fixed, rank_tol, conj_mat):
+def _per_cluster_simple_vectors(spectrum, members, reps, zero_floor, fixed, rank_tol, conj_mat):
     cols = []
-    for member, rep, f in zip(members, reps, fixed):
-        [[v]] = linalg._deflated_chains(spectrum.matrix, spectrum.w, np.array([member]), rep,
-                                        rank_tol, spectrum.scale, conj_mat if f else None)
+    for member, rep, floor, f in zip(members, reps, zero_floor, fixed):
+        # deflate halfway between the member and the nearest other eigenvalue
+        dist = np.abs(spectrum.w - rep)
+        internal, dist[member] = dist[member], np.inf
+        [[v]] = linalg._deflated_chains(spectrum.matrix, 1, rep, 0.5 * (internal + dist.min()),
+                                        floor, rank_tol, conj_mat if f else None)
         cols.append(v)
     return np.column_stack(cols)
 
@@ -250,9 +253,10 @@ def _spectrum(diagonal, w, scale=1.0):
                              [np.array([i]) for i in range(len(w))], w)
 
 
-def _first_vector(spectrum, rep, fixed=False, conj_mat=None):
-    return _simple_vectors(spectrum, np.array([0]), np.array([rep], dtype=complex),
-                           np.array([fixed]), 1e-10, conj_mat)[:, 0]
+def _first_vector(spectrum, rep, conj_mat=None):
+    """The vector of simple cluster 0, fixed under v -> conj_mat conj(v) when given."""
+    [[v]] = _cluster_chains(spectrum, [(0, complex(rep))], 1e-10, conj_mat)[0]
+    return v
 
 
 def test_simple_eigenvalue_block_keeps_the_nilpotency_gate():
@@ -270,9 +274,9 @@ def test_simple_eigenvalue_block_keeps_the_nilpotency_gate():
         _first_vector(_spectrum([0.0, 1e-15], [0.0, 1e-15], scale=10.0), 0.0)
     # with a conjugation the vector is fixed under v -> G conj(v)
     g = np.diag([1j, 1.0])
-    top = _first_vector(_spectrum([0.0, 5.0], [0.0, 5.0]), 0.0, fixed=True, conj_mat=g)
+    top = _first_vector(_spectrum([0.0, 5.0], [0.0, 5.0]), 0.0, conj_mat=g)
     assert abs(abs(top[0]) - 1.0) < 1e-15
     assert np.max(np.abs(top - g @ np.conj(top))) < 1e-15
     with pytest.raises(IllConditionedError, match="conjugation-invariant"):
-        _first_vector(_spectrum([0.0, 5.0], [0.0, 5.0]), 0.0, fixed=True,
+        _first_vector(_spectrum([0.0, 5.0], [0.0, 5.0]), 0.0,
                       conj_mat=np.array([[0.0, 1.0], [1.0, 0.0]]))
