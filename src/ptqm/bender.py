@@ -133,6 +133,16 @@ def bender_classify(p: BenderParams, tol: float = 1e-8) -> SpectralClass:
     return _classify_blocks(blocks)
 
 
+def _alpha(p: BenderParams) -> float:
+    """arcsin(r sin(theta) / s) for s != 0; a ratio within 1e-14 past +-1
+    is rounding at the critical point and is clipped onto the branch."""
+    x = p.r * np.sin(p.theta) / p.s
+    if abs(x) > 1.0 + 1e-14:
+        raise BrokenRegimeError(
+            f"|r sin(theta)/s| = {abs(x):.6f} > 1: eigenstates leave the real-alpha form")
+    return float(np.arcsin(np.clip(x, -1.0, 1.0)))
+
+
 def bender_eigensystem(p: BenderParams, crit_tol: float = 1e-6) -> BenderEigensystem:
     """Closed-form eigensystem in the unbroken regime.
 
@@ -144,11 +154,7 @@ def bender_eigensystem(p: BenderParams, crit_tol: float = 1e-6) -> BenderEigensy
     """
     if p.s == 0:
         raise ValidationError("eigensystem requires s != 0")
-    x = p.r * np.sin(p.theta) / p.s
-    if abs(x) > 1.0 + 1e-14:
-        raise BrokenRegimeError(
-            f"|r sin(theta)/s| = {abs(x):.6f} > 1: eigenstates leave the real-alpha form")
-    alpha = float(np.arcsin(np.clip(x, -1.0, 1.0)))
+    alpha = _alpha(p)
     ca = np.cos(alpha)
     if ca <= crit_tol:
         raise CriticalPointError(
@@ -272,8 +278,9 @@ def critical_sweep(r: float, s: float, theta_grid, probe=(1.0, 0.0),
     eigenvector overlap along a theta grid.
 
     Rows are ordered by theta. Failures are recorded in-row (error
-    column) rather than raised: 'broken_regime' where alpha leaves the
-    real branch, 'critical_point' where the normalization diverges.
+    column) as the kind of bender_eigensystem's error: 'broken_regime'
+    where alpha leaves the real branch, 'critical_point' where the
+    normalization diverges.
     The overlap |<E+_raw, E-_raw>| equals |sin(alpha)| and tends to 1
     at the critical point, where the eigenvectors coalesce.
     """
@@ -288,16 +295,16 @@ def critical_sweep(r: float, s: float, theta_grid, probe=(1.0, 0.0),
             label = "Unbroken"
         else:
             label = cls.detail[0].kind
-        ratio = r * np.sin(theta) / s
-        if abs(ratio) > 1.0:
-            rows.append(SweepRow(theta, label, None, None, None, None, "broken_regime"))
+        try:
+            alpha = _alpha(p)
+        except BrokenRegimeError as exc:
+            rows.append(SweepRow(theta, label, None, None, None, None, exc.kind))
             continue
-        alpha = float(np.arcsin(ratio))
         overlap = float(abs(np.sin(alpha)))
         ca = float(np.cos(alpha))
         if ca <= crit_tol:
             rows.append(SweepRow(theta, label, alpha, None, None, overlap,
-                                 "critical_point"))
+                                 CriticalPointError.kind))
             continue
         s0 = s0_eta(x_probe, y_probe, alpha, crit_tol)
         rows.append(SweepRow(theta, label, alpha, s0, s0 * ca, overlap, None))

@@ -60,13 +60,16 @@ class CanonicalDecomposition:
     then real blocks ascending by eigenvalue then order. layout is the
     column layout of those units, from which J and K are built; K is
     exact (0/1 entries). h_norm is ||H||_2, computed once here for every
-    later scale. residuals holds the similarity and K-relation
-    defects; warning is set when the structure was decided inside the
-    clustering tolerance band or Psi is badly conditioned.
+    later scale. pt_residual is ||H PT - PT conj(H)||_2 from the
+    PT-symmetry test, None where no test ran. residuals holds the
+    similarity and K-relation defects; warning is set when the structure
+    was decided inside the clustering tolerance band or Psi is badly
+    conditioned.
     """
 
     hamiltonian: np.ndarray
     h_norm: float
+    pt_residual: float | None
     Psi: np.ndarray
     J: np.ndarray
     K: np.ndarray
@@ -155,13 +158,14 @@ def _block_descriptors(pair_units, real_units) -> tuple:
     return tuple(blocks)
 
 
-def _pt_hamiltonian(h, pair: PTPair, tol: float) -> tuple[np.ndarray, float]:
-    """H validated against the pair, and ||H||_2; raises unless H is PT-symmetric at tol."""
+def _pt_hamiltonian(h, pair: PTPair, tol: float) -> tuple[np.ndarray, float, float]:
+    """H validated against the pair, ||H||_2 and the PT residual; raises
+    unless H is PT-symmetric at tol."""
     h, ok, residual, h_norm = _pt_test(h, pair, tol)
     if not ok:
         raise NotPTSymmetricError(
             f"H is not PT-symmetric (residual {residual:.6e})")
-    return h, h_norm
+    return h, h_norm, residual
 
 
 def classify_spectrum(h, pair: PTPair, tol: float = 1e-8, *,
@@ -173,7 +177,7 @@ def classify_spectrum(h, pair: PTPair, tol: float = 1e-8, *,
     real axis before classification. The chains are built and gated as
     for pt_canonical_form; only the basis is not assembled.
     """
-    h, h_norm = _pt_hamiltonian(h, pair, tol)
+    h, h_norm, _ = _pt_hamiltonian(h, pair, tol)
     cluster_tol = tol if cluster_tol is None else cluster_tol
     pair_units, real_units, _ = _analyze(h, h_norm, pair, tol, cluster_tol, rank_tol)
     return _classify_blocks(_block_descriptors(pair_units, real_units))
@@ -189,7 +193,7 @@ def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
     basis fails the similarity or K-relation residual bounds at
     can_tol (the achieved residual is attached to the error).
     """
-    h, h_norm = _pt_hamiltonian(h, pair, tol)
+    h, h_norm, pt_residual = _pt_hamiltonian(h, pair, tol)
     cluster_tol = tol if cluster_tol is None else cluster_tol
     pair_units, real_units, in_band = _analyze(h, h_norm, pair, tol, cluster_tol, rank_tol)
     blocks = _block_descriptors(pair_units, real_units)
@@ -200,17 +204,19 @@ def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
         cols.extend(pair.pt @ np.conj(v) for v in cp)
     for _, chain in real_units:
         cols.extend(chain)
-    return _decomposition(h, h_norm, pair, np.column_stack(cols), blocks, can_tol, in_band)
+    return _decomposition(h, h_norm, pair, np.column_stack(cols), blocks, can_tol, in_band,
+                          pt_residual)
 
 
 def _decomposition(h: np.ndarray, h_norm: float, pair: PTPair, psi: np.ndarray,
-                   blocks: tuple, can_tol: float = 1e-8,
-                   in_band: bool = False) -> CanonicalDecomposition:
+                   blocks: tuple, can_tol: float = 1e-8, in_band: bool = False,
+                   pt_residual: float | None = None) -> CanonicalDecomposition:
     """CanonicalDecomposition of H in the basis psi, whose columns follow blocks.
 
     J and K are built from the block layout. Raises when the similarity
     or K-relation residual exceeds can_tol; in_band says the structure
-    was decided inside the clustering tolerance band.
+    was decided inside the clustering tolerance band. pt_residual is the
+    residual of a PT-symmetry test already run on H, if any.
     """
     layout = BlockLayout.from_units((b.eigenvalue, b.order, b.kind == COMPLEX_PAIR)
                                     for b in blocks)
@@ -238,6 +244,7 @@ def _decomposition(h: np.ndarray, h_norm: float, pair: PTPair, psi: np.ndarray,
     return CanonicalDecomposition(
         hamiltonian=h,
         h_norm=h_norm,
+        pt_residual=pt_residual,
         Psi=psi,
         J=j,
         K=k,

@@ -22,17 +22,7 @@ from .bender import critical_sweep, stokes_vector
 from .canonical import pt_canonical_form
 from .dilation import embedded_evolution_check, uniform_bound
 from .dynamics import TimeGrid, evolve_density, invariant_report, normalize_density
-from .errors import (
-    BrokenRegimeError,
-    BrokenSymmetryError,
-    CriticalPointError,
-    DegeneratePostSelectionError,
-    NotPTSymmetricError,
-    NumericalError,
-    ParseError,
-    PreconditionError,
-    ValidationError,
-)
+from .errors import NumericalError, ParseError, PreconditionError, ValidationError
 from .matio import (
     load_matrix_file,
     load_vector_file,
@@ -40,9 +30,9 @@ from .matio import (
     render_csv,
     render_json,
 )
-from .metric import build_metric, eta_inner, verify_metric, SignCharacteristic
+from .metric import build_metric, eta_inner, SignCharacteristic
 from .superposition import verify_free_evolution
-from .symmetry import is_pt_symmetric, validate_pt_pair
+from .symmetry import validate_pt_pair
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,13 +167,10 @@ def _emit(args, text: str) -> None:
 def cmd_classify(args, cfg) -> None:
     h = load_matrix_file(args.hamiltonian)
     pair = _load_pair(args, cfg)
-    ok, residual = is_pt_symmetric(h, pair, cfg.tol)
-    if not ok:
-        raise NotPTSymmetricError(f"H is not PT-symmetric (residual {residual:.6e})")
     decomp = _decompose(h, pair, cfg)
     report = {
         "pt_symmetric": True,
-        "residual": residual,
+        "residual": decomp.pt_residual,
         "class": decomp.spectral_class.tag,
         "blocks": _block_report(decomp.blocks),
         "eigenvalues": [_complex_pair(z) for z in decomp.layout.eigenvalues],
@@ -216,7 +203,7 @@ def cmd_metric(args, cfg) -> None:
     report = {
         "eta": _matrix_doc(met.eta),
         "positive_definite": bool(met.positive_definite),
-        "residual": float(verify_metric(h, met.eta)),
+        "residual": met.defect,
         "signs": [int(e) for e in met.signs.epsilons],
         "class": decomp.spectral_class.tag,
     }
@@ -366,20 +353,6 @@ def cmd_free_check(args, cfg) -> None:
     _emit(args, render_json(doc) + "\n")
 
 
-_PRECONDITION_KINDS = (
-    (BrokenSymmetryError, "broken_hamiltonian"),
-    (NotPTSymmetricError, "not_pt_symmetric"),
-    (BrokenRegimeError, "broken_regime"),
-    (CriticalPointError, "critical_point"),
-    (DegeneratePostSelectionError, "degenerate_post_selection"),
-)
-
-
-def _fail(kind: str, exc: Exception) -> None:
-    sys.stderr.write(render_json({"error": kind, "detail": str(exc)}) + "\n")
-    sys.stderr.flush()
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -390,24 +363,14 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             args.handler(args, cfg)
         return 0
-    except ParseError as exc:
-        _fail("parse", exc)
-        return 2
-    except ValidationError as exc:
-        _fail("validation", exc)
-        return 2
-    except PreconditionError as exc:
-        for klass, kind in _PRECONDITION_KINDS:
-            if isinstance(exc, klass):
-                _fail(kind, exc)
-                break
-        else:
-            _fail("precondition", exc)
-        return 3
-    except (NumericalError, FloatingPointError, OverflowError) as exc:
+    except (ParseError, ValidationError, PreconditionError, NumericalError) as exc:
+        failure = exc
+    except (FloatingPointError, OverflowError) as exc:
         # OverflowError: Python float arithmetic that no library check catches
-        _fail("numerical", exc)
-        return 4
+        failure = NumericalError(str(exc))
+    sys.stderr.write(render_json({"error": failure.kind, "detail": str(failure)}) + "\n")
+    sys.stderr.flush()
+    return failure.exit_code
 
 
 if __name__ == "__main__":

@@ -36,6 +36,8 @@ from .symmetry import PTPair
 OVERFLOW_EXPONENT = 30.0
 # byte budget of one stacked (points, 2d, 2d) complex array in the grid analyses
 GRID_CHUNK_BYTES = 1 << 17
+# largest accepted grid: every grid analysis holds its per-point series in memory
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.num_points < 1:
             raise ValidationError("num_points must be at least 1")
+        if self.num_points > MAX_GRID_POINTS:
+            raise ValidationError(f"num_points must be at most {MAX_GRID_POINTS}")
         if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)):
             raise ValidationError("grid endpoints must be finite")
         if self.num_points > 1 and self.t_end <= self.t_start:

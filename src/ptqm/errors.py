@@ -1,18 +1,24 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the command line's error contract.
 
-Three families, mirrored by the command line exit codes: validation
-errors (malformed or structurally invalid input, exit 2), precondition
-errors (valid input outside an operation's domain, exit 3), and
-numerical errors (requested accuracy not reached, exit 4).
+Four families: parse and validation errors (malformed input, exit 2),
+precondition errors (valid input outside an operation's domain, exit 3),
+and numerical errors (requested accuracy not reached, exit 4). Each
+class carries the kind the CLI reports on stderr and its exit code.
 """
 
 
 class ParseError(Exception):
     """Input file is not well-formed (I/O or JSON syntax level)."""
 
+    kind = "parse"
+    exit_code = 2
+
 
 class ValidationError(ValueError):
     """Input fails structural validation (shape, finiteness, algebra)."""
+
+    kind = "validation"
+    exit_code = 2
 
 
 class DimensionError(ValidationError):
@@ -30,29 +36,45 @@ class InvalidDensityError(ValidationError):
 class PreconditionError(Exception):
     """Input is structurally valid but outside an operation's domain."""
 
+    kind = "precondition"
+    exit_code = 3
+
 
 class NotPTSymmetricError(PreconditionError):
     """Hamiltonian fails the PT-symmetry identity for the given pair."""
+
+    kind = "not_pt_symmetric"
 
 
 class BrokenSymmetryError(PreconditionError):
     """Operation requires an unbroken Hamiltonian."""
 
+    kind = "broken_hamiltonian"
+
 
 class BrokenRegimeError(PreconditionError):
     """Parameters lie outside the closed-form eigenstate regime."""
+
+    kind = "broken_regime"
 
 
 class CriticalPointError(PreconditionError):
     """Normalization diverges at the critical point."""
 
+    kind = "critical_point"
+
 
 class DegeneratePostSelectionError(PreconditionError):
     """Post-selection success probability is numerically zero."""
 
+    kind = "degenerate_post_selection"
+
 
 class NumericalError(Exception):
     """Computation could not reach the requested accuracy."""
+
+    kind = "numerical"
+    exit_code = 4
 
 
 class IllConditionedError(NumericalError):

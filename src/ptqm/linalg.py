@@ -48,10 +48,11 @@ _INVOLUTION_TOL = 1e-6
 _FIXED_TOP_FLOOR = 0.5
 
 
-def _as_array(a, name: str, stacked: bool) -> np.ndarray:
+def _as_array(a, name: str, ndim: int = 2, stacked: bool = False) -> np.ndarray:
+    """Validated complex ndarray copy with ndim axes, or more when stacked."""
     m = np.array(a, dtype=complex)
-    if m.ndim != 2 and not (stacked and m.ndim > 2):
-        raise DimensionError(f"{name} must be 2-dimensional, got shape {m.shape}")
+    if m.ndim != ndim and not (stacked and m.ndim > ndim):
+        raise DimensionError(f"{name} must be {ndim}-dimensional, got shape {m.shape}")
     if m.size == 0:
         raise ValidationError(f"{name} is empty")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
@@ -61,7 +62,7 @@ def _as_array(a, name: str, stacked: bool) -> np.ndarray:
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return a 2-d complex ndarray copy of the input."""
-    return _as_array(a, name, stacked=False)
+    return _as_array(a, name)
 
 
 def as_square(a, name: str = "matrix") -> np.ndarray:
@@ -92,14 +93,7 @@ def first_index(mask: np.ndarray) -> int | None:
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Validate and return a 1-d complex ndarray copy of the input."""
-    w = np.array(v, dtype=complex)
-    if w.ndim != 1:
-        raise DimensionError(f"{name} must be 1-dimensional, got shape {w.shape}")
-    if w.size == 0:
-        raise ValidationError(f"{name} is empty")
-    if not np.all(np.isfinite(w.real)) or not np.all(np.isfinite(w.imag)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return w
+    return _as_array(v, name, ndim=1)
 
 
 def operator_norm(a):
@@ -277,11 +271,6 @@ def _clusters(w: np.ndarray, tol_abs: float) -> tuple[list[np.ndarray], np.ndarr
     means = [w[g].mean() for g in found]
     ranked = sorted(range(len(found)), key=lambda k: (means[k].real, means[k].imag))
     return [found[k] for k in ranked], np.array([means[k] for k in ranked], dtype=complex)
-
-
-def _cluster_indices(w: np.ndarray, tol_abs: float) -> list[np.ndarray]:
-    """The clusters of _clusters without their means."""
-    return _clusters(w, tol_abs)[0]
 
 
 @dataclass(frozen=True)

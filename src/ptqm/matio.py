@@ -10,7 +10,7 @@ notation, negative zero collapsed to zero.
 from __future__ import annotations
 
 import json
-from typing import IO, Any
+from typing import Any
 
 import numpy as np
 
@@ -54,16 +54,23 @@ def _load_json(path: str) -> Any:
         raise ParseError(f"cannot parse {path}: {exc}") from exc
 
 
-def load_matrix_file(path: str) -> np.ndarray:
+def _load_items(path: str, key: str) -> tuple[int, list]:
+    """(dim, data[key]) of a file holding an object with a positive
+    integer 'dim' and a list of dim items under key."""
     data = _load_json(path)
-    if not isinstance(data, dict) or "dim" not in data or "rows" not in data:
-        raise ValidationError(f"{path}: expected an object with 'dim' and 'rows'")
+    if not isinstance(data, dict) or "dim" not in data or key not in data:
+        raise ValidationError(f"{path}: expected an object with 'dim' and '{key}'")
     dim = data["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValidationError(f"{path}: 'dim' must be a positive integer")
-    rows = data["rows"]
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise ValidationError(f"{path}: expected {dim} rows")
+    items = data[key]
+    if not isinstance(items, list) or len(items) != dim:
+        raise ValidationError(f"{path}: expected {dim} {key}")
+    return dim, items
+
+
+def load_matrix_file(path: str) -> np.ndarray:
+    dim, rows = _load_items(path, "rows")
     out = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
@@ -74,15 +81,7 @@ def load_matrix_file(path: str) -> np.ndarray:
 
 
 def load_vector_file(path: str) -> np.ndarray:
-    data = _load_json(path)
-    if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
-        raise ValidationError(f"{path}: expected an object with 'dim' and 'entries'")
-    dim = data["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ValidationError(f"{path}: 'dim' must be a positive integer")
-    entries = data["entries"]
-    if not isinstance(entries, list) or len(entries) != dim:
-        raise ValidationError(f"{path}: expected {dim} entries")
+    _, entries = _load_items(path, "entries")
     return np.array([_entry_to_complex(e, f"{path}: entry {i}")
                      for i, e in enumerate(entries)], dtype=complex)
 
@@ -144,8 +143,3 @@ def render_csv(header: list, rows: list) -> str:
                 cells.append(format_float(float(cell)))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def write_text(stream: IO[str], text: str) -> None:
-    stream.write(text)
-    stream.flush()

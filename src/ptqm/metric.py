@@ -36,10 +36,14 @@ class SignCharacteristic:
 
 @dataclass(frozen=True)
 class MetricOperator:
+    """eta with its signs, its positivity, and defect, the intertwining
+    defect ||H^dag eta - eta H|| against the source Hamiltonian."""
+
     eta: np.ndarray
     signs: SignCharacteristic
     positive_definite: bool
     source: CanonicalDecomposition
+    defect: float
 
 
 def structure_matrix(decomp: CanonicalDecomposition,
@@ -95,7 +99,7 @@ def build_metric(decomp: CanonicalDecomposition,
 
     positive = bool(evals[0] > 1e-12 * eta_norm)
     return MetricOperator(eta=eta, signs=signs, positive_definite=positive,
-                          source=decomp)
+                          source=decomp, defect=defect)
 
 
 def verify_metric(h, eta) -> float:

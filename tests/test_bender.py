@@ -270,6 +270,35 @@ def test_sweep_broken_regime_rows():
             assert row.s0 is None and row.alpha is None
 
 
+def sweep_error_matches_eigensystem(r, s, theta):
+    (row,) = critical_sweep(r, s, [theta])
+    try:
+        bender_eigensystem(BenderParams(r, s, theta))
+    except (BrokenRegimeError, CriticalPointError) as exc:
+        assert row.error == exc.kind
+    else:
+        assert row.error is None
+
+
+def test_sweep_labels_the_exceptional_point_as_the_eigensystem_does():
+    # r sin(theta) / s rounds to 1.0000000000000002 at theta = arcsin(s)
+    s = 0.24870435217608805
+    theta = float(np.arcsin(s))
+    assert 1.0 < np.sin(theta) / s <= 1.0 + 1e-14
+    (row,) = critical_sweep(1.0, s, [theta])
+    assert (row.classification, row.error) == (REAL_JORDAN, "critical_point")
+    with pytest.raises(CriticalPointError):
+        bender_eigensystem(BenderParams(1.0, s, theta))
+
+
+def test_sweep_and_eigensystem_agree_at_sampled_exceptional_points():
+    rng = np.random.default_rng(11)
+    for s in rng.uniform(0.05, 0.95, 200):
+        theta = float(np.arcsin(s))
+        for t in (np.nextafter(theta, 0.0), theta, np.nextafter(theta, 2.0)):
+            sweep_error_matches_eigensystem(1.0, float(s), float(t))
+
+
 def test_sweep_requires_nonzero_coupling():
     with pytest.raises(ValidationError):
         critical_sweep(1.0, 0.0, [0.1, 0.2])

@@ -1,13 +1,14 @@
 """End-to-end command line behavior, run in process."""
 
 import dataclasses
+import importlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ptqm import cli
+from ptqm import cli, dynamics
 from ptqm.bender import BenderParams, bender_hamiltonian
 from ptqm.cli import main
 from ptqm.config import RunConfig
@@ -353,6 +354,55 @@ def test_oversized_integer_literal_is_rejected(files, capsys, tmp_path, where, d
     code, _, err = run(capsys, ["metric", str(h), paths["p_swap"], paths["t_id"],
                                 "--config", str(cfg)])
     assert (code, json.loads(err)["error"]) == (2, error)
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_oversized_grid_is_validation(files, capsys, tmp_path, source):
+    paths, _ = files
+    if source == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"num_points": %s}' % ("9" * 400))
+        extra = ["--config", str(cfg)]
+    else:
+        extra = ["--num-points", str(dynamics.MAX_GRID_POINTS + 1)]
+    code, out, err = run(capsys, ["invariants", paths["h_unbroken"], paths["p_swap"],
+                                  paths["t_id"], paths["rho"], *extra])
+    assert (code, out) == (2, "")
+    assert err == ('{"error":"validation","detail":"num_points must be at most %d"}\n'
+                   % dynamics.MAX_GRID_POINTS)
+
+
+def counting(monkeypatch, targets):
+    """Wrap each dotted target that exists so that its calls land in one list."""
+    calls = []
+    for target in targets:
+        module, name = target.rsplit(".", 1)
+        original = getattr(importlib.import_module(module), name, None)
+        if original is not None:
+            def wrapper(*args, _fn=original, **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(target, wrapper)
+    return calls
+
+
+def test_classify_runs_one_pt_symmetry_test(files, capsys, monkeypatch):
+    paths, _ = files
+    calls = counting(monkeypatch, ["ptqm.symmetry._pt_test", "ptqm.canonical._pt_test"])
+    code, out, _ = run(capsys, ["classify", paths["h_unbroken"], paths["p_swap"],
+                                paths["t_id"]])
+    assert code == 0 and json.loads(out)["pt_symmetric"] is True
+    assert len(calls) == 1
+
+
+def test_metric_runs_one_intertwining_check(files, capsys, monkeypatch):
+    paths, _ = files
+    # a CLI that imported verify_metric for itself would be counted too
+    calls = counting(monkeypatch, ["ptqm.metric.verify_metric", "ptqm.cli.verify_metric"])
+    code, out, _ = run(capsys, ["metric", paths["h_unbroken"], paths["p_swap"],
+                                paths["t_id"]])
+    assert code == 0 and json.loads(out)["residual"] >= 0.0
+    assert len(calls) == 1
 
 
 def test_config_rejects_unknown_key(files, capsys, tmp_path):

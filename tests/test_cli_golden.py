@@ -14,6 +14,9 @@ max(1, |recorded|).
 
 To record again after a deliberate change of output, run
     PYTHONPATH=src python tests/test_cli_golden.py
+It keeps the inputs in tests/golden/inputs and rewrites only the
+outputs; the inputs are drawn afresh only when that directory is
+missing.
 """
 
 import json
@@ -45,12 +48,21 @@ def _argv(case: dict, summary: Path) -> list:
 
 
 def assert_same_text(got: str, want: str, where: str) -> None:
+    """Fail unless the texts agree as the module docstring says, naming
+    every number that moved."""
     got_parts = _NUMBER.split(got)
     want_parts = _NUMBER.split(want)
     assert got_parts[0::2] == want_parts[0::2], f"{where}: non-numeric text differs"
-    for g, w in zip(got_parts[1::2], want_parts[1::2]):
-        gv, wv = float(g), float(w)
-        assert abs(gv - wv) <= NUM_TOL * max(1.0, abs(wv)), f"{where}: {g} != {w}"
+    moved = [f"{g} != {w}" for g, w in zip(got_parts[1::2], want_parts[1::2])
+             if not abs(float(g) - float(w)) <= NUM_TOL * max(1.0, abs(float(w)))]
+    assert not moved, f"{where}: {len(moved)} numbers differ: " + ", ".join(moved)
+
+
+def test_assert_same_text_names_every_moved_number():
+    with pytest.raises(AssertionError) as info:
+        assert_same_text("a,1.0,2.0,3.0\n", "a,1.5,2.0,3.5\n", "out")
+    assert str(info.value).startswith("out: 2 numbers differ: 1.0 != 1.5, 3.0 != 3.5")
+    assert_same_text("x 1.0000000000001", "x 1.0", "out")
 
 
 # recording runs this file as a script, before cases.json exists
@@ -77,7 +89,13 @@ KINDS = ("unbroken", "complex", "ep")
 PAIR_KINDS = ("trivial", "swap", "householder_t")
 
 
-def _write_inputs(rng) -> list:
+def _instances() -> list:
+    """(tag, spectrum kind, dimension, pair kind) of every input set, in draw order."""
+    return [(f"{kind}{d}", kind, d, PAIR_KINDS[(i + d) % len(PAIR_KINDS)])
+            for d in (2, 4) for i, kind in enumerate(KINDS)]
+
+
+def _write_inputs(rng) -> None:
     from ptqm.matio import matrix_to_rows, render_json
     from ptqm.sampling import random_density, random_instance
 
@@ -92,25 +110,20 @@ def _write_inputs(rng) -> list:
         (INPUTS / f"{name}.json").write_text(
             render_json({"dim": len(entries), "entries": entries}) + "\n", encoding="utf-8")
 
-    INPUTS.mkdir(parents=True, exist_ok=True)
-    tags = []
-    for d in (2, 4):
-        for i, kind in enumerate(KINDS):
-            inst = random_instance(rng, d, kind, PAIR_KINDS[(i + d) % len(PAIR_KINDS)])
-            tag = f"{kind}{d}"
-            matrix(f"h_{tag}", inst["h"])
-            matrix(f"p_{tag}", inst["pair"].parity)
-            matrix(f"t_{tag}", inst["pair"].time_reversal)
-            matrix(f"rho_{tag}", random_density(rng, d))
-            for name in ("v1", "v2"):
-                vector(f"{name}_{tag}", rng.normal(size=d) + 1j * rng.normal(size=d))
-            tags.append((tag, kind))
-    return tags
+    INPUTS.mkdir(parents=True)
+    for tag, kind, d, pair_kind in _instances():
+        inst = random_instance(rng, d, kind, pair_kind)
+        matrix(f"h_{tag}", inst["h"])
+        matrix(f"p_{tag}", inst["pair"].parity)
+        matrix(f"t_{tag}", inst["pair"].time_reversal)
+        matrix(f"rho_{tag}", random_density(rng, d))
+        for name in ("v1", "v2"):
+            vector(f"{name}_{tag}", rng.normal(size=d) + 1j * rng.normal(size=d))
 
 
-def _command_lines(tags) -> list:
+def _command_lines() -> list:
     lines = []
-    for tag, kind in tags:
+    for tag, kind, _, _ in _instances():
         f = {n: f"{{inputs}}/{n}_{tag}.json" for n in ("h", "p", "t", "rho", "v1", "v2")}
         hpt = [f["h"], f["p"], f["t"]]
         extra = ["--cluster-tol", "1e-6"] if kind == "ep" else []
@@ -134,16 +147,17 @@ def _command_lines(tags) -> list:
 
 
 def record() -> None:
-    """Draw the inputs and record every command's output."""
+    """Record every command's output, drawing the inputs only if they are missing."""
     import contextlib
     import io
     import tempfile
 
-    tags = _write_inputs(np.random.default_rng(4242))
+    if not INPUTS.exists():
+        _write_inputs(np.random.default_rng(4242))
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
         summary = Path(tmp) / "summary.json"
-        for name, argv in _command_lines(tags):
+        for name, argv in _command_lines():
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(_argv({"argv": argv}, summary))

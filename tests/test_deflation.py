@@ -16,7 +16,7 @@ import scipy.linalg as sla
 import ptqm.linalg as linalg
 from ptqm.canonical import classify_spectrum, pt_canonical_form
 from ptqm.errors import IllConditionedError
-from ptqm.linalg import ClusteredSpectrum, _cluster_chains, _cluster_indices, eigen_decompose
+from ptqm.linalg import ClusteredSpectrum, _cluster_chains, _clusters, eigen_decompose
 from ptqm.sampling import random_instance
 from ptqm.symmetry import validate_pt_pair
 
@@ -220,7 +220,7 @@ def test_sorted_sweep_clusters_like_the_pair_scan(seed):
     pts.extend(np.conj(pts[:10]))
     w = rng.permutation(np.array(pts))
 
-    got = _cluster_indices(w, tol)
+    got = _clusters(w, tol)[0]
     want = _brute_force_clusters(w, tol)
     assert len(got) == len(want)
     assert all(np.array_equal(g, r) for g, r in zip(got, want))

@@ -5,6 +5,7 @@ import pytest
 
 from ptqm.canonical import pt_canonical_form
 from ptqm.dynamics import (
+    MAX_GRID_POINTS,
     TimeGrid,
     default_grid,
     evolve_density,
@@ -42,6 +43,21 @@ def test_time_grid_validation():
         TimeGrid(1.0, 0.0, 5)
     g = default_grid()
     assert (g.t_start, g.t_end, g.num_points) == (0.0, 10.0, 201)
+
+
+@pytest.mark.parametrize("t_start, t_end", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)])
+def test_time_grid_rejects_non_finite_endpoints(t_start, t_end):
+    with pytest.raises(ValidationError, match="^grid endpoints must be finite$"):
+        TimeGrid(t_start, t_end, 5)
+
+
+def test_time_grid_size_cap_allocates_nothing():
+    # the grid's times are drawn only on access, so these build no array
+    assert TimeGrid(0.0, 1.0, MAX_GRID_POINTS).num_points == MAX_GRID_POINTS
+    for n in (MAX_GRID_POINTS + 1, int("9" * 400)):
+        with pytest.raises(ValidationError,
+                           match=f"^num_points must be at most {MAX_GRID_POINTS}$"):
+            TimeGrid(0.0, 1.0, n)
 
 
 def test_propagator_identity_at_zero():

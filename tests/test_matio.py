@@ -11,7 +11,6 @@ from ptqm.matio import (
     matrix_to_rows,
     render_csv,
     render_json,
-    write_text,
 )
 
 
@@ -31,7 +30,7 @@ def test_matrix_file_round_trip(tmp_path):
     doc = {"dim": 2, "rows": matrix_to_rows(m)}
     path = tmp_path / "m.json"
     with open(path, "w") as fh:
-        write_text(fh, render_json(doc))
+        fh.write(render_json(doc))
     back = load_matrix_file(path)
     assert np.array_equal(back, m)
 
@@ -56,6 +55,39 @@ def test_matrix_file_validation_errors(tmp_path, payload):
     path.write_text(payload)
     with pytest.raises(ValidationError):
         load_matrix_file(path)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ('[[1.0, 0.0]]', "expected an object with 'dim' and 'entries'"),
+    ('{"dim": 1}', "expected an object with 'dim' and 'entries'"),
+    ('{"entries": [[1.0, 0.0]]}', "expected an object with 'dim' and 'entries'"),
+    ('{"dim": 0, "entries": []}', "'dim' must be a positive integer"),
+    ('{"dim": 1.0, "entries": [[1.0, 0.0]]}', "'dim' must be a positive integer"),
+    ('{"dim": true, "entries": [[1.0, 0.0]]}', "'dim' must be a positive integer"),
+    ('{"dim": 2, "entries": [[1.0, 0.0]]}', "expected 2 entries"),
+    ('{"dim": 1, "entries": {"0": [1.0, 0.0]}}', "expected 1 entries"),
+    ('{"dim": 1, "entries": [[1.0]]}', "entry 0: expected a [re, im] number pair, got [1.0]"),
+])
+def test_vector_file_validation_messages(tmp_path, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    with pytest.raises(ValidationError) as info:
+        load_vector_file(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("payload, message", [
+    ('{"dim": 1, "entries": [[1.0, 0.0]]}', "expected an object with 'dim' and 'rows'"),
+    ('{"dim": -1, "rows": []}', "'dim' must be a positive integer"),
+    ('{"dim": 2, "rows": [[[1.0, 0.0], [0.0, 0.0]]]}', "expected 2 rows"),
+    ('{"dim": 1, "rows": [[[1.0, 0.0], [0.0, 0.0]]]}', "row 0 must have 1 entries"),
+])
+def test_matrix_file_validation_messages(tmp_path, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    with pytest.raises(ValidationError) as info:
+        load_matrix_file(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_matrix_file_parse_errors(tmp_path):
