@@ -155,10 +155,17 @@ def _matrix_doc(a: np.ndarray) -> dict:
     return {"dim": int(a.shape[0]), "rows": matrix_to_rows(a)}
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_file(args.output, text)
     else:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -273,8 +280,7 @@ def cmd_invariants(args, cfg) -> None:
             "overflow_risk": bool(report.overflow_risk),
             "t_cap": None if report.t_cap is None else float(report.t_cap),
         }
-        with open(args.summary, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_json(summary) + "\n")
+        _write_file(args.summary, render_json(summary) + "\n")
 
 
 def cmd_bender_sweep(args, cfg) -> None:

@@ -13,7 +13,7 @@ import json
 import os
 from typing import Optional, Sequence
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 
 ENV_CONFIG = "PTQM_CONFIG"
 
@@ -96,10 +96,10 @@ def load_config_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from exc
+        raise ParseError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
         # invalid JSON, or an integer literal longer than Python converts
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"config {path}: expected a JSON object")
     known = {f.name for f in dataclasses.fields(RunConfig)}

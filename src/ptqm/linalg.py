@@ -20,6 +20,11 @@ singular values sit near the cluster diameter while the structural
 couplings stay at the scale of the matrix, so rank decisions remain
 clean even when the raw eigenvalues of a defective cluster split at
 the square-root-of-epsilon scale.
+
+scipy is imported inside the three functions that call it (the Schur
+form, ztrsen and matrix_exponential), not at module level: importing
+it dominates the start-up of a command-line call, and most calls need
+neither a multi-member cluster nor an exponential.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .errors import (
     DimensionError,
@@ -117,6 +120,8 @@ def matrix_exponential(a, z: complex = 1.0) -> np.ndarray:
     z = complex(z)
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise ValidationError("scalar factor z must be finite")
+    import scipy.linalg as sla
+
     return sla.expm(z * m)
 
 
@@ -306,6 +311,8 @@ def _schur_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     such cluster. Simple clusters take their vectors from the
     eigendecomposition instead.
     """
+    import scipy.linalg as sla
+
     return sla.schur(a, output="complex")
 
 
@@ -320,6 +327,8 @@ def _deflate_cluster(schur: tuple[np.ndarray, np.ndarray], lam: complex, radius:
     machine precision, where q has orthonormal columns and b is the
     upper-triangular restriction.
     """
+    from scipy.linalg import lapack
+
     t, z = schur
     select = np.abs(np.diag(t) - lam) <= radius
     ts, zs, _, sdim, _, _, info = lapack.ztrsen(select, t, z, job="N")

@@ -304,6 +304,30 @@ def test_output_flag_and_byte_determinism(files, capsys, tmp_path):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_output_is_validation(capsys, tmp_path, target):
+    path = tmp_path / "no" / "x.json" if target == "missing_dir" else tmp_path
+    code, out, err = run(capsys, ["stokes", "--ex", "1,0", "--ey", "0,1", "-o", str(path)])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "validation"
+    assert doc["detail"].startswith(f"cannot write {path}: ")
+
+
+def test_unwritable_summary_is_validation(files, capsys, tmp_path):
+    paths, _ = files
+    summary = tmp_path / "no" / "s.json"
+    argv = ["invariants", paths["h_unbroken"], paths["p_swap"], paths["t_id"], paths["rho"],
+            "--num-points", "3"]
+    code, out, err = run(capsys, argv + ["--summary", str(summary)])
+    # the series is written before the summary is attempted
+    assert (code, out) == (2, run(capsys, argv)[1])
+    assert json.loads(err) == {
+        "error": "validation",
+        "detail": f"cannot write {summary}: [Errno 2] No such file or directory: '{summary}'"}
+
+
 def test_config_file_flag_and_env(files, capsys, tmp_path, monkeypatch):
     paths, _ = files
     cfg_file = tmp_path / "cfg.json"
@@ -339,7 +363,7 @@ def test_config_rejects_malformed_entries(files, capsys, tmp_path, doc):
 
 @pytest.mark.parametrize("where, digits, error", [("matrix", 400, "validation"),
                                                   ("matrix", 5000, "parse"),
-                                                  ("config", 5000, "validation")])
+                                                  ("config", 5000, "parse")])
 def test_oversized_integer_literal_is_rejected(files, capsys, tmp_path, where, digits, error):
     """400 digits overflow a float; 5000 exceed Python's int string conversion limit."""
     paths, _ = files

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from ptqm.config import load_config_file
-from ptqm.errors import ValidationError
+from ptqm.errors import ParseError, ValidationError
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -42,7 +42,7 @@ def test_non_object_file(tmp_path, text):
 
 def test_unreadable_path(tmp_path):
     path = tmp_path / "missing.json"
-    with pytest.raises(ValidationError) as info:
+    with pytest.raises(ParseError) as info:
         load_config_file(str(path))
     assert str(info.value) == (f"cannot read config {path}: "
                                f"[Errno 2] No such file or directory: '{path}'")
@@ -51,6 +51,6 @@ def test_unreadable_path(tmp_path):
 def test_invalid_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{")
-    with pytest.raises(ValidationError) as info:
+    with pytest.raises(ParseError) as info:
         load_config_file(str(path))
     assert str(info.value).startswith(f"config {path} is not valid JSON: ")

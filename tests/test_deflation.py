@@ -83,7 +83,7 @@ def per_cluster_schur(monkeypatch):
 def factorisations(monkeypatch):
     """Count Schur factorisations and ztrsen reorderings."""
     calls = {"schur": [], "ztrsen": 0}
-    schur, ztrsen = sla.schur, linalg.lapack.ztrsen
+    schur, ztrsen = sla.schur, sla.lapack.ztrsen
 
     def counted_schur(*args, **kwargs):
         calls["schur"].append(kwargs.get("sort"))
@@ -94,7 +94,7 @@ def factorisations(monkeypatch):
         return ztrsen(*args, **kwargs)
 
     monkeypatch.setattr(sla, "schur", counted_schur)
-    monkeypatch.setattr(linalg.lapack, "ztrsen", counted_ztrsen)
+    monkeypatch.setattr(sla.lapack, "ztrsen", counted_ztrsen)
     return calls
 
 
@@ -229,7 +229,7 @@ def test_sorted_sweep_clusters_like_the_pair_scan(seed):
 
 @pytest.mark.parametrize("failure", ["info", "unordered"])
 def test_failed_reordering_raises_ill_conditioned(failure, monkeypatch):
-    original = linalg.lapack.ztrsen
+    original = sla.lapack.ztrsen
 
     def failing(select, t, q, **kwargs):
         ts, qs, w, m, s, sep, info = original(select, t, q, **kwargs)
@@ -237,7 +237,7 @@ def test_failed_reordering_raises_ill_conditioned(failure, monkeypatch):
             return ts, qs, w, m, s, sep, 1
         return t, q, w, m, s, sep, info
 
-    monkeypatch.setattr(linalg.lapack, "ztrsen", failing)
+    monkeypatch.setattr(sla.lapack, "ztrsen", failing)
     h, pair, cluster_tol = real_pt_instance(8, "jordan", seed=3)
     with pytest.raises(IllConditionedError, match="reordering"):
         pt_canonical_form(h, pair, cluster_tol=cluster_tol)
