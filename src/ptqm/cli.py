@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -23,13 +24,7 @@ from .canonical import pt_canonical_form
 from .dilation import embedded_evolution_check, uniform_bound
 from .dynamics import TimeGrid, evolve_density, invariant_report, normalize_density
 from .errors import NumericalError, ParseError, PreconditionError, ValidationError
-from .matio import (
-    load_matrix_file,
-    load_vector_file,
-    matrix_to_rows,
-    render_csv,
-    render_json,
-)
+from .matio import load_matrix_file, load_vector_file, render_csv, render_json
 from .metric import build_metric, eta_inner, SignCharacteristic
 from .superposition import verify_free_evolution
 from .symmetry import validate_pt_pair
@@ -45,6 +40,18 @@ class _Parser(argparse.ArgumentParser):
 _PAIR = ("hamiltonian", "parity", "timereversal")
 _DECOMPOSE = ("val_tol", "tol", "cluster_tol", "rank_tol", "can_tol")
 _GRID = ("t_start", "t_end", "num_points")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every real-valued flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
 
 # argparse keywords of the settings that are not plain floats
 _SETTING_FLAGS = {
@@ -94,19 +101,19 @@ def build_parser() -> _Parser:
         sub.add_argument("--output", "-o", default=None, help="write main output here")
         for setting in settings:
             sub.add_argument("--" + setting.replace("_", "-"),
-                             **_SETTING_FLAGS.get(setting, {"type": float}))
+                             **_SETTING_FLAGS.get(setting, {"type": _finite_float}))
         sub.set_defaults(handler=handler)
 
-    sp["evolve"].add_argument("--t", type=float, required=True)
+    sp["evolve"].add_argument("--t", type=_finite_float, required=True)
     sp["evolve"].add_argument("--normalize", action="store_true")
     sp["invariants"].add_argument("--summary", default=None,
                                   help="write drift summary JSON to this path")
     for flag in ("--r", "--s", "--theta-min", "--theta-max"):
-        sp["bender-sweep"].add_argument(flag, type=float, required=True)
+        sp["bender-sweep"].add_argument(flag, type=_finite_float, required=True)
     sp["bender-sweep"].add_argument("--steps", type=int, required=True)
     sp["stokes"].add_argument("--ex", required=True, help="re,im")
     sp["stokes"].add_argument("--ey", required=True, help="re,im")
-    sp["free-check"].add_argument("--c", type=float, default=None,
+    sp["free-check"].add_argument("--c", type=_finite_float, default=None,
                                   help="contraction scale; default from the uniform bound")
     return parser
 
@@ -139,20 +146,12 @@ def _grid(cfg) -> TimeGrid:
 def _signs_arg(cfg):
     if cfg.signs is None:
         return None
-    return SignCharacteristic(tuple(int(v) for v in cfg.signs))
-
-
-def _complex_pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
-def _block_report(blocks) -> list:
-    return [{"kind": b.kind, "eigenvalue": _complex_pair(b.eigenvalue),
-             "order": int(b.order)} for b in blocks]
+    return SignCharacteristic(tuple(cfg.signs))
 
 
 def _matrix_doc(a: np.ndarray) -> dict:
-    return {"dim": int(a.shape[0]), "rows": matrix_to_rows(a)}
+    # complex, so that a real matrix still renders as [re, im] pairs
+    return {"dim": a.shape[0], "rows": np.asarray(a, dtype=complex)}
 
 
 def _write_file(path: str, text: str) -> None:
@@ -179,8 +178,8 @@ def cmd_classify(args, cfg) -> None:
         "pt_symmetric": True,
         "residual": decomp.pt_residual,
         "class": decomp.spectral_class.tag,
-        "blocks": _block_report(decomp.blocks),
-        "eigenvalues": [_complex_pair(z) for z in decomp.layout.eigenvalues],
+        "blocks": decomp.blocks,
+        "eigenvalues": decomp.layout.eigenvalues,
     }
     _emit(args, render_json(report) + "\n")
 
@@ -191,12 +190,12 @@ def cmd_canonical(args, cfg) -> None:
     decomp = _decompose(h, pair, cfg)
     report = {
         "class": decomp.spectral_class.tag,
-        "blocks": _block_report(decomp.blocks),
+        "blocks": decomp.blocks,
         "Psi": _matrix_doc(decomp.Psi),
         "J": _matrix_doc(decomp.J),
         "K": _matrix_doc(decomp.K),
-        "residuals": {key: float(val) for key, val in sorted(decomp.residuals.items())},
-        "condition_number": float(decomp.condition_number),
+        "residuals": dict(sorted(decomp.residuals.items())),
+        "condition_number": decomp.condition_number,
         "warning": decomp.warning,
     }
     _emit(args, render_json(report) + "\n")
@@ -209,9 +208,9 @@ def cmd_metric(args, cfg) -> None:
     met = build_metric(decomp, _signs_arg(cfg), cfg.met_tol)
     report = {
         "eta": _matrix_doc(met.eta),
-        "positive_definite": bool(met.positive_definite),
+        "positive_definite": met.positive_definite,
         "residual": met.defect,
-        "signs": [int(e) for e in met.signs.epsilons],
+        "signs": met.signs.epsilons,
         "class": decomp.spectral_class.tag,
     }
     _emit(args, render_json(report) + "\n")
@@ -224,10 +223,9 @@ def cmd_inner(args, cfg) -> None:
     v2 = load_vector_file(args.vector2)
     decomp = _decompose(h, pair, cfg)
     met = build_metric(decomp, _signs_arg(cfg), cfg.met_tol)
-    value = eta_inner(v1, v2, met.eta)
     report = {
-        "value": _complex_pair(value),
-        "positive_definite": bool(met.positive_definite),
+        "value": eta_inner(v1, v2, met.eta),
+        "positive_definite": met.positive_definite,
     }
     _emit(args, render_json(report) + "\n")
 
@@ -238,11 +236,10 @@ def cmd_evolve(args, cfg) -> None:
     rho_t = evolve_density(rho, h, args.t, cfg.val_tol)
     if args.normalize:
         rho_t = normalize_density(rho_t)
-    trace = complex(np.trace(rho_t))
     report = {
-        "t": float(args.t),
-        "normalized": bool(args.normalize),
-        "trace": _complex_pair(trace),
+        "t": args.t,
+        "normalized": args.normalize,
+        "trace": np.trace(rho_t),
         "rho": _matrix_doc(rho_t),
     }
     _emit(args, render_json(report) + "\n")
@@ -255,30 +252,20 @@ def cmd_invariants(args, cfg) -> None:
     report = invariant_report(h, pair, rho, _grid(cfg), _signs_arg(cfg), cfg.tol,
                               val_tol=cfg.val_tol, met_tol=cfg.met_tol,
                               decomp=_decompose(h, pair, cfg))
-    d = report.coefficient_series.shape[1]
-    header = ["t"]
-    for i in range(d):
-        for j in range(d):
-            header.append(f"re_R_{i + 1}_{j + 1}")
-            header.append(f"im_R_{i + 1}_{j + 1}")
-    header.extend(["re_eta_trace", "im_eta_trace"])
-    rows = []
-    for k, t in enumerate(report.times):
-        row = [float(t)]
-        for i in range(d):
-            for j in range(d):
-                z = report.coefficient_series[k, i, j]
-                row.extend([float(z.real), float(z.imag)])
-        tr = report.eta_trace_series[k]
-        row.extend([float(tr.real), float(tr.imag)])
-        rows.append(row)
-    _emit(args, render_csv(header, rows))
+    n, d = report.coefficient_series.shape[:2]
+    entries = range(1, d + 1)
+    header = ["t", *(f"{part}_R_{i}_{j}" for i in entries for j in entries
+                     for part in ("re", "im")), "re_eta_trace", "im_eta_trace"]
+    # a complex array viewed as floats interleaves re and im, as the header does
+    table = np.column_stack([report.times, report.coefficient_series.reshape(n, -1).view(float),
+                             report.eta_trace_series.view(float).reshape(n, 2)])
+    _emit(args, render_csv(header, table))
     if args.summary:
         summary = {
             "class": report.case_tag.tag,
-            "drift": {key: float(val) for key, val in sorted(report.drift.items())},
-            "overflow_risk": bool(report.overflow_risk),
-            "t_cap": None if report.t_cap is None else float(report.t_cap),
+            "drift": dict(sorted(report.drift.items())),
+            "overflow_risk": report.overflow_risk,
+            "t_cap": report.t_cap,
         }
         _write_file(args.summary, render_json(summary) + "\n")
 
@@ -290,38 +277,16 @@ def cmd_bender_sweep(args, cfg) -> None:
         raise ValidationError("theta-max must exceed theta-min")
     grid = np.linspace(args.theta_min, args.theta_max, args.steps)
     rows = critical_sweep(args.r, args.s, grid, cfg.probe, cfg.crit_tol, cfg.tol)
+    # the columns of SweepRow, in field order
     header = ["theta", "class", "alpha", "S0", "S0_times_cos_alpha",
               "eigvec_overlap", "error"]
-    table = []
-    for row in rows:
-        table.append([
-            row.theta,
-            row.classification,
-            "" if row.alpha is None else row.alpha,
-            "" if row.s0 is None else row.s0,
-            "" if row.s0_cos_alpha is None else row.s0_cos_alpha,
-            "" if row.overlap is None else row.overlap,
-            row.error or "",
-        ])
-    _emit(args, render_csv(header, table))
-
-
-def _parse_complex(text: str, name: str) -> complex:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValidationError(f"{name} must be re,im")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse {name}: {text!r}") from exc
+    _emit(args, render_csv(header, map(dataclasses.astuple, rows)))
 
 
 def cmd_stokes(args, cfg) -> None:
-    ex = _parse_complex(args.ex, "--ex")
-    ey = _parse_complex(args.ey, "--ey")
-    sv = stokes_vector(ex, ey)
-    report = {"S0": sv.S0, "S1": sv.S1, "S2": sv.S2, "S3": sv.S3}
-    _emit(args, render_json(report) + "\n")
+    (ex,) = cfgmod.parse_complex_text(args.ex, "--ex", 1, "re,im")
+    (ey,) = cfgmod.parse_complex_text(args.ey, "--ey", 1, "re,im")
+    _emit(args, render_json(stokes_vector(ex, ey)) + "\n")
 
 
 def cmd_dilate(args, cfg) -> None:
@@ -331,11 +296,11 @@ def cmd_dilate(args, cfg) -> None:
     report = embedded_evolution_check(h, pair, rho, _grid(cfg), cfg.slack,
                                       val_tol=cfg.val_tol, decomp=_decompose(h, pair, cfg))
     doc = {
-        "c": float(report.c),
-        "max_deviation": float(report.max_deviation),
-        "max_unitarity_residual": float(np.max(report.unitarity_residuals)),
-        "times": [float(t) for t in report.times],
-        "success_probabilities": [float(p) for p in report.success_probabilities],
+        "c": report.c,
+        "max_deviation": report.max_deviation,
+        "max_unitarity_residual": np.max(report.unitarity_residuals),
+        "times": report.times,
+        "success_probabilities": report.success_probabilities,
     }
     _emit(args, render_json(doc) + "\n")
 
@@ -351,10 +316,10 @@ def cmd_free_check(args, cfg) -> None:
         c = uniform_bound(decomp, cfg.slack)
     report = verify_free_evolution(h, pair, c, _grid(cfg), cfg.free_tol, decomp=decomp)
     doc = {
-        "ok": bool(report.ok),
-        "c": float(c),
-        "worst_defect": float(report.worst_defect),
-        "min_contraction_margin": float(report.min_contraction_margin),
+        "ok": report.ok,
+        "c": c,
+        "worst_defect": report.worst_defect,
+        "min_contraction_margin": report.min_contraction_margin,
     }
     _emit(args, render_json(doc) + "\n")
 

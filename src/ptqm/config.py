@@ -9,11 +9,12 @@ field names.
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 import os
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
+from .matio import _entry_to_complex, _load_json
 
 ENV_CONFIG = "PTQM_CONFIG"
 
@@ -70,15 +71,8 @@ def _coerce(name: str, value):
     if name == "probe":
         if not isinstance(value, list) or len(value) != 2:
             raise ValidationError("config: probe must be a list of two [re, im] pairs")
-        out = []
-        for part in value:
-            if not isinstance(part, list) or len(part) != 2:
-                raise ValidationError("config: probe entries must be [re, im] pairs")
-            try:
-                out.append(complex(float(part[0]), float(part[1])))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError("config: probe entries must be [re, im] pairs") from exc
-        return tuple(out)
+        return tuple(_entry_to_complex(part, f"config: probe entry {i}")
+                     for i, part in enumerate(value))
     if name == "num_points":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationError("config: num_points must be an integer")
@@ -86,20 +80,16 @@ def _coerce(name: str, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"config: {name} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError as exc:
         raise ValidationError(f"config: {name} is outside the floating-point range") from exc
+    if not math.isfinite(number):
+        raise ValidationError(f"config: {name} must be finite, got {number!r}")
+    return number
 
 
 def load_config_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:
-        # invalid JSON, or an integer literal longer than Python converts
-        raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
+    data = _load_json(path, "config ")
     if not isinstance(data, dict):
         raise ValidationError(f"config {path}: expected a JSON object")
     known = {f.name for f in dataclasses.fields(RunConfig)}
@@ -133,13 +123,21 @@ def parse_signs(text: str) -> list:
         raise ValidationError(f"cannot parse signs {text!r}") from exc
 
 
-def parse_probe(text: str) -> tuple:
+def parse_complex_text(text: str, name: str, count: int, form: str) -> tuple:
+    """count complex numbers from comma-separated reals, re then im of
+    each; form describes that layout when the count is wrong."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValidationError("probe must be four comma-separated reals: "
-                              "re(x),im(x),re(y),im(y)")
+    if len(parts) != 2 * count:
+        raise ValidationError(f"{name} must be {form}")
     try:
-        vals: Sequence[float] = [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError as exc:
-        raise ValidationError(f"cannot parse probe {text!r}") from exc
-    return (complex(vals[0], vals[1]), complex(vals[2], vals[3]))
+        raise ValidationError(f"cannot parse {name}: {text!r}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise ValidationError(f"{name} must be finite, got {text!r}")
+    return tuple(complex(re, im) for re, im in zip(vals[0::2], vals[1::2]))
+
+
+def parse_probe(text: str) -> tuple:
+    return parse_complex_text(text, "probe", 2,
+                              "four comma-separated reals: re(x),im(x),re(y),im(y)")

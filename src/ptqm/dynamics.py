@@ -38,6 +38,8 @@ OVERFLOW_EXPONENT = 30.0
 GRID_CHUNK_BYTES = 1 << 17
 # largest accepted grid: every grid analysis holds its per-point series in memory
 MAX_GRID_POINTS = 1_000_000
+# smallest |trace| that normalize_density divides by
+NORMALIZE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -193,11 +195,11 @@ def evolve_density(rho, h, t: float, val_tol: float = 1e-10,
     return rho_t
 
 
-def normalize_density(rho, floor: float = 1e-12) -> np.ndarray:
+def normalize_density(rho) -> np.ndarray:
     """Divide by the trace; errors when the trace has collapsed."""
     m = as_square(rho, "rho")
     tr = complex(np.trace(m)).real
-    if abs(tr) < floor:
+    if abs(tr) < NORMALIZE_FLOOR:
         raise PreconditionError(f"trace {tr:.3e} is below the normalization floor")
     return m / tr
 

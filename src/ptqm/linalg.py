@@ -49,6 +49,10 @@ _INVOLUTION_TOL = 1e-6
 # a conjugation-fixed chain top keeps at least this norm outside the span
 # already established, or the choice has degenerated
 _FIXED_TOP_FLOOR = 0.5
+# psd_square_root: Hermiticity gate, and the negative eigenvalues clamped to
+# zero, both relative to max(1, ||A||)
+PSD_HERM_TOL = 1e-10
+PSD_NEG_FLOOR = 1e-12
 
 
 def _as_array(a, name: str, ndim: int = 2, stacked: bool = False) -> np.ndarray:
@@ -125,10 +129,10 @@ def matrix_exponential(a, z: complex = 1.0) -> np.ndarray:
     return sla.expm(z * m)
 
 
-def psd_square_root(a, herm_tol: float = 1e-10, neg_floor: float = 1e-12) -> np.ndarray:
+def psd_square_root(a) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-neg_floor * max(1, ||A||), 0) are clamped to zero
+    Eigenvalues in [-PSD_NEG_FLOOR * max(1, ||A||), 0) are clamped to zero
     so that defect operators of near-contractions survive rounding.
     Anything more negative raises. ||A|| is the largest |eigenvalue|
     of the Hermitian part, which the eigendecomposition returns. A
@@ -138,9 +142,9 @@ def psd_square_root(a, herm_tol: float = 1e-10, neg_floor: float = 1e-12) -> np.
     m = as_square_stack(a, "A")
     w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
     scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
-    if np.any(operator_norm(m - dagger(m)) > herm_tol * scale):
+    if np.any(operator_norm(m - dagger(m)) > PSD_HERM_TOL * scale):
         raise ValidationError("matrix is not Hermitian within tolerance")
-    low = first_index(w[..., 0] < -neg_floor * scale)
+    low = first_index(w[..., 0] < -PSD_NEG_FLOOR * scale)
     if low is not None:
         raise NotPositiveSemidefiniteError(
             f"eigenvalue {w[..., 0].flat[low]:.6e} below the positive semidefinite floor"

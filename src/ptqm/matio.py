@@ -1,14 +1,16 @@
 """File formats and deterministic text rendering for the CLI.
 
 Matrices travel as JSON objects {"dim": n, "rows": [[[re, im], ...]]}
-and vectors as {"dim": n, "entries": [[re, im], ...]}. All numeric
-output is rendered through format_float so that repeated runs produce
-byte-identical text: 17 significant digits, lowercase scientific
-notation, negative zero collapsed to zero.
+and vectors as {"dim": n, "entries": [[re, im], ...]}. render_json and
+render_csv are where values become text: the CLI hands them library
+values and records as returned. Every number goes through format_float
+so that repeated runs produce byte-identical text: 17 significant
+digits, lowercase scientific notation, negative zero collapsed to zero.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -41,17 +43,18 @@ def _entry_to_complex(entry, where: str) -> complex:
     return z
 
 
-def _load_json(path: str) -> Any:
+def _load_json(path: str, label: str = "") -> Any:
+    """The JSON document in path; label prefixes the path in messages."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {label}{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        raise ParseError(f"{label}{path} is not valid JSON: {exc}") from exc
     except ValueError as exc:
         # an integer literal longer than Python converts
-        raise ParseError(f"cannot parse {path}: {exc}") from exc
+        raise ParseError(f"cannot parse {label}{path}: {exc}") from exc
 
 
 def _load_items(path: str, key: str) -> tuple[int, list]:
@@ -86,13 +89,11 @@ def load_vector_file(path: str) -> np.ndarray:
                      for i, e in enumerate(entries)], dtype=complex)
 
 
-def matrix_to_rows(a: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(a)]
-
-
 def render_json(value: Any) -> str:
     """Deterministic JSON text: insertion-order keys, compact
-    separators, all floats rendered through format_float."""
+    separators, all floats rendered through format_float. A complex
+    number is a [re, im] pair and a dataclass an object of its fields
+    in declaration order."""
     pieces: list[str] = []
     _render(value, pieces)
     return "".join(pieces)
@@ -115,31 +116,36 @@ def _render(value: Any, out: list) -> None:
                 out.append(",")
             _render(v, out)
         out.append("]")
-    elif isinstance(value, bool) or value is None:
-        out.append(json.dumps(value))
+    elif isinstance(value, (bool, np.bool_)) or value is None:
+        out.append(json.dumps(None if value is None else bool(value)))
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
-        out.append(format_float(float(value)))
+        out.append(format_float(value))
     elif isinstance(value, (complex, np.complexfloating)):
-        _render([float(value.real), float(value.imag)], out)
+        _render([value.real, value.imag], out)
     elif isinstance(value, np.ndarray):
         _render(value.tolist(), out)
     elif isinstance(value, str):
         out.append(json.dumps(value))
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        _render({f.name: getattr(value, f.name) for f in dataclasses.fields(value)}, out)
     else:
         raise TypeError(f"cannot render {type(value).__name__} deterministically")
 
 
-def render_csv(header: list, rows: list) -> str:
-    """CSV with LF endings; numbers go through format_float."""
+def render_csv(header: list, rows) -> str:
+    """CSV with LF endings from any iterable of rows, a 2-D array
+    included; numbers go through format_float, None is an empty cell."""
     lines = [",".join(header)]
     for row in rows:
         cells = []
         for cell in row:
-            if isinstance(cell, str):
+            if cell is None:
+                cells.append("")
+            elif isinstance(cell, str):
                 cells.append(cell)
             else:
-                cells.append(format_float(float(cell)))
+                cells.append(format_float(cell))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

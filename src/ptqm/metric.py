@@ -22,6 +22,9 @@ from .errors import DimensionError, NumericalError, SingularMatrixError, Validat
 from .linalg import (as_square, as_square_stack, as_vector, congruence_solve, first_index,
                      operator_norm)
 
+# basis_coefficients: reconstruction gate, relative to max(1, ||rho||)
+RECON_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SignCharacteristic:
@@ -130,8 +133,7 @@ def eta_trace(rho, eta) -> complex:
     return complex(np.trace(eta @ rho))
 
 
-def basis_coefficients(rho, decomp: CanonicalDecomposition,
-                       recon_tol: float = 1e-9) -> np.ndarray:
+def basis_coefficients(rho, decomp: CanonicalDecomposition) -> np.ndarray:
     """Coefficient matrix R with rho = Psi R Psi^dag.
 
     Computed by linear solves rather than an explicit inverse; the
@@ -145,7 +147,7 @@ def basis_coefficients(rho, decomp: CanonicalDecomposition,
     r = congruence_solve(psi, rho, "Psi")
     recon = psi @ r @ psi.conj().T
     defect = operator_norm(recon - rho)
-    bad = first_index(defect > recon_tol * np.maximum(1.0, operator_norm(rho)))
+    bad = first_index(defect > RECON_TOL * np.maximum(1.0, operator_norm(rho)))
     if bad is not None:
         raise NumericalError(f"coefficient reconstruction defect {np.ravel(defect)[bad]:.6e}")
     return r

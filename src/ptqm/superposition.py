@@ -30,6 +30,9 @@ from .errors import (
 from .linalg import as_square, as_square_stack, as_vector, congruence_solve, dagger, operator_norm
 from .symmetry import PTPair
 
+# free_basis: smallest singular value of an independent unit-vector basis
+LIN_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FreeBasis:
@@ -46,11 +49,11 @@ class FreeBasis:
         return np.column_stack(self.vectors)
 
 
-def free_basis(vectors, lin_tol: float = 1e-10) -> FreeBasis:
+def free_basis(vectors) -> FreeBasis:
     """Validate and normalize a candidate basis.
 
     The assembled column matrix must have smallest singular value above
-    lin_tol; vectors are rescaled to unit Euclidean norm.
+    LIN_TOL; vectors are rescaled to unit Euclidean norm.
     """
     vecs = [as_vector(v, f"basis vector {i}") for i, v in enumerate(vectors)]
     d = vecs[0].shape[0]
@@ -61,7 +64,7 @@ def free_basis(vectors, lin_tol: float = 1e-10) -> FreeBasis:
     vecs = [v / np.linalg.norm(v) for v in vecs]
     c = np.column_stack(vecs)
     smin = float(np.linalg.svd(c, compute_uv=False)[-1])
-    if smin <= lin_tol:
+    if smin <= LIN_TOL:
         raise ValidationError(
             f"basis is linearly dependent (smallest singular value {smin:.3e})")
     return FreeBasis(vectors=tuple(vecs))

@@ -1,0 +1,177 @@
+"""Byte-for-byte comparison of the command line of two source trees.
+
+    python tests/golden/compare_trees.py SRC_A SRC_B
+
+SRC_A and SRC_B are directories holding the ptqm package, such as the
+src directories of two checkouts. Each command line below is run as
+`python -m ptqm.cli` in a fresh interpreter under each tree: the 50
+golden lines of cases.json, then a fixed list of failing and edge
+lines (one per error kind, plus non-finite numbers in flags, probes
+and config files). Exit code, stdout, stderr and the --summary file
+are recorded.
+
+The golden test compares numbers within NUM_TOL of a recording, and
+recordings drift in their last digits whenever the numerics change at
+rounding level, so it cannot show that a refactoring left the output
+alone. This script compares the two trees with each other instead.
+
+It prints the name of every line whose record differs (with both exit
+codes and stderr texts) and one sha256 per tree over all records, with
+the input and scratch directories written as {inputs} and {tmp} so
+the digests do not depend on where the script runs. The exit status
+is 1 when any line differs.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent
+INPUTS = GOLDEN / "inputs"
+
+# files written into the scratch directory before any line runs
+_FILES = {
+    "bad.json": "{not json",
+    "header.json": '{"dim": 2, "rows": [[[1, 0], [0, 0]]]}',
+    "h_not_pt.json": '{"dim": 2, "rows": [[[1, 0], [2, 0]], [[3, 0], [4, 0]]]}',
+    "h_broken.json": '{"dim": 2, "rows": [[[0, 1], [0.5, 0]], [[0.5, 0], [0, -1]]]}',
+    "p_swap.json": '{"dim": 2, "rows": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}',
+    "p_bad.json": '{"dim": 2, "rows": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    "t_id.json": '{"dim": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    "h_huge.json": '{"dim": 2, "rows": [[[0, 0], [1e300, 0]], [[1e300, 0], [0, 0]]]}',
+    "rho.json": '{"dim": 2, "rows": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+    "cfg_signs.json": '{"signs": "1,1"}',
+    "cfg_key.json": '{"p_tol": 1e-8}',
+    "cfg_bad.json": "{",
+    "cfg_big.json": '{"t_end": 1' + "0" * 400 + "}",
+    "cfg_long.json": '{"t_end": 1' + "0" * 5000 + "}",
+    "cfg_probe.json": '{"probe": [[0.6, 0.2], [-0.3, 0.7]]}',
+    "cfg_probe_bool.json": '{"probe": [[true, "1"], [0, 0]]}',
+    "cfg_probe_nan.json": '{"probe": [[NaN, 0], [0, 1]]}',
+    "cfg_t_nan.json": '{"t_start": NaN}',
+    "cfg_tol_inf.json": '{"tol": Infinity}',
+}
+
+_U2 = [f"{{inputs}}/{n}_unbroken2.json" for n in ("h", "p", "t")]
+_RS = ["bender-sweep", "--r", "1", "--s", "0.8"]
+_SWEEP = _RS + ["--theta-min", "0.5", "--theta-max", "1.2", "--steps", "5"]
+_BROKEN = ["{tmp}/h_broken.json", "{tmp}/p_swap.json", "{tmp}/t_id.json"]
+
+# (name, argv) of the failing and edge lines
+_EXTRA = [
+    ("parse-bad-json", ["classify", "{tmp}/bad.json", *_U2[1:]]),
+    ("parse-missing-file", ["classify", "{tmp}/missing.json", *_U2[1:]]),
+    ("parse-config-bad-json", ["classify", *_U2, "--config", "{tmp}/cfg_bad.json"]),
+    ("parse-config-missing", ["classify", *_U2, "--config", "{tmp}/missing.json"]),
+    ("validation-matrix-header", ["classify", "{tmp}/header.json", *_U2[1:]]),
+    ("validation-pt-algebra", ["classify", "{tmp}/h_not_pt.json", "{tmp}/p_bad.json",
+                               "{tmp}/t_id.json"]),
+    ("validation-config-signs", ["metric", *_U2, "--config", "{tmp}/cfg_signs.json"]),
+    ("validation-config-key", ["classify", *_U2, "--config", "{tmp}/cfg_key.json"]),
+    ("validation-config-oversized", ["classify", *_U2, "--config", "{tmp}/cfg_big.json"]),
+    ("parse-config-long-integer", ["classify", *_U2, "--config", "{tmp}/cfg_long.json"]),
+    ("validation-grid-order", ["dilate", *_U2, "{inputs}/rho_unbroken2.json",
+                               "--t-start", "2", "--t-end", "1"]),
+    ("validation-signs-length", ["metric", *_U2, "--signs", "1"]),
+    ("validation-missing-positional", ["classify", _U2[0]]),
+    ("validation-unknown-flag", ["classify", *_U2, "--p-tol", "1e-8"]),
+    ("validation-no-command", []),
+    ("validation-float-flag", ["classify", *_U2, "--tol", "x"]),
+    ("validation-unwritable-output", ["classify", *_U2, "-o", "{tmp}/no/such/dir.json"]),
+    ("validation-sweep-steps", _SWEEP[:-1] + ["1"]),
+    ("validation-sweep-theta-order", _RS + ["--theta-min", "1.2", "--theta-max", "0.5",
+                                            "--steps", "5"]),
+    ("validation-stokes-ex-shape", ["stokes", "--ex=1,2,3", "--ey=0,1"]),
+    ("validation-stokes-ex-text", ["stokes", "--ex=1,x", "--ey=0,1"]),
+    ("validation-probe-shape", _SWEEP + ["--probe", "1,0,0"]),
+    ("validation-probe-text", _SWEEP + ["--probe", "1,0,0,x"]),
+    ("not-pt-symmetric", ["canonical", "{tmp}/h_not_pt.json", "{tmp}/p_swap.json",
+                          "{tmp}/t_id.json"]),
+    ("broken-hamiltonian", ["dilate", *_BROKEN, "{tmp}/rho.json"]),
+    ("numerical-stokes-overflow", ["stokes", "--ex=1e200,0", "--ey=0,1"]),
+    ("numerical-met-tol", ["metric", *_U2, "--met-tol", "1e-30"]),
+    ("numerical-can-tol", ["canonical", *_U2, "--can-tol", "1e-30"]),
+    ("numerical-evolve-overflow", ["evolve", "{tmp}/h_huge.json", "{tmp}/rho.json",
+                                   "--t", "1e10"]),
+    ("config-probe", _SWEEP + ["--config", "{tmp}/cfg_probe.json"]),
+    ("config-probe-bool", _SWEEP + ["--config", "{tmp}/cfg_probe_bool.json"]),
+    # non-finite numbers in flags, probes and config files
+    ("nonfinite-probe-inf", _SWEEP + ["--probe", "inf,0,0,1"]),
+    ("nonfinite-probe-nan", _SWEEP + ["--probe", "nan,0,0,1"]),
+    ("nonfinite-theta-max", _RS + ["--theta-min", "0.5", "--theta-max", "inf",
+                                   "--steps", "5"]),
+    ("nonfinite-free-check-c-inf", ["free-check", *_U2, "--c", "inf"]),
+    ("nonfinite-free-check-c-nan", ["free-check", *_U2, "--c", "nan"]),
+    ("nonfinite-setting-flag", ["classify", *_U2, "--tol", "nan"]),
+    ("nonfinite-stokes-ex", ["stokes", "--ex=inf,0", "--ey=0,1"]),
+    ("nonfinite-config-probe-nan", _SWEEP + ["--config", "{tmp}/cfg_probe_nan.json"]),
+    ("nonfinite-config-t-start", ["dilate", *_U2, "{inputs}/rho_unbroken2.json",
+                                  "--config", "{tmp}/cfg_t_nan.json"]),
+    ("nonfinite-config-tol", ["classify", *_U2, "--config", "{tmp}/cfg_tol_inf.json"]),
+]
+
+
+def _lines() -> list:
+    cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+    return [(c["name"], c["argv"]) for c in cases] + _EXTRA
+
+
+def _run(src: Path, argv: list, tmp: Path) -> dict:
+    """Exit code, stdout, stderr and --summary text of one line under src,
+    with the input and scratch directories written back as placeholders."""
+    summary = tmp / "summary.json"
+    summary.unlink(missing_ok=True)
+    places = {"{inputs}": str(INPUTS), "{tmp}": str(tmp), "{summary}": str(summary)}
+    for key, value in places.items():
+        argv = [a.replace(key, value) for a in argv]
+    env = {k: v for k, v in os.environ.items() if k != "PTQM_CONFIG"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run([sys.executable, "-m", "ptqm.cli", *argv], cwd=tmp, env=env,
+                          capture_output=True, text=True, timeout=300)
+    record = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+              "summary": summary.read_text(encoding="utf-8") if summary.exists() else None}
+    text = json.dumps(record)
+    for key in ("{summary}", "{tmp}", "{inputs}"):
+        text = text.replace(json.dumps(places[key])[1:-1], key)
+    return json.loads(text)
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    trees = [Path(a).resolve() for a in argv]
+    for tree in trees:
+        if not (tree / "ptqm" / "cli.py").is_file():
+            sys.stderr.write(f"{tree} holds no ptqm package\n")
+            return 2
+    digests = [hashlib.sha256() for _ in trees]
+    differs = 0
+    with tempfile.TemporaryDirectory(prefix="compare-trees-") as name:
+        tmp = Path(name)
+        for fname, text in _FILES.items():
+            (tmp / fname).write_text(text, encoding="utf-8")
+        for line, args in _lines():
+            records = [_run(tree, args, tmp) for tree in trees]
+            for digest, record in zip(digests, records):
+                digest.update(json.dumps([line, record], sort_keys=True).encode())
+            a, b = records
+            if a != b:
+                differs += 1
+                fields = [k for k in a if a[k] != b[k]]
+                print(f"{line}: {', '.join(fields)} differ")
+                if "exit" in fields or "stderr" in fields:
+                    print(f"  A exit {a['exit']}: {a['stderr'].rstrip()}")
+                    print(f"  B exit {b['exit']}: {b['stderr'].rstrip()}")
+    print(f"{len(_lines())} lines, {differs} differ")
+    for tree, digest in zip(trees, digests):
+        print(f"sha256 {digest.hexdigest()}  {tree}")
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -39,6 +39,13 @@ def test_params_validation():
         BenderParams(1.0, 1.0, 4.0)  # theta outside (-pi, pi]
 
 
+@pytest.mark.parametrize("r, s, theta", [(np.nan, 1.0, 0.0), (1.0, np.inf, 0.0),
+                                         (1.0, 1.0, -np.inf)])
+def test_params_reject_non_finite(r, s, theta):
+    with pytest.raises(ValidationError, match="^parameters must be finite$"):
+        BenderParams(r, s, theta)
+
+
 def test_classify_three_regimes():
     cls = bender_classify(BenderParams(1.0, 1.0, np.pi / 6))
     assert cls.tag == "Unbroken"
@@ -201,6 +208,12 @@ def test_stokes_reference_values():
     assert abs(sv.S1) <= 1e-12 and abs(sv.S3) <= 1e-12
     sv = stokes_vector(inv_sqrt2, 1j * inv_sqrt2)
     assert abs(sv.S3 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("ex, ey", [(complex(np.nan, 0.0), 1.0), (1.0, complex(0.0, np.inf))])
+def test_stokes_rejects_non_finite_fields(ex, ey):
+    with pytest.raises(ValidationError, match="^field components must be finite$"):
+        stokes_vector(ex, ey)
 
 
 def test_stokes_pure_field_identity():

@@ -182,6 +182,17 @@ def test_canonical_rejects_dimension_mismatch():
         pt_canonical_form(np.eye(2), pair)
 
 
+def test_canonical_warns_on_ill_conditioned_psi():
+    # eigenvalues 1 and 2 with eigenvectors (1, 0) and (1, 1e-9): far apart
+    # at a tight clustering tolerance, but Psi is nearly singular
+    pair = validate_pt_pair(np.eye(2), np.eye(2))
+    dec = pt_canonical_form(np.array([[1.0, 1e9], [0.0, 2.0]]), pair, cluster_tol=1e-12)
+    assert dec.spectral_class.unbroken
+    assert dec.condition_number > 1e8
+    assert dec.warning == (f"Psi condition number {dec.condition_number:.3e}; "
+                           "results may lose accuracy")
+
+
 def test_canonical_output_is_deterministic():
     h, pair = bender(1.0, 1.0, np.pi / 6)
     d1 = pt_canonical_form(h, pair)

@@ -12,7 +12,7 @@ from ptqm import cli, dynamics
 from ptqm.bender import BenderParams, bender_hamiltonian
 from ptqm.cli import main
 from ptqm.config import RunConfig
-from ptqm.matio import load_matrix_file, matrix_to_rows, render_json
+from ptqm.matio import load_matrix_file, render_json
 
 GOLDEN = Path(__file__).with_name("golden")
 DECOMPOSE = ("val_tol", "tol", "cluster_tol", "rank_tol", "can_tol")
@@ -20,8 +20,8 @@ GRID = ("t_start", "t_end", "num_points")
 
 
 def write_matrix(path, m):
-    path.write_text(render_json({"dim": int(np.asarray(m).shape[0]),
-                                 "rows": matrix_to_rows(np.asarray(m, dtype=complex))}))
+    m = np.asarray(m, dtype=complex)
+    path.write_text(render_json({"dim": m.shape[0], "rows": m}))
     return str(path)
 
 
@@ -350,7 +350,10 @@ def test_config_file_flag_and_env(files, capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("doc", [{"signs": [1e999]}, {"signs": ["x"]}, {"signs": [[1]]},
                                  {"probe": [["x", 0], [0, 0]]}, {"probe": [[[1], 0], [0, 0]]},
-                                 {"tol": 10 ** 400}, {"probe": [[10 ** 400, 0], [0, 0]]}])
+                                 {"tol": 10 ** 400}, {"probe": [[10 ** 400, 0], [0, 0]]},
+                                 {"t_start": float("nan")}, {"tol": float("inf")},
+                                 {"probe": [[float("nan"), 0], [0, 1]]},
+                                 {"probe": [[True, "1"], [0, 0]]}])
 def test_config_rejects_malformed_entries(files, capsys, tmp_path, doc):
     paths, _ = files
     cfg_file = tmp_path / "cfg.json"
@@ -605,3 +608,76 @@ def test_config_rejects_removed_tolerance_keys(files, capsys, tmp_path, key):
                                 paths["t_id"], "--config", str(cfg_file)])
     assert code == 2
     assert f"unknown key '{key}'" in json.loads(err)["detail"]
+
+
+# every real-valued flag of each subcommand besides its generated settings
+REAL_FLAGS = {"evolve": ("--t",), "bender-sweep": ("--r", "--s", "--theta-min", "--theta-max"),
+              "free-check": ("--c",)}
+
+
+@pytest.mark.parametrize("text", ["nan", "-inf", "1e999"])
+@pytest.mark.parametrize(
+    ("command", "option"),
+    [(command, flag(setting)) for command, read in SETTINGS_READ.items()
+     for setting in read if setting not in ("num_points", "signs", "probe")]
+    + [(command, option) for command, options in REAL_FLAGS.items() for option in options])
+def test_non_finite_real_flag_is_validation(capsys, tmp_path, command, option, text):
+    argv = golden_success_argv(command, tmp_path / "summary.json")
+    code, out, err = run(capsys, argv + [f"{option}={text}"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "validation",
+                               "detail": f"argument {option}: must be finite, got {text!r}"}
+
+
+@pytest.mark.parametrize(("command", "option"), [("classify", "--tol"), ("evolve", "--t"),
+                                                 ("bender-sweep", "--theta-min"),
+                                                 ("free-check", "--c")])
+def test_unparsable_real_flag_keeps_argparse_wording(capsys, tmp_path, command, option):
+    argv = golden_success_argv(command, tmp_path / "summary.json")
+    code, _, err = run(capsys, argv + [option, "x"])
+    assert code == 2
+    assert json.loads(err) == {"error": "validation",
+                               "detail": f"argument {option}: invalid float value: 'x'"}
+
+
+@pytest.mark.parametrize(("command", "option", "text", "detail"), [
+    ("stokes", "--ex", "inf,0", "--ex must be finite, got 'inf,0'"),
+    ("stokes", "--ey", "0,nan", "--ey must be finite, got '0,nan'"),
+    ("stokes", "--ex", "1,2,3", "--ex must be re,im"),
+    ("stokes", "--ey", "1,x", "cannot parse --ey: '1,x'"),
+    ("bender-sweep", "--probe", "nan,0,0,1", "probe must be finite, got 'nan,0,0,1'"),
+    ("bender-sweep", "--probe", "1,0,0,-1e999", "probe must be finite, got '1,0,0,-1e999'"),
+    ("bender-sweep", "--probe", "1,0,0",
+     "probe must be four comma-separated reals: re(x),im(x),re(y),im(y)"),
+    ("bender-sweep", "--probe", "1,0,0,x", "cannot parse probe: '1,0,0,x'"),
+])
+def test_complex_flag_messages(capsys, tmp_path, command, option, text, detail):
+    argv = golden_success_argv(command, tmp_path / "summary.json")
+    code, out, err = run(capsys, argv + [f"{option}={text}"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "validation", "detail": detail}
+
+
+def test_bender_sweep_rejects_empty_theta_range(capsys):
+    code, _, err = run(capsys, ["bender-sweep", "--r", "1", "--s", "0.8", "--theta-min", "1.0",
+                                "--theta-max", "1.0", "--steps", "5"])
+    assert code == 2
+    assert json.loads(err) == {"error": "validation", "detail": "theta-max must exceed theta-min"}
+
+
+def test_config_probe_matches_probe_flag(capsys, tmp_path):
+    argv = golden_success_argv("bender-sweep", tmp_path / "summary.json")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"probe": [[0.6, 0.2], [-0.3, 0.7]]}))
+    code, from_config, err = run(capsys, argv + ["--config", str(cfg_file)])
+    assert (code, err) == (0, "")
+    assert from_config == run(capsys, argv + ["--probe", "0.6,0.2,-0.3,0.7"])[1]
+    assert from_config != run(capsys, argv)[1]
+
+
+def test_real_matrix_renders_as_complex_pairs():
+    assert render_json(cli._matrix_doc(np.array([[1.0, -2.0], [0.0, 0.5]]))) == (
+        '{"dim":2,"rows":[[[1.0000000000000000e+00,0.0000000000000000e+00],'
+        '[-2.0000000000000000e+00,0.0000000000000000e+00]],'
+        '[[0.0000000000000000e+00,0.0000000000000000e+00],'
+        '[5.0000000000000000e-01,0.0000000000000000e+00]]]}')

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptqm import cli
-from ptqm.matio import load_matrix_file, load_vector_file, matrix_to_rows, render_json
+from ptqm.matio import load_matrix_file, load_vector_file, render_json
 
 GOLDEN = Path(__file__).with_name("golden")
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -45,7 +45,7 @@ def _scaled_inputs(argv: list, k: int, tmp: Path) -> list:
         name, doc = Path(arg).name, None
         if name.startswith("h_"):
             m = load_matrix_file(arg) * scale
-            doc = {"dim": int(m.shape[0]), "rows": matrix_to_rows(m)}
+            doc = {"dim": m.shape[0], "rows": m}
         elif name.startswith(("v1_", "v2_")):
             v = load_vector_file(arg) * scale
             doc = {"dim": len(v), "entries": [[float(z.real), float(z.imag)] for z in v]}

@@ -96,13 +96,13 @@ def _instances() -> list:
 
 
 def _write_inputs(rng) -> None:
-    from ptqm.matio import matrix_to_rows, render_json
+    from ptqm.matio import render_json
     from ptqm.sampling import random_density, random_instance
 
     def matrix(name, m):
         m = np.asarray(m, dtype=complex)
         (INPUTS / f"{name}.json").write_text(
-            render_json({"dim": int(m.shape[0]), "rows": matrix_to_rows(m)}) + "\n",
+            render_json({"dim": m.shape[0], "rows": m}) + "\n",
             encoding="utf-8")
 
     def vector(name, v):

@@ -14,14 +14,25 @@ from ptqm.errors import ParseError, ValidationError
     ({"signs": [None]}, "config: signs entries must be +1 or -1"),
     ({"probe": "1,0,0,0"}, "config: probe must be a list of two [re, im] pairs"),
     ({"probe": [[1, 0]]}, "config: probe must be a list of two [re, im] pairs"),
-    ({"probe": [[1, 0], 0]}, "config: probe entries must be [re, im] pairs"),
-    ({"probe": [[1, 0], [0]]}, "config: probe entries must be [re, im] pairs"),
-    ({"probe": [[1, 0], [None, 0]]}, "config: probe entries must be [re, im] pairs"),
+    ({"probe": [[1, 0], 0]},
+     "config: probe entry 1: expected a [re, im] number pair, got 0"),
+    ({"probe": [[1, 0], [0]]},
+     "config: probe entry 1: expected a [re, im] number pair, got [0]"),
+    ({"probe": [[1, 0], [None, 0]]},
+     "config: probe entry 1: expected a [re, im] number pair, got [None, 0]"),
     ({"num_points": 5.0}, "config: num_points must be an integer"),
     ({"num_points": True}, "config: num_points must be an integer"),
     ({"num_points": "5"}, "config: num_points must be an integer"),
     ({"tol": "1e-8"}, "config: tol must be a number, got '1e-8'"),
     ({"slack": False}, "config: slack must be a number, got False"),
+    ({"probe": [[True, "1"], [0, 0]]},
+     "config: probe entry 0: expected a [re, im] number pair, got [True, '1']"),
+    ({"probe": [[1, 0], [float("nan"), 0]]}, "config: probe entry 1: non-finite entry [nan, 0]"),
+    ({"probe": [[10 ** 400, 0], [0, 0]]},
+     "config: probe entry 0: entry outside the floating-point range"),
+    ({"t_start": float("nan")}, "config: t_start must be finite, got nan"),
+    ({"t_end": float("-inf")}, "config: t_end must be finite, got -inf"),
+    ({"tol": float("inf")}, "config: tol must be finite, got inf"),
 ])
 def test_malformed_entry_message(tmp_path, doc, message):
     path = tmp_path / "cfg.json"
@@ -54,3 +65,11 @@ def test_invalid_json(tmp_path):
     with pytest.raises(ParseError) as info:
         load_config_file(str(path))
     assert str(info.value).startswith(f"config {path} is not valid JSON: ")
+
+
+def test_oversized_integer_literal(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"tol": 1%s}' % ("0" * 5000))
+    with pytest.raises(ParseError) as info:
+        load_config_file(str(path))
+    assert str(info.value).startswith(f"cannot parse config {path}: Exceeds the limit")

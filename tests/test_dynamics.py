@@ -41,6 +41,9 @@ def test_time_grid_validation():
         TimeGrid(0.0, 10.0, 0)
     with pytest.raises(ValidationError):
         TimeGrid(1.0, 0.0, 5)
+    with pytest.raises(ValidationError, match="^t_end must not precede t_start$"):
+        TimeGrid(1.0, 0.0, 1)
+    assert TimeGrid(1.0, 1.0, 1).times.tolist() == [1.0]
     g = default_grid()
     assert (g.t_start, g.t_end, g.num_points) == (0.0, 10.0, 201)
 

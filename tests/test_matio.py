@@ -1,14 +1,16 @@
 """JSON matrix files and deterministic text rendering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ptqm.canonical import BlockDescriptor
 from ptqm.errors import ParseError, ValidationError
 from ptqm.matio import (
     format_float,
     load_matrix_file,
     load_vector_file,
-    matrix_to_rows,
     render_csv,
     render_json,
 )
@@ -27,7 +29,7 @@ def test_format_float_frozen():
 
 def test_matrix_file_round_trip(tmp_path):
     m = np.array([[1.0 + 2.0j, 0.0], [-0.5j, 3.0]])
-    doc = {"dim": 2, "rows": matrix_to_rows(m)}
+    doc = {"dim": 2, "rows": m}
     path = tmp_path / "m.json"
     with open(path, "w") as fh:
         fh.write(render_json(doc))
@@ -127,5 +129,40 @@ def test_render_csv_frozen():
 
 
 def test_render_is_deterministic():
-    doc = {"dim": 2, "rows": matrix_to_rows(np.eye(2))}
+    doc = {"dim": 2, "rows": np.eye(2, dtype=complex)}
     assert render_json(doc) == render_json(doc)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    name: str
+    value: complex
+    flag: bool
+    rest: tuple
+
+
+def test_render_json_dataclass_in_field_order():
+    record = _Record("r", 1.0 - 0.5j, np.True_, (np.int64(2), None))
+    assert render_json(record) == (
+        '{"name":"r","value":[1.0000000000000000e+00,-5.0000000000000000e-01],'
+        '"flag":true,"rest":[2,null]}')
+    # the object classify and canonical print for every block
+    assert render_json(BlockDescriptor("RealSimple", complex(2.0), 1)) == (
+        '{"kind":"RealSimple","eigenvalue":[2.0000000000000000e+00,0.0000000000000000e+00],'
+        '"order":1}')
+
+
+def test_render_json_numpy_bools():
+    assert render_json([np.True_, np.False_, True]) == "[true,false,true]"
+
+
+def test_render_csv_none_is_an_empty_cell():
+    assert render_csv(["a", "b", "c"], [(None, "x", 0.5)]) == (
+        "a,b,c\n,x,5.0000000000000000e-01\n")
+
+
+def test_render_csv_takes_a_2d_array():
+    table = np.array([[0.0, -1.5], [2.0, 1e-300]])
+    assert render_csv(["t", "v"], table) == render_csv(["t", "v"], table.tolist()) == (
+        "t,v\n0.0000000000000000e+00,-1.5000000000000000e+00\n"
+        "2.0000000000000000e+00,1.0000000000000000e-300\n")

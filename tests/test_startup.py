@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ptqm.matio import matrix_to_rows, render_json
+from ptqm.matio import render_json
 from test_cli_golden import GOLDEN, INPUTS, _argv, _load_cases, assert_same_text
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -62,8 +62,8 @@ def test_commands_without_a_factorisation_leave_scipy_unloaded(tmp_path):
         for case in ("unbroken", "complex") for d in (2, 4)]
     cases, argvs = _golden(names, tmp_path / "summary.json")
     h_not_pt = tmp_path / "h_not_pt.json"
-    h_not_pt.write_text(render_json({"dim": 2, "rows": matrix_to_rows(
-        np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex))}))
+    h_not_pt.write_text(render_json({"dim": 2, "rows": np.asarray(
+        [[1.0, 2.0], [3.0, 4.0]], dtype=complex)}))
     pair = [str(INPUTS / "p_unbroken2.json"), str(INPUTS / "t_unbroken2.json")]
     argvs += [["classify", str(tmp_path / "missing.json"), *pair],
               ["canonical", str(h_not_pt), *pair]]
