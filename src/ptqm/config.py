@@ -39,24 +39,34 @@ class RunConfig:
     signs: Optional[list] = None     # sign characteristic, one +-1 per real unit
     probe: tuple = (complex(1.0), complex(0.0))
 
-    def validate(self) -> "RunConfig":
+    def validate(self, flags=frozenset()) -> "RunConfig":
+        """Check every setting. flags names the fields given as command-line
+        flags: an error involving one of them names the flag (--t-end for
+        t_end), and an error involving none of them is the config's."""
+
+        def fail(text, *names):
+            for name in names:
+                text = text.replace(f"{{{name}}}",
+                                    "--" + name.replace("_", "-") if name in flags else name)
+            raise ValidationError(text if flags.intersection(names) else "config: " + text)
+
         for name in _TOL_FIELDS:
             value = getattr(self, name)
             if value is None:
                 continue
             if not isinstance(value, (int, float)) or not value > 0:
-                raise ValidationError(f"config: {name} must be > 0, got {value!r}")
+                fail("{%s} must be > 0, got %r" % (name, value), name)
         if not 0 < self.slack <= 1:
-            raise ValidationError(f"config: slack must be in (0, 1], got {self.slack!r}")
+            fail("{slack} must be in (0, 1], got %r" % (self.slack,), "slack")
         if not isinstance(self.num_points, int) or self.num_points < 1:
-            raise ValidationError("config: num_points must be a positive integer")
+            fail("{num_points} must be a positive integer", "num_points")
         if not self.t_end >= self.t_start:
-            raise ValidationError("config: t_end must be >= t_start")
+            fail("{t_end} must be >= {t_start}", "t_end", "t_start")
         if self.signs is not None:
             if not all(e in (-1, 1) for e in self.signs):
-                raise ValidationError("config: signs entries must be +1 or -1")
+                fail("{signs} entries must be +1 or -1", "signs")
         if len(self.probe) != 2:
-            raise ValidationError("config: probe must have two components")
+            fail("{probe} must have two components", "probe")
         return self
 
 
@@ -110,15 +120,15 @@ def resolve_config(flag_path: Optional[str] = None,
     if path:
         for key, value in load_config_file(path).items():
             setattr(cfg, key, value)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg.validate()
+    flags = {key for key, value in (overrides or {}).items() if value is not None}
+    for key in flags:
+        setattr(cfg, key, overrides[key])
+    return cfg.validate(flags)
 
 
 def parse_signs(text: str) -> list:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ValidationError(f"cannot parse signs {text!r}") from exc
 

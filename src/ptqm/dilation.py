@@ -9,6 +9,10 @@ unitary on twice the dimensions via its defect operators,
          [D_R,     -c U^dag]],
 
 with D_L = sqrt(I - c^2 U U^dag) and D_R = sqrt(I - c^2 U^dag U).
+Both come from one singular value decomposition c U = W Sigma X^dag
+as W (I - Sigma^2)^1/2 W^dag and X (I - Sigma^2)^1/2 X^dag, the Halmos
+completion (Sz.-Nagy & Foias, Harmonic Analysis of Operators on Hilbert
+Space, ch. I); the Gram matrices I - c^2 U U^dag are never formed.
 Applying V to a state supported on the first block and post-selecting
 that block reproduces the normalized PT evolution with success
 probability c^2 Tr[U rho U^dag]. The dilation is built for every
@@ -30,7 +34,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .linalg import as_square, as_square_stack, dagger, first_index, operator_norm, psd_square_root
+from .linalg import as_square, as_square_stack, dagger, first_index, hermitian_root, operator_norm
 from .symmetry import PTPair
 
 DEFAULT_SLACK = 0.99
@@ -61,6 +65,14 @@ class DilationResult:
 def halmos_dilation(u, c: float) -> DilationResult:
     """Two-block unitary completion of the contraction c U.
 
+    One SVD c U = W Sigma X^dag gives both defect operators,
+    D_L = W (I - Sigma^2)^1/2 W^dag and D_R = X (I - Sigma^2)^1/2 X^dag,
+    and the contraction margin 1 - sigma_max^2, the smallest eigenvalue
+    of I - c^2 U^dag U (Sz.-Nagy & Foias, Harmonic Analysis of Operators
+    on Hilbert Space, ch. I). A margin below -1e-10 raises
+    PreconditionError; one between that and the positive semidefinite
+    floor of hermitian_root raises NotPositiveSemidefiniteError.
+
     A stack of matrices, shape (..., d, d), gives a stack of V with one
     unitarity residual and one contraction margin per matrix; a failed
     contraction check then carries the stack position of the first
@@ -70,25 +82,26 @@ def halmos_dilation(u, c: float) -> DilationResult:
     if not 0 < c <= 1:
         raise ValidationError("c must lie in (0, 1]")
     d = u.shape[-1]
-    eye = np.eye(d)
-    gram_r = eye - c * c * (dagger(u) @ u)
-    gram_l = eye - c * c * (u @ dagger(u))
-    min_eig = np.linalg.eigvalsh(gram_r)[..., 0]
-    bad = first_index(min_eig < -1e-10)
+    cu = c * u
+    w, sigma, xh = np.linalg.svd(cu)
+    # numpy returns sigma in descending order, so gap ascends: gap[..., 0] = 1 - sigma_max^2
+    gap = 1.0 - sigma * sigma
+    margin = gap[..., 0]
+    bad = first_index(margin < -1e-10)
     if bad is not None:
         err = PreconditionError(
-            f"c U is not a contraction (eigenvalue {np.ravel(min_eig)[bad]:.6e} "
+            f"c U is not a contraction (eigenvalue {np.ravel(margin)[bad]:.6e} "
             f"of I - c^2 U^dag U)")
         err.index = bad
         raise err
-    d_l = psd_square_root(gram_l)
-    d_r = psd_square_root(gram_r)
-    v = np.block([[c * u, d_l], [d_r, -c * dagger(u)]])
+    d_l = hermitian_root(gap, w)
+    d_r = hermitian_root(gap, dagger(xh))
+    v = np.block([[cu, d_l], [d_r, -dagger(cu)]])
     residual = operator_norm(dagger(v) @ v - np.eye(2 * d))
     if u.ndim == 2:
-        min_eig = float(min_eig)
+        margin = float(margin)
     return DilationResult(c=float(c), V=v, unitarity_residual=residual,
-                          contraction_margin=min_eig)
+                          contraction_margin=margin)
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,8 @@ _INVOLUTION_TOL = 1e-6
 # a conjugation-fixed chain top keeps at least this norm outside the span
 # already established, or the choice has degenerated
 _FIXED_TOP_FLOOR = 0.5
-# psd_square_root: Hermiticity gate, and the negative eigenvalues clamped to
-# zero, both relative to max(1, ||A||)
+# psd_square_root: Hermiticity gate, and the negative eigenvalues that
+# hermitian_root clamps to zero, both relative to max(1, ||A||)
 PSD_HERM_TOL = 1e-10
 PSD_NEG_FLOOR = 1e-12
 
@@ -144,6 +144,18 @@ def psd_square_root(a) -> np.ndarray:
     scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
     if np.any(operator_norm(m - dagger(m)) > PSD_HERM_TOL * scale):
         raise ValidationError("matrix is not Hermitian within tolerance")
+    return hermitian_root(w, v)
+
+
+def hermitian_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V sqrt(W) V^dag from eigenvalues w, shape (..., n), in ascending
+    order, and orthonormal eigenvectors in the columns of v.
+
+    Eigenvalues in [-PSD_NEG_FLOOR * max(1, max |w|), 0) are clamped to
+    zero; the first matrix of a stack with one below that floor raises.
+    The result is symmetrised as (B + B^dag) / 2.
+    """
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
     low = first_index(w[..., 0] < -PSD_NEG_FLOOR * scale)
     if low is not None:
         raise NotPositiveSemidefiniteError(

@@ -139,17 +139,31 @@ def basis_coefficients(rho, decomp: CanonicalDecomposition) -> np.ndarray:
     Computed by linear solves rather than an explicit inverse; the
     reconstruction Psi R Psi^dag is checked against rho. A stack of
     density matrices, shape (..., d, d), gives one R per matrix.
+
+    The gate is ||Psi R Psi^dag - rho||_2 <= RECON_TOL * max(1, ||rho||_2).
+    Since ||A||_2 <= ||A||_F and ||rho||_2 >= ||rho||_F / sqrt(d), a
+    matrix whose Frobenius defect is within RECON_TOL * max(1,
+    ||rho||_F / sqrt(d)) passes it; the exact 2-norms are taken only for
+    the matrices this screen cannot clear, and the error names the exact
+    defect of the first that fails.
     """
     rho = as_square_stack(rho, "rho")
     psi = decomp.Psi
     if rho.shape[-2:] != psi.shape:
         raise DimensionError(f"rho dimension {rho.shape} does not match basis {psi.shape}")
     r = congruence_solve(psi, rho, "Psi")
-    recon = psi @ r @ psi.conj().T
-    defect = operator_norm(recon - rho)
-    bad = first_index(defect > RECON_TOL * np.maximum(1.0, operator_norm(rho)))
-    if bad is not None:
-        raise NumericalError(f"coefficient reconstruction defect {np.ravel(defect)[bad]:.6e}")
+    d = psi.shape[0]
+    defect = (psi @ r @ psi.conj().T - rho).reshape(-1, d, d)
+    flat = rho.reshape(-1, d, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        screen = RECON_TOL * np.maximum(1.0, np.linalg.norm(flat, axis=(1, 2)) / np.sqrt(d))
+        # a NaN or infinite Frobenius norm clears nothing: the exact norm decides
+        unclear = np.flatnonzero(~(np.linalg.norm(defect, axis=(1, 2)) <= screen))
+    if unclear.size:
+        exact = operator_norm(defect[unclear])
+        bad = first_index(exact > RECON_TOL * np.maximum(1.0, operator_norm(flat[unclear])))
+        if bad is not None:
+            raise NumericalError(f"coefficient reconstruction defect {exact[bad]:.6e}")
     return r
 
 

@@ -16,13 +16,17 @@ rounding level, so it cannot show that a refactoring left the output
 alone. This script compares the two trees with each other instead.
 
 It prints the name of every line whose record differs (with both exit
-codes and stderr texts) and one sha256 per tree over all records, with
+codes and stderr texts, and, for a differing stdout or summary, the
+largest numeric difference: its JSON path or CSV column and the value
+under each tree) and one sha256 per tree over all records, with
 the input and scratch directories written as {inputs} and {tmp} so
 the digests do not depend on where the script runs. The exit status
 is 1 when any line differs.
 """
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -140,6 +144,49 @@ def _run(src: Path, argv: list, tmp: Path) -> dict:
     return json.loads(text)
 
 
+def _leaves(value, path: str = ""):
+    """(JSON path, number) for every numeric leaf of a parsed JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, float(value)
+
+
+def _numbers(text) -> dict:
+    """Numeric entries of a JSON or CSV text, keyed by JSON path or by CSV
+    column and row; empty when the text is neither."""
+    if not text:
+        return {}
+    try:
+        return dict(_leaves(json.loads(text)))
+    except ValueError:
+        pass
+    rows = list(csv.reader(io.StringIO(text)))
+    out = {}
+    for i, row in enumerate(rows[1:], start=1):
+        for column, cell in zip(rows[0], row):
+            try:
+                out[f"{column} (row {i})"] = float(cell)
+            except ValueError:
+                pass
+    return out
+
+
+def _largest_difference(a, b):
+    """(key, value in a, value in b) of the numeric entry present in both
+    texts whose values differ the most, or None when none differs."""
+    na, nb = _numbers(a), _numbers(b)
+    diffs = [(abs(na[k] - nb[k]), k) for k in na.keys() & nb.keys() if na[k] != nb[k]]
+    if not diffs:
+        return None
+    _, key = max(diffs)
+    return key, na[key], nb[key]
+
+
 def main(argv: list) -> int:
     if len(argv) != 2:
         sys.stderr.write(__doc__)
@@ -167,6 +214,11 @@ def main(argv: list) -> int:
                 if "exit" in fields or "stderr" in fields:
                     print(f"  A exit {a['exit']}: {a['stderr'].rstrip()}")
                     print(f"  B exit {b['exit']}: {b['stderr'].rstrip()}")
+                for field in ("stdout", "summary"):
+                    largest = _largest_difference(a[field], b[field]) if field in fields else None
+                    if largest is not None:
+                        key, va, vb = largest
+                        print(f"  {field} largest difference at {key}: A {va!r}, B {vb!r}")
     print(f"{len(_lines())} lines, {differs} differ")
     for tree, digest in zip(trees, digests):
         print(f"sha256 {digest.hexdigest()}  {tree}")

@@ -140,6 +140,36 @@ def test_metric_positivity_tracks_class(files, capsys):
     assert doc["class"] == "Broken"
 
 
+@pytest.mark.parametrize("text", ["1,,1", "1,1,", ",1"])
+def test_metric_signs_with_empty_part_is_rejected(files, capsys, text):
+    paths, _ = files
+    code, out, err = run(capsys, ["metric", paths["h_unbroken"], paths["p_swap"],
+                                  paths["t_id"], "--signs", text])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "validation", "detail": f"cannot parse signs {text!r}"}
+
+
+@pytest.mark.parametrize("extra, config, detail", [
+    (["--tol=-1"], None, "--tol must be > 0, got -1.0"),
+    ([], {"tol": -1}, "config: tol must be > 0, got -1.0"),
+    (["--t-start", "2", "--t-end", "1"], None, "--t-end must be >= --t-start"),
+    (["--t-end", "1"], {"t_start": 2}, "--t-end must be >= t_start"),
+    ([], {"t_start": 2, "t_end": 1}, "config: t_end must be >= t_start"),
+    (["--slack", "2"], None, "--slack must be in (0, 1], got 2.0"),
+    (["--num-points", "0"], None, "--num-points must be a positive integer"),
+])
+def test_settings_error_names_the_flag_it_came_from(files, capsys, extra, config, detail):
+    paths, tmp_path = files
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        extra = extra + ["--config", str(cfg)]
+    code, out, err = run(capsys, ["dilate", paths["h_unbroken"], paths["p_swap"],
+                                  paths["t_id"], paths["rho"], *extra])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "validation", "detail": detail}
+
+
 def test_metric_signs_flag(files, capsys):
     paths, _ = files
     code, out, _ = run(capsys, ["metric", paths["h_unbroken"],

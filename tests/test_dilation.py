@@ -7,7 +7,8 @@ from ptqm.bender import BenderParams, bender_hamiltonian
 from ptqm.canonical import pt_canonical_form
 from ptqm.dilation import embedded_evolution_check, halmos_dilation, uniform_bound
 from ptqm.dynamics import TimeGrid, propagator
-from ptqm.errors import BrokenSymmetryError, PreconditionError, ValidationError
+from ptqm.errors import (BrokenSymmetryError, NotPositiveSemidefiniteError, PreconditionError,
+                         ValidationError)
 from ptqm.linalg import operator_norm
 from ptqm.symmetry import PTPair, validate_pt_pair
 
@@ -80,6 +81,47 @@ def test_halmos_rejects_expansive_input():
         halmos_dilation(np.eye(2), 0.0)
     with pytest.raises(ValidationError):
         halmos_dilation(np.eye(2), 1.5)
+
+
+def _with_singular_values(rng, sigma):
+    """A matrix with the given singular values between random unitaries."""
+    d = len(sigma)
+    q1, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    q2, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return (q1 * np.asarray(sigma)) @ q2.conj().T
+
+
+def test_halmos_margin_between_the_gates_is_not_psd():
+    # sigma_max^2 = 1 + 1e-11 clears the -1e-10 contraction gate and falls
+    # below the positive semidefinite floor of the defect operators
+    rng = np.random.default_rng(89)
+    u = _with_singular_values(rng, [np.sqrt(1.0 + 1e-11), 0.7, 0.2])
+    with pytest.raises(NotPositiveSemidefiniteError, match="below the positive semidefinite floor"):
+        halmos_dilation(u, 1.0)
+
+
+def test_halmos_contraction_error_carries_first_bad_index():
+    rng = np.random.default_rng(97)
+    tops = [0.9, 0.5, np.sqrt(1.0 + 1e-9), np.sqrt(1.0 + 1e-9), 0.3]
+    stack = np.stack([_with_singular_values(rng, [top, 0.4, 0.1]) for top in tops])
+    with pytest.raises(PreconditionError, match="c U is not a contraction") as info:
+        halmos_dilation(stack, 1.0)
+    assert info.value.index == 2
+
+
+def test_halmos_defects_square_to_the_gram_complements():
+    rng = np.random.default_rng(101)
+    c = 0.9
+    for d in (2, 3, 5):
+        a = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+        u = a / (1.01 * operator_norm(a))[:, None, None]
+        v = halmos_dilation(u, c).V
+        d_l, d_r = v[:, :d, d:], v[:, d:, :d]
+        ud = u.conj().swapaxes(-1, -2)
+        assert np.array_equal(d_l, d_l.conj().swapaxes(-1, -2))
+        assert np.array_equal(d_r, d_r.conj().swapaxes(-1, -2))
+        assert np.max(operator_norm(d_l @ d_l - (np.eye(d) - c * c * u @ ud))) <= 1e-12
+        assert np.max(operator_norm(d_r @ d_r - (np.eye(d) - c * c * ud @ u))) <= 1e-12
 
 
 def test_embedded_hermitian_exact():

@@ -1,12 +1,16 @@
 """Metric operator construction, eta inner products, sign characteristics."""
 
+import re
+
 import numpy as np
 import pytest
 
+from ptqm import metric
 from ptqm.canonical import pt_canonical_form
-from ptqm.errors import SingularMatrixError, ValidationError
+from ptqm.errors import NumericalError, SingularMatrixError, ValidationError
 from ptqm.linalg import operator_norm
 from ptqm.metric import (
+    RECON_TOL,
     SignCharacteristic,
     basis_coefficients,
     build_metric,
@@ -140,6 +144,49 @@ def test_basis_coefficients_reconstruction():
     assert operator_norm(back - rho) <= 1e-10
     # Hermitian coefficient matrix for Hermitian input
     assert operator_norm(coef - coef.conj().T) <= 1e-10 * operator_norm(coef)
+
+
+def _plant_identity_defect(monkeypatch, eps):
+    """Make basis_coefficients' solve return R + Psi^-1 (eps I) Psi^-dag, so
+    that its reconstruction misses rho by eps I, one eps per stack entry."""
+    solve = metric.congruence_solve
+
+    def planted(c, x, name):
+        shift = np.asarray(eps)[..., None, None] * np.eye(c.shape[0])
+        return solve(c, x, name) + solve(c, shift, name)
+
+    monkeypatch.setattr(metric, "congruence_solve", planted)
+
+
+def test_reconstruction_gate_passes_beyond_the_frobenius_screen(monkeypatch):
+    # at d=4 the defect eps I has Frobenius norm 2 eps: above the screen's
+    # floor RECON_TOL, while its 2-norm eps stays within the exact gate
+    rng = np.random.default_rng(61)
+    inst = random_instance(rng, 4, "unbroken")
+    dec = pt_canonical_form(inst["h"], inst["pair"])
+    rho = random_density(rng, 4)
+    assert operator_norm(rho) <= 1.0
+    eps = 0.6 * RECON_TOL
+    _plant_identity_defect(monkeypatch, eps)
+    coef = basis_coefficients(rho, dec)
+    back = dec.Psi @ coef @ dec.Psi.conj().T
+    assert np.linalg.norm(back - rho) > RECON_TOL
+    assert abs(operator_norm(back - rho) - eps) <= 1e-3 * eps
+
+
+def test_reconstruction_gate_names_first_failing_exact_defect(monkeypatch):
+    # entry 0 lies inside the band only the exact norm clears; entries 1
+    # and 2 lie above the bound, and the error carries the 2-norm of entry 1
+    rng = np.random.default_rng(67)
+    inst = random_instance(rng, 4, "unbroken")
+    dec = pt_canonical_form(inst["h"], inst["pair"])
+    rhos = np.stack([random_density(rng, 4) for _ in range(3)])
+    eps = np.array([0.6, 1.1, 5.0]) * RECON_TOL
+    _plant_identity_defect(monkeypatch, eps)
+    with pytest.raises(NumericalError, match="^coefficient reconstruction defect ") as info:
+        basis_coefficients(rhos, dec)
+    reported = float(re.search(r"defect (\S+)$", str(info.value)).group(1))
+    assert abs(reported - eps[1]) <= 1e-3 * eps[1]
 
 
 def test_eta_trace_equals_structure_weighted_coefficients():
