@@ -222,13 +222,14 @@ def _decomposition(h: np.ndarray, h_norm: float, pair: PTPair, psi: np.ndarray,
                                     for b in blocks)
     j, k = layout.matrices()
 
-    sing = np.linalg.svd(psi, compute_uv=False)
-    cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
+    # the singular values of Psi and the 2-norms of both defects, in one SVD call
+    sing = np.linalg.svd(np.stack([psi, np.linalg.solve(psi, h @ psi) - j,
+                                   pair.pt @ np.conj(psi) - psi @ k]), compute_uv=False)
+    cond = float(sing[0, 0] / sing[0, -1]) if sing[0, -1] > 0 else np.inf
+    sim_res, krel_res = float(sing[1, 0]), float(sing[2, 0])
 
     h_scale = max(1.0, h_norm)
-    psi_scale = max(1.0, float(sing[0]))
-    sim_res = float(np.linalg.norm(np.linalg.solve(psi, h @ psi) - j, 2))
-    krel_res = float(np.linalg.norm(pair.pt @ np.conj(psi) - psi @ k, 2))
+    psi_scale = max(1.0, float(sing[0, 0]))
     if sim_res > can_tol * h_scale or krel_res > can_tol * psi_scale:
         raise IllConditionedError(
             f"canonical residuals exceed tolerance (similarity {sim_res:.3e}, "

@@ -34,7 +34,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .linalg import as_square, as_square_stack, dagger, first_index, hermitian_root, operator_norm
+from .linalg import as_square, as_square_stack, dagger, first_index, hermitian_root
 from .symmetry import PTPair
 
 DEFAULT_SLACK = 0.99
@@ -97,9 +97,10 @@ def halmos_dilation(u, c: float) -> DilationResult:
     d_l = hermitian_root(gap, w)
     d_r = hermitian_root(gap, dagger(xh))
     v = np.block([[cu, d_l], [d_r, -dagger(cu)]])
-    residual = operator_norm(dagger(v) @ v - np.eye(2 * d))
+    # V^dag V - I is Hermitian, so its 2-norm is its largest |eigenvalue|
+    residual = np.max(np.abs(np.linalg.eigvalsh(dagger(v) @ v - np.eye(2 * d))), axis=-1)
     if u.ndim == 2:
-        margin = float(margin)
+        margin, residual = float(margin), float(residual)
     return DilationResult(c=float(c), V=v, unitarity_residual=residual,
                           contraction_margin=margin)
 
@@ -143,7 +144,7 @@ def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
     residuals = np.empty(len(times))
     big = np.zeros((2 * d, 2 * d), dtype=complex)
     big[:d, :d] = rho
-    for chunk in _grid_chunks(len(times), d):
+    for chunk in _grid_chunks(len(times), 2 * d):
         t = times[chunk]
         u = propagator_stack(decomp, t)
         try:
@@ -163,7 +164,8 @@ def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
         direct = u @ rho @ dagger(u)
         direct = direct / np.trace(direct, axis1=1, axis2=2).real[:, None, None]
         delta = top / prob[:, None, None] - direct
-        deviations[chunk] = 0.5 * np.sum(np.linalg.svd(delta, compute_uv=False), axis=-1)
+        # the trace norm of the Hermitian delta is the sum of its |eigenvalues|
+        deviations[chunk] = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
 
     return EmbeddingReport(
         c=c,

@@ -16,8 +16,9 @@ Tr(eta rho(t)) is constant for every intertwining metric.
 
 A whole time grid is evaluated in one stacked step rather than point
 by point: U[t] = Psi E(t) Psi^-1 with E(t) = e^{-itJ} in closed form
-(Higham, Functions of Matrices, SIAM 2008, ch. 1). Long grids are
-processed in chunks of time points so that memory stays bounded.
+(Higham, Functions of Matrices, SIAM 2008, ch. 1), with Psi factorised
+once for the whole stack. Long grids are processed in chunks of time
+points so that memory stays bounded.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ import numpy as np
 from .canonical import CanonicalDecomposition, SpectralClass, pt_canonical_form
 from .errors import (DimensionError, InvalidDensityError, NumericalError, PreconditionError,
                      ValidationError)
-from .linalg import as_square, dagger, first_index, matrix_exponential
+from .linalg import as_square, dagger, first_index, matrix_exponential, solve_stack
 from .metric import MetricOperator, SignCharacteristic, basis_coefficients, build_metric
 from .symmetry import PTPair
 
 OVERFLOW_EXPONENT = 30.0
-# byte budget of one stacked (points, 2d, 2d) complex array in the grid analyses
+# byte budget of the widest stacked complex array a grid analysis builds per chunk
 GRID_CHUNK_BYTES = 1 << 17
 # largest accepted grid: every grid analysis holds its per-point series in memory
 MAX_GRID_POINTS = 1_000_000
@@ -86,15 +87,18 @@ class InvariantReport:
     metric: MetricOperator
 
 
-def _grid_chunks(num_points: int, dim: int):
+def _grid_chunks(num_points: int, width: int):
     """Slices that cover a time grid in order, chunk by chunk.
 
-    A chunk holds as many points as fit one stacked (points, 2 dim,
-    2 dim) complex array, the largest stack the grid analyses build,
-    into GRID_CHUNK_BYTES; at least one point per chunk. Memory then
-    stays bounded whatever the grid length.
+    width is the size of the widest matrices the calling analysis
+    stacks per point: d for invariant_report and verify_free_evolution,
+    whose stacks are (points, d, d), and 2d for embedded_evolution_check,
+    which stacks the dilations V(t). A chunk holds as many points as
+    fit one stacked (points, width, width) complex array into
+    GRID_CHUNK_BYTES; at least one point per chunk. Memory then stays
+    bounded whatever the grid length.
     """
-    step = max(1, GRID_CHUNK_BYTES // (16 * (2 * dim) ** 2))
+    step = max(1, GRID_CHUNK_BYTES // (16 * width ** 2))
     for start in range(0, num_points, step):
         yield slice(start, min(start + step, num_points))
 
@@ -127,11 +131,16 @@ def _exponential_stack(decomp: CanonicalDecomposition, s: np.ndarray) -> np.ndar
 
 
 def _closed_form_stack(decomp: CanonicalDecomposition, times: np.ndarray) -> np.ndarray:
-    """Psi e^{-itJ} Psi^-1 for every t; entries that overflow stay inf or nan."""
+    """Psi e^{-itJ} Psi^-1 for every t; entries that overflow stay inf or nan.
+
+    The right division by Psi is one solve_stack against Psi^T, so Psi
+    is factorised once per stack; a point that overflows leaves the
+    others untouched.
+    """
     psi = decomp.Psi
     with np.errstate(over="ignore", invalid="ignore"):
         e = _exponential_stack(decomp, -1j * times)
-        return np.linalg.solve(psi.T, (psi @ e).swapaxes(-1, -2)).swapaxes(-1, -2)
+        return solve_stack(psi.T, (psi @ e).swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def propagator_stack(decomp: CanonicalDecomposition, times) -> np.ndarray:

@@ -106,7 +106,8 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
 def operator_norm(a):
     """Largest singular value of a (not necessarily square) matrix.
 
-    A stack of matrices, shape (..., m, n), gives one value per matrix.
+    A stack of matrices, shape (..., m, n), gives one value per matrix,
+    from one SVD call.
     """
     m = _as_array(a, "A", stacked=True)
     top = np.linalg.svd(m, compute_uv=False)[..., 0]
@@ -219,15 +220,30 @@ class BlockLayout:
         return np.diag(self.eigenvalues) + nilpotent, k
 
 
+def solve_stack(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """C^-1 X for one X, shape (n, m), or a stack of them, shape (..., n, m).
+
+    The columns of every matrix of the stack become the right-hand sides
+    of one system, so C is factorised once; a broadcast np.linalg.solve
+    factorises it again for every matrix. Each column is solved exactly
+    as it would be alone. np.linalg.LinAlgError propagates when C is
+    singular.
+    """
+    cols = np.moveaxis(x, -2, 0)
+    sol = np.linalg.solve(c, cols.reshape(c.shape[0], -1))
+    return np.moveaxis(sol.reshape(cols.shape), 0, -2)
+
+
 def congruence_solve(c: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:
-    """C^-1 X C^-dag by two linear solves, for one X or a stack of them.
+    """C^-1 X C^-dag by two stacked solves (solve_stack), for one X or a
+    stack of them.
 
     name is how C is called in the SingularMatrixError raised when C
     is singular.
     """
     try:
-        half = np.linalg.solve(c, x)
-        return dagger(np.linalg.solve(c, dagger(half)))
+        half = solve_stack(c, x)
+        return dagger(solve_stack(c, dagger(half)))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"{name} is numerically singular") from exc
 

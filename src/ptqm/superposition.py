@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalDecomposition, pt_canonical_form
-from .dynamics import TimeGrid, _grid_chunks, default_grid, propagator_stack, validate_density
+from .dynamics import (TimeGrid, _grid_chunks, _require_finite, default_grid, propagator_stack,
+                       validate_density)
 from .errors import (
     BrokenSymmetryError,
     DimensionError,
@@ -154,7 +155,9 @@ def verify_free_evolution(h, pair: PTPair, c: float,
     parallelism defect and the smallest contraction margin
     min eig(I - c^2 U^dag U) across the grid. Both are computed for the
     stacked grid at once, with U(t) from the canonical decomposition of
-    H (computed here unless decomp is given).
+    H (computed here unless decomp is given). A c so large that
+    c^2 U^dag U overflows raises NumericalError naming the first t
+    where it does.
     """
     h = as_square(h, "H")
     if c <= 0:
@@ -172,8 +175,12 @@ def verify_free_evolution(h, pair: PTPair, c: float,
     margin = np.inf
     eye = np.eye(h.shape[0])
     for chunk in _grid_chunks(len(times), h.shape[0]):
-        ku = c * propagator_stack(decomp, times[chunk])
-        gaps = np.linalg.eigvalsh(eye - dagger(ku) @ ku)[:, 0]
+        u = propagator_stack(decomp, times[chunk])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ku = c * u
+            gram = dagger(ku) @ ku
+        _require_finite(gram, times[chunk], "c^2 U^dag U")
+        gaps = np.linalg.eigvalsh(eye - gram)[:, 0]
         margin = min(margin, float(np.min(gaps)))
         worst = max(worst, float(np.max(free_kraus_defect(ku, basis, tol))))
     ok = margin >= -tol and worst <= tol

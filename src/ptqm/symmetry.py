@@ -54,12 +54,10 @@ def validate_pt_pair(p, t, val_tol: float = 1e-10) -> PTPair:
 
     eye = np.eye(p.shape[0])
     pt = p @ t
-    residuals = {
-        "parity_involution": operator_norm(p @ p - eye),
-        "time_reversal_involution": operator_norm(t @ np.conj(t) - eye),
-        "commutation": operator_norm(p @ t - t @ np.conj(p)),
-        "pt_involution": operator_norm(pt @ np.conj(pt) - eye),
-    }
+    defects = np.stack([p @ p - eye, t @ np.conj(t) - eye, p @ t - t @ np.conj(p),
+                        pt @ np.conj(pt) - eye])
+    residuals = dict(zip(("parity_involution", "time_reversal_involution", "commutation",
+                          "pt_involution"), operator_norm(defects).tolist()))
     violated = [name for name, r in residuals.items() if r > val_tol]
     if violated:
         table = ", ".join(f"{name}: {residuals[name]:.3e}" for name in violated)
@@ -87,9 +85,8 @@ def _pt_test(h, pair: PTPair, tol: float) -> tuple[np.ndarray, bool, float, floa
     m = as_square(h, "H")
     if m.shape[0] != pair.dim:
         raise DimensionError(f"H dimension {m.shape[0]} does not match pair dimension {pair.dim}")
-    residual = operator_norm(m @ pair.pt - pair.pt @ np.conj(m))
-    h_norm = operator_norm(m)
-    return m, residual <= tol * max(1.0, h_norm), float(residual), h_norm
+    residual, h_norm = operator_norm(np.stack([m @ pair.pt - pair.pt @ np.conj(m), m])).tolist()
+    return m, residual <= tol * max(1.0, h_norm), residual, h_norm
 
 
 def is_pt_symmetric(h, pair: PTPair, tol: float = 1e-10) -> tuple[bool, float]:

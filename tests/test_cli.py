@@ -623,6 +623,16 @@ def test_overflowing_ep_hamiltonian_is_numerical_error(capsys, tmp_path, command
     assert json.loads(err)["error"] == "numerical"
 
 
+def test_free_check_overflowing_scale_is_numerical_error(capsys):
+    inputs = GOLDEN / "inputs"
+    code, out, err = run(capsys, ["free-check", *(str(inputs / f"{n}_unbroken2.json")
+                                                  for n in "hpt"), "--c", "1e155"])
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "numerical",
+                               "detail": "c^2 U^dag U is not finite at t = 0.000000"}
+
+
 def test_overflowing_stokes_field_is_numerical_error(capsys):
     code, out, err = run(capsys, ["stokes", "--ex=3e154,-1.2e155", "--ey=7e154,4e154"])
     assert code == 4 and out == ""

@@ -16,10 +16,12 @@ import scipy.linalg as sla
 
 import ptqm.dilation as dilation
 import ptqm.dynamics as dynamics
+import ptqm.superposition as superposition
 from ptqm import cli
 from ptqm.canonical import COMPLEX_PAIR, pt_canonical_form
 from ptqm.dilation import embedded_evolution_check, halmos_dilation, uniform_bound
-from ptqm.dynamics import TimeGrid, default_grid, invariant_report, propagator, validate_density
+from ptqm.dynamics import (TimeGrid, default_grid, invariant_report, propagator, propagator_stack,
+                           validate_density)
 from ptqm.errors import DegeneratePostSelectionError, NumericalError, PreconditionError
 from ptqm.metric import basis_coefficients
 from ptqm.superposition import free_basis, free_kraus_defect, verify_free_evolution
@@ -206,9 +208,11 @@ def test_kraus_defect_stack_matches_single_calls():
 # -- chunking ------------------------------------------------------------
 
 
-def chunk_points(monkeypatch, d, points):
-    """Make every chunk of a d-dimensional grid hold `points` points."""
-    monkeypatch.setattr(dynamics, "GRID_CHUNK_BYTES", points * 16 * (2 * d) ** 2)
+def chunk_points(monkeypatch, width, points):
+    """Make every chunk of an analysis whose widest stack is (points, width,
+    width) hold `points` points: width is d for the invariants and the
+    free-operation check, 2d for the dilation."""
+    monkeypatch.setattr(dynamics, "GRID_CHUNK_BYTES", points * 16 * width ** 2)
 
 
 def test_chunked_grid_matches_unchunked(monkeypatch):
@@ -225,8 +229,11 @@ def test_chunked_grid_matches_unchunked(monkeypatch):
 
     whole = run()
     assert len(list(dynamics._grid_chunks(11, d))) == 1
+    assert len(list(dynamics._grid_chunks(11, 2 * d))) == 1
     chunk_points(monkeypatch, d, 3)
     assert [s.stop for s in dynamics._grid_chunks(11, d)] == [3, 6, 9, 11]
+    # the same budget holds one (2d, 2d) dilation point per chunk
+    assert [s.stop for s in dynamics._grid_chunks(11, 2 * d)] == list(range(1, 12))
     chunked = run()
     for a, b in zip(whole[:2], chunked[:2]):
         np.testing.assert_array_equal(a.coefficient_series, b.coefficient_series)
@@ -241,11 +248,59 @@ def test_chunked_grid_matches_unchunked(monkeypatch):
 
 
 def test_chunk_budget_bounds_points_not_grid():
-    # the chunk size depends on the dimension only, never on the grid length
+    # the chunk size depends on the stack width only, never on the grid length
     for d in (2, 8, 400):
-        sizes = {s.stop - s.start for s in dynamics._grid_chunks(10_000, d)}
-        per_point = 16 * (2 * d) ** 2
-        assert max(sizes) * per_point <= max(dynamics.GRID_CHUNK_BYTES, per_point)
+        for width in (d, 2 * d):
+            sizes = {s.stop - s.start for s in dynamics._grid_chunks(10_000, width)}
+            per_point = 16 * width ** 2
+            assert max(sizes) * per_point <= max(dynamics.GRID_CHUNK_BYTES, per_point)
+
+
+def test_chunks_are_sized_per_analysis(monkeypatch):
+    # at d = 8 the byte budget holds 128 points of a (points, 8, 8) stack
+    # and 32 of the dilation's (points, 16, 16) stack
+    h, pair, rho, _ = real_instance(8, "unbroken", seed=80)
+    dec = pt_canonical_form(h, pair)
+    counts = []
+    original = dynamics._grid_chunks
+
+    def counted(num_points, width):
+        slices = list(original(num_points, width))
+        counts.append(len(slices))
+        return slices
+
+    for module in (dynamics, dilation, superposition):
+        monkeypatch.setattr(module, "_grid_chunks", counted)
+    invariant_report(h, pair, rho, decomp=dec)
+    verify_free_evolution(h, pair, uniform_bound(dec), decomp=dec)
+    embedded_evolution_check(h, pair, rho, decomp=dec)
+    assert counts == [2, 2, 7]
+
+
+@pytest.mark.parametrize("d", (2, 5, 8, 16))
+def test_dilation_norms_match_svd_reference(d):
+    # the Hermitian norms taken from eigvalsh agree with SVD-based ones
+    h, pair, rho, _ = real_instance(d, "unbroken", seed=10 * d + 1)
+    dec = pt_canonical_form(h, pair)
+    c = uniform_bound(dec)
+    times = default_grid().times
+    u = propagator_stack(dec, times)
+    dil = halmos_dilation(u, c)
+    gram = dil.V.conj().swapaxes(-1, -2) @ dil.V - np.eye(2 * d)
+    residuals = np.linalg.svd(gram, compute_uv=False)[:, 0]
+    assert np.max(np.abs(dil.unitarity_residual - residuals)) <= 1e-15
+
+    big = np.zeros((2 * d, 2 * d), dtype=complex)
+    big[:d, :d] = rho
+    top = (dil.V @ big @ dil.V.conj().swapaxes(-1, -2))[:, :d, :d]
+    prob = np.trace(top, axis1=1, axis2=2).real
+    direct = u @ rho @ u.conj().swapaxes(-1, -2)
+    direct = direct / np.trace(direct, axis1=1, axis2=2).real[:, None, None]
+    delta = top / prob[:, None, None] - direct
+    distances = 0.5 * np.sum(np.linalg.svd(delta, compute_uv=False), axis=-1)
+    rep = embedded_evolution_check(h, pair, rho, decomp=dec)
+    assert abs(rep.max_deviation - np.max(distances)) <= 1e-15
+    np.testing.assert_array_equal(rep.unitarity_residuals, dil.unitarity_residual)
 
 
 # -- error contract on grids ---------------------------------------------
@@ -265,7 +320,7 @@ def test_post_selection_error_names_first_failing_t(monkeypatch):
     assert first > 0
     for points in (None, first, 2):
         if points is not None:
-            chunk_points(monkeypatch, 3, points)
+            chunk_points(monkeypatch, 2 * 3, points)
         with pytest.raises(DegeneratePostSelectionError, match=f"t = {times[first]:.6f}"):
             embedded_evolution_check(h, pair, rho, slack=slack)
 
@@ -282,7 +337,7 @@ def test_contraction_error_names_first_failing_t(monkeypatch):
     monkeypatch.setattr(dilation, "uniform_bound", lambda decomp, slack: c)
     for points in (None, first, 5):
         if points is not None:
-            chunk_points(monkeypatch, 3, points)
+            chunk_points(monkeypatch, 2 * 3, points)
         with pytest.raises(PreconditionError, match=f"t = {times[first]:.6f}"):
             embedded_evolution_check(h, pair, rho, decomp=dec)
     rep = verify_free_evolution(h, pair, c, decomp=dec)

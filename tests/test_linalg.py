@@ -13,7 +13,9 @@ from ptqm.linalg import (
     matrix_exponential,
     operator_norm,
     psd_square_root,
+    solve_stack,
 )
+from ptqm.sampling import random_instance
 
 
 def taylor_expm(a, terms=60):
@@ -197,3 +199,37 @@ def test_congruence_solve_stack_and_singular_basis():
     assert np.array_equal(r[2], congruence_solve(c, x[2], "C"))
     with pytest.raises(SingularMatrixError, match="C is numerically singular"):
         congruence_solve(np.zeros((3, 3)), x[0], "C")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
+def test_solve_stack_equals_per_matrix_solve(d):
+    rng = np.random.default_rng(d)
+    c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x = rng.normal(size=(7, d, d)) + 1j * rng.normal(size=(7, d, d))
+    assert np.array_equal(solve_stack(c, x[0]), np.linalg.solve(c, x[0]))
+    stacked = solve_stack(c, x)
+    assert stacked.shape == x.shape
+    np.testing.assert_array_equal(stacked, [np.linalg.solve(c, m) for m in x])
+    # a right division by C, as the propagator stack takes it
+    right = solve_stack(c.T, x.swapaxes(-1, -2)).swapaxes(-1, -2)
+    np.testing.assert_array_equal(right, [np.linalg.solve(c.T, m.T).T for m in x])
+
+
+def test_solve_stack_with_jordan_chain_basis():
+    inst = random_instance(np.random.default_rng(4), 6, kind="ep")
+    assert not np.allclose(inst["j0"], np.diag(np.diag(inst["j0"])))
+    psi = inst["psi0"]
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+    np.testing.assert_array_equal(solve_stack(psi, x), [np.linalg.solve(psi, m) for m in x])
+    r = congruence_solve(psi, x, "Psi")
+    np.testing.assert_array_equal(r, [congruence_solve(psi, m, "Psi") for m in x])
+
+
+def test_congruence_solve_singular_stack_keeps_message():
+    x = np.ones((4, 3, 3), dtype=complex)
+    with pytest.raises(SingularMatrixError, match="^C is numerically singular$"):
+        congruence_solve(np.zeros((3, 3)), x, "C")
+    with pytest.raises(SingularMatrixError, match="^C is numerically singular$"):
+        congruence_solve(np.zeros((3, 3)), x[0], "C")
+

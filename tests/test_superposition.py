@@ -1,13 +1,16 @@
 """Superposition-free states, free Kraus operators, free evolution."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ptqm.canonical import pt_canonical_form
 from ptqm.dilation import uniform_bound
-from ptqm.dynamics import TimeGrid
-from ptqm.errors import BrokenSymmetryError, PreconditionError, ValidationError
+from ptqm.dynamics import TimeGrid, default_grid, propagator
+from ptqm.errors import BrokenSymmetryError, NumericalError, PreconditionError, ValidationError
 from ptqm.linalg import operator_norm, psd_square_root
+from ptqm.matio import load_matrix_file
 from ptqm.sampling import (
     random_free_basis,
     random_free_kraus,
@@ -176,3 +179,19 @@ def test_verify_free_evolution_flags_expansive_scale():
     rep = verify_free_evolution(h, pair, 4.0 * c, TimeGrid(0.0, 10.0, 51))
     assert not rep.ok
     assert rep.min_contraction_margin < 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e154, 1e155])
+def test_verify_free_evolution_overflow_names_first_t(c):
+    golden = Path(__file__).with_name("golden") / "inputs"
+    h, p, t = (load_matrix_file(golden / f"{n}_unbroken2.json") for n in "hpt")
+    pair = validate_pt_pair(p, t)
+    dec = pt_canonical_form(h, pair)
+    times = default_grid().times
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = [np.all(np.isfinite((c * u).conj().T @ (c * u)))
+                  for u in (propagator(h, s, dec) for s in times)]
+    first = finite.index(False)
+    with pytest.raises(NumericalError, match=f"not finite at t = {times[first]:.6f}$"):
+        verify_free_evolution(h, pair, c, decomp=dec)
