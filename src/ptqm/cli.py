@@ -13,21 +13,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import math
 import sys
 
 import numpy as np
 
 from . import config as cfgmod
-from .bender import critical_sweep, stokes_vector
-from .canonical import pt_canonical_form
-from .dilation import embedded_evolution_check, uniform_bound
-from .dynamics import TimeGrid, evolve_density, invariant_report, normalize_density
 from .errors import NumericalError, ParseError, PreconditionError, ValidationError
 from .matio import load_matrix_file, load_vector_file, render_csv, render_json
-from .metric import build_metric, eta_inner, SignCharacteristic
-from .superposition import verify_free_evolution
-from .symmetry import validate_pt_pair
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,6 +34,9 @@ class _Parser(argparse.ArgumentParser):
 _PAIR = ("hamiltonian", "parity", "timereversal")
 _DECOMPOSE = ("val_tol", "tol", "cluster_tol", "rank_tol", "can_tol")
 _GRID = ("t_start", "t_end", "num_points")
+# library names the handlers call, as "module.name"; see _bind
+_DECOMPOSE_CALLS = ("symmetry.validate_pt_pair", "canonical.pt_canonical_form")
+_METRIC_CALLS = _DECOMPOSE_CALLS + ("metric.build_metric", "metric.SignCharacteristic")
 
 
 def _finite_float(text: str) -> float:
@@ -65,35 +62,67 @@ _SETTING_TEXT = {"signs": cfgmod.parse_signs, "probe": cfgmod.parse_probe}
 
 
 def _commands() -> dict:
-    """Subcommand -> (handler, help, positional arguments, the RunConfig
-    fields it reads). Each field is a flag of the same name, --cluster-tol
-    for cluster_tol; a subcommand accepts no other setting flag."""
+    """Subcommand -> (handler, help, positional arguments, the library
+    names it calls, the RunConfig fields it reads). Each field is a flag
+    of the same name, --cluster-tol for cluster_tol; a subcommand accepts
+    no other setting flag."""
     return {
-        "classify": (cmd_classify, "spectral classification report", _PAIR, _DECOMPOSE),
-        "canonical": (cmd_canonical, "canonical form (Psi, J, K)", _PAIR, _DECOMPOSE),
-        "metric": (cmd_metric, "metric operator and positivity", _PAIR,
+        "classify": (cmd_classify, "spectral classification report", _PAIR, _DECOMPOSE_CALLS,
+                     _DECOMPOSE),
+        "canonical": (cmd_canonical, "canonical form (Psi, J, K)", _PAIR, _DECOMPOSE_CALLS,
+                      _DECOMPOSE),
+        "metric": (cmd_metric, "metric operator and positivity", _PAIR, _METRIC_CALLS,
                    _DECOMPOSE + ("met_tol", "signs")),
         "inner": (cmd_inner, "eta inner product of two vectors",
-                  _PAIR + ("vector1", "vector2"), _DECOMPOSE + ("met_tol", "signs")),
-        "evolve": (cmd_evolve, "evolve a density matrix to time t",
-                   ("hamiltonian", "state"), ("val_tol",)),
+                  _PAIR + ("vector1", "vector2"), _METRIC_CALLS + ("metric.eta_inner",),
+                  _DECOMPOSE + ("met_tol", "signs")),
+        "evolve": (cmd_evolve, "evolve a density matrix to time t", ("hamiltonian", "state"),
+                   ("dynamics.evolve_density", "dynamics.normalize_density"), ("val_tol",)),
         "invariants": (cmd_invariants, "conserved-coefficient time series", _PAIR + ("state",),
+                       _METRIC_CALLS + ("dynamics.TimeGrid", "dynamics.invariant_report"),
                        _DECOMPOSE + ("met_tol", "signs") + _GRID),
         "bender-sweep": (cmd_bender_sweep, "two-level family theta sweep", (),
-                         ("tol", "crit_tol", "probe")),
-        "stokes": (cmd_stokes, "Stokes parameters of a two-component field", (), ()),
+                         ("bender.critical_sweep",), ("tol", "crit_tol", "probe")),
+        "stokes": (cmd_stokes, "Stokes parameters of a two-component field", (),
+                   ("bender.stokes_vector",), ()),
         "dilate": (cmd_dilate, "post-selected embedding check", _PAIR + ("state",),
+                   _DECOMPOSE_CALLS + ("dynamics.TimeGrid", "dilation.embedded_evolution_check"),
                    _DECOMPOSE + ("slack",) + _GRID),
         "free-check": (cmd_free_check, "free-operation property of c U(t)", _PAIR,
+                       _DECOMPOSE_CALLS + ("dynamics.TimeGrid", "dilation.uniform_bound",
+                                         "superposition.verify_free_evolution"),
                        _DECOMPOSE + ("slack", "free_tol") + _GRID),
     }
+
+
+def _bind(library) -> None:
+    """Bind each "module.name" of the library as an attribute of this
+    module, importing the module; a binding already in place (a test's
+    or a tracer's replacement) stays. main binds a subcommand's names
+    before its handler runs, so a command line imports only the modules
+    its subcommand runs."""
+    namespace = globals()
+    for qualified in library:
+        module, name = qualified.split(".")
+        if name not in namespace:
+            namespace[name] = getattr(importlib.import_module(f".{module}", __package__), name)
+
+
+def __getattr__(name: str):
+    """A library name some subcommand calls, bound on first access as by a run."""
+    for *_, library, _ in _commands().values():
+        for qualified in library:
+            if qualified.endswith("." + name):
+                _bind((qualified,))
+                return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="ptqm", description=__doc__, allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
     sp = {}
-    for name, (handler, help_text, positionals, settings) in _commands().items():
+    for name, (handler, help_text, positionals, library, settings) in _commands().items():
         sp[name] = sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
         for positional in positionals:
             sub.add_argument(positional)
@@ -102,7 +131,7 @@ def build_parser() -> _Parser:
         for setting in settings:
             sub.add_argument("--" + setting.replace("_", "-"),
                              **_SETTING_FLAGS.get(setting, {"type": _finite_float}))
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, library=library)
 
     sp["evolve"].add_argument("--t", type=_finite_float, required=True)
     sp["evolve"].add_argument("--normalize", action="store_true")
@@ -329,6 +358,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = cfgmod.resolve_config(getattr(args, "config", None), _overrides(args))
+        _bind(args.library)
         # an overflow that no library check catches ends the run as a
         # numerical failure, not as a numpy warning followed by a LAPACK error
         with np.errstate(over="raise", invalid="raise", divide="raise"):

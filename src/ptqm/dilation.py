@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalDecomposition, pt_canonical_form
-from .dynamics import TimeGrid, _grid_chunks, _matching_density, default_grid, propagator_stack
+from .dynamics import (TimeGrid, _grid_chunks, _matching_density, _require_own_decomposition,
+                       default_grid, propagator_stack)
 from .errors import (
     BrokenSymmetryError,
     DegeneratePostSelectionError,
@@ -126,14 +127,17 @@ def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
     success probability c^2 Tr[U rho U^dag] is reported per time.
 
     U(t) comes from the canonical decomposition of H (computed here
-    unless decomp is given), and every check runs on the stacked grid
-    at once; a failed contraction or post-selection check names the
-    first t where it fails. val_tol bounds the validation of rho.
+    unless decomp, which must be the decomposition of this H, is given;
+    ValidationError otherwise), and every check runs on the stacked
+    grid at once; a failed contraction or post-selection check names
+    the first t where it fails. val_tol bounds the validation of rho.
     """
     h = as_square(h, "H")
     rho = _matching_density(rho, h, val_tol)
     if decomp is None:
         decomp = pt_canonical_form(h, pair)
+    else:
+        _require_own_decomposition(h, decomp)
     c = uniform_bound(decomp, slack)
     grid = grid if grid is not None else default_grid()
 

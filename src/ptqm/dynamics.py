@@ -103,6 +103,14 @@ def _grid_chunks(num_points: int, width: int):
         yield slice(start, min(start + step, num_points))
 
 
+def _require_own_decomposition(h: np.ndarray, decomp: CanonicalDecomposition) -> None:
+    """Raise ValidationError unless decomp is the decomposition of the
+    validated H: an analysis given the decomposition of another H would
+    report on that H's dynamics."""
+    if not np.array_equal(decomp.hamiltonian, h):
+        raise ValidationError("decomp is the canonical decomposition of another H")
+
+
 def _require_finite(stack: np.ndarray, times: np.ndarray, what: str) -> None:
     """Raise NumericalError naming the first t whose matrix is not finite."""
     bad = first_index(~np.isfinite(stack).all(axis=(-2, -1)))
@@ -231,7 +239,8 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
     matrices and the eta-trace series are computed for the whole grid
     at once; an evolution that overflows raises NumericalError naming
     the first t where it does. The decomposition of H is computed here
-    at tol and cluster_tol unless decomp is given; val_tol bounds the
+    at tol and cluster_tol unless decomp is given, which must then be
+    the decomposition of this H (ValidationError); val_tol bounds the
     validation of rho and met_tol the metric's intertwining defect.
     """
     h = as_square(h, "H")
@@ -240,6 +249,8 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
 
     if decomp is None:
         decomp = pt_canonical_form(h, pair, tol, cluster_tol=cluster_tol)
+    else:
+        _require_own_decomposition(h, decomp)
     met = build_metric(decomp, signs, met_tol)
     times = grid.times
 

@@ -21,10 +21,12 @@ couplings stay at the scale of the matrix, so rank decisions remain
 clean even when the raw eigenvalues of a defective cluster split at
 the square-root-of-epsilon scale.
 
-scipy is imported inside the three functions that call it (the Schur
-form, ztrsen and matrix_exponential), not at module level: importing
-it dominates the start-up of a command-line call, and most calls need
-neither a multi-member cluster nor an exponential.
+matrix_exponential needs numpy alone: scaling and squaring with the
+[13/13] Pade approximant. scipy serves only the exceptional points,
+for the Schur form and ztrsen, which numpy lacks. It is imported
+inside the two functions that call them, not at module level:
+importing it dominates the start-up of a command-line call, and most
+calls have no multi-member cluster.
 """
 
 from __future__ import annotations
@@ -117,17 +119,59 @@ def operator_norm(a):
 def matrix_exponential(a, z: complex = 1.0) -> np.ndarray:
     """Return exp(z * A) for square A.
 
-    Evaluation uses scaling-and-squaring with a Pade approximant; the
-    scalar z is folded into the argument so that propagators can pass
-    z = -1j * t directly.
+    Scaling and squaring with the [13/13] Pade approximant (Higham,
+    SIAM J. Matrix Anal. Appl. 26, 2005): exp(B) = r13(B / 2^s)^(2^s),
+    with s chosen from ||B^4||_1^(1/4) and ||B^6||_1^(1/6) (Al-Mohy &
+    Higham, SIAM J. Matrix Anal. Appl. 31, 2009), which can be far
+    below ||B||_1 for a non-normal B such as an exceptional point, so
+    such a B is not over-scaled. The scalar z is folded into the
+    argument so that propagators can pass z = -1j * t directly. An
+    argument whose norm overflows gives a non-finite result, for the
+    caller to name.
     """
     m = as_square(a, "A")
     z = complex(z)
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise ValidationError("scalar factor z must be finite")
-    import scipy.linalg as sla
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _pade13_exponential(z * m)
 
-    return sla.expm(z * m)
+
+# coefficients of the [13/13] Pade approximant to exp, and the largest
+# ||B||_1 for which it is accurate to unit roundoff (Higham 2005, table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _pade13_exponential(b: np.ndarray) -> np.ndarray:
+    def powers(x):
+        x2 = x @ x
+        x4 = x2 @ x2
+        return x2, x4, x4 @ x2
+
+    b2, b4, b6 = powers(b)
+    norm = np.linalg.norm(b, 1)
+    eta = np.max([np.linalg.norm(b4, 1) ** 0.25, np.linalg.norm(b6, 1) ** (1 / 6)])
+    if not eta <= norm:  # a power overflowed: fall back to ||B||_1
+        eta = norm
+    if not np.isfinite(eta):
+        return np.full_like(b, np.nan)
+    s = max(0, int(np.ceil(np.log2(eta / _THETA13)))) if eta > 0 else 0
+    if s:
+        b = b * 2.0 ** -s
+        b2, b4, b6 = powers(b)
+    c = _PADE13
+    ident = np.eye(b.shape[0])
+    u = b @ (b6 @ (c[13] * b6 + c[11] * b4 + c[9] * b2)
+             + c[7] * b6 + c[5] * b4 + c[3] * b2 + c[1] * ident)
+    v = (b6 @ (c[12] * b6 + c[10] * b4 + c[8] * b2)
+         + c[6] * b6 + c[4] * b4 + c[2] * b2 + c[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def psd_square_root(a) -> np.ndarray:

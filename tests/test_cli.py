@@ -608,6 +608,23 @@ def test_evolve_overflow_is_numerical_error(capsys):
     assert doc["error"] == "numerical" and "t = 10000" in doc["detail"]
 
 
+@pytest.mark.parametrize("h_rows, t", [
+    # entries of -itH overflow
+    ([[0.0, 1e300], [1e300, 0.0]], 1e10),
+    # a golden H: the 1-norm of -itH overflows
+    (None, 1e308),
+])
+def test_evolve_overflowing_exponent_names_t(capsys, tmp_path, h_rows, t):
+    inputs = GOLDEN / "inputs"
+    h = (str(inputs / "h_unbroken2.json") if h_rows is None
+         else write_matrix(tmp_path / "h_huge.json", h_rows))
+    code, out, err = run(capsys, ["evolve", h, write_matrix(tmp_path / "rho.json", np.eye(2) / 2),
+                                  "--t", repr(t)])
+    assert (code, out) == (4, "")
+    assert err == render_json({"error": "numerical",
+                               "detail": f"evolved density is not finite at t = {t:.6f}"}) + "\n"
+
+
 @pytest.mark.parametrize("command", ["classify", "dilate"])
 @pytest.mark.parametrize("scale", [1e155, 1e158])
 def test_overflowing_ep_hamiltonian_is_numerical_error(capsys, tmp_path, command, scale):

@@ -1,7 +1,10 @@
 """Evolution under e^{-itH} and case-resolved conservation laws."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from ptqm.canonical import pt_canonical_form
 from ptqm.dynamics import (
@@ -12,10 +15,12 @@ from ptqm.dynamics import (
     invariant_report,
     normalize_density,
     propagator,
+    propagator_stack,
     validate_density,
 )
 from ptqm.errors import InvalidDensityError, PreconditionError, ValidationError
-from ptqm.linalg import operator_norm
+from ptqm.linalg import matrix_exponential, operator_norm
+from ptqm.matio import load_matrix_file
 from ptqm.metric import basis_coefficients
 from ptqm.sampling import random_density, random_instance
 from ptqm.symmetry import validate_pt_pair
@@ -94,6 +99,24 @@ def test_propagator_decomposed_route_matches_dense():
             u_block = propagator(inst["h"], t, dec)
             scale = max(1.0, operator_norm(u_dense))
             assert operator_norm(u_dense - u_block) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("case", ["unbroken", "complex", "ep"])
+@pytest.mark.parametrize("d", [2, 4])
+def test_dense_exponential_matches_closed_form_as_scipy_does(case, d):
+    """The numpy exponential of -itH against the canonical form's
+    closed-form propagator on the golden inputs, relative 2-norm error:
+    at most 1e-11, and at most 4 times scipy.linalg.expm's."""
+    inputs = Path(__file__).with_name("golden") / "inputs"
+    h, p, t = (load_matrix_file(inputs / f"{name}_{case}{d}.json") for name in "hpt")
+    decomp = pt_canonical_form(h, validate_pt_pair(p, t),
+                               cluster_tol=1e-6 if case == "ep" else None)
+    for time in (0.5, 3.0, 30.0, 300.0):
+        ref = propagator_stack(decomp, [time])[0]
+        scale = operator_norm(ref)
+        ours = operator_norm(matrix_exponential(h, -1j * time) - ref) / scale
+        theirs = operator_norm(sla.expm(-1j * time * h) - ref) / scale
+        assert ours <= 1e-11 and ours <= 4.0 * theirs, (time, ours, theirs)
 
 
 def test_validate_density_rejections():

@@ -22,7 +22,8 @@ from ptqm.canonical import COMPLEX_PAIR, pt_canonical_form
 from ptqm.dilation import embedded_evolution_check, halmos_dilation, uniform_bound
 from ptqm.dynamics import (TimeGrid, default_grid, invariant_report, propagator, propagator_stack,
                            validate_density)
-from ptqm.errors import DegeneratePostSelectionError, NumericalError, PreconditionError
+from ptqm.errors import (DegeneratePostSelectionError, NumericalError, PreconditionError,
+                         ValidationError)
 from ptqm.metric import basis_coefficients
 from ptqm.superposition import free_basis, free_kraus_defect, verify_free_evolution
 from ptqm.symmetry import validate_pt_pair
@@ -376,6 +377,30 @@ def test_overflowing_grid_is_a_numerical_error(tmp_path, capsys):
     assert f"t = {times[first]:.6f}" in doc["detail"]
     with pytest.raises(NumericalError):
         propagator(h, times[-1], dec)
+
+
+# -- a decomposition bound to its H ---------------------------------------
+
+
+@pytest.mark.parametrize("foreign", ["shifted", "resampled"])
+def test_analyses_reject_the_decomposition_of_another_hamiltonian(foreign):
+    """Given the decomposition of H_b, every analysis of H_a would report
+    on H_b's dynamics, and its self-consistency checks would pass."""
+    h, pair, rho, _ = real_instance(8, "unbroken", seed=17)
+    other = h + np.eye(8) if foreign == "shifted" else real_instance(8, "unbroken", seed=18)[0]
+    assert np.linalg.norm(h - other, 2) >= 1.0 - 1e-12
+    decomp = pt_canonical_form(other, pair)
+    grid = TimeGrid(0.0, 5.0, 11)
+    analyses = {
+        "invariants": lambda dec: invariant_report(h, pair, rho, grid, decomp=dec),
+        "dilation": lambda dec: embedded_evolution_check(h, pair, rho, grid, decomp=dec),
+        "free": lambda dec: verify_free_evolution(h, pair, 0.5 * uniform_bound(dec), grid,
+                                                  decomp=dec),
+    }
+    for name, run in analyses.items():
+        with pytest.raises(ValidationError, match="another H"):
+            run(decomp)
+        run(pt_canonical_form(h, pair))
 
 
 # -- one decomposition per command ---------------------------------------

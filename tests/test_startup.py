@@ -1,9 +1,12 @@
-"""scipy stays unloaded until a Schur form, ztrsen or expm runs.
+"""A command line loads only the modules its subcommand runs.
 
 Importing scipy.linalg dominates the start-up of a command-line call,
-so ptqm.linalg imports it inside the functions that call it. The test
-modules import scipy themselves, so only a fresh interpreter can see
-whether a command loaded it.
+so ptqm.linalg imports it inside the two functions that call it, the
+Schur form and ztrsen of an exceptional point; the exponential evolve
+needs is numpy's. Importing ptqm loads none of its modules, and
+ptqm.cli imports a subcommand's library modules when it runs. The test
+modules import scipy and every ptqm module themselves, so only a fresh
+interpreter can see what a command loaded.
 """
 
 import json
@@ -20,32 +23,39 @@ from test_cli_golden import GOLDEN, INPUTS, _argv, _load_cases, assert_same_text
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs each command line of the JSON list on stdin through cli.main and
-# prints, as one JSON line, whether scipy was loaded after import ptqm,
-# then each run's exit code, stdout, stderr and whether scipy was loaded
-# after it
+# prints, as one JSON line, whether scipy was loaded after import ptqm
+# and which ptqm modules were, then each run's exit code, stdout, stderr
+# and the same two after it
 _CHILD = """
 import contextlib, io, json, sys
+def loaded():
+    return {"scipy": "scipy" in sys.modules,
+            "ptqm": sorted(m for m in sys.modules if m.startswith("ptqm."))}
 import ptqm
-runs = [{"scipy": "scipy" in sys.modules}]
+runs = [loaded()]
 from ptqm.cli import main
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    runs.append({"code": code, "out": out.getvalue(), "err": err.getvalue(),
-                 "scipy": "scipy" in sys.modules})
+    runs.append({"code": code, "out": out.getvalue(), "err": err.getvalue(), **loaded()})
 sys.stdout.write(json.dumps(runs))
 """
 
 
-def _run_fresh(argvs: list) -> list:
-    """[import ptqm, then one entry per command line], from a new interpreter."""
+def _python(code: str, stdin: str = "") -> str:
+    """stdout of code run by a new interpreter that imports ptqm from SRC."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(argvs),
+    proc = subprocess.run([sys.executable, "-c", code], input=stdin,
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _run_fresh(argvs: list) -> list:
+    """[import ptqm, then one entry per command line], from a new interpreter."""
+    return json.loads(_python(_CHILD, json.dumps(argvs)))
 
 
 def _golden(names: list, summary: Path) -> tuple[list, list]:
@@ -59,7 +69,8 @@ def test_commands_without_a_factorisation_leave_scipy_unloaded(tmp_path):
         f"{command}_{case}{d}"
         for command in ("classify", "canonical", "metric", "inner", "invariants",
                         "dilate", "free-check")
-        for case in ("unbroken", "complex") for d in (2, 4)]
+        for case in ("unbroken", "complex") for d in (2, 4)] + [
+        f"evolve_{case}{d}" for case in ("unbroken", "complex", "ep") for d in (2, 4)]
     cases, argvs = _golden(names, tmp_path / "summary.json")
     h_not_pt = tmp_path / "h_not_pt.json"
     h_not_pt.write_text(render_json({"dim": 2, "rows": np.asarray(
@@ -77,13 +88,37 @@ def test_commands_without_a_factorisation_leave_scipy_unloaded(tmp_path):
 
 
 def test_first_scipy_import_inside_a_command_matches_golden(tmp_path):
-    """The exceptional point's Schur form and evolve's expm each import
-    scipy first inside cli.main's np.errstate(raise), so each runs in its
-    own interpreter; that import must not turn into a numerical failure."""
-    for names in (["canonical_ep2"], ["evolve_unbroken2"]):
+    """The exceptional point's Schur form imports scipy first inside
+    cli.main's np.errstate(raise), which must not turn into a numerical
+    failure."""
+    for names in (["canonical_ep2"],):
         cases, argvs = _golden(names, tmp_path / "summary.json")
         imported, run = _run_fresh(argvs)
         assert not imported["scipy"] and run["scipy"]
         assert (run["code"], run["err"]) == (cases[0]["exit"], cases[0]["stderr"])
         assert_same_text(run["out"], (GOLDEN / f"{names[0]}.out").read_text(encoding="utf-8"),
                          names[0])
+
+
+def test_decomposing_commands_load_no_analysis_module(tmp_path):
+    _, argvs = _golden(["classify_unbroken2", "canonical_unbroken2"], tmp_path / "summary.json")
+    imported, *runs = _run_fresh(argvs)
+    assert imported["ptqm"] == []
+    assert [r["code"] for r in runs] == [0, 0]
+    # a loaded module stays in sys.modules, so the last run speaks for both
+    assert not {"ptqm.dynamics", "ptqm.dilation", "ptqm.superposition",
+                "ptqm.bender"} & set(runs[-1]["ptqm"])
+
+
+def test_every_exported_name_resolves():
+    """Each name of ptqm.__all__, asked for first in a new interpreter, is
+    an object of that name in a ptqm module, and dir(ptqm) lists it."""
+    unresolved = json.loads(_python("""
+import json, sys
+import ptqm
+values = {name: getattr(ptqm, name) for name in ptqm.__all__}
+modules = [mod for m, mod in sys.modules.items() if m.startswith("ptqm.")]
+print(json.dumps([name for name, value in values.items() if name not in dir(ptqm)
+                  or not any(getattr(mod, name, None) is value for mod in modules)]))
+"""))
+    assert unresolved == []
