@@ -12,6 +12,9 @@ and every quadratic quantity below carries the 1/cos(alpha) that
 diverges at the critical point alpha = pi/2. The eta-norm equals
 cos(theta) only when r = s, where the two angles coincide; the
 cos(alpha) value is what the constructed metric reproduces.
+
+The discriminant, alpha and S0 formulas are elementwise helpers: the
+scalar functions evaluate them at one point, critical_sweep on a grid.
 """
 
 from __future__ import annotations
@@ -21,33 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import (
-    COMPLEX_PAIR,
-    REAL_JORDAN,
-    REAL_SIMPLE,
-    BlockDescriptor,
-    CanonicalDecomposition,
-    SpectralClass,
-    _classify_blocks,
-    _decomposition,
-)
-from .errors import (
-    BrokenRegimeError,
-    CriticalPointError,
-    NumericalError,
-    ValidationError,
-)
+from .canonical import (COMPLEX_PAIR, REAL_JORDAN, REAL_SIMPLE, BlockDescriptor,
+                        CanonicalDecomposition, SpectralClass, _classify_blocks, _decomposition)
+from .errors import BrokenRegimeError, CriticalPointError, NumericalError, ValidationError
 from .metric import MetricOperator, build_metric
 from .symmetry import PTPair, validate_pt_pair
 
 
 @contextmanager
 def _float_range(what: str):
-    """Raise NumericalError where a closed form leaves the float range.
-
-    Python float powers raise OverflowError there, and numpy arithmetic
-    raises FloatingPointError under the error state set here.
-    """
+    """Raise NumericalError where a closed form leaves the float range: Python
+    float powers raise OverflowError there, numpy FloatingPointError here."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
@@ -95,12 +82,26 @@ class StokesVector:
 
 def bender_hamiltonian(p: BenderParams) -> tuple[np.ndarray, PTPair]:
     """The model Hamiltonian with its (swap, conjugation) PT pair."""
-    h = np.array([
-        [p.r * np.exp(1j * p.theta), p.s],
-        [p.s, p.r * np.exp(-1j * p.theta)],
-    ])
+    h = np.array([[p.r * np.exp(1j * p.theta), p.s], [p.s, p.r * np.exp(-1j * p.theta)]])
     pair = validate_pt_pair(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
     return h, pair
+
+
+def _discriminant(r, s, theta):
+    """r sin(theta) and s^2 - (r sin(theta))^2, elementwise; float_power squares
+    as a scalar ** does (array ** 2 multiplies, at times a last bit apart)."""
+    rs = r * np.sin(theta)
+    return rs, s ** 2 - np.float_power(rs, 2)
+
+
+def _regime(r, s, rs, disc, tol):
+    """0 above the band tol * max(1, r^2, s^2) (two real eigenvalues),
+    1 below it (a conjugate pair); inside it 2 where |r sin(theta)| is
+    within the band's root (degenerate but diagonalizable), else 3."""
+    band = tol * max(1.0, r ** 2, s ** 2)
+    # a negative band (tol < 0) never gets as far as its root, which must not raise
+    inside = abs(rs) <= np.sqrt(np.maximum(band, 0.0))
+    return np.select([disc > band, disc < -band, inside], [0, 1, 2], 3)
 
 
 def bender_classify(p: BenderParams, tol: float = 1e-8) -> SpectralClass:
@@ -111,36 +112,34 @@ def bender_classify(p: BenderParams, tol: float = 1e-8) -> SpectralClass:
     degenerate but diagonalizable (hence unbroken) point.
     """
     with _float_range("the discriminant"):
-        rs = p.r * np.sin(p.theta)
-        disc = p.s ** 2 - rs ** 2
+        rs, disc = _discriminant(p.r, p.s, p.theta)
         a = p.r * np.cos(p.theta)
-        tol_abs = tol * max(1.0, p.r ** 2, p.s ** 2)
-    if disc > tol_abs:
-        gap = float(np.sqrt(disc))
-        blocks = (
-            BlockDescriptor(REAL_SIMPLE, complex(a - gap), 1),
-            BlockDescriptor(REAL_SIMPLE, complex(a + gap), 1),
-        )
-    elif disc < -tol_abs:
+        regime = _regime(p.r, p.s, rs, disc, tol)
+    if regime == 1:
         blocks = (BlockDescriptor(COMPLEX_PAIR, complex(a, np.sqrt(-disc)), 1),)
-    elif abs(rs) <= np.sqrt(tol_abs):
-        blocks = (
-            BlockDescriptor(REAL_SIMPLE, complex(a), 1),
-            BlockDescriptor(REAL_SIMPLE, complex(a), 1),
-        )
-    else:
+    elif regime == 3:
         blocks = (BlockDescriptor(REAL_JORDAN, complex(a), 2),)
+    else:  # two real eigenvalues, equal at a degenerate point
+        lams = (a, a) if regime == 2 else (a - np.sqrt(disc), a + np.sqrt(disc))
+        blocks = tuple(BlockDescriptor(REAL_SIMPLE, complex(lam), 1) for lam in lams)
     return _classify_blocks(blocks)
 
 
+def _alpha_branch(r, s, theta):
+    """x = r sin(theta) / s, whether |x| passes 1 by more than rounding
+    at the critical point (the broken regime), and alpha = arcsin(x)
+    with x clipped onto the branch; elementwise."""
+    x = r * np.sin(theta) / s
+    return x, abs(x) > 1.0 + 1e-14, np.arcsin(np.clip(x, -1.0, 1.0))
+
+
 def _alpha(p: BenderParams) -> float:
-    """arcsin(r sin(theta) / s) for s != 0; a ratio within 1e-14 past +-1
-    is rounding at the critical point and is clipped onto the branch."""
-    x = p.r * np.sin(p.theta) / p.s
-    if abs(x) > 1.0 + 1e-14:
+    """arcsin(r sin(theta) / s) for s != 0."""
+    x, broken, alpha = _alpha_branch(p.r, p.s, p.theta)
+    if broken:
         raise BrokenRegimeError(
             f"|r sin(theta)/s| = {abs(x):.6f} > 1: eigenstates leave the real-alpha form")
-    return float(np.arcsin(np.clip(x, -1.0, 1.0)))
+    return float(alpha)
 
 
 def bender_eigensystem(p: BenderParams, crit_tol: float = 1e-6) -> BenderEigensystem:
@@ -160,8 +159,7 @@ def bender_eigensystem(p: BenderParams, crit_tol: float = 1e-6) -> BenderEigensy
         raise CriticalPointError(
             f"cos(alpha) = {ca:.3e} at or below crit_tol; normalization diverges")
 
-    ep = np.exp(1j * alpha / 2.0)
-    em = np.exp(-1j * alpha / 2.0)
+    ep, em = np.exp(1j * alpha / 2.0), np.exp(-1j * alpha / 2.0)
     e_plus_raw = np.array([ep, em]) / np.sqrt(2.0)
     e_minus_raw = np.array([1j * em, -1j * ep]) / np.sqrt(2.0)
     e_plus = e_plus_raw / np.sqrt(ca)
@@ -181,23 +179,12 @@ def bender_eigensystem(p: BenderParams, crit_tol: float = 1e-6) -> BenderEigensy
         cols, lams = [e_minus, e_plus], [lam_minus, lam_plus]
     else:
         cols, lams = [e_plus, e_minus], [lam_plus, lam_minus]
-    blocks = (
-        BlockDescriptor(REAL_SIMPLE, complex(lams[0]), 1),
-        BlockDescriptor(REAL_SIMPLE, complex(lams[1]), 1),
-    )
+    blocks = tuple(BlockDescriptor(REAL_SIMPLE, complex(lam), 1) for lam in lams)
     decomp = _decomposition(h, float(np.linalg.norm(h, 2)), pair, np.column_stack(cols), blocks)
-    eta = build_metric(decomp)
-    return BenderEigensystem(
-        params=p,
-        alpha=alpha,
-        E_plus_raw=e_plus_raw,
-        E_minus_raw=e_minus_raw,
-        E_plus=e_plus,
-        E_minus=e_minus,
-        eigenvalues=(float(lam_plus), float(lam_minus)),
-        eta=eta,
-        decomposition=decomp,
-    )
+    return BenderEigensystem(params=p, alpha=alpha, E_plus_raw=e_plus_raw,
+                             E_minus_raw=e_minus_raw, E_plus=e_plus, E_minus=e_minus,
+                             eigenvalues=(float(lam_plus), float(lam_minus)),
+                             eta=build_metric(decomp), decomposition=decomp)
 
 
 def _check_alpha(alpha: float, crit_tol: float) -> float:
@@ -218,8 +205,7 @@ def expansion_coefficients(x: complex, y: complex, alpha: float,
     c2 = -i sqrt(2 cos a) (x e^{-ia/2} - y e^{ia/2}) / (e^{ia} + e^{-ia})
     """
     ca = _check_alpha(alpha, crit_tol)
-    x = complex(x)
-    y = complex(y)
+    x, y = complex(x), complex(y)
     ep = np.exp(1j * alpha / 2.0)
     em = np.exp(-1j * alpha / 2.0)
     den = 2.0 * ca  # e^{i a} + e^{-i a}
@@ -229,16 +215,19 @@ def expansion_coefficients(x: complex, y: complex, alpha: float,
     return complex(c1), complex(c2)
 
 
-def s0_eta(x: complex, y: complex, alpha: float, crit_tol: float = 1e-6) -> float:
-    """|c1|^2 + |c2|^2 in closed form:
-    (|x|^2 + |y|^2 + i (x conj(y) - y conj(x)) sin a) / cos a."""
-    ca = _check_alpha(alpha, crit_tol)
-    x = complex(x)
-    y = complex(y)
+def _s0(x: complex, y: complex, alpha, ca):
+    """(|x|^2 + |y|^2 + i (x conj(y) - y conj(x)) sin a) / cos a, elementwise
+    over alpha and its cosine ca."""
     with _float_range("S0"):
         cross = 1j * (x * np.conj(y) - y * np.conj(x)) * np.sin(alpha)
         # numpy, not Python floats, so that an overflowing sum or quotient raises
-        return float((np.add(abs(x) ** 2, abs(y) ** 2) + cross.real) / ca)
+        return (np.add(abs(x) ** 2, abs(y) ** 2) + cross.real) / ca
+
+
+def s0_eta(x: complex, y: complex, alpha: float, crit_tol: float = 1e-6) -> float:
+    """|c1|^2 + |c2|^2 of (x, y), in the closed form of _s0."""
+    ca = _check_alpha(alpha, crit_tol)
+    return float(_s0(complex(x), complex(y), alpha, ca))
 
 
 def stokes_vector(ex: complex, ey: complex) -> StokesVector:
@@ -248,8 +237,7 @@ def stokes_vector(ex: complex, ey: complex) -> StokesVector:
     S3 = +1. Scalar inputs always satisfy S0^2 = S1^2 + S2^2 + S3^2.
     Fields whose squares leave the float range raise NumericalError.
     """
-    ex = complex(ex)
-    ey = complex(ey)
+    ex, ey = complex(ex), complex(ey)
     if not all(np.isfinite([ex.real, ex.imag, ey.real, ey.imag])):
         raise ValidationError("field components must be finite")
     with _float_range("Stokes parameters"):
@@ -283,29 +271,40 @@ def critical_sweep(r: float, s: float, theta_grid, probe=(1.0, 0.0),
     normalization diverges.
     The overlap |<E+_raw, E-_raw>| equals |sin(alpha)| and tends to 1
     at the critical point, where the eigenvectors coalesce.
+    The grid is evaluated as arrays. An invalid theta or an overflow
+    raises what the first row meeting one raises on its own.
     """
     if s == 0:
         raise ValidationError("sweep requires s != 0")
     x_probe, y_probe = complex(probe[0]), complex(probe[1])
-    rows = []
-    for theta in sorted(float(t) for t in np.asarray(theta_grid, dtype=float)):
-        p = BenderParams(r=r, s=s, theta=theta)
-        cls = bender_classify(p, tol)
-        if cls.unbroken:
-            label = "Unbroken"
-        else:
-            label = cls.detail[0].kind
-        try:
-            alpha = _alpha(p)
-        except BrokenRegimeError as exc:
-            rows.append(SweepRow(theta, label, None, None, None, None, exc.kind))
-            continue
-        overlap = float(abs(np.sin(alpha)))
-        ca = float(np.cos(alpha))
-        if ca <= crit_tol:
-            rows.append(SweepRow(theta, label, alpha, None, None, overlap,
-                                 CriticalPointError.kind))
-            continue
-        s0 = s0_eta(x_probe, y_probe, alpha, crit_tol)
-        rows.append(SweepRow(theta, label, alpha, s0, s0 * ca, overlap, None))
-    return rows
+    grid = np.asarray(theta_grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValidationError("theta grid must be one-dimensional")
+    thetas = sorted(grid.tolist())  # Python's stable order, NaN and -0.0 included
+    if not thetas:
+        return []
+    BenderParams(r=r, s=s, theta=thetas[0])  # r and s are checked at the first row
+    theta = np.array(thetas)
+    with _float_range("the discriminant"):  # where r^2 or s^2, which bound every row's, overflow
+        with np.errstate(over="ignore", invalid="ignore"):  # failing rows are found below
+            rs, disc = _discriminant(r, s, theta)
+            x, broken, alpha = _alpha_branch(r, s, theta)
+            ca, overlap = np.cos(alpha), abs(np.sin(alpha))
+        regime = _regime(r, s, rs, disc, tol).tolist()
+    reached = ~broken & ~(ca <= crit_tol)
+    s0 = np.zeros_like(theta)
+    fails = ~((-np.pi < theta) & (theta <= np.pi)) | ~np.isfinite(x)
+    stops = np.flatnonzero(fails).tolist() + [theta.size]
+    for start, stop in zip([0] + [k + 1 for k in stops], stops):
+        run = start + np.flatnonzero(reached[start:stop])  # S0 up to the next failing row,
+        if run.size:
+            s0[run] = _s0(x_probe, y_probe, alpha[run], ca[run])
+        if stop < theta.size:  # which then fails as on its own:
+            BenderParams(r=r, s=s, theta=thetas[stop])  # an invalid theta raises,
+            _alpha_branch(r, s, thetas[stop])  # an overflowing ratio as the error state says
+    labels = ("Unbroken", COMPLEX_PAIR, "Unbroken", REAL_JORDAN)  # by regime
+    return [SweepRow(t, labels[k], None, None, None, None, BrokenRegimeError.kind) if b
+            else SweepRow(t, labels[k], a, v, v * c, o, None) if ok
+            else SweepRow(t, labels[k], a, None, None, o, CriticalPointError.kind)
+            for t, k, b, ok, a, o, v, c in zip(thetas, regime, *(
+                col.tolist() for col in (broken, reached, alpha, overlap, s0, ca)))]

@@ -34,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
 _PAIR = ("hamiltonian", "parity", "timereversal")
 _DECOMPOSE = ("val_tol", "tol", "cluster_tol", "rank_tol", "can_tol")
 _GRID = ("t_start", "t_end", "num_points")
-# library names the handlers call, as "module.name"; see _bind
+# library names the handlers use, as "module.name"; see _bind
 _DECOMPOSE_CALLS = ("symmetry.validate_pt_pair", "canonical.pt_canonical_form")
 _METRIC_CALLS = _DECOMPOSE_CALLS + ("metric.build_metric", "metric.SignCharacteristic")
 
@@ -63,7 +63,7 @@ _SETTING_TEXT = {"signs": cfgmod.parse_signs, "probe": cfgmod.parse_probe}
 
 def _commands() -> dict:
     """Subcommand -> (handler, help, positional arguments, the library
-    names it calls, the RunConfig fields it reads). Each field is a flag
+    names it uses, the RunConfig fields it reads). Each field is a flag
     of the same name, --cluster-tol for cluster_tol; a subcommand accepts
     no other setting flag."""
     return {
@@ -82,7 +82,8 @@ def _commands() -> dict:
                        _METRIC_CALLS + ("dynamics.TimeGrid", "dynamics.invariant_report"),
                        _DECOMPOSE + ("met_tol", "signs") + _GRID),
         "bender-sweep": (cmd_bender_sweep, "two-level family theta sweep", (),
-                         ("bender.critical_sweep",), ("tol", "crit_tol", "probe")),
+                         ("bender.critical_sweep", "linalg.MAX_GRID_POINTS"),
+                         ("tol", "crit_tol", "probe")),
         "stokes": (cmd_stokes, "Stokes parameters of a two-component field", (),
                    ("bender.stokes_vector",), ()),
         "dilate": (cmd_dilate, "post-selected embedding check", _PAIR + ("state",),
@@ -302,6 +303,8 @@ def cmd_invariants(args, cfg) -> None:
 def cmd_bender_sweep(args, cfg) -> None:
     if args.steps < 2:
         raise ValidationError("steps must be at least 2")
+    if args.steps > MAX_GRID_POINTS:
+        raise ValidationError(f"steps must be at most {MAX_GRID_POINTS}")
     if not args.theta_max > args.theta_min:
         raise ValidationError("theta-max must exceed theta-min")
     grid = np.linspace(args.theta_min, args.theta_max, args.steps)

@@ -56,8 +56,8 @@ class RunConfig:
                 continue
             if not isinstance(value, (int, float)) or not value > 0:
                 fail("{%s} must be > 0, got %r" % (name, value), name)
-        if not 0 < self.slack <= 1:
-            fail("{slack} must be in (0, 1], got %r" % (self.slack,), "slack")
+        if not 0 < self.slack < 1:
+            fail("{slack} must be in (0, 1), got %r" % (self.slack,), "slack")
         if not isinstance(self.num_points, int) or self.num_points < 1:
             fail("{num_points} must be a positive integer", "num_points")
         if not self.t_end >= self.t_start:

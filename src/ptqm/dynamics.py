@@ -30,15 +30,14 @@ import numpy as np
 from .canonical import CanonicalDecomposition, SpectralClass, pt_canonical_form
 from .errors import (DimensionError, InvalidDensityError, NumericalError, PreconditionError,
                      ValidationError)
-from .linalg import as_square, dagger, first_index, matrix_exponential, solve_stack
+from .linalg import (MAX_GRID_POINTS, as_square, dagger, first_index, matrix_exponential,
+                     solve_stack)
 from .metric import MetricOperator, SignCharacteristic, basis_coefficients, build_metric
 from .symmetry import PTPair
 
 OVERFLOW_EXPONENT = 30.0
 # byte budget of the widest stacked complex array a grid analysis builds per chunk
 GRID_CHUNK_BYTES = 1 << 17
-# largest accepted grid: every grid analysis holds its per-point series in memory
-MAX_GRID_POINTS = 1_000_000
 # smallest |trace| that normalize_density divides by
 NORMALIZE_FLOOR = 1e-12
 

@@ -55,6 +55,9 @@ _FIXED_TOP_FLOOR = 0.5
 # hermitian_root clamps to zero, both relative to max(1, ||A||)
 PSD_HERM_TOL = 1e-10
 PSD_NEG_FLOOR = 1e-12
+# largest accepted grid, of times or of angles: an analysis holds its
+# per-point series in memory
+MAX_GRID_POINTS = 1_000_000
 
 
 def _as_array(a, name: str, ndim: int = 2, stacked: bool = False) -> np.ndarray:

@@ -7,8 +7,8 @@ src directories of two checkouts. Each command line below is run as
 `python -m ptqm.cli` in a fresh interpreter under each tree: the 50
 golden lines of cases.json, then a fixed list of failing and edge
 lines (one per error kind, plus non-finite numbers in flags, probes
-and config files). Exit code, stdout, stderr and the --summary file
-are recorded.
+and config files), then sweeps that between them hold every kind of
+row. Exit code, stdout, stderr and the --summary file are recorded.
 
 The golden test compares numbers within NUM_TOL of a recording, and
 recordings drift in their last digits whenever the numerics change at
@@ -64,6 +64,7 @@ _U2 = [f"{{inputs}}/{n}_unbroken2.json" for n in ("h", "p", "t")]
 _RS = ["bender-sweep", "--r", "1", "--s", "0.8"]
 _SWEEP = _RS + ["--theta-min", "0.5", "--theta-max", "1.2", "--steps", "5"]
 _BROKEN = ["{tmp}/h_broken.json", "{tmp}/p_swap.json", "{tmp}/t_id.json"]
+_FULL_RANGE = ["--theta-min", "-3.1", "--theta-max", "3.1", "--steps", "201"]
 
 # (name, argv) of the failing and edge lines
 _EXTRA = [
@@ -116,6 +117,14 @@ _EXTRA = [
     ("nonfinite-config-t-start", ["dilate", *_U2, "{inputs}/rho_unbroken2.json",
                                   "--config", "{tmp}/cfg_t_nan.json"]),
     ("nonfinite-config-tol", ["classify", *_U2, "--config", "{tmp}/cfg_tol_inf.json"]),
+    # unbroken and broken rows for s of either sign, then a critical row
+    ("sweep-full-range", _RS + _FULL_RANGE),
+    ("sweep-full-range-negative-s", ["bender-sweep", "--r", "1", "--s", "-0.8", *_FULL_RANGE]),
+    ("sweep-full-range-probe", _RS + _FULL_RANGE + ["--probe", "0.6,0.2,-0.3,0.7"]),
+    ("sweep-critical-row", ["bender-sweep", "--r", "1", "--s", "1", "--theta-min",
+                            "1.4707963267948966", "--theta-max", "1.6707963267948966",
+                            "--steps", "3"]),
+    ("dilate-slack-1", ["dilate", *_U2, "{inputs}/rho_unbroken2.json", "--slack", "1"]),
 ]
 
 

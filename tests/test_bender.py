@@ -1,10 +1,15 @@
 """Two-level exactly solvable family: eigensystem, S0, Stokes, sweeps."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
 from ptqm.bender import (
     BenderParams,
+    SweepRow,
+    _alpha,
     bender_classify,
     bender_eigensystem,
     bender_hamiltonian,
@@ -315,3 +320,129 @@ def test_sweep_and_eigensystem_agree_at_sampled_exceptional_points():
 def test_sweep_requires_nonzero_coupling():
     with pytest.raises(ValidationError):
         critical_sweep(1.0, 0.0, [0.1, 0.2])
+
+
+def reference_sweep(r, s, theta_grid, probe=(1.0, 0.0), crit_tol=1e-6, tol=1e-8):
+    """critical_sweep evaluated row by row through the one-point functions."""
+    if s == 0:
+        raise ValidationError("sweep requires s != 0")
+    x_probe, y_probe = complex(probe[0]), complex(probe[1])
+    rows = []
+    for theta in sorted(float(t) for t in np.asarray(theta_grid, dtype=float)):
+        p = BenderParams(r=r, s=s, theta=theta)
+        cls = bender_classify(p, tol)
+        label = "Unbroken" if cls.unbroken else cls.detail[0].kind
+        try:
+            alpha = _alpha(p)
+        except BrokenRegimeError as exc:
+            rows.append(SweepRow(theta, label, None, None, None, None, exc.kind))
+            continue
+        overlap = float(abs(np.sin(alpha)))
+        ca = float(np.cos(alpha))
+        if ca <= crit_tol:
+            rows.append(SweepRow(theta, label, alpha, None, None, overlap,
+                                 CriticalPointError.kind))
+            continue
+        s0 = s0_eta(x_probe, y_probe, alpha, crit_tol)
+        rows.append(SweepRow(theta, label, alpha, s0, s0 * ca, overlap, None))
+    return rows
+
+
+def sweep_outcome(sweep, *args):
+    """The rows with every float as its bytes (so -0.0 is not 0.0), or the
+    type and message of the exception raised."""
+    try:
+        rows = sweep(*args)
+    except Exception as exc:  # the outcome compared is the exception itself
+        return type(exc), str(exc)
+    return [tuple(struct.pack("<d", v) if isinstance(v, float) else v
+                  for v in dataclasses.astuple(row)) for row in rows]
+
+
+def assert_sweep_matches_reference(*args):
+    expected = sweep_outcome(reference_sweep, *args)
+    assert sweep_outcome(critical_sweep, *args) == expected
+
+
+def test_sweep_matches_row_by_row_reference_bitwise():
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    for _ in range(300):
+        r, s = rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0)
+        probe = tuple(complex(*rng.standard_normal(2)) for _ in range(2))
+        grid = rng.uniform(-np.pi, np.pi, 40)
+        # duplicates, both zeros and the right end of (-pi, pi]
+        grid = np.concatenate([grid, grid[:5], [0.0, -0.0, 0.0, np.pi]])
+        if abs(s) <= r:  # the four critical angles and their neighbours
+            a = float(np.arcsin(s / r))
+            for c in (a, -a, np.pi - a, a - np.pi):
+                grid = np.concatenate([grid, [np.nextafter(c, -4.0), c, np.nextafter(c, 4.0)]])
+        grid = grid[(-np.pi < grid) & (grid <= np.pi)]
+        rng.shuffle(grid)
+        crit_tol, tol = rng.choice([1e-6, 1e-2]), rng.choice([1e-8, 1e-3, 0.0])
+        assert_sweep_matches_reference(r, s, grid, probe, crit_tol, tol)
+        kinds.update((row.classification, row.error) for row in critical_sweep(
+            r, s, grid, probe, crit_tol, tol))
+    assert {("Unbroken", None), ("Unbroken", "critical_point"), (COMPLEX_PAIR, "broken_regime"),
+            (REAL_JORDAN, "critical_point")} <= kinds
+
+
+def test_sweep_squares_as_the_one_point_classification_does():
+    """With tol = 0 and s = r sin(theta) the discriminant is zero, and the
+    point a Jordan block, only if r sin(theta) is squared as s is; at this
+    s, s * s is a last bit away from s ** 2."""
+    s, theta = 0.1910733115682393, 0.19225548808677728
+    assert np.sin(theta) == s and s ** 2 != s * s
+    assert_sweep_matches_reference(1.0, s, [theta, theta], (1.0, 0.0), 1e-6, 0.0)
+    assert critical_sweep(1.0, s, [theta], tol=0.0)[0].classification == REAL_JORDAN
+
+
+@pytest.mark.parametrize("r, s, grid, probe", [
+    (1.0, 0.8, [0.1, np.nan, 0.2], (1.0, 0.0)),
+    (1.0, 0.8, [np.inf, 0.1], (1.0, 0.0)),
+    (1.0, 0.8, [0.1, 4.0, -0.2], (1.0, 0.0)),
+    (1.0, 0.8, [-np.pi, 0.1], (1.0, 0.0)),
+    (-1.0, 0.8, [0.1, 0.2], (1.0, 0.0)),
+    (-1.0, 0.8, [np.nan, 0.1], (1.0, 0.0)),
+    (0.0, 0.0, [0.1], (1.0, 0.0)),
+    (np.nan, 0.8, [0.1], (1.0, 0.0)),
+    (1e200, 1.0, [0.1, 0.2], (1.0, 0.0)),
+    (1.0, 1e200, [0.1], (1.0, 0.0)),
+    (1.0, 0.8, [0.1, 0.2], (1e200, 0.0)),
+    # |x|^2 = 1.44e308 fits; divided by cos(alpha) = 0.71 at theta = 0.6 it does not
+    (1.0, 0.8, [0.1, 0.6], (1.2e154, 0.0)),
+    # an S0 overflow at an earlier row comes before an invalid theta
+    (1.0, 0.8, [0.6, 5.0], (1.2e154, 0.0)),
+    (1.0, 0.8, [0.1, 5.0], (1.2e154, 0.0)),
+    (1.0, 0.8, [1.5, 0.1, 5.0], (1e200, 0.0)),
+    # a broken row reaches no S0, so the invalid theta raises
+    (1.0, 0.8, [1.5, 5.0], (1e200, 0.0)),
+    # r sin(theta) / s overflows: the error state decides (here a warning, as an error)
+    (1e10, 1e-300, [0.0, 0.5], (1.0, 0.0)),
+])
+def test_sweep_errors_match_row_by_row_reference(r, s, grid, probe):
+    expected = sweep_outcome(reference_sweep, r, s, grid, probe)
+    assert isinstance(expected, tuple)
+    assert sweep_outcome(critical_sweep, r, s, grid, probe) == expected
+
+
+def test_sweep_overflowing_ratio_follows_the_error_state():
+    with np.errstate(over="ignore"):
+        assert_sweep_matches_reference(1e10, 1e-300, [0.0, 0.5, -0.5], (1.0, 0.0))
+        rows = critical_sweep(1e10, 1e-300, [0.0, 0.5, -0.5])
+    assert [row.error for row in rows] == ["broken_regime", None, "broken_regime"]
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="scalar divide"):
+        critical_sweep(1e10, 1e-300, [0.0, 0.5])
+
+
+def test_sweep_of_an_empty_grid_checks_only_s():
+    assert critical_sweep(-1.0, 0.8, []) == []
+    assert critical_sweep(np.nan, 0.8, np.array([])) == []
+    with pytest.raises(ValidationError, match="^sweep requires s != 0$"):
+        critical_sweep(1.0, 0.0, [])
+
+
+@pytest.mark.parametrize("grid", [np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([[0.1]]), 0.5])
+def test_sweep_rejects_a_grid_that_is_not_one_dimensional(grid):
+    with pytest.raises(ValidationError, match="^theta grid must be one-dimensional$"):
+        critical_sweep(1.0, 0.8, grid)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptqm import cli, dynamics
+from ptqm import cli, dynamics, linalg
 from ptqm.bender import BenderParams, bender_hamiltonian
 from ptqm.cli import main
 from ptqm.config import RunConfig
@@ -155,7 +155,7 @@ def test_metric_signs_with_empty_part_is_rejected(files, capsys, text):
     (["--t-start", "2", "--t-end", "1"], None, "--t-end must be >= --t-start"),
     (["--t-end", "1"], {"t_start": 2}, "--t-end must be >= t_start"),
     ([], {"t_start": 2, "t_end": 1}, "config: t_end must be >= t_start"),
-    (["--slack", "2"], None, "--slack must be in (0, 1], got 2.0"),
+    (["--slack", "2"], None, "--slack must be in (0, 1), got 2.0"),
     (["--num-points", "0"], None, "--num-points must be a positive integer"),
 ])
 def test_settings_error_names_the_flag_it_came_from(files, capsys, extra, config, detail):
@@ -262,6 +262,32 @@ def test_bender_sweep_rejects_bad_grid(files, capsys):
                                 "--steps", "1"])
     assert code == 2
     assert json.loads(err)["error"] == "validation"
+
+
+@pytest.mark.parametrize("steps", [linalg.MAX_GRID_POINTS + 1, 10 ** 9, 10 ** 400])
+def test_bender_sweep_rejects_more_steps_than_the_grid_cap(capsys, monkeypatch, steps):
+    """The cap is checked before the grid is built: no sweep runs."""
+    monkeypatch.setattr(cli, "critical_sweep", lambda *args: pytest.fail("sweep ran"))
+    monkeypatch.setattr(cli.np, "linspace", lambda *args: pytest.fail("grid built"))
+    code, out, err = run(capsys, ["bender-sweep", "--r", "1", "--s", "0.8", "--theta-min", "0",
+                                  "--theta-max", "1", "--steps", str(steps)])
+    assert (code, out) == (2, "")
+    assert err == ('{"error":"validation","detail":"steps must be at most %d"}\n'
+                   % linalg.MAX_GRID_POINTS)
+
+
+def test_bender_sweep_accepts_the_grid_cap(capsys, monkeypatch):
+    lengths = []
+
+    def sweep(r, s, grid, *settings):
+        lengths.append(len(grid))
+        return []
+
+    monkeypatch.setattr(cli, "critical_sweep", sweep)
+    code, _, _ = run(capsys, ["bender-sweep", "--r", "1", "--s", "0.8", "--theta-min", "0",
+                              "--theta-max", "1", "--steps", str(linalg.MAX_GRID_POINTS)])
+    assert (code, lengths) == (0, [linalg.MAX_GRID_POINTS])
+    assert dynamics.MAX_GRID_POINTS is linalg.MAX_GRID_POINTS
 
 
 def test_stokes_frozen(files, capsys):
