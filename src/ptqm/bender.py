@@ -94,13 +94,17 @@ def _discriminant(r, s, theta):
     return rs, s ** 2 - np.float_power(rs, 2)
 
 
+def _check_tol(tol) -> None:
+    if not tol >= 0:
+        raise ValidationError(f"tol must be >= 0, got {float(tol)!r}")
+
+
 def _regime(r, s, rs, disc, tol):
     """0 above the band tol * max(1, r^2, s^2) (two real eigenvalues),
     1 below it (a conjugate pair); inside it 2 where |r sin(theta)| is
     within the band's root (degenerate but diagonalizable), else 3."""
     band = tol * max(1.0, r ** 2, s ** 2)
-    # a negative band (tol < 0) never gets as far as its root, which must not raise
-    inside = abs(rs) <= np.sqrt(np.maximum(band, 0.0))
+    inside = abs(rs) <= np.sqrt(band)
     return np.select([disc > band, disc < -band, inside], [0, 1, 2], 3)
 
 
@@ -109,8 +113,10 @@ def bender_classify(p: BenderParams, tol: float = 1e-8) -> SpectralClass:
 
     Within +-tol of zero the Hamiltonian is declared non-diagonalizable
     unless r sin(theta) also vanishes there, in which case it is a
-    degenerate but diagonalizable (hence unbroken) point.
+    degenerate but diagonalizable (hence unbroken) point. tol must be
+    nonnegative.
     """
+    _check_tol(tol)
     with _float_range("the discriminant"):
         rs, disc = _discriminant(p.r, p.s, p.theta)
         a = p.r * np.cos(p.theta)
@@ -272,10 +278,12 @@ def critical_sweep(r: float, s: float, theta_grid, probe=(1.0, 0.0),
     The overlap |<E+_raw, E-_raw>| equals |sin(alpha)| and tends to 1
     at the critical point, where the eigenvectors coalesce.
     The grid is evaluated as arrays. An invalid theta or an overflow
-    raises what the first row meeting one raises on its own.
+    raises what the first row meeting one raises on its own. tol must be
+    nonnegative, as for bender_classify.
     """
     if s == 0:
         raise ValidationError("sweep requires s != 0")
+    _check_tol(tol)
     x_probe, y_probe = complex(probe[0]), complex(probe[1])
     grid = np.asarray(theta_grid, dtype=float)
     if grid.ndim != 1:

@@ -103,18 +103,16 @@ def _analyze(h: np.ndarray, h_norm: float, pair: PTPair, tol: float,
     scale = max(1.0, h_norm)
     tol_abs = cluster_tol * scale
     spectrum = _clustered_spectrum(h, scale, tol_abs)
-    groups = spectrum.groups
-    means = spectrum.means
+    means, sizes = spectrum.means, spectrum.sizes
     reps = np.where(np.abs(means.imag) <= tol * scale, means.real, means)
 
-    spread = np.abs(spectrum.w[np.concatenate(groups)]
-                    - np.repeat(reps, [len(g) for g in groups]))
+    spread = np.abs(spectrum.w - reps[spectrum.label])
     in_band = bool(np.max(spread) > 0.1 * tol_abs)
 
     # real clusters and the Im > 0 member of each conjugate pair; the
     # minus chains are the PT images of the plus chains
     wanted = []
-    used = np.zeros(len(groups), dtype=bool)
+    used = np.zeros(len(means), dtype=bool)
     for gi, rep in enumerate(reps):
         if used[gi]:
             continue
@@ -126,7 +124,7 @@ def _analyze(h: np.ndarray, h_norm: float, pair: PTPair, tol: float,
         if partner is None:
             raise IllConditionedError(
                 f"eigenvalue {complex(rep):.6e} has no conjugate partner cluster")
-        if len(groups[partner]) != len(groups[gi]):
+        if sizes[partner] != sizes[gi]:
             raise IllConditionedError(
                 "conjugate clusters have different algebraic multiplicities")
         used[partner] = True

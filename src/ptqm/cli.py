@@ -307,6 +307,9 @@ def cmd_bender_sweep(args, cfg) -> None:
         raise ValidationError(f"steps must be at most {MAX_GRID_POINTS}")
     if not args.theta_max > args.theta_min:
         raise ValidationError("theta-max must exceed theta-min")
+    for flag, theta in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
+        if not -math.pi < theta <= math.pi:
+            raise ValidationError(f"{flag} must be in (-pi, pi], got {theta!r}")
     grid = np.linspace(args.theta_min, args.theta_max, args.steps)
     rows = critical_sweep(args.r, args.s, grid, cfg.probe, cfg.crit_tol, cfg.tol)
     # the columns of SweepRow, in field order

@@ -32,6 +32,7 @@ calls have no multi-member cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -256,15 +257,27 @@ class BlockLayout:
         superdiagonal inside each chain; K swaps the two chains of every
         conjugate-pair unit and fixes every other column."""
         d = self.eigenvalues.shape[0]
+        linked = np.ones(d, dtype=bool)  # column c links to c + 1 unless it ends a chain
+        offsets, lengths = np.array(self.chains).T
+        linked[offsets + lengths - 1] = False
+        rows = np.flatnonzero(linked)
         nilpotent = np.zeros((d, d))
-        for offset, length in self.chains:
-            rows = np.arange(offset, offset + length - 1)
-            nilpotent[rows, rows + 1] = 1.0
+        nilpotent[rows, rows + 1] = 1.0
+        unit, offset, span = self._column_units
+        cols = np.arange(d)
+        half = np.where(np.array(self.paired)[unit], span // 2, 0)
         k = np.zeros((d, d), dtype=complex)
-        for (offset, span), pair in zip(self.units, self.paired):
-            cols = np.arange(offset, offset + span)
-            k[cols, np.roll(cols, span // 2) if pair else cols] = 1.0
+        k[cols, offset + (cols - offset + half) % span] = 1.0
         return np.diag(self.eigenvalues) + nilpotent, k
+
+    @cached_property
+    def _column_units(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(unit, offset, span): for each column, the index of its unit
+        and that unit's offset and span; J, K and the metric's S are all
+        read off them."""
+        offsets, spans = np.array(self.units).T
+        unit = np.repeat(np.arange(len(spans)), spans)
+        return unit, offsets[unit], spans[unit]
 
 
 def solve_stack(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -320,41 +333,47 @@ class EigenStructure:
         return psi, layout.matrices()[0]
 
 
-def _clusters(w: np.ndarray, tol_abs: float) -> tuple[list[np.ndarray], np.ndarray]:
+def _clusters(w: np.ndarray, tol_abs: float) -> tuple[np.ndarray, np.ndarray]:
     """Connected components of the spectrum under |wi - wj| <= tol_abs.
 
-    Returns the member indices of every cluster and the cluster means,
-    ordered by mean (real part, then imaginary part). Pairs are swept in
-    order of real part: |wi - wj| is at least the real-part gap, so only
-    pairs whose real parts lie within tol_abs of each other can be linked.
+    Returns (label, means): label[i] numbers the cluster of w[i] and
+    means[k] is the mean of cluster k's members. Clusters are numbered by
+    mean (real part, then imaginary part), ties by their smallest member.
+    Components come from label propagation on the adjacency array: every
+    member takes the smallest label among those linked to it, then that
+    label's own label, until none changes; the label left is the
+    component's smallest member. The clusters of one size are summed as
+    rows of one array, which adds each row as np.mean adds a cluster on
+    its own, bit for bit.
     """
     n = len(w)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    order = np.argsort(w.real, kind="stable")
-    re = w.real[order]
-    for a in range(n):
-        i = order[a]
-        for b in range(a + 1, n):
-            if re[b] - re[a] > tol_abs:
+    # np.hypot, not np.abs: it rounds |wi - wj| as the scalar abs does; a
+    # difference past the float range is an infinite distance, linking nothing
+    with np.errstate(over="ignore"):
+        near = np.hypot(w.real[:, None] - w.real, w.imag[:, None] - w.imag) <= tol_abs
+    if np.count_nonzero(near) == n:  # no pair linked: every cluster a singleton
+        # each mean a sum of one term, as np.mean takes it (a -0.0 part comes back as 0.0)
+        component, means = None, w[:, None].sum(axis=1) / 1
+    else:
+        root = np.arange(n)
+        while True:
+            step = np.min(np.where(near, root, n), axis=1)
+            step = step[step]
+            if np.array_equal(step, root):
                 break
-            j = order[b]
-            if abs(w[i] - w[j]) <= tol_abs:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    found = [np.array(g) for g in groups.values()]
-    means = [w[g].mean() for g in found]
-    ranked = sorted(range(len(found)), key=lambda k: (means[k].real, means[k].imag))
-    return [found[k] for k in ranked], np.array([means[k] for k in ranked], dtype=complex)
+            root = step
+        component = (np.cumsum(root == np.arange(n)) - 1)[root]  # by smallest member
+        sizes = np.bincount(component)
+        members = np.argsort(component, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        means = np.empty(len(sizes), dtype=complex)
+        for size in np.unique(sizes).tolist():
+            rows = np.flatnonzero(sizes == size)
+            means[rows] = w[members[starts[rows, None] + np.arange(size)]].sum(axis=1) / size
+    ranked = np.argsort(means, kind="stable")  # by real part, then imaginary part
+    rank = np.empty_like(ranked)
+    rank[ranked] = np.arange(len(ranked))
+    return (rank if component is None else rank[component]), means[ranked]
 
 
 @dataclass(frozen=True)
@@ -362,24 +381,28 @@ class ClusteredSpectrum:
     """Spectrum of a square matrix from one eigendecomposition, clustered.
 
     w and vectors are the eigenvalues and eigenvectors np.linalg.eig
-    returns. groups[i] indexes the members of cluster i in w and
-    means[i] is their mean, in the order of _clusters. scale is
-    max(1, ||matrix||_2), the reference of every absolute threshold.
+    returns. label[i] is the cluster of w[i] and means[k] the mean of
+    cluster k, as _clusters numbers them. scale is max(1, ||matrix||_2),
+    the reference of every absolute threshold.
     """
 
     matrix: np.ndarray
     scale: float
     w: np.ndarray
     vectors: np.ndarray
-    groups: list
+    label: np.ndarray
     means: np.ndarray
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Number of members of each cluster."""
+        return np.bincount(self.label, minlength=len(self.means))
 
 
 def _clustered_spectrum(a: np.ndarray, scale: float, tol_abs: float) -> ClusteredSpectrum:
     """Eigendecomposition of a, clustered at |wi - wj| <= tol_abs."""
     w, vectors = np.linalg.eig(a)
-    groups, means = _clusters(w, tol_abs)
-    return ClusteredSpectrum(a, scale, w, vectors, groups, means)
+    return ClusteredSpectrum(a, scale, w, vectors, *_clusters(w, tol_abs))
 
 
 def _schur_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -604,10 +627,7 @@ def _cluster_margins(spectrum: ClusteredSpectrum, idx: np.ndarray, reps: np.ndar
     internal is the largest distance of a member, external the smallest
     distance of a non-member (inf when there is none).
     """
-    label = np.empty(len(spectrum.w), dtype=int)
-    label[np.concatenate(spectrum.groups)] = np.repeat(
-        np.arange(len(spectrum.groups)), [len(g) for g in spectrum.groups])
-    member = label[None, :] == idx[:, None]
+    member = spectrum.label[None, :] == idx[:, None]
     dist = np.abs(spectrum.w[None, :] - reps[:, None])
     return (np.max(dist, axis=1, where=member, initial=0.0),
             np.min(dist, axis=1, where=~member, initial=np.inf))
@@ -644,24 +664,25 @@ def _cluster_chains(spectrum: ClusteredSpectrum, wanted, rank_tol: float,
                 raise IllConditionedError("eigenvalue clusters are not separable")
             zero_floor = internal + 64.0 * _EPS * spectrum.scale
 
-            simple = np.flatnonzero([len(spectrum.groups[i]) == 1 for i in idx])
+            sizes = spectrum.sizes[idx]
+            simple = np.flatnonzero(sizes == 1)
             if simple.size:
-                members = np.concatenate([spectrum.groups[i] for i in idx[simple]])
-                q = _simple_vectors(spectrum, members, reps[simple], zero_floor[simple],
-                                    fixed[simple], rank_tol, conj_mat)
+                # the one member of each simple cluster
+                members = np.empty(len(spectrum.means), dtype=int)
+                members[spectrum.label] = np.arange(len(spectrum.w))
+                q = _simple_vectors(spectrum, members[idx[simple]], reps[simple],
+                                    zero_floor[simple], fixed[simple], rank_tol, conj_mat)
                 q = q * _normalizing_factors(q, fixed[simple])
-                for k, col in zip(simple, q.T):
+                for k, col in zip(simple.tolist(), q.T):
                     out[k] = [[col]]
 
             schur = None
-            for k, i in enumerate(idx):
-                if out[k] is not None:
-                    continue
+            for k in np.flatnonzero(sizes > 1).tolist():
                 if schur is None:
                     schur = _schur_form(spectrum.matrix)
                 radius = (0.5 * (internal[k] + external[k]) if np.isfinite(external[k])
                           else internal[k] + 1.0)
-                chains = _deflated_chains(schur, len(spectrum.groups[i]), reps[k], radius,
+                chains = _deflated_chains(schur, int(sizes[k]), reps[k], radius,
                                           zero_floor[k], rank_tol,
                                           conj_mat if fixed[k] else None)
                 factors = _normalizing_factors(np.column_stack([c[0] for c in chains]), fixed[k])
@@ -691,7 +712,7 @@ def eigen_decompose(a, cluster_tol: float = 1e-8, rank_tol: float = 1e-10) -> Ei
 
     structure = EigenStructure(
         eigenvalues=tuple(eigenvalues),
-        multiplicities=tuple(len(g) for g in spectrum.groups),
+        multiplicities=tuple(spectrum.sizes.tolist()),
         geometric_multiplicities=tuple(len(c) for c in chains),
         chains=tuple(tuple(tuple(chain) for chain in c) for c in chains),
         residual=np.nan,

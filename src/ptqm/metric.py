@@ -49,15 +49,26 @@ class MetricOperator:
     defect: float
 
 
+def _check_signs(decomp: CanonicalDecomposition, signs: SignCharacteristic) -> None:
+    n_real = decomp.layout.n_real
+    if len(signs.epsilons) != n_real:
+        raise ValidationError(
+            f"sign characteristic has {len(signs.epsilons)} entries, "
+            f"decomposition has {n_real} real blocks")
+
+
 def structure_matrix(decomp: CanonicalDecomposition,
                      signs: SignCharacteristic) -> np.ndarray:
-    """The exact congruence target S: reversal blocks per unit."""
+    """The exact congruence target S: reversal blocks per unit. signs
+    holds one entry per real unit."""
+    _check_signs(decomp, signs)
     layout = decomp.layout
+    value = np.ones(len(layout.units))  # 1 for a pair, the next sign for a real unit
+    value[np.logical_not(layout.paired)] = signs.epsilons
+    unit, offset, span = layout._column_units
+    cols = np.arange(decomp.dim)
     s = np.zeros((decomp.dim, decomp.dim), dtype=complex)
-    eps = iter(signs.epsilons)
-    for (offset, span), paired in zip(layout.units, layout.paired):
-        cols = np.arange(offset, offset + span)
-        s[cols, cols[::-1]] = 1 if paired else next(eps)
+    s[cols, 2 * offset + span - 1 - cols] = value[unit]  # reversed within each unit
     return s
 
 
@@ -72,13 +83,9 @@ def build_metric(decomp: CanonicalDecomposition,
     Hamiltonian is verified and must stay below
     met_tol * ||eta|| * max(1, ||H||).
     """
-    n_real = decomp.layout.n_real
     if signs is None:
-        signs = SignCharacteristic(epsilons=(1,) * n_real)
-    if len(signs.epsilons) != n_real:
-        raise ValidationError(
-            f"sign characteristic has {len(signs.epsilons)} entries, "
-            f"decomposition has {n_real} real blocks")
+        signs = SignCharacteristic(epsilons=(1,) * decomp.layout.n_real)
+    _check_signs(decomp, signs)
 
     psi = decomp.Psi
     if decomp.condition_number >= 1e14:

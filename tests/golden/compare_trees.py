@@ -8,7 +8,13 @@ src directories of two checkouts. Each command line below is run as
 golden lines of cases.json, then a fixed list of failing and edge
 lines (one per error kind, plus non-finite numbers in flags, probes
 and config files), then sweeps that between them hold every kind of
-row. Exit code, stdout, stderr and the --summary file are recorded.
+row, then classify, canonical and metric at d = 48 for an unbroken, a
+conjugate-pair and an exceptional-point H. Exit code, stdout, stderr
+and the --summary file are recorded.
+
+The d = 48 inputs come from a seeded numpy generator in this script,
+written once into the scratch directory, so both trees read the same
+bytes.
 
 The golden test compares numbers within NUM_TOL of a recording, and
 recordings drift in their last digits whenever the numerics change at
@@ -33,6 +39,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 GOLDEN = Path(__file__).resolve().parent
 INPUTS = GOLDEN / "inputs"
@@ -90,6 +98,8 @@ _EXTRA = [
     ("validation-sweep-steps", _SWEEP[:-1] + ["1"]),
     ("validation-sweep-theta-order", _RS + ["--theta-min", "1.2", "--theta-max", "0.5",
                                             "--steps", "5"]),
+    ("validation-sweep-theta-range", _RS + ["--theta-min", "-3.2", "--theta-max", "0",
+                                            "--steps", "5"]),
     ("validation-stokes-ex-shape", ["stokes", "--ex=1,2,3", "--ey=0,1"]),
     ("validation-stokes-ex-text", ["stokes", "--ex=1,x", "--ey=0,1"]),
     ("validation-probe-shape", _SWEEP + ["--probe", "1,0,0"]),
@@ -127,10 +137,68 @@ _EXTRA = [
     ("dilate-slack-1", ["dilate", *_U2, "{inputs}/rho_unbroken2.json", "--slack", "1"]),
 ]
 
+# the d = 48 cases: (name, spectrum, pair shape), every pair shape once
+_LARGE_D = 48
+_LARGE = (("unbroken48", "unbroken", "trivial"), ("complex48", "complex", "swap"),
+          ("ep48", "ep", "householder"))
+
+
+def _large_files(seed: int = 48) -> dict:
+    """File name -> text of the H, P and T of every d = 48 case.
+
+    With G = P T real symmetric orthogonal, G = W diag(sigma) W^T, the
+    vectors fixed by v -> G conj(v) are M y for real y, M = W diag(phi)
+    with phi = 1 where sigma = 1 and i where sigma = -1. H = Psi J Psi^-1
+    with Psi = M X Q, X real and well conditioned, Q the identity on real
+    columns and [[1, 1], [i, -i]] / sqrt(2) on each conjugate pair, and J
+    a Jordan matrix whose pairs are (lam, conj(lam)), is PT-symmetric.
+    """
+    rng = np.random.default_rng(seed)
+    d = _LARGE_D
+    eye = np.eye(d)
+    files = {}
+    for name, kind, shape in _LARGE:
+        p, t = eye, eye
+        if shape == "swap":
+            p = np.fliplr(eye)
+        elif shape == "householder":
+            u = rng.normal(size=d)
+            t = eye - 2.0 * np.outer(u, u) / (u @ u)
+        sigma, w = np.linalg.eigh(p @ t)
+        frame = w * np.where(sigma > 0, 1.0, 1.0j)
+        values = rng.permutation(0.6 * (np.arange(d) - d / 2)) + rng.uniform(-0.1, 0.1, d)
+        jordan = np.diag(values.astype(complex))
+        basis = np.eye(d, dtype=complex)
+        if kind == "complex":  # columns 2k, 2k + 1 hold a pair, for k < d / 8
+            for k in range(0, d // 4, 2):
+                lam = complex(values[k], rng.uniform(0.3, 0.5))
+                jordan[k, k], jordan[k + 1, k + 1] = lam, np.conj(lam)
+                basis[k:k + 2, k:k + 2] = np.array([[1, 1], [1j, -1j]]) / np.sqrt(2.0)
+        elif kind == "ep":  # one Jordan block of order 2
+            jordan[1, 1], jordan[0, 1] = values[0], 1.0
+        x = np.linalg.qr(rng.normal(size=(d, d)))[0] * rng.uniform(1.0, 3.0, d)
+        psi = frame @ x @ basis
+        h = psi @ jordan @ np.linalg.inv(psi)
+        for prefix, m in (("h", h), ("p", p), ("t", t)):
+            rows = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
+            files[f"{prefix}_{name}.json"] = json.dumps({"dim": d, "rows": rows})
+    return files
+
+
+def _large_lines() -> list:
+    lines = []
+    for name, kind, _ in _LARGE:
+        args = [f"{{tmp}}/{prefix}_{name}.json" for prefix in ("h", "p", "t")]
+        if kind == "ep":  # a Jordan block splits its eigenvalues at the sqrt(eps) scale
+            args += ["--cluster-tol", "1e-6"]
+        lines += [(f"{command}-{name}", [command, *args])
+                  for command in ("classify", "canonical", "metric")]
+    return lines
+
 
 def _lines() -> list:
     cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
-    return [(c["name"], c["argv"]) for c in cases] + _EXTRA
+    return [(c["name"], c["argv"]) for c in cases] + _EXTRA + _large_lines()
 
 
 def _run(src: Path, argv: list, tmp: Path) -> dict:
@@ -209,7 +277,7 @@ def main(argv: list) -> int:
     differs = 0
     with tempfile.TemporaryDirectory(prefix="compare-trees-") as name:
         tmp = Path(name)
-        for fname, text in _FILES.items():
+        for fname, text in {**_FILES, **_large_files()}.items():
             (tmp / fname).write_text(text, encoding="utf-8")
         for line, args in _lines():
             records = [_run(tree, args, tmp) for tree in trees]

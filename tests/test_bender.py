@@ -446,3 +446,18 @@ def test_sweep_of_an_empty_grid_checks_only_s():
 def test_sweep_rejects_a_grid_that_is_not_one_dimensional(grid):
     with pytest.raises(ValidationError, match="^theta grid must be one-dimensional$"):
         critical_sweep(1.0, 0.8, grid)
+
+
+@pytest.mark.parametrize("tol", [-1e-3, -np.inf, np.nan])
+def test_negative_or_nan_tol_is_rejected(tol):
+    p = BenderParams(r=1.0, s=0.8, theta=0.927)  # 0 < disc < 1e-3
+    with pytest.raises(ValidationError, match=r"^tol must be >= 0, got "):
+        bender_classify(p, tol)
+    with pytest.raises(ValidationError, match=r"^tol must be >= 0, got "):
+        critical_sweep(1.0, 0.8, [0.927, 0.5], tol=tol)
+
+
+def test_zero_tol_is_accepted():
+    p = BenderParams(r=1.0, s=0.8, theta=0.927)
+    assert bender_classify(p, 0.0) == bender_classify(p, -0.0)
+    assert critical_sweep(1.0, 0.8, [0.927], tol=0.0) == critical_sweep(1.0, 0.8, [0.927], tol=-0.0)

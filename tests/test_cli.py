@@ -748,6 +748,28 @@ def test_bender_sweep_rejects_empty_theta_range(capsys):
     assert json.loads(err) == {"error": "validation", "detail": "theta-max must exceed theta-min"}
 
 
+@pytest.mark.parametrize("flag, ends", [
+    ("--theta-min", ("-3.2", "0")),
+    ("--theta-min", (str(-np.pi), "0")),
+    ("--theta-max", ("0", "3.2")),
+    ("--theta-min", ("-4", "-3.5")),  # both out of range: the lower end is named
+])
+def test_bender_sweep_names_the_theta_flag_out_of_range(capsys, flag, ends):
+    code, out, err = run(capsys, ["bender-sweep", "--r", "1", "--s", "0.8", "--theta-min", ends[0],
+                                  "--theta-max", ends[1], "--steps", "5"])
+    value = float(ends[0] if flag == "--theta-min" else ends[1])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "validation",
+                               "detail": f"{flag} must be in (-pi, pi], got {value!r}"}
+
+
+def test_bender_sweep_accepts_pi_as_theta_max(capsys):
+    code, out, err = run(capsys, ["bender-sweep", "--r", "1", "--s", "0.8", "--theta-min", "3",
+                                  "--theta-max", str(np.pi), "--steps", "3"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("3.1415926535897931e+00,")
+
+
 def test_config_probe_matches_probe_flag(capsys, tmp_path):
     argv = golden_success_argv("bender-sweep", tmp_path / "summary.json")
     cfg_file = tmp_path / "cfg.json"

@@ -12,6 +12,8 @@ of H; both must give the same canonical form.
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptqm.linalg as linalg
 from ptqm.canonical import classify_spectrum, pt_canonical_form
@@ -202,6 +204,95 @@ def _brute_force_clusters(w, tol_abs):
     return out
 
 
+def _groups(label):
+    """Member indices of each cluster, in cluster order, from _clusters' labels."""
+    return [np.flatnonzero(label == k) for k in range(label.max() + 1)]
+
+
+def _union_find_clusters(w, tol_abs):
+    """The union-find clustering _clusters replaced, kept as its reference:
+    the groups (members ascending) and their means, ordered by mean."""
+    n = len(w)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    order = np.argsort(w.real, kind="stable")
+    re = w.real[order]
+    for a in range(n):
+        i = order[a]
+        for b in range(a + 1, n):
+            if re[b] - re[a] > tol_abs:
+                break
+            j = order[b]
+            if abs(w[i] - w[j]) <= tol_abs:
+                parent[find(i)] = find(j)
+
+    groups: dict = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    found = [np.array(g) for g in groups.values()]
+    means = [w[g].mean() for g in found]
+    ranked = sorted(range(len(found)), key=lambda k: (means[k].real, means[k].imag))
+    return [found[k] for k in ranked], np.array([means[k] for k in ranked], dtype=complex)
+
+
+_TOL = 1e-3
+# grid points 0.6 tol apart chain (a ~ b, b ~ c, a !~ c); on the 0.2 tol grid
+# the 3-4-5 offsets put |wi - wj| at tol, where the last bit decides the link;
+# repeated points tie exactly
+_grid_point = st.builds(lambda step, a, b: complex(step * _TOL * a, step * _TOL * b),
+                        st.sampled_from([0.2, 0.6]), st.integers(-12, 12), st.integers(-12, 12))
+_free_point = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+_signed_zero = st.builds(complex, st.sampled_from([0.0, -0.0, 1e-4]),
+                         st.sampled_from([0.0, -0.0, 2e-4]))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.one_of(_grid_point, _free_point, _signed_zero), min_size=1, max_size=40),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_clusters_match_the_union_find_reference_bitwise(points, conjugates, random):
+    if conjugates:  # conjugate pairs, as a PT-symmetric spectrum has them
+        points = points + [complex(z.real, -z.imag) for z in points]
+    random.shuffle(points)
+    w = np.array(points, dtype=complex)
+    label, means = _clusters(w, _TOL)
+    groups, ref_means = _union_find_clusters(w, _TOL)
+    got = _groups(label)
+    assert len(got) == len(groups) == len(means)
+    assert all(np.array_equal(g, r) for g, r in zip(got, groups))
+    assert means.tobytes() == ref_means.tobytes()
+
+
+def test_a_link_at_the_tolerance_rounds_as_the_scalar_abs():
+    # 0.2 tol * (4, 3) apart: the scalar abs puts |wi - wj| at tol; the vector
+    # loop of np.abs over a difference array can round it one bit above
+    w = np.array([complex(0.2 * _TOL * a, 0.2 * _TOL * b) for a, b in ((-12, -7), (-8, -4))])
+    groups, _ = _union_find_clusters(w, _TOL)
+    assert len(groups) == 1
+    assert np.array_equal(_clusters(w, _TOL)[0], [0, 0])
+
+
+def test_eigenvalues_further_apart_than_the_float_range_are_not_linked():
+    with np.errstate(over="raise"):
+        label, means = _clusters(np.array([1e308, -1e308, 0.5]), 1e-3)
+    assert np.array_equal(label, [2, 0, 1])
+    assert np.array_equal(means, [-1e308, 0.5, 1e308])
+
+
+def test_singleton_means_are_sums_of_one_term():
+    # a one-term sum starts from 0, so -0.0 parts come back as 0.0, as np.mean gives them
+    w = np.array([complex(-0.0, -0.0), complex(1.5, -0.0), complex(-0.0, 2.5)])
+    label, means = _clusters(w, 1e-3)
+    assert np.array_equal(label, [0, 2, 1])
+    assert means.tobytes() == np.array([w[i:i + 1].mean() for i in (0, 2, 1)]).tobytes()
+    assert not np.any(np.signbit(means.view(float)[[0, 1, 2, 5]]))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_sorted_sweep_clusters_like_the_pair_scan(seed):
     rng = np.random.default_rng(seed)
@@ -220,7 +311,7 @@ def test_sorted_sweep_clusters_like_the_pair_scan(seed):
     pts.extend(np.conj(pts[:10]))
     w = rng.permutation(np.array(pts))
 
-    got = _clusters(w, tol)[0]
+    got = _groups(_clusters(w, tol)[0])
     want = _brute_force_clusters(w, tol)
     assert len(got) == len(want)
     assert all(np.array_equal(g, r) for g, r in zip(got, want))
@@ -249,8 +340,7 @@ def _spectrum(diagonal, w, scale=1.0):
     """Spectrum of diag(diagonal) as if eig had returned w and unit vectors."""
     a = np.diag(np.asarray(diagonal, dtype=complex))
     w = np.asarray(w, dtype=complex)
-    return ClusteredSpectrum(a, scale, w, np.eye(len(w), dtype=complex),
-                             [np.array([i]) for i in range(len(w))], w)
+    return ClusteredSpectrum(a, scale, w, np.eye(len(w), dtype=complex), np.arange(len(w)), w)
 
 
 def _first_vector(spectrum, rep, conj_mat=None):

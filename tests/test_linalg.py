@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptqm.errors import NotPositiveSemidefiniteError, SingularMatrixError, ValidationError
 from ptqm.linalg import (
@@ -188,6 +190,36 @@ def test_block_layout_matches_blockwise_assembly():
     k_ref = sla.block_diag(np.kron(swap, np.eye(2)), np.eye(3), np.eye(1), swap)
     j, k = layout.matrices()
     assert np.array_equal(j, j_ref) and np.array_equal(k, k_ref)
+
+
+def loop_matrices(layout):
+    """The chain-by-chain and unit-by-unit assembly BlockLayout.matrices replaced."""
+    d = layout.eigenvalues.shape[0]
+    nilpotent = np.zeros((d, d))
+    for offset, length in layout.chains:
+        rows = np.arange(offset, offset + length - 1)
+        nilpotent[rows, rows + 1] = 1.0
+    k = np.zeros((d, d), dtype=complex)
+    for (offset, span), pair in zip(layout.units, layout.paired):
+        cols = np.arange(offset, offset + span)
+        k[cols, np.roll(cols, span // 2) if pair else cols] = 1.0
+    return np.diag(layout.eigenvalues) + nilpotent, k
+
+
+# (eigenvalue, order, paired) units; signed zeros, as eig can return them
+layout_units = st.lists(
+    st.tuples(st.builds(complex, st.sampled_from([0.0, -0.0, 1.5, -2.25]),
+                        st.sampled_from([0.0, -0.0, 0.5])),
+              st.integers(1, 3), st.booleans()),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(layout_units)
+def test_block_layout_matrices_match_the_loop_assembly_bitwise(units):
+    layout = BlockLayout.from_units(units)
+    for got, want in zip(layout.matrices(), loop_matrices(layout)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_congruence_solve_stack_and_singular_basis():

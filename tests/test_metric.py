@@ -1,14 +1,17 @@
 """Metric operator construction, eta inner products, sign characteristics."""
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptqm import metric
 from ptqm.canonical import pt_canonical_form
 from ptqm.errors import NumericalError, SingularMatrixError, ValidationError
-from ptqm.linalg import operator_norm
+from ptqm.linalg import BlockLayout, operator_norm
 from ptqm.metric import (
     RECON_TOL,
     SignCharacteristic,
@@ -22,6 +25,7 @@ from ptqm.metric import (
 )
 from ptqm.sampling import random_density, random_instance
 from ptqm.symmetry import validate_pt_pair
+from test_linalg import layout_units
 
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -48,6 +52,34 @@ def test_structure_matrix_shapes():
     dec = pt_canonical_form(h, pair)
     s = structure_matrix(dec, SignCharacteristic((1, -1)))
     assert np.array_equal(s, np.diag([1.0, -1.0]).astype(complex))
+
+
+def loop_structure_matrix(layout, epsilons):
+    """The unit-by-unit assembly structure_matrix replaced."""
+    d = layout.eigenvalues.shape[0]
+    s = np.zeros((d, d), dtype=complex)
+    eps = iter(epsilons)
+    for (offset, span), paired in zip(layout.units, layout.paired):
+        cols = np.arange(offset, offset + span)
+        s[cols, cols[::-1]] = 1 if paired else next(eps)
+    return s
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(layout_units, st.randoms(use_true_random=False))
+def test_structure_matrix_matches_the_loop_assembly_bitwise(units, random):
+    layout = BlockLayout.from_units(units)
+    signs = SignCharacteristic(tuple(random.choice((1, -1)) for _ in range(layout.n_real)))
+    decomp = SimpleNamespace(layout=layout, dim=layout.eigenvalues.shape[0])
+    got = structure_matrix(decomp, signs)
+    assert got.tobytes() == loop_structure_matrix(layout, signs.epsilons).tobytes()
+
+
+@pytest.mark.parametrize("epsilons", [(1,), (1, 1, -1)])
+def test_structure_matrix_needs_one_sign_per_real_unit(epsilons):
+    h, pair = bender(1.0, 1.0, np.pi / 6)
+    with pytest.raises(ValidationError, match="^sign characteristic has .* 2 real blocks$"):
+        structure_matrix(pt_canonical_form(h, pair), SignCharacteristic(epsilons))
 
 
 def test_metric_intertwines_unbroken():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ptqm.errors import ValidationError
+from ptqm.linalg import operator_norm
 from ptqm.sampling import random_pt_pair
 from ptqm.symmetry import apply_antilinear, is_pt_symmetric, validate_pt_pair
 
@@ -93,3 +94,89 @@ def test_is_pt_symmetric_any_real_matrix_trivial_pair():
     h = rng.normal(size=(4, 4))
     ok, residual = is_pt_symmetric(h, pair)
     assert ok and residual == 0.0
+
+
+_IDENTITIES = ("parity_involution", "time_reversal_involution", "commutation", "pt_involution")
+
+
+def _exact_residuals(p, t) -> dict:
+    """The 2-norms of the four defects, each taken exactly."""
+    p = np.asarray(p, dtype=complex)
+    t = np.asarray(t, dtype=complex)
+    eye = np.eye(len(p))
+    pt = p @ t
+    norms = operator_norm(np.stack([p @ p - eye, t @ np.conj(t) - eye,
+                                    p @ t - t @ np.conj(p), pt @ np.conj(pt) - eye]))
+    return dict(zip(_IDENTITIES, norms.tolist()))
+
+
+def _exact_gate(p, t, val_tol):
+    """(message, residuals) of the gate on the exact norms; message is None
+    when every defect is within val_tol."""
+    residuals = _exact_residuals(p, t)
+    violated = [name for name, r in residuals.items() if r > val_tol]
+    if not violated:
+        return None, residuals
+    table = ", ".join(f"{name}: {residuals[name]:.3e}" for name in violated)
+    return f"PT pair identities violated ({table})", residuals
+
+
+def _check_against_exact_gate(p, t, val_tol):
+    message, residuals = _exact_gate(p, t, val_tol)
+    if message is None:
+        assert validate_pt_pair(p, t, val_tol).residuals == residuals
+    else:
+        with pytest.raises(ValidationError) as err:
+            validate_pt_pair(p, t, val_tol)
+        assert str(err.value) == message
+        assert err.value.residuals == residuals
+
+
+@pytest.mark.parametrize("kind", ["trivial", "swap", "real_involution", "householder_t"])
+@pytest.mark.parametrize("d", [2, 5, 16, 64])
+def test_residuals_are_the_exact_norms_when_read(kind, d):
+    pair = random_pt_pair(np.random.default_rng(d), d, kind)
+    assert pair.residuals == _exact_residuals(pair.parity, pair.time_reversal)
+
+
+def _planted(delta: float) -> np.ndarray:
+    """P = I + i delta E_01: P^2 - I and P - conj(P) are 2 i delta E_01 exactly,
+    a rank-1 defect whose Frobenius norm is its 2-norm."""
+    p = np.eye(3, dtype=complex)
+    p[0, 1] = 1j * delta
+    return p
+
+
+@pytest.mark.parametrize("val_tol", [1e-300, 1e-10, 1.0])
+@pytest.mark.parametrize("factor", [0.5 * (1 - 1e-15), 0.5, 0.5 * (1 + 1e-15),
+                                    1 - 1e-15, 1.0, 1 + 1e-15, 2.0])
+def test_planted_rank_one_defect_decides_as_the_exact_gate(val_tol, factor):
+    _check_against_exact_gate(_planted(0.5 * factor * val_tol), np.eye(3), val_tol)
+
+
+def test_defect_whose_squares_underflow_is_still_caught():
+    # entries of 1e-200 square to 0 in floating point; at val_tol 1e-300 they fail the gate
+    _check_against_exact_gate(_planted(0.5e-200), np.eye(3), 1e-300)
+    with pytest.raises(ValidationError, match="parity_involution: 1.000e-200"):
+        validate_pt_pair(_planted(0.5e-200), np.eye(3), 1e-300)
+
+
+@pytest.mark.parametrize("kind", ["trivial", "swap", "real_involution", "householder_t"])
+def test_valid_pair_runs_no_svd(kind, monkeypatch):
+    rng = np.random.default_rng(5)
+    raw = [(pair.parity, pair.time_reversal)
+           for pair in (random_pt_pair(rng, d, kind) for d in (2, 8, 64))]
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    pairs = [validate_pt_pair(p, t) for p, t in raw]
+    assert not calls
+    # the residual table is computed on first access, by one SVD call
+    pairs[0].residuals
+    pairs[0].residuals
+    assert len(calls) == 1
