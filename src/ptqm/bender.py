@@ -134,8 +134,10 @@ def bender_classify(p: BenderParams, tol: float = 1e-8) -> SpectralClass:
 def _alpha_branch(r, s, theta):
     """x = r sin(theta) / s, whether |x| passes 1 by more than rounding
     at the critical point (the broken regime), and alpha = arcsin(x)
-    with x clipped onto the branch; elementwise."""
-    x = r * np.sin(theta) / s
+    with x clipped onto the branch; elementwise. A ratio past the float
+    range is infinite, and so broken, in every numpy error state."""
+    with np.errstate(over="ignore"):
+        x = r * np.sin(theta) / s
     return x, abs(x) > 1.0 + 1e-14, np.arcsin(np.clip(x, -1.0, 1.0))
 
 
@@ -296,20 +298,18 @@ def critical_sweep(r: float, s: float, theta_grid, probe=(1.0, 0.0),
     with _float_range("the discriminant"):  # where r^2 or s^2, which bound every row's, overflow
         with np.errstate(over="ignore", invalid="ignore"):  # failing rows are found below
             rs, disc = _discriminant(r, s, theta)
-            x, broken, alpha = _alpha_branch(r, s, theta)
+            _, broken, alpha = _alpha_branch(r, s, theta)
             ca, overlap = np.cos(alpha), abs(np.sin(alpha))
         regime = _regime(r, s, rs, disc, tol).tolist()
     reached = ~broken & ~(ca <= crit_tol)
     s0 = np.zeros_like(theta)
-    fails = ~((-np.pi < theta) & (theta <= np.pi)) | ~np.isfinite(x)
-    stops = np.flatnonzero(fails).tolist() + [theta.size]
-    for start, stop in zip([0] + [k + 1 for k in stops], stops):
-        run = start + np.flatnonzero(reached[start:stop])  # S0 up to the next failing row,
-        if run.size:
-            s0[run] = _s0(x_probe, y_probe, alpha[run], ca[run])
-        if stop < theta.size:  # which then fails as on its own:
-            BenderParams(r=r, s=s, theta=thetas[stop])  # an invalid theta raises,
-            _alpha_branch(r, s, thetas[stop])  # an overflowing ratio as the error state says
+    valid = (-np.pi < theta) & (theta <= np.pi)
+    stop = theta.size if valid.all() else int(np.argmin(valid))
+    run = np.flatnonzero(reached[:stop])  # S0 up to the first invalid theta,
+    if run.size:
+        s0[run] = _s0(x_probe, y_probe, alpha[run], ca[run])
+    if stop < theta.size:  # which then raises as on its own
+        BenderParams(r=r, s=s, theta=thetas[stop])
     labels = ("Unbroken", COMPLEX_PAIR, "Unbroken", REAL_JORDAN)  # by regime
     return [SweepRow(t, labels[k], None, None, None, None, BrokenRegimeError.kind) if b
             else SweepRow(t, labels[k], a, v, v * c, o, None) if ok

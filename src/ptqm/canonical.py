@@ -90,16 +90,21 @@ def _classify_blocks(blocks: tuple) -> SpectralClass:
     return SpectralClass(tag=tag, detail=blocks)
 
 
-def _analyze(h: np.ndarray, h_norm: float, pair: PTPair, tol: float,
-             cluster_tol: float, rank_tol: float):
-    """Cluster, snap, pair conjugates, and construct chains.
+def _analyze(h, pair: PTPair, tol: float, cluster_tol: float | None, rank_tol: float):
+    """PT-test H, then cluster, snap, pair conjugates, and construct chains.
 
-    h_norm is ||H||_2. Returns (pair_units, real_units, in_band) where
-    pair_units are (lam, plus_chain) with Im lam > 0 and real_units are
-    (lam, chain); every chain passes the same gates whether or not the
-    caller keeps its vectors. in_band says a cluster was decided inside
-    the clustering tolerance band.
+    Raises unless H is PT-symmetric at tol; cluster_tol None means tol.
+    Returns (h, h_norm, pt_residual, units, in_band): H validated, its
+    2-norm, the PT residual, the units as (BlockDescriptor, chain) in the
+    column order of Psi, and whether a cluster was decided inside the
+    clustering tolerance band. A pair unit holds the chain of its Im > 0
+    member, whose PT image is the chain of its mate. Every chain passes
+    the same gates whether or not the caller keeps its vectors.
     """
+    h, ok, pt_residual, h_norm = _pt_test(h, pair, tol)
+    if not ok:
+        raise NotPTSymmetricError(f"H is not PT-symmetric (residual {pt_residual:.6e})")
+    cluster_tol = tol if cluster_tol is None else cluster_tol
     scale = max(1.0, h_norm)
     tol_abs = cluster_tol * scale
     spectrum = _clustered_spectrum(h, scale, tol_abs)
@@ -131,39 +136,20 @@ def _analyze(h: np.ndarray, h_norm: float, pair: PTPair, tol: float,
         plus = gi if rep.imag > 0 else partner
         wanted.append((plus, complex(reps[plus])))
 
-    pair_units = []
-    real_units = []
+    units = []
     for (_, rep), chains in zip(wanted, _cluster_chains(spectrum, wanted, rank_tol,
                                                         conj_mat=pair.pt)):
         for chain in chains:
-            if rep.imag == 0.0:
-                real_units.append((rep.real, chain))
+            if rep.imag != 0.0:
+                block = BlockDescriptor(COMPLEX_PAIR, rep, len(chain))
             else:
-                pair_units.append((rep, chain))
-
-    pair_units.sort(key=lambda u: (u[0].real, u[0].imag, len(u[1])))
-    real_units.sort(key=lambda u: (u[0], len(u[1])))
-    return pair_units, real_units, in_band
-
-
-def _block_descriptors(pair_units, real_units) -> tuple:
-    blocks = []
-    for lam, cp in pair_units:
-        blocks.append(BlockDescriptor(COMPLEX_PAIR, lam, len(cp)))
-    for lam, chain in real_units:
-        kind = REAL_SIMPLE if len(chain) == 1 else REAL_JORDAN
-        blocks.append(BlockDescriptor(kind, complex(lam), len(chain)))
-    return tuple(blocks)
-
-
-def _pt_hamiltonian(h, pair: PTPair, tol: float) -> tuple[np.ndarray, float, float]:
-    """H validated against the pair, ||H||_2 and the PT residual; raises
-    unless H is PT-symmetric at tol."""
-    h, ok, residual, h_norm = _pt_test(h, pair, tol)
-    if not ok:
-        raise NotPTSymmetricError(
-            f"H is not PT-symmetric (residual {residual:.6e})")
-    return h, h_norm, residual
+                kind = REAL_SIMPLE if len(chain) == 1 else REAL_JORDAN
+                block = BlockDescriptor(kind, complex(rep.real), len(chain))
+            units.append((block, chain))
+    # conjugate pairs first, then real units, each ascending by (Re, Im, order)
+    units.sort(key=lambda u: (u[0].kind != COMPLEX_PAIR, u[0].eigenvalue.real,
+                              u[0].eigenvalue.imag, u[0].order))
+    return h, h_norm, pt_residual, units, in_band
 
 
 def classify_spectrum(h, pair: PTPair, tol: float = 1e-8, *,
@@ -175,10 +161,8 @@ def classify_spectrum(h, pair: PTPair, tol: float = 1e-8, *,
     real axis before classification. The chains are built and gated as
     for pt_canonical_form; only the basis is not assembled.
     """
-    h, h_norm, _ = _pt_hamiltonian(h, pair, tol)
-    cluster_tol = tol if cluster_tol is None else cluster_tol
-    pair_units, real_units, _ = _analyze(h, h_norm, pair, tol, cluster_tol, rank_tol)
-    return _classify_blocks(_block_descriptors(pair_units, real_units))
+    units = _analyze(h, pair, tol, cluster_tol, rank_tol)[3]
+    return _classify_blocks(tuple(block for block, _ in units))
 
 
 def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
@@ -191,17 +175,13 @@ def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
     basis fails the similarity or K-relation residual bounds at
     can_tol (the achieved residual is attached to the error).
     """
-    h, h_norm, pt_residual = _pt_hamiltonian(h, pair, tol)
-    cluster_tol = tol if cluster_tol is None else cluster_tol
-    pair_units, real_units, in_band = _analyze(h, h_norm, pair, tol, cluster_tol, rank_tol)
-    blocks = _block_descriptors(pair_units, real_units)
-
+    h, h_norm, pt_residual, units, in_band = _analyze(h, pair, tol, cluster_tol, rank_tol)
     cols = []
-    for _, cp in pair_units:
-        cols.extend(cp)
-        cols.extend(pair.pt @ np.conj(v) for v in cp)
-    for _, chain in real_units:
+    for block, chain in units:
         cols.extend(chain)
+        if block.kind == COMPLEX_PAIR:
+            cols.extend(pair.pt @ np.conj(v) for v in chain)
+    blocks = tuple(block for block, _ in units)
     return _decomposition(h, h_norm, pair, np.column_stack(cols), blocks, can_tol, in_band,
                           pt_residual)
 

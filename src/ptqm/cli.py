@@ -158,15 +158,14 @@ def _overrides(args) -> dict:
     return out
 
 
-def _load_pair(args, cfg):
-    p = load_matrix_file(args.parity)
-    t = load_matrix_file(args.timereversal)
-    return validate_pt_pair(p, t, cfg.val_tol)
-
-
-def _decompose(h, pair, cfg):
-    return pt_canonical_form(h, pair, cfg.tol, cluster_tol=cfg.cluster_tol,
-                             rank_tol=cfg.rank_tol, can_tol=cfg.can_tol)
+def _decomposed(args, cfg):
+    """(pair, decomposition) of the command's H, P and T files, at the
+    settings of cfg; the decomposition carries H as hamiltonian."""
+    h = load_matrix_file(args.hamiltonian)
+    pair = validate_pt_pair(load_matrix_file(args.parity), load_matrix_file(args.timereversal),
+                            cfg.val_tol)
+    return pair, pt_canonical_form(h, pair, cfg.tol, cluster_tol=cfg.cluster_tol,
+                                   rank_tol=cfg.rank_tol, can_tol=cfg.can_tol)
 
 
 def _grid(cfg) -> TimeGrid:
@@ -201,9 +200,7 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_classify(args, cfg) -> None:
-    h = load_matrix_file(args.hamiltonian)
-    pair = _load_pair(args, cfg)
-    decomp = _decompose(h, pair, cfg)
+    _, decomp = _decomposed(args, cfg)
     report = {
         "pt_symmetric": True,
         "residual": decomp.pt_residual,
@@ -215,9 +212,7 @@ def cmd_classify(args, cfg) -> None:
 
 
 def cmd_canonical(args, cfg) -> None:
-    h = load_matrix_file(args.hamiltonian)
-    pair = _load_pair(args, cfg)
-    decomp = _decompose(h, pair, cfg)
+    _, decomp = _decomposed(args, cfg)
     report = {
         "class": decomp.spectral_class.tag,
         "blocks": decomp.blocks,
@@ -232,9 +227,7 @@ def cmd_canonical(args, cfg) -> None:
 
 
 def cmd_metric(args, cfg) -> None:
-    h = load_matrix_file(args.hamiltonian)
-    pair = _load_pair(args, cfg)
-    decomp = _decompose(h, pair, cfg)
+    _, decomp = _decomposed(args, cfg)
     met = build_metric(decomp, _signs_arg(cfg), cfg.met_tol)
     report = {
         "eta": _matrix_doc(met.eta),
@@ -247,11 +240,9 @@ def cmd_metric(args, cfg) -> None:
 
 
 def cmd_inner(args, cfg) -> None:
-    h = load_matrix_file(args.hamiltonian)
-    pair = _load_pair(args, cfg)
+    _, decomp = _decomposed(args, cfg)
     v1 = load_vector_file(args.vector1)
     v2 = load_vector_file(args.vector2)
-    decomp = _decompose(h, pair, cfg)
     met = build_metric(decomp, _signs_arg(cfg), cfg.met_tol)
     report = {
         "value": eta_inner(v1, v2, met.eta),
@@ -276,12 +267,10 @@ def cmd_evolve(args, cfg) -> None:
 
 
 def cmd_invariants(args, cfg) -> None:
-    h = load_matrix_file(args.hamiltonian)
-    pair = _load_pair(args, cfg)
-    rho = load_matrix_file(args.state)
-    report = invariant_report(h, pair, rho, _grid(cfg), _signs_arg(cfg), cfg.tol,
-                              val_tol=cfg.val_tol, met_tol=cfg.met_tol,
-                              decomp=_decompose(h, pair, cfg))
+    pair, decomp = _decomposed(args, cfg)
+    report = invariant_report(decomp.hamiltonian, pair, load_matrix_file(args.state),
+                              _grid(cfg), _signs_arg(cfg), cfg.tol, val_tol=cfg.val_tol,
+                              met_tol=cfg.met_tol, decomp=decomp)
     n, d = report.coefficient_series.shape[:2]
     entries = range(1, d + 1)
     header = ["t", *(f"{part}_R_{i}_{j}" for i in entries for j in entries
@@ -325,11 +314,9 @@ def cmd_stokes(args, cfg) -> None:
 
 
 def cmd_dilate(args, cfg) -> None:
-    h = load_matrix_file(args.hamiltonian)
-    pair = _load_pair(args, cfg)
-    rho = load_matrix_file(args.state)
-    report = embedded_evolution_check(h, pair, rho, _grid(cfg), cfg.slack,
-                                      val_tol=cfg.val_tol, decomp=_decompose(h, pair, cfg))
+    pair, decomp = _decomposed(args, cfg)
+    report = embedded_evolution_check(decomp.hamiltonian, pair, load_matrix_file(args.state),
+                                      _grid(cfg), cfg.slack, val_tol=cfg.val_tol, decomp=decomp)
     doc = {
         "c": report.c,
         "max_deviation": report.max_deviation,
@@ -343,13 +330,12 @@ def cmd_dilate(args, cfg) -> None:
 def cmd_free_check(args, cfg) -> None:
     if args.c is not None and args.slack is not None:
         raise ValidationError("--slack has no effect with --c")
-    h = load_matrix_file(args.hamiltonian)
-    pair = _load_pair(args, cfg)
-    decomp = _decompose(h, pair, cfg)
+    pair, decomp = _decomposed(args, cfg)
     c = args.c
     if c is None:
         c = uniform_bound(decomp, cfg.slack)
-    report = verify_free_evolution(h, pair, c, _grid(cfg), cfg.free_tol, decomp=decomp)
+    report = verify_free_evolution(decomp.hamiltonian, pair, c, _grid(cfg), cfg.free_tol,
+                                   decomp=decomp)
     doc = {
         "ok": report.ok,
         "c": c,

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalDecomposition, pt_canonical_form
-from .dynamics import (TimeGrid, _grid_chunks, _matching_density, _require_own_decomposition,
+from .canonical import CanonicalDecomposition
+from .dynamics import (TimeGrid, _grid_chunks, _matching_density, _own_decomposition,
                        default_grid, propagator_stack)
 from .errors import (
     BrokenSymmetryError,
@@ -126,18 +126,16 @@ def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
     its trace distance to U(t) rho U(t)^dag / Tr[...] is recorded. The
     success probability c^2 Tr[U rho U^dag] is reported per time.
 
-    U(t) comes from the canonical decomposition of H (computed here
-    unless decomp, which must be the decomposition of this H, is given;
-    ValidationError otherwise), and every check runs on the stacked
-    grid at once; a failed contraction or post-selection check names
-    the first t where it fails. val_tol bounds the validation of rho.
+    U(t) comes from the canonical decomposition of H, and every check
+    runs on the stacked grid at once; a failed contraction or
+    post-selection check names the first t where it fails. The
+    decomposition of H is computed here at the default tolerances unless
+    decomp is given, which must then be the decomposition of this H
+    (ValidationError otherwise). val_tol bounds the validation of rho.
     """
     h = as_square(h, "H")
     rho = _matching_density(rho, h, val_tol)
-    if decomp is None:
-        decomp = pt_canonical_form(h, pair)
-    else:
-        _require_own_decomposition(h, decomp)
+    decomp = _own_decomposition(h, pair, decomp)
     c = uniform_bound(decomp, slack)
     grid = grid if grid is not None else default_grid()
 

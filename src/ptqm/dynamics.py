@@ -102,12 +102,19 @@ def _grid_chunks(num_points: int, width: int):
         yield slice(start, min(start + step, num_points))
 
 
-def _require_own_decomposition(h: np.ndarray, decomp: CanonicalDecomposition) -> None:
-    """Raise ValidationError unless decomp is the decomposition of the
-    validated H: an analysis given the decomposition of another H would
-    report on that H's dynamics."""
+def _own_decomposition(h, pair: PTPair | None, decomp: CanonicalDecomposition | None,
+                       **settings) -> CanonicalDecomposition:
+    """The canonical decomposition of H at settings, unless decomp is given.
+
+    A given decomp must be the decomposition of H itself (ValidationError
+    otherwise): a caller given the decomposition of another H would
+    report on that H's dynamics.
+    """
+    if decomp is None:
+        return pt_canonical_form(h, pair, **settings)
     if not np.array_equal(decomp.hamiltonian, h):
         raise ValidationError("decomp is the canonical decomposition of another H")
+    return decomp
 
 
 def _require_finite(stack: np.ndarray, times: np.ndarray, what: str) -> None:
@@ -129,6 +136,8 @@ def _exponential_stack(decomp: CanonicalDecomposition, s: np.ndarray) -> np.ndar
     out = np.zeros((s.shape[0], d, d), dtype=complex)
     out[:, np.arange(d), np.arange(d)] = phase
     for offset, length in decomp.layout.chains:
+        if length == 1:  # its one entry is on the diagonal
+            continue
         coeff = np.ones_like(s)
         for k in range(1, length):
             coeff = coeff * s / k
@@ -166,13 +175,14 @@ def propagator_stack(decomp: CanonicalDecomposition, times) -> np.ndarray:
 def propagator(h, t: float, decomp: CanonicalDecomposition | None = None) -> np.ndarray:
     """U(t) = e^{-itH}.
 
-    Given the canonical decomposition of the same H, this is the
-    one-point case of propagator_stack; otherwise the dense
-    scaling-and-squaring exponential of H.
+    Given the canonical decomposition of H, this is the one-point case
+    of propagator_stack; the decomposition of another H raises
+    ValidationError. Without one it is the dense scaling-and-squaring
+    exponential of H.
     """
     if decomp is None:
         return matrix_exponential(h, -1j * float(t))
-    return propagator_stack(decomp, [float(t)])[0]
+    return propagator_stack(_own_decomposition(h, None, decomp), [float(t)])[0]
 
 
 def validate_density(rho, tol: float = 1e-10) -> np.ndarray:
@@ -201,7 +211,9 @@ def evolve_density(rho, h, t: float, val_tol: float = 1e-10,
                    decomp: CanonicalDecomposition | None = None) -> np.ndarray:
     """U(t) rho U(t)^dag, not renormalized.
 
-    An evolution that overflows raises NumericalError naming t.
+    U(t) is propagator(h, t, decomp), so a decomp must be the
+    decomposition of this H (ValidationError). An evolution that
+    overflows raises NumericalError naming t.
     """
     m = _matching_density(rho, as_square(h, "H"), val_tol)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -237,24 +249,27 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
     usable part of the grid. The evolved states, their coefficient
     matrices and the eta-trace series are computed for the whole grid
     at once; an evolution that overflows raises NumericalError naming
-    the first t where it does. The decomposition of H is computed here
-    at tol and cluster_tol unless decomp is given, which must then be
-    the decomposition of this H (ValidationError); val_tol bounds the
-    validation of rho and met_tol the metric's intertwining defect.
+    the first t where it does, and so does a coefficient series too
+    large for memory, naming the point count and d. The decomposition
+    of H is computed here at tol and cluster_tol unless decomp is given,
+    which must then be the decomposition of this H (ValidationError
+    otherwise). val_tol bounds the validation of rho and met_tol the
+    metric's intertwining defect.
     """
     h = as_square(h, "H")
     rho = _matching_density(rho, h, val_tol)
     grid = grid if grid is not None else default_grid()
 
-    if decomp is None:
-        decomp = pt_canonical_form(h, pair, tol, cluster_tol=cluster_tol)
-    else:
-        _require_own_decomposition(h, decomp)
+    decomp = _own_decomposition(h, pair, decomp, tol=tol, cluster_tol=cluster_tol)
     met = build_metric(decomp, signs, met_tol)
     times = grid.times
 
     d = h.shape[0]
-    series = np.empty((len(times), d, d), dtype=complex)
+    try:
+        series = np.empty((len(times), d, d), dtype=complex)
+    except MemoryError as exc:
+        raise NumericalError(f"the coefficient series of {len(times)} points at d = {d} "
+                             f"does not fit in memory") from exc
     traces = np.empty(len(times), dtype=complex)
     for chunk in _grid_chunks(len(times), d):
         u = _closed_form_stack(decomp, times[chunk])

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalDecomposition, pt_canonical_form
-from .dynamics import (TimeGrid, _grid_chunks, _require_finite, _require_own_decomposition,
+from .canonical import CanonicalDecomposition
+from .dynamics import (TimeGrid, _grid_chunks, _own_decomposition, _require_finite,
                        default_grid, propagator_stack, validate_density)
 from .errors import (
     BrokenSymmetryError,
@@ -155,18 +155,15 @@ def verify_free_evolution(h, pair: PTPair, c: float,
     parallelism defect and the smallest contraction margin
     min eig(I - c^2 U^dag U) across the grid. Both are computed for the
     stacked grid at once, with U(t) from the canonical decomposition of
-    H (computed here unless decomp, which must be the decomposition of
-    this H, is given; ValidationError otherwise). A c so large that
-    c^2 U^dag U overflows raises NumericalError naming the first t
-    where it does.
+    H. A c so large that c^2 U^dag U overflows raises NumericalError
+    naming the first t where it does. The decomposition of H is computed
+    here at the default tolerances unless decomp is given, which must
+    then be the decomposition of this H (ValidationError otherwise).
     """
     h = as_square(h, "H")
     if c <= 0:
         raise ValidationError("scale c must be positive")
-    if decomp is None:
-        decomp = pt_canonical_form(h, pair)
-    else:
-        _require_own_decomposition(h, decomp)
+    decomp = _own_decomposition(h, pair, decomp)
     if not decomp.spectral_class.unbroken:
         raise BrokenSymmetryError(
             "free-operation property requires an unbroken Hamiltonian")

@@ -134,6 +134,9 @@ _EXTRA = [
     ("sweep-critical-row", ["bender-sweep", "--r", "1", "--s", "1", "--theta-min",
                             "1.4707963267948966", "--theta-max", "1.6707963267948966",
                             "--steps", "3"]),
+    # a ratio r sin(theta) / s past the float range: broken rows, not an overflow
+    ("sweep-overflowing-ratio", ["bender-sweep", "--r", "1e10", "--s", "1e-300",
+                                 "--theta-min", "-1", "--theta-max", "1", "--steps", "3"]),
     ("dilate-slack-1", ["dilate", *_U2, "{inputs}/rho_unbroken2.json", "--slack", "1"]),
 ]
 

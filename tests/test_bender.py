@@ -417,8 +417,8 @@ def test_sweep_squares_as_the_one_point_classification_does():
     (1.0, 0.8, [1.5, 0.1, 5.0], (1e200, 0.0)),
     # a broken row reaches no S0, so the invalid theta raises
     (1.0, 0.8, [1.5, 5.0], (1e200, 0.0)),
-    # r sin(theta) / s overflows: the error state decides (here a warning, as an error)
-    (1e10, 1e-300, [0.0, 0.5], (1.0, 0.0)),
+    # r sin(theta) / s overflows: a broken row, so the invalid theta raises
+    (1e10, 1e-300, [0.5, 5.0], (1.0, 0.0)),
 ])
 def test_sweep_errors_match_row_by_row_reference(r, s, grid, probe):
     expected = sweep_outcome(reference_sweep, r, s, grid, probe)
@@ -426,13 +426,18 @@ def test_sweep_errors_match_row_by_row_reference(r, s, grid, probe):
     assert sweep_outcome(critical_sweep, r, s, grid, probe) == expected
 
 
-def test_sweep_overflowing_ratio_follows_the_error_state():
-    with np.errstate(over="ignore"):
-        assert_sweep_matches_reference(1e10, 1e-300, [0.0, 0.5, -0.5], (1.0, 0.0))
-        rows = critical_sweep(1e10, 1e-300, [0.0, 0.5, -0.5])
+def test_sweep_overflowing_ratio_is_broken_in_every_error_state():
+    """A ratio r sin(theta) / s past the float range is far past 1: the row
+    is broken, in the sweep as in the one-point functions, whatever
+    numpy's error state (here warnings are errors)."""
+    assert_sweep_matches_reference(1e10, 1e-300, [0.0, 0.5, -0.5], (1.0, 0.0))
+    rows = critical_sweep(1e10, 1e-300, [-1.0, 0.0, 1.0])
     assert [row.error for row in rows] == ["broken_regime", None, "broken_regime"]
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="scalar divide"):
-        critical_sweep(1e10, 1e-300, [0.0, 0.5])
+    for state in ("ignore", "raise"):
+        with np.errstate(over=state):
+            assert critical_sweep(1e10, 1e-300, [-1.0, 0.0, 1.0]) == rows
+            with pytest.raises(BrokenRegimeError, match="inf > 1"):
+                _alpha(BenderParams(1e10, 1e-300, 0.5))
 
 
 def test_sweep_of_an_empty_grid_checks_only_s():

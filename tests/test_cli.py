@@ -3,6 +3,9 @@
 import dataclasses
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +293,16 @@ def test_bender_sweep_accepts_the_grid_cap(capsys, monkeypatch):
     assert dynamics.MAX_GRID_POINTS is linalg.MAX_GRID_POINTS
 
 
+def test_bender_sweep_overflowing_ratio_is_broken(capsys):
+    code, out, err = run(capsys, ["bender-sweep", "--r", "1e10", "--s", "1e-300",
+                                  "--theta-min", "-1", "--theta-max", "1", "--steps", "3"])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(row[1], row[-1]) for row in rows] == [
+        ("ComplexConjugatePair", "broken_regime"), ("Unbroken", ""),
+        ("ComplexConjugatePair", "broken_regime")]
+
+
 def test_stokes_frozen(files, capsys):
     code, out, _ = run(capsys, ["stokes", "--ex", "1,0", "--ey", "0,0"])
     assert code == 0
@@ -453,6 +466,34 @@ def test_oversized_grid_is_validation(files, capsys, tmp_path, source):
     assert (code, out) == (2, "")
     assert err == ('{"error":"validation","detail":"num_points must be at most %d"}\n'
                    % dynamics.MAX_GRID_POINTS)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS caps allocations on Linux only")
+def test_invariants_grid_too_large_for_memory_is_numerical(tmp_path):
+    """At d = 16 the coefficient series of 10^6 points takes 4 GiB; under a
+    2 GiB address space the command ends in one error line, exit 4, not in
+    a MemoryError traceback, whatever the host's memory."""
+    import resource
+
+    d = 16
+    paths = [write_matrix(tmp_path / "h.json", np.diag(np.arange(1.0, d + 1))),
+             write_matrix(tmp_path / "p.json", np.eye(d)),
+             write_matrix(tmp_path / "t.json", np.eye(d)),
+             write_matrix(tmp_path / "rho.json", np.eye(d) / d)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ptqm.cli", "invariants", *paths, "--num-points", "1000000"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)))
+    assert (proc.returncode, proc.stdout) == (4, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "numerical"
+    assert "1000000 points" in doc["detail"] and f"d = {d}" in doc["detail"]
 
 
 def counting(monkeypatch, targets):

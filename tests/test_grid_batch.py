@@ -20,8 +20,8 @@ import ptqm.superposition as superposition
 from ptqm import cli
 from ptqm.canonical import COMPLEX_PAIR, pt_canonical_form
 from ptqm.dilation import embedded_evolution_check, halmos_dilation, uniform_bound
-from ptqm.dynamics import (TimeGrid, default_grid, invariant_report, propagator, propagator_stack,
-                           validate_density)
+from ptqm.dynamics import (TimeGrid, default_grid, evolve_density, invariant_report, propagator,
+                           propagator_stack, validate_density)
 from ptqm.errors import (DegeneratePostSelectionError, NumericalError, PreconditionError,
                          ValidationError)
 from ptqm.metric import basis_coefficients
@@ -396,6 +396,8 @@ def test_analyses_reject_the_decomposition_of_another_hamiltonian(foreign):
         "dilation": lambda dec: embedded_evolution_check(h, pair, rho, grid, decomp=dec),
         "free": lambda dec: verify_free_evolution(h, pair, 0.5 * uniform_bound(dec), grid,
                                                   decomp=dec),
+        "propagator": lambda dec: propagator(h, 1.0, dec),
+        "evolve": lambda dec: evolve_density(rho, h, 1.0, decomp=dec),
     }
     for name, run in analyses.items():
         with pytest.raises(ValidationError, match="another H"):
@@ -423,7 +425,7 @@ def test_free_check_decomposes_once(tmp_path, monkeypatch, capsys, extra):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, "pt_canonical_form", counted)
-    monkeypatch.setattr("ptqm.superposition.pt_canonical_form", counted)
+    monkeypatch.setattr("ptqm.dynamics.pt_canonical_form", counted)
     files = _cli_files(tmp_path)[:3]
     assert cli.main(["free-check", *files, "--num-points", "5", *extra]) == 0
     assert len(calls) == 1
