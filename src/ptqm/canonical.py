@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedError, NotPTSymmetricError
-from .linalg import BlockLayout, _cluster_chains, _clustered_spectrum, first_index
+from .linalg import (BlockLayout, _cluster_chains, _clustered_spectrum, _require_positive,
+                     first_index)
 from .symmetry import PTPair, _pt_test
 
 
@@ -101,10 +102,11 @@ def _analyze(h, pair: PTPair, tol: float, cluster_tol: float | None, rank_tol: f
     member, whose PT image is the chain of its mate. Every chain passes
     the same gates whether or not the caller keeps its vectors.
     """
+    cluster_tol = tol if cluster_tol is None else cluster_tol
+    _require_positive(tol=tol, cluster_tol=cluster_tol, rank_tol=rank_tol)
     h, ok, pt_residual, h_norm = _pt_test(h, pair, tol)
     if not ok:
         raise NotPTSymmetricError(f"H is not PT-symmetric (residual {pt_residual:.6e})")
-    cluster_tol = tol if cluster_tol is None else cluster_tol
     scale = max(1.0, h_norm)
     tol_abs = cluster_tol * scale
     spectrum = _clustered_spectrum(h, scale, tol_abs)
@@ -175,6 +177,7 @@ def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
     basis fails the similarity or K-relation residual bounds at
     can_tol (the achieved residual is attached to the error).
     """
+    _require_positive(can_tol=can_tol)
     h, h_norm, pt_residual, units, in_band = _analyze(h, pair, tol, cluster_tol, rank_tol)
     cols = []
     for block, chain in units:

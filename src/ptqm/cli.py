@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib
 import math
 import sys
 
 import numpy as np
+
+# the handlers call the library through the package's lazy exports, so a
+# command line loads only the modules its subcommand calls into
+import ptqm
 
 from . import config as cfgmod
 from .errors import NumericalError, ParseError, PreconditionError, ValidationError
@@ -34,9 +37,6 @@ class _Parser(argparse.ArgumentParser):
 _PAIR = ("hamiltonian", "parity", "timereversal")
 _DECOMPOSE = ("val_tol", "tol", "cluster_tol", "rank_tol", "can_tol")
 _GRID = ("t_start", "t_end", "num_points")
-# library names the handlers use, as "module.name"; see _bind
-_DECOMPOSE_CALLS = ("symmetry.validate_pt_pair", "canonical.pt_canonical_form")
-_METRIC_CALLS = _DECOMPOSE_CALLS + ("metric.build_metric", "metric.SignCharacteristic")
 
 
 def _finite_float(text: str) -> float:
@@ -62,68 +62,35 @@ _SETTING_TEXT = {"signs": cfgmod.parse_signs, "probe": cfgmod.parse_probe}
 
 
 def _commands() -> dict:
-    """Subcommand -> (handler, help, positional arguments, the library
-    names it uses, the RunConfig fields it reads). Each field is a flag
-    of the same name, --cluster-tol for cluster_tol; a subcommand accepts
-    no other setting flag."""
+    """Subcommand -> (handler, help, positional arguments, the RunConfig
+    fields it reads). Each field is a flag of the same name, --cluster-tol
+    for cluster_tol; a subcommand accepts no other setting flag."""
     return {
-        "classify": (cmd_classify, "spectral classification report", _PAIR, _DECOMPOSE_CALLS,
-                     _DECOMPOSE),
-        "canonical": (cmd_canonical, "canonical form (Psi, J, K)", _PAIR, _DECOMPOSE_CALLS,
-                      _DECOMPOSE),
-        "metric": (cmd_metric, "metric operator and positivity", _PAIR, _METRIC_CALLS,
+        "classify": (cmd_classify, "spectral classification report", _PAIR, _DECOMPOSE),
+        "canonical": (cmd_canonical, "canonical form (Psi, J, K)", _PAIR, _DECOMPOSE),
+        "metric": (cmd_metric, "metric operator and positivity", _PAIR,
                    _DECOMPOSE + ("met_tol", "signs")),
-        "inner": (cmd_inner, "eta inner product of two vectors",
-                  _PAIR + ("vector1", "vector2"), _METRIC_CALLS + ("metric.eta_inner",),
+        "inner": (cmd_inner, "eta inner product of two vectors", _PAIR + ("vector1", "vector2"),
                   _DECOMPOSE + ("met_tol", "signs")),
         "evolve": (cmd_evolve, "evolve a density matrix to time t", ("hamiltonian", "state"),
-                   ("dynamics.evolve_density", "dynamics.normalize_density"), ("val_tol",)),
+                   ("val_tol",)),
         "invariants": (cmd_invariants, "conserved-coefficient time series", _PAIR + ("state",),
-                       _METRIC_CALLS + ("dynamics.TimeGrid", "dynamics.invariant_report"),
                        _DECOMPOSE + ("met_tol", "signs") + _GRID),
         "bender-sweep": (cmd_bender_sweep, "two-level family theta sweep", (),
-                         ("bender.critical_sweep", "linalg.MAX_GRID_POINTS"),
                          ("tol", "crit_tol", "probe")),
-        "stokes": (cmd_stokes, "Stokes parameters of a two-component field", (),
-                   ("bender.stokes_vector",), ()),
+        "stokes": (cmd_stokes, "Stokes parameters of a two-component field", (), ()),
         "dilate": (cmd_dilate, "post-selected embedding check", _PAIR + ("state",),
-                   _DECOMPOSE_CALLS + ("dynamics.TimeGrid", "dilation.embedded_evolution_check"),
                    _DECOMPOSE + ("slack",) + _GRID),
         "free-check": (cmd_free_check, "free-operation property of c U(t)", _PAIR,
-                       _DECOMPOSE_CALLS + ("dynamics.TimeGrid", "dilation.uniform_bound",
-                                         "superposition.verify_free_evolution"),
                        _DECOMPOSE + ("slack", "free_tol") + _GRID),
     }
-
-
-def _bind(library) -> None:
-    """Bind each "module.name" of the library as an attribute of this
-    module, importing the module; a binding already in place (a test's
-    or a tracer's replacement) stays. main binds a subcommand's names
-    before its handler runs, so a command line imports only the modules
-    its subcommand runs."""
-    namespace = globals()
-    for qualified in library:
-        module, name = qualified.split(".")
-        if name not in namespace:
-            namespace[name] = getattr(importlib.import_module(f".{module}", __package__), name)
-
-
-def __getattr__(name: str):
-    """A library name some subcommand calls, bound on first access as by a run."""
-    for *_, library, _ in _commands().values():
-        for qualified in library:
-            if qualified.endswith("." + name):
-                _bind((qualified,))
-                return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="ptqm", description=__doc__, allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
     sp = {}
-    for name, (handler, help_text, positionals, library, settings) in _commands().items():
+    for name, (handler, help_text, positionals, settings) in _commands().items():
         sp[name] = sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
         for positional in positionals:
             sub.add_argument(positional)
@@ -132,7 +99,7 @@ def build_parser() -> _Parser:
         for setting in settings:
             sub.add_argument("--" + setting.replace("_", "-"),
                              **_SETTING_FLAGS.get(setting, {"type": _finite_float}))
-        sub.set_defaults(handler=handler, library=library)
+        sub.set_defaults(handler=handler)
 
     sp["evolve"].add_argument("--t", type=_finite_float, required=True)
     sp["evolve"].add_argument("--normalize", action="store_true")
@@ -162,20 +129,20 @@ def _decomposed(args, cfg):
     """(pair, decomposition) of the command's H, P and T files, at the
     settings of cfg; the decomposition carries H as hamiltonian."""
     h = load_matrix_file(args.hamiltonian)
-    pair = validate_pt_pair(load_matrix_file(args.parity), load_matrix_file(args.timereversal),
-                            cfg.val_tol)
-    return pair, pt_canonical_form(h, pair, cfg.tol, cluster_tol=cfg.cluster_tol,
-                                   rank_tol=cfg.rank_tol, can_tol=cfg.can_tol)
+    pair = ptqm.validate_pt_pair(load_matrix_file(args.parity),
+                                 load_matrix_file(args.timereversal), cfg.val_tol)
+    return pair, ptqm.pt_canonical_form(h, pair, cfg.tol, cluster_tol=cfg.cluster_tol,
+                                        rank_tol=cfg.rank_tol, can_tol=cfg.can_tol)
 
 
-def _grid(cfg) -> TimeGrid:
-    return TimeGrid(cfg.t_start, cfg.t_end, cfg.num_points)
+def _grid(cfg) -> ptqm.TimeGrid:
+    return ptqm.TimeGrid(cfg.t_start, cfg.t_end, cfg.num_points)
 
 
 def _signs_arg(cfg):
     if cfg.signs is None:
         return None
-    return SignCharacteristic(tuple(cfg.signs))
+    return ptqm.SignCharacteristic(tuple(cfg.signs))
 
 
 def _matrix_doc(a: np.ndarray) -> dict:
@@ -228,7 +195,7 @@ def cmd_canonical(args, cfg) -> None:
 
 def cmd_metric(args, cfg) -> None:
     _, decomp = _decomposed(args, cfg)
-    met = build_metric(decomp, _signs_arg(cfg), cfg.met_tol)
+    met = ptqm.build_metric(decomp, _signs_arg(cfg), cfg.met_tol)
     report = {
         "eta": _matrix_doc(met.eta),
         "positive_definite": met.positive_definite,
@@ -243,9 +210,9 @@ def cmd_inner(args, cfg) -> None:
     _, decomp = _decomposed(args, cfg)
     v1 = load_vector_file(args.vector1)
     v2 = load_vector_file(args.vector2)
-    met = build_metric(decomp, _signs_arg(cfg), cfg.met_tol)
+    met = ptqm.build_metric(decomp, _signs_arg(cfg), cfg.met_tol)
     report = {
-        "value": eta_inner(v1, v2, met.eta),
+        "value": ptqm.eta_inner(v1, v2, met.eta),
         "positive_definite": met.positive_definite,
     }
     _emit(args, render_json(report) + "\n")
@@ -254,9 +221,9 @@ def cmd_inner(args, cfg) -> None:
 def cmd_evolve(args, cfg) -> None:
     h = load_matrix_file(args.hamiltonian)
     rho = load_matrix_file(args.state)
-    rho_t = evolve_density(rho, h, args.t, cfg.val_tol)
+    rho_t = ptqm.evolve_density(rho, h, args.t, cfg.val_tol)
     if args.normalize:
-        rho_t = normalize_density(rho_t)
+        rho_t = ptqm.normalize_density(rho_t)
     report = {
         "t": args.t,
         "normalized": args.normalize,
@@ -268,9 +235,9 @@ def cmd_evolve(args, cfg) -> None:
 
 def cmd_invariants(args, cfg) -> None:
     pair, decomp = _decomposed(args, cfg)
-    report = invariant_report(decomp.hamiltonian, pair, load_matrix_file(args.state),
-                              _grid(cfg), _signs_arg(cfg), cfg.tol, val_tol=cfg.val_tol,
-                              met_tol=cfg.met_tol, decomp=decomp)
+    report = ptqm.invariant_report(decomp.hamiltonian, pair, load_matrix_file(args.state),
+                                   _grid(cfg), _signs_arg(cfg), cfg.tol, val_tol=cfg.val_tol,
+                                   met_tol=cfg.met_tol, decomp=decomp)
     n, d = report.coefficient_series.shape[:2]
     entries = range(1, d + 1)
     header = ["t", *(f"{part}_R_{i}_{j}" for i in entries for j in entries
@@ -292,15 +259,15 @@ def cmd_invariants(args, cfg) -> None:
 def cmd_bender_sweep(args, cfg) -> None:
     if args.steps < 2:
         raise ValidationError("steps must be at least 2")
-    if args.steps > MAX_GRID_POINTS:
-        raise ValidationError(f"steps must be at most {MAX_GRID_POINTS}")
+    if args.steps > ptqm.linalg.MAX_GRID_POINTS:
+        raise ValidationError(f"steps must be at most {ptqm.linalg.MAX_GRID_POINTS}")
     if not args.theta_max > args.theta_min:
         raise ValidationError("theta-max must exceed theta-min")
     for flag, theta in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
         if not -math.pi < theta <= math.pi:
             raise ValidationError(f"{flag} must be in (-pi, pi], got {theta!r}")
     grid = np.linspace(args.theta_min, args.theta_max, args.steps)
-    rows = critical_sweep(args.r, args.s, grid, cfg.probe, cfg.crit_tol, cfg.tol)
+    rows = ptqm.critical_sweep(args.r, args.s, grid, cfg.probe, cfg.crit_tol, cfg.tol)
     # the columns of SweepRow, in field order
     header = ["theta", "class", "alpha", "S0", "S0_times_cos_alpha",
               "eigvec_overlap", "error"]
@@ -310,13 +277,14 @@ def cmd_bender_sweep(args, cfg) -> None:
 def cmd_stokes(args, cfg) -> None:
     (ex,) = cfgmod.parse_complex_text(args.ex, "--ex", 1, "re,im")
     (ey,) = cfgmod.parse_complex_text(args.ey, "--ey", 1, "re,im")
-    _emit(args, render_json(stokes_vector(ex, ey)) + "\n")
+    _emit(args, render_json(ptqm.stokes_vector(ex, ey)) + "\n")
 
 
 def cmd_dilate(args, cfg) -> None:
     pair, decomp = _decomposed(args, cfg)
-    report = embedded_evolution_check(decomp.hamiltonian, pair, load_matrix_file(args.state),
-                                      _grid(cfg), cfg.slack, val_tol=cfg.val_tol, decomp=decomp)
+    report = ptqm.embedded_evolution_check(decomp.hamiltonian, pair,
+                                           load_matrix_file(args.state), _grid(cfg), cfg.slack,
+                                           val_tol=cfg.val_tol, decomp=decomp)
     doc = {
         "c": report.c,
         "max_deviation": report.max_deviation,
@@ -333,9 +301,9 @@ def cmd_free_check(args, cfg) -> None:
     pair, decomp = _decomposed(args, cfg)
     c = args.c
     if c is None:
-        c = uniform_bound(decomp, cfg.slack)
-    report = verify_free_evolution(decomp.hamiltonian, pair, c, _grid(cfg), cfg.free_tol,
-                                   decomp=decomp)
+        c = ptqm.uniform_bound(decomp, cfg.slack)
+    report = ptqm.verify_free_evolution(decomp.hamiltonian, pair, c, _grid(cfg), cfg.free_tol,
+                                        decomp=decomp)
     doc = {
         "ok": report.ok,
         "c": c,
@@ -350,7 +318,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = cfgmod.resolve_config(getattr(args, "config", None), _overrides(args))
-        _bind(args.library)
         # an overflow that no library check catches ends the run as a
         # numerical failure, not as a numpy warning followed by a LAPACK error
         with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -186,7 +186,13 @@ def propagator(h, t: float, decomp: CanonicalDecomposition | None = None) -> np.
 
 
 def validate_density(rho, tol: float = 1e-10) -> np.ndarray:
-    """Check Hermiticity, positive semidefiniteness, and unit trace."""
+    """Check Hermiticity, positive semidefiniteness, and unit trace.
+
+    tol must be positive; an infinite tol accepts any square matrix (an
+    evolved density whose trace has drifted, say), a NaN is an error.
+    """
+    if not tol > 0:
+        raise ValidationError(f"tol must be positive, got {tol!r}")
     m = as_square(rho, "rho")
     scale = max(1.0, float(np.linalg.norm(m, 2)))
     if np.linalg.norm(m - m.conj().T, 2) > tol * scale:

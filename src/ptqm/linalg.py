@@ -98,6 +98,14 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _require_positive(**tolerances: float) -> None:
+    """Raise ValidationError naming the first tolerance that is not a
+    finite positive number; a NaN would pass every gate it bounds."""
+    for name, value in tolerances.items():
+        if not 0.0 < value < np.inf:
+            raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+
+
 def first_index(mask: np.ndarray) -> int | None:
     """Position of the first true entry of a 1-d or 0-d mask, or None."""
     hits = np.flatnonzero(mask)
@@ -703,8 +711,7 @@ def eigen_decompose(a, cluster_tol: float = 1e-8, rank_tol: float = 1e-10) -> Ei
     constructions produce.
     """
     m = as_square(a, "A")
-    if cluster_tol <= 0 or rank_tol <= 0:
-        raise ValidationError("tolerances must be positive")
+    _require_positive(cluster_tol=cluster_tol, rank_tol=rank_tol)
     scale = max(1.0, float(np.linalg.norm(m, 2)))
     spectrum = _clustered_spectrum(m, scale, cluster_tol * scale)
     eigenvalues = [complex(z) for z in spectrum.means]

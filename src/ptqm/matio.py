@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import NumericalError, ParseError, ValidationError
 
 
 def format_float(x: float) -> str:
@@ -138,14 +138,17 @@ def render_csv(header: list, rows) -> str:
     """CSV with LF endings from any iterable of rows, a 2-D array
     included; numbers go through format_float, None is an empty cell."""
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if cell is None:
-                cells.append("")
-            elif isinstance(cell, str):
-                cells.append(cell)
-            else:
-                cells.append(format_float(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    try:
+        for row in rows:
+            cells = []
+            for cell in row:
+                if cell is None:
+                    cells.append("")
+                elif isinstance(cell, str):
+                    cells.append(cell)
+                else:
+                    cells.append(format_float(cell))
+            lines.append(",".join(cells))
+        return "\n".join(lines) + "\n"
+    except MemoryError as exc:
+        raise NumericalError("the CSV output does not fit in memory") from exc

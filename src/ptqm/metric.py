@@ -19,8 +19,8 @@ import numpy as np
 
 from .canonical import CanonicalDecomposition
 from .errors import DimensionError, NumericalError, SingularMatrixError, ValidationError
-from .linalg import (as_square, as_square_stack, as_vector, congruence_solve, first_index,
-                     operator_norm)
+from .linalg import (_require_positive, as_square, as_square_stack, as_vector, congruence_solve,
+                     first_index, operator_norm)
 
 # basis_coefficients: reconstruction gate, relative to max(1, ||rho||)
 RECON_TOL = 1e-9
@@ -83,6 +83,7 @@ def build_metric(decomp: CanonicalDecomposition,
     Hamiltonian is verified and must stay below
     met_tol * ||eta|| * max(1, ||H||).
     """
+    _require_positive(met_tol=met_tol)
     if signs is None:
         signs = SignCharacteristic(epsilons=(1,) * decomp.layout.n_real)
     _check_signs(decomp, signs)

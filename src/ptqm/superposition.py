@@ -62,6 +62,9 @@ def free_basis(vectors) -> FreeBasis:
         raise DimensionError("basis vectors have mixed dimensions")
     if len(vecs) != d:
         raise ValidationError(f"need {d} basis vectors for dimension {d}, got {len(vecs)}")
+    for i, v in enumerate(vecs):
+        if not v.any():
+            raise ValidationError(f"basis vector {i} is zero")
     vecs = [v / np.linalg.norm(v) for v in vecs]
     c = np.column_stack(vecs)
     smin = float(np.linalg.svd(c, compute_uv=False)[-1])

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .linalg import as_square, as_vector, operator_norm
+from .linalg import _require_positive, as_square, as_vector, operator_norm
 
 
 _IDENTITIES = ("parity_involution", "time_reversal_involution", "commutation", "pt_involution")
@@ -74,8 +74,7 @@ def validate_pt_pair(p, t, val_tol: float = 1e-10) -> PTPair:
     t = as_square(t, "T")
     if p.shape != t.shape:
         raise DimensionError(f"P and T dimensions differ: {p.shape} vs {t.shape}")
-    if val_tol <= 0:
-        raise ValidationError("val_tol must be positive")
+    _require_positive(val_tol=val_tol)
 
     pt = p @ t
     defects = _defects(p, t, pt)
@@ -110,6 +109,7 @@ def _pt_test(h, pair: PTPair, tol: float) -> tuple[np.ndarray, bool, float, floa
     with its 2-norm, so that a caller going on to decompose H needs no
     second SVD of it.
     """
+    _require_positive(tol=tol)
     m = as_square(h, "H")
     if m.shape[0] != pair.dim:
         raise DimensionError(f"H dimension {m.shape[0]} does not match pair dimension {pair.dim}")

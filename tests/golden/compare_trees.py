@@ -87,6 +87,8 @@ _EXTRA = [
     ("validation-config-key", ["classify", *_U2, "--config", "{tmp}/cfg_key.json"]),
     ("validation-config-oversized", ["classify", *_U2, "--config", "{tmp}/cfg_big.json"]),
     ("parse-config-long-integer", ["classify", *_U2, "--config", "{tmp}/cfg_long.json"]),
+    ("validation-grid-cap", ["invariants", *_U2, "{inputs}/rho_unbroken2.json",
+                             "--num-points", "1000001"]),
     ("validation-grid-order", ["dilate", *_U2, "{inputs}/rho_unbroken2.json",
                                "--t-start", "2", "--t-end", "1"]),
     ("validation-signs-length", ["metric", *_U2, "--signs", "1"]),
@@ -96,6 +98,7 @@ _EXTRA = [
     ("validation-float-flag", ["classify", *_U2, "--tol", "x"]),
     ("validation-unwritable-output", ["classify", *_U2, "-o", "{tmp}/no/such/dir.json"]),
     ("validation-sweep-steps", _SWEEP[:-1] + ["1"]),
+    ("validation-sweep-steps-cap", _SWEEP[:-1] + ["1000001"]),
     ("validation-sweep-theta-order", _RS + ["--theta-min", "1.2", "--theta-max", "0.5",
                                             "--steps", "5"]),
     ("validation-sweep-theta-range", _RS + ["--theta-min", "-3.2", "--theta-max", "0",

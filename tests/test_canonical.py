@@ -208,3 +208,18 @@ def test_overflowing_jordan_chain_raises_numerical_error(scale):
     h, p, t = (load_matrix_file(INPUTS / f"{name}_ep2.json") for name in "hpt")
     with pytest.raises(NumericalError, match="floating-point range"):
         pt_canonical_form(h * scale, validate_pt_pair(p, t), cluster_tol=1e-6)
+
+
+@pytest.mark.parametrize("name, value", [("tol", np.nan), ("cluster_tol", np.nan),
+                                         ("cluster_tol", np.inf), ("can_tol", np.nan),
+                                         ("rank_tol", np.nan)])
+def test_canonical_form_rejects_a_non_finite_tolerance(name, value):
+    """A NaN tol used to read as "not PT-symmetric, residual 0", a NaN
+    cluster_tol ended in an IndexError, and a NaN can_tol switched the
+    residual gates off."""
+    h, pair = bender(1.0, 1.0, np.pi / 6)
+    with pytest.raises(ValidationError, match=f"^{name} must be finite and positive"):
+        pt_canonical_form(h, pair, **{name: value})
+    if name != "can_tol":
+        with pytest.raises(ValidationError, match=f"^{name} must be finite and positive"):
+            classify_spectrum(h, pair, **{name: value})

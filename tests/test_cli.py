@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ptqm
 from ptqm import cli, dynamics, linalg
 from ptqm.bender import BenderParams, bender_hamiltonian
 from ptqm.cli import main
@@ -270,7 +271,7 @@ def test_bender_sweep_rejects_bad_grid(files, capsys):
 @pytest.mark.parametrize("steps", [linalg.MAX_GRID_POINTS + 1, 10 ** 9, 10 ** 400])
 def test_bender_sweep_rejects_more_steps_than_the_grid_cap(capsys, monkeypatch, steps):
     """The cap is checked before the grid is built: no sweep runs."""
-    monkeypatch.setattr(cli, "critical_sweep", lambda *args: pytest.fail("sweep ran"))
+    monkeypatch.setattr(ptqm, "critical_sweep", lambda *args: pytest.fail("sweep ran"))
     monkeypatch.setattr(cli.np, "linspace", lambda *args: pytest.fail("grid built"))
     code, out, err = run(capsys, ["bender-sweep", "--r", "1", "--s", "0.8", "--theta-min", "0",
                                   "--theta-max", "1", "--steps", str(steps)])
@@ -286,7 +287,7 @@ def test_bender_sweep_accepts_the_grid_cap(capsys, monkeypatch):
         lengths.append(len(grid))
         return []
 
-    monkeypatch.setattr(cli, "critical_sweep", sweep)
+    monkeypatch.setattr(ptqm, "critical_sweep", sweep)
     code, _, _ = run(capsys, ["bender-sweep", "--r", "1", "--s", "0.8", "--theta-min", "0",
                               "--theta-max", "1", "--steps", str(linalg.MAX_GRID_POINTS)])
     assert (code, lengths) == (0, [linalg.MAX_GRID_POINTS])
@@ -827,3 +828,21 @@ def test_real_matrix_renders_as_complex_pairs():
         '[-2.0000000000000000e+00,0.0000000000000000e+00]],'
         '[[0.0000000000000000e+00,0.0000000000000000e+00],'
         '[5.0000000000000000e-01,0.0000000000000000e+00]]]}')
+
+
+def test_invariants_csv_too_large_for_memory_is_numerical(files, capsys, monkeypatch):
+    """The series fits but its CSV text does not: one error line, exit 4."""
+    paths, _ = files
+    calls = []
+
+    def format_float(x):
+        calls.append(x)
+        if len(calls) > 10:
+            raise MemoryError
+        return repr(x)
+
+    monkeypatch.setattr("ptqm.matio.format_float", format_float)
+    code, out, err = run(capsys, ["invariants", paths["h_unbroken"], paths["p_swap"],
+                                  paths["t_id"], paths["rho"]])
+    assert (code, out) == (4, "")
+    assert err == '{"error":"numerical","detail":"the CSV output does not fit in memory"}\n'

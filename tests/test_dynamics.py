@@ -240,3 +240,9 @@ def test_invariants_single_point_grid():
     rep = invariant_report(h, pair, RHO, TimeGrid(0.0, 0.0, 1))
     assert len(rep.times) == 1
     assert all(v == 0.0 for v in rep.drift.values())
+
+
+def test_validate_density_rejects_a_nan_tolerance():
+    """A NaN tolerance used to pass a matrix that is not even Hermitian."""
+    with pytest.raises(ValidationError, match="^tol must be positive, got nan"):
+        validate_density(np.array([[2.0, 5.0], [0.0, -1.0]]), tol=np.nan)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import ptqm
 import ptqm.dilation as dilation
 import ptqm.dynamics as dynamics
 import ptqm.superposition as superposition
@@ -418,13 +419,13 @@ def _cli_files(tmp_path):
 @pytest.mark.parametrize("extra", [[], ["--c", "0.5"]])
 def test_free_check_decomposes_once(tmp_path, monkeypatch, capsys, extra):
     calls = []
-    original = cli.pt_canonical_form
+    original = ptqm.pt_canonical_form
 
     def counted(*args, **kwargs):
         calls.append(kwargs)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "pt_canonical_form", counted)
+    monkeypatch.setattr(ptqm, "pt_canonical_form", counted)
     monkeypatch.setattr("ptqm.dynamics.pt_canonical_form", counted)
     files = _cli_files(tmp_path)[:3]
     assert cli.main(["free-check", *files, "--num-points", "5", *extra]) == 0

@@ -265,3 +265,10 @@ def test_congruence_solve_singular_stack_keeps_message():
     with pytest.raises(SingularMatrixError, match="^C is numerically singular$"):
         congruence_solve(np.zeros((3, 3)), x[0], "C")
 
+
+
+@pytest.mark.parametrize("name, value", [("cluster_tol", np.nan), ("cluster_tol", np.inf),
+                                         ("rank_tol", np.nan), ("cluster_tol", 0.0)])
+def test_eigen_decompose_rejects_a_non_finite_tolerance(name, value):
+    with pytest.raises(ValidationError, match=f"^{name} must be finite and positive"):
+        eigen_decompose(np.array([[1.0, 2.0], [0.0, 3.0]]), **{name: value})

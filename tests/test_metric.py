@@ -242,3 +242,11 @@ def test_metric_rejects_near_singular_basis():
     dec = pt_canonical_form(h, pair)
     with pytest.raises(SingularMatrixError):
         build_metric(dec)
+
+
+@pytest.mark.parametrize("met_tol", [np.nan, np.inf])
+def test_build_metric_rejects_a_non_finite_tolerance(met_tol):
+    """A NaN met_tol used to switch the intertwining gate off."""
+    h, pair = bender(1.0, 1.0, np.pi / 6)
+    with pytest.raises(ValidationError, match="met_tol must be finite and positive"):
+        build_metric(pt_canonical_form(h, pair), met_tol=met_tol)

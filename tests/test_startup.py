@@ -4,8 +4,10 @@ Importing scipy.linalg dominates the start-up of a command-line call,
 so ptqm.linalg imports it inside the two functions that call it, the
 Schur form and ztrsen of an exceptional point; the exponential evolve
 needs is numpy's. Importing ptqm loads none of its modules, and
-ptqm.cli imports a subcommand's library modules when it runs. The test
-modules import scipy and every ptqm module themselves, so only a fresh
+ptqm.cli calls the library through the package's lazy exports, so a
+subcommand's modules load when its handler first calls into them and
+a command whose input fails to parse loads none. The test modules
+import scipy and every ptqm module themselves, so only a fresh
 interpreter can see what a command loaded.
 """
 
@@ -16,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ptqm.matio import render_json
 from test_cli_golden import GOLDEN, INPUTS, _argv, _load_cases, assert_same_text
@@ -108,6 +111,45 @@ def test_decomposing_commands_load_no_analysis_module(tmp_path):
     # a loaded module stays in sys.modules, so the last run speaks for both
     assert not {"ptqm.dynamics", "ptqm.dilation", "ptqm.superposition",
                 "ptqm.bender"} & set(runs[-1]["ptqm"])
+
+
+# the ptqm modules every command line loads besides the package: the
+# CLI and what it imports itself
+_BASE = {"ptqm.cli", "ptqm.config", "ptqm.errors", "ptqm.matio"}
+_DECOMPOSE = {"ptqm.canonical", "ptqm.linalg", "ptqm.symmetry"}
+_METRIC = _DECOMPOSE | {"ptqm.metric"}
+_DYNAMICS = _METRIC | {"ptqm.dynamics"}
+_DILATE = _DYNAMICS | {"ptqm.dilation"}
+# golden line (or the missing-file line) -> the modules it loads on top of _BASE
+_LOADS = {
+    "classify_unbroken2": _DECOMPOSE,
+    "canonical_unbroken2": _DECOMPOSE,
+    "metric_unbroken2": _METRIC,
+    "inner_unbroken2": _METRIC,
+    "evolve_unbroken2": _DYNAMICS,
+    "invariants_unbroken2": _DYNAMICS,
+    "bender-sweep": _METRIC | {"ptqm.bender"},
+    "stokes": _METRIC | {"ptqm.bender"},
+    "dilate_unbroken2": _DILATE,
+    "free-check_unbroken2": _DILATE | {"ptqm.superposition"},
+    "missing-file": set(),
+}
+
+
+@pytest.mark.parametrize("name", list(_LOADS))
+def test_each_command_loads_exactly_the_modules_it_runs(tmp_path, name):
+    """One command line in a new interpreter; a command whose input fails
+    to parse loads no library module."""
+    if name == "missing-file":
+        argv = ["classify", str(tmp_path / "missing.json"),
+                str(INPUTS / "p_unbroken2.json"), str(INPUTS / "t_unbroken2.json")]
+        code = 2
+    else:
+        (case,), (argv,) = _golden([name], tmp_path / "summary.json")
+        code = case["exit"]
+    _, run = _run_fresh([argv])
+    assert run["code"] == code
+    assert set(run["ptqm"]) == _BASE | _LOADS[name]
 
 
 def test_every_exported_name_resolves():

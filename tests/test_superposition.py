@@ -195,3 +195,8 @@ def test_verify_free_evolution_overflow_names_first_t(c):
     first = finite.index(False)
     with pytest.raises(NumericalError, match=f"not finite at t = {times[first]:.6f}$"):
         verify_free_evolution(h, pair, c, decomp=dec)
+
+
+def test_free_basis_rejects_a_zero_vector():
+    with pytest.raises(ValidationError, match="basis vector 0 is zero"):
+        free_basis([np.array([0.0, 0.0]), np.array([1.0, 0.0])])

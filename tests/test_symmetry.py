@@ -180,3 +180,10 @@ def test_valid_pair_runs_no_svd(kind, monkeypatch):
     pairs[0].residuals
     pairs[0].residuals
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("val_tol", [np.nan, np.inf])
+def test_validate_rejects_a_non_finite_tolerance(val_tol):
+    """A NaN tolerance would clear every identity: P = diag(2, 1) has P^2 != I."""
+    with pytest.raises(ValidationError, match="val_tol must be finite and positive"):
+        validate_pt_pair(np.diag([2.0, 1.0]), np.eye(2), val_tol=val_tol)
