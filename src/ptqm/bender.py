@@ -27,6 +27,7 @@ import numpy as np
 from .canonical import (COMPLEX_PAIR, REAL_JORDAN, REAL_SIMPLE, BlockDescriptor,
                         CanonicalDecomposition, SpectralClass, _classify_blocks, _decomposition)
 from .errors import BrokenRegimeError, CriticalPointError, NumericalError, ValidationError
+from .linalg import _require_positive
 from .metric import MetricOperator, build_metric
 from .symmetry import PTPair, validate_pt_pair
 
@@ -161,6 +162,7 @@ def bender_eigensystem(p: BenderParams, crit_tol: float = 1e-6) -> BenderEigensy
     """
     if p.s == 0:
         raise ValidationError("eigensystem requires s != 0")
+    _require_positive(crit_tol=crit_tol)
     alpha = _alpha(p)
     ca = np.cos(alpha)
     if ca <= crit_tol:
@@ -198,6 +200,7 @@ def bender_eigensystem(p: BenderParams, crit_tol: float = 1e-6) -> BenderEigensy
 def _check_alpha(alpha: float, crit_tol: float) -> float:
     if not np.isfinite(alpha):
         raise ValidationError("alpha must be finite")
+    _require_positive(crit_tol=crit_tol)
     ca = float(np.cos(alpha))
     if ca <= crit_tol:
         raise CriticalPointError(
@@ -285,6 +288,7 @@ def critical_sweep(r: float, s: float, theta_grid, probe=(1.0, 0.0),
     """
     if s == 0:
         raise ValidationError("sweep requires s != 0")
+    _require_positive(crit_tol=crit_tol)
     _check_tol(tol)
     x_probe, y_probe = complex(probe[0]), complex(probe[1])
     grid = np.asarray(theta_grid, dtype=float)

@@ -136,8 +136,6 @@ def _exponential_stack(decomp: CanonicalDecomposition, s: np.ndarray) -> np.ndar
     out = np.zeros((s.shape[0], d, d), dtype=complex)
     out[:, np.arange(d), np.arange(d)] = phase
     for offset, length in decomp.layout.chains:
-        if length == 1:  # its one entry is on the diagonal
-            continue
         coeff = np.ones_like(s)
         for k in range(1, length):
             coeff = coeff * s / k

@@ -73,13 +73,9 @@ def _as_array(a, name: str, ndim: int = 2, stacked: bool = False) -> np.ndarray:
     return m
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a 2-d complex ndarray copy of the input."""
-    return _as_array(a, name)
-
-
 def as_square(a, name: str = "matrix") -> np.ndarray:
-    m = as_matrix(a, name)
+    """Validate and return a square 2-d complex ndarray copy of the input."""
+    m = _as_array(a, name)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
     return m
@@ -352,36 +348,34 @@ def _clusters(w: np.ndarray, tol_abs: float) -> tuple[np.ndarray, np.ndarray]:
     label's own label, until none changes; the label left is the
     component's smallest member. The clusters of one size are summed as
     rows of one array, which adds each row as np.mean adds a cluster on
-    its own, bit for bit.
+    its own, bit for bit. Every spectrum takes this one path: with no
+    pair linked, propagation stops after one step and every mean is a
+    sum of one term (a -0.0 part comes back as 0.0, as from np.mean).
     """
     n = len(w)
     # np.hypot, not np.abs: it rounds |wi - wj| as the scalar abs does; a
     # difference past the float range is an infinite distance, linking nothing
     with np.errstate(over="ignore"):
         near = np.hypot(w.real[:, None] - w.real, w.imag[:, None] - w.imag) <= tol_abs
-    if np.count_nonzero(near) == n:  # no pair linked: every cluster a singleton
-        # each mean a sum of one term, as np.mean takes it (a -0.0 part comes back as 0.0)
-        component, means = None, w[:, None].sum(axis=1) / 1
-    else:
-        root = np.arange(n)
-        while True:
-            step = np.min(np.where(near, root, n), axis=1)
-            step = step[step]
-            if np.array_equal(step, root):
-                break
-            root = step
-        component = (np.cumsum(root == np.arange(n)) - 1)[root]  # by smallest member
-        sizes = np.bincount(component)
-        members = np.argsort(component, kind="stable")
-        starts = np.cumsum(sizes) - sizes
-        means = np.empty(len(sizes), dtype=complex)
-        for size in np.unique(sizes).tolist():
-            rows = np.flatnonzero(sizes == size)
-            means[rows] = w[members[starts[rows, None] + np.arange(size)]].sum(axis=1) / size
+    root = np.arange(n)
+    while True:
+        step = np.min(np.where(near, root, n), axis=1)
+        step = step[step]
+        if np.array_equal(step, root):
+            break
+        root = step
+    component = (np.cumsum(root == np.arange(n)) - 1)[root]  # by smallest member
+    sizes = np.bincount(component)
+    members = np.argsort(component, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    means = np.empty(len(sizes), dtype=complex)
+    for size in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == size)
+        means[rows] = w[members[starts[rows, None] + np.arange(size)]].sum(axis=1) / size
     ranked = np.argsort(means, kind="stable")  # by real part, then imaginary part
     rank = np.empty_like(ranked)
     rank[ranked] = np.arange(len(ranked))
-    return (rank if component is None else rank[component]), means[ranked]
+    return rank[component], means[ranked]
 
 
 @dataclass(frozen=True)
@@ -454,7 +448,7 @@ def _orth(a: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     if a.shape[1] == 0:
         return a
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > rel_tol * s[0])) if s.size else 0
+    rank = int(np.sum(s > rel_tol * s[0]))
     return u[:, :rank]
 
 

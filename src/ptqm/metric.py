@@ -49,20 +49,15 @@ class MetricOperator:
     defect: float
 
 
-def _check_signs(decomp: CanonicalDecomposition, signs: SignCharacteristic) -> None:
-    n_real = decomp.layout.n_real
-    if len(signs.epsilons) != n_real:
-        raise ValidationError(
-            f"sign characteristic has {len(signs.epsilons)} entries, "
-            f"decomposition has {n_real} real blocks")
-
-
 def structure_matrix(decomp: CanonicalDecomposition,
                      signs: SignCharacteristic) -> np.ndarray:
     """The exact congruence target S: reversal blocks per unit. signs
     holds one entry per real unit."""
-    _check_signs(decomp, signs)
     layout = decomp.layout
+    if len(signs.epsilons) != layout.n_real:
+        raise ValidationError(
+            f"sign characteristic has {len(signs.epsilons)} entries, "
+            f"decomposition has {layout.n_real} real blocks")
     value = np.ones(len(layout.units))  # 1 for a pair, the next sign for a real unit
     value[np.logical_not(layout.paired)] = signs.epsilons
     unit, offset, span = layout._column_units
@@ -86,14 +81,11 @@ def build_metric(decomp: CanonicalDecomposition,
     _require_positive(met_tol=met_tol)
     if signs is None:
         signs = SignCharacteristic(epsilons=(1,) * decomp.layout.n_real)
-    _check_signs(decomp, signs)
-
-    psi = decomp.Psi
+    s = structure_matrix(decomp, signs)
     if decomp.condition_number >= 1e14:
         raise SingularMatrixError("Psi is numerically singular")
 
-    s = structure_matrix(decomp, signs)
-    psi_inv = np.linalg.inv(psi)
+    psi_inv = np.linalg.inv(decomp.Psi)
     eta = psi_inv.conj().T @ s @ psi_inv
     eta = 0.5 * (eta + eta.conj().T)
 

@@ -28,7 +28,8 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .linalg import as_square, as_square_stack, as_vector, congruence_solve, dagger, operator_norm
+from .linalg import (_require_positive, as_square, as_square_stack, as_vector, congruence_solve,
+                     dagger, operator_norm)
 from .symmetry import PTPair
 
 # free_basis: smallest singular value of an independent unit-vector basis
@@ -65,6 +66,10 @@ def free_basis(vectors) -> FreeBasis:
     for i, v in enumerate(vecs):
         if not v.any():
             raise ValidationError(f"basis vector {i} is zero")
+        # a power of two brings the largest real or imaginary part into
+        # [0.5, 1), exactly, so the norm neither overflows nor underflows
+        parts = v.view(float)
+        vecs[i] = np.ldexp(parts, -np.frexp(np.max(np.abs(parts)))[1]).view(complex)
     vecs = [v / np.linalg.norm(v) for v in vecs]
     c = np.column_stack(vecs)
     smin = float(np.linalg.svd(c, compute_uv=False)[-1])
@@ -89,12 +94,13 @@ def is_superposition_free(rho, basis: FreeBasis,
     Free iff every off-diagonal of R is within tol and every diagonal
     is above -tol; the diagonals are returned as the weights.
     """
+    _require_positive(tol=tol)
     rho = validate_density(rho)
     if rho.shape[0] != basis.dim:
         raise DimensionError("rho dimension does not match the basis")
     r = congruence_solve(basis.matrix, rho, "basis matrix")
     off = r - np.diag(np.diag(r))
-    residual = float(np.max(np.abs(off))) if off.size else 0.0
+    residual = float(np.max(np.abs(off)))
     weights = np.real(np.diag(r))
     ok = residual <= tol and bool(np.min(weights) >= -tol)
     return ok, FreeDecomposition(weights=tuple(float(w) for w in weights),
@@ -104,6 +110,7 @@ def is_superposition_free(rho, basis: FreeBasis,
 def is_incoherent(rho, orthobasis: FreeBasis,
                   tol: float = 1e-9) -> tuple[bool, FreeDecomposition]:
     """Superposition-freeness against an orthonormal basis."""
+    _require_positive(tol=tol)
     c = orthobasis.matrix
     defect = operator_norm(c.conj().T @ c - np.eye(orthobasis.dim))
     if defect > max(tol, 1e-10):
@@ -121,6 +128,7 @@ def free_kraus_defect(k, basis: FreeBasis, tol: float = 1e-8):
     operators, shape (..., d, d), gives one defect per operator.
     """
     k = as_square_stack(k, "K")
+    _require_positive(tol=tol)
     if k.shape[-1] != basis.dim:
         raise DimensionError("K dimension does not match the basis")
     c = basis.matrix
@@ -164,8 +172,7 @@ def verify_free_evolution(h, pair: PTPair, c: float,
     then be the decomposition of this H (ValidationError otherwise).
     """
     h = as_square(h, "H")
-    if c <= 0:
-        raise ValidationError("scale c must be positive")
+    _require_positive(c=c, tol=tol)
     decomp = _own_decomposition(h, pair, decomp)
     if not decomp.spectral_class.unbroken:
         raise BrokenSymmetryError(

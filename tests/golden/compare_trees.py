@@ -9,12 +9,14 @@ golden lines of cases.json, then a fixed list of failing and edge
 lines (one per error kind, plus non-finite numbers in flags, probes
 and config files), then sweeps that between them hold every kind of
 row, then classify, canonical and metric at d = 48 for an unbroken, a
-conjugate-pair and an exceptional-point H. Exit code, stdout, stderr
-and the --summary file are recorded.
+conjugate-pair and an exceptional-point H, and free-check, dilate and
+invariants over short grids at d = 48. Exit code, stdout, stderr and
+the --summary file are recorded.
 
-The d = 48 inputs come from a seeded numpy generator in this script,
+The d = 48 inputs come from seeded numpy generators in this script,
 written once into the scratch directory, so both trees read the same
-bytes.
+bytes. The density has a generator of its own, so adding it left the
+bytes of H, P and T as they were.
 
 The golden test compares numbers within NUM_TOL of a recording, and
 recordings drift in their last digits whenever the numerics change at
@@ -149,8 +151,14 @@ _LARGE = (("unbroken48", "unbroken", "trivial"), ("complex48", "complex", "swap"
           ("ep48", "ep", "householder"))
 
 
+def _matrix_text(m) -> str:
+    rows = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
+    return json.dumps({"dim": len(rows), "rows": rows})
+
+
 def _large_files(seed: int = 48) -> dict:
-    """File name -> text of the H, P and T of every d = 48 case.
+    """File name -> text of the H, P and T of every d = 48 case, and of
+    one d = 48 density matrix.
 
     With G = P T real symmetric orthogonal, G = W diag(sigma) W^T, the
     vectors fixed by v -> G conj(v) are M y for real y, M = W diag(phi)
@@ -186,20 +194,31 @@ def _large_files(seed: int = 48) -> dict:
         psi = frame @ x @ basis
         h = psi @ jordan @ np.linalg.inv(psi)
         for prefix, m in (("h", h), ("p", p), ("t", t)):
-            rows = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
-            files[f"{prefix}_{name}.json"] = json.dumps({"dim": d, "rows": rows})
+            files[f"{prefix}_{name}.json"] = _matrix_text(m)
+    g = np.random.default_rng(seed + 1).normal(size=(d, d, 2)) @ np.array([1.0, 1.0j])
+    rho = g @ g.conj().T
+    files["rho_48.json"] = _matrix_text(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
     return files
 
 
 def _large_lines() -> list:
     lines = []
+    hpt = {}
     for name, kind, _ in _LARGE:
-        args = [f"{{tmp}}/{prefix}_{name}.json" for prefix in ("h", "p", "t")]
+        hpt[name] = [f"{{tmp}}/{prefix}_{name}.json" for prefix in ("h", "p", "t")]
+        args = hpt[name]
         if kind == "ep":  # a Jordan block splits its eigenvalues at the sqrt(eps) scale
-            args += ["--cluster-tol", "1e-6"]
+            args = args + ["--cluster-tol", "1e-6"]
         lines += [(f"{command}-{name}", [command, *args])
                   for command in ("classify", "canonical", "metric")]
-    return lines
+    # the grid analyses: the Jordan exponential over 48 chains, chunk by chunk,
+    # and free_basis over 48 columns
+    rho = "{tmp}/rho_48.json"
+    return lines + [
+        ("free-check-unbroken48", ["free-check", *hpt["unbroken48"], "--num-points", "21"]),
+        ("dilate-unbroken48", ["dilate", *hpt["unbroken48"], rho, "--num-points", "21"]),
+        ("invariants-complex48", ["invariants", *hpt["complex48"], rho, "--num-points", "5"]),
+    ]
 
 
 def _lines() -> list:

@@ -466,3 +466,34 @@ def test_zero_tol_is_accepted():
     p = BenderParams(r=1.0, s=0.8, theta=0.927)
     assert bender_classify(p, 0.0) == bender_classify(p, -0.0)
     assert critical_sweep(1.0, 0.8, [0.927], tol=0.0) == critical_sweep(1.0, 0.8, [0.927], tol=-0.0)
+
+
+@pytest.mark.parametrize("crit_tol", [np.nan, np.inf, 0.0, -1e-6])
+def test_s0_and_coefficients_reject_a_crit_tol_that_is_not_finite_and_positive(crit_tol):
+    """A NaN crit_tol used to let S0 at the critical point through as 1.6e16."""
+    with pytest.raises(ValidationError, match=r"^crit_tol must be finite and positive, got "):
+        s0_eta(1.0, 0.0, np.pi / 2, crit_tol=crit_tol)
+    with pytest.raises(ValidationError, match=r"^crit_tol must be finite and positive, got "):
+        expansion_coefficients(1.0, 0.0, np.pi / 2, crit_tol=crit_tol)
+
+
+@pytest.mark.parametrize("crit_tol", [np.nan, np.inf, 0.0, -1e-6])
+def test_sweep_rejects_a_crit_tol_that_is_not_finite_and_positive(crit_tol):
+    """A NaN crit_tol used to give the critical row no critical_point error."""
+    with pytest.raises(ValidationError, match=r"^crit_tol must be finite and positive, got "):
+        critical_sweep(1.0, 0.5, [np.arcsin(0.5)], crit_tol=crit_tol)
+
+
+@pytest.mark.parametrize("crit_tol", [np.nan, np.inf, 0.0, -1e-6])
+def test_eigensystem_rejects_a_crit_tol_that_is_not_finite_and_positive(crit_tol):
+    """A NaN crit_tol used to reach the decomposition at the critical point."""
+    with pytest.raises(ValidationError, match=r"^crit_tol must be finite and positive, got "):
+        bender_eigensystem(BenderParams(1.0, 1.0, np.pi / 2), crit_tol=crit_tol)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_bender_input_errors(alpha):
+    with pytest.raises(ValidationError, match="^alpha must be finite$"):
+        expansion_coefficients(1.0, 0.0, alpha)
+    with pytest.raises(ValidationError, match="^alpha must be finite$"):
+        s0_eta(1.0, 0.0, alpha)

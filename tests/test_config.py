@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ptqm.config import load_config_file
+from ptqm.config import RunConfig, load_config_file
 from ptqm.errors import ParseError, ValidationError
 
 
@@ -73,3 +73,9 @@ def test_oversized_integer_literal(tmp_path):
     with pytest.raises(ParseError) as info:
         load_config_file(str(path))
     assert str(info.value).startswith(f"cannot parse config {path}: Exceeds the limit")
+
+
+@pytest.mark.parametrize("probe", [(1,), (1, 0, 0), ()])
+def test_config_input_errors(probe):
+    with pytest.raises(ValidationError, match="^config: probe must have two components$"):
+        RunConfig(probe=probe).validate()

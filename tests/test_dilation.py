@@ -7,8 +7,8 @@ from ptqm.bender import BenderParams, bender_hamiltonian
 from ptqm.canonical import pt_canonical_form
 from ptqm.dilation import embedded_evolution_check, halmos_dilation, uniform_bound
 from ptqm.dynamics import TimeGrid, propagator
-from ptqm.errors import (BrokenSymmetryError, NotPositiveSemidefiniteError, PreconditionError,
-                         ValidationError)
+from ptqm.errors import (BrokenSymmetryError, DimensionError, NotPositiveSemidefiniteError,
+                         PreconditionError, ValidationError)
 from ptqm.linalg import operator_norm
 from ptqm.symmetry import PTPair, validate_pt_pair
 
@@ -157,3 +157,12 @@ def test_embedded_rejects_broken():
     rho = np.diag([0.5, 0.5]).astype(complex)
     with pytest.raises(BrokenSymmetryError):
         embedded_evolution_check(h, pair, rho)
+
+
+@pytest.mark.parametrize("u, message", [
+    (np.zeros((2, 2, 3)), r"U must be square, got shape \(2, 2, 3\)"),
+    (np.zeros(2), r"U must be 2-dimensional, got shape \(2,\)"),
+])
+def test_dilation_input_errors(u, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        halmos_dilation(u, 0.5)

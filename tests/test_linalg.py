@@ -6,7 +6,8 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptqm.errors import NotPositiveSemidefiniteError, SingularMatrixError, ValidationError
+from ptqm.errors import (DimensionError, NotPositiveSemidefiniteError, SingularMatrixError,
+                         ValidationError)
 from ptqm.linalg import (
     BlockLayout,
     EigenStructure,
@@ -272,3 +273,13 @@ def test_congruence_solve_singular_stack_keeps_message():
 def test_eigen_decompose_rejects_a_non_finite_tolerance(name, value):
     with pytest.raises(ValidationError, match=f"^{name} must be finite and positive"):
         eigen_decompose(np.array([[1.0, 2.0], [0.0, 3.0]]), **{name: value})
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda: operator_norm(np.zeros((1, 0))), ValidationError, "A is empty"),
+    (lambda: operator_norm(np.zeros(3)), DimensionError,
+     r"A must be 2-dimensional, got shape \(3,\)"),
+])
+def test_linalg_input_errors(call, kind, message):
+    with pytest.raises(kind, match=f"^{message}$"):
+        call()

@@ -1,5 +1,6 @@
 """Metric operator construction, eta inner products, sign characteristics."""
 
+import dataclasses
 import re
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from ptqm import metric
 from ptqm.canonical import pt_canonical_form
-from ptqm.errors import NumericalError, SingularMatrixError, ValidationError
+from ptqm.errors import DimensionError, NumericalError, SingularMatrixError, ValidationError
 from ptqm.linalg import BlockLayout, operator_norm
 from ptqm.metric import (
     RECON_TOL,
@@ -250,3 +251,27 @@ def test_build_metric_rejects_a_non_finite_tolerance(met_tol):
     h, pair = bender(1.0, 1.0, np.pi / 6)
     with pytest.raises(ValidationError, match="met_tol must be finite and positive"):
         build_metric(pt_canonical_form(h, pair), met_tol=met_tol)
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda dec: verify_metric(np.eye(2), np.eye(3)), DimensionError,
+     r"H and eta dimensions differ: \(2, 2\) vs \(3, 3\)"),
+    (lambda dec: eta_inner([1.0, 0.0, 0.0], [1.0, 0.0], np.eye(2)), DimensionError,
+     "vector dimensions do not match eta"),
+    (lambda dec: eta_inner([1.0, 0.0], [1.0, 0.0, 0.0], np.eye(2)), DimensionError,
+     "vector dimensions do not match eta"),
+    (lambda dec: eta_trace(np.eye(3) / 3.0, np.eye(2)), DimensionError,
+     r"rho and eta dimensions differ: \(3, 3\) vs \(2, 2\)"),
+    (lambda dec: basis_coefficients(np.eye(3) / 3.0, dec), DimensionError,
+     r"rho dimension \(3, 3\) does not match basis \(2, 2\)"),
+    (lambda dec: build_metric(dataclasses.replace(dec, condition_number=1e15)),
+     SingularMatrixError, "Psi is numerically singular"),
+    (lambda dec: build_metric(dataclasses.replace(dec, condition_number=1e15),
+                              SignCharacteristic(epsilons=(1,))),
+     ValidationError, "sign characteristic has 1 entries, decomposition has 2 real blocks"),
+])
+def test_metric_input_errors(call, kind, message):
+    """A bad sign vector is reported before a singular Psi."""
+    h, pair = bender(1.0, 1.0, np.pi / 6)
+    with pytest.raises(kind, match=f"^{message}$"):
+        call(pt_canonical_form(h, pair))

@@ -8,7 +8,8 @@ import pytest
 from ptqm.canonical import pt_canonical_form
 from ptqm.dilation import uniform_bound
 from ptqm.dynamics import TimeGrid, default_grid, propagator
-from ptqm.errors import BrokenSymmetryError, NumericalError, PreconditionError, ValidationError
+from ptqm.errors import (BrokenSymmetryError, DimensionError, NumericalError, PreconditionError,
+                         ValidationError)
 from ptqm.linalg import operator_norm, psd_square_root
 from ptqm.matio import load_matrix_file
 from ptqm.sampling import (
@@ -200,3 +201,70 @@ def test_verify_free_evolution_overflow_names_first_t(c):
 def test_free_basis_rejects_a_zero_vector():
     with pytest.raises(ValidationError, match="basis vector 0 is zero"):
         free_basis([np.array([0.0, 0.0]), np.array([1.0, 0.0])])
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, 0.0, -1.0])
+def test_verify_free_evolution_rejects_a_scale_that_is_not_finite_and_positive(c):
+    """A NaN or infinite c is an input error, not an overflow at t = 0."""
+    h, pair = bender(1.0, 1.0, np.pi / 6)
+    with pytest.raises(ValidationError, match=r"^c must be finite and positive, got "):
+        verify_free_evolution(h, pair, c)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+def test_verify_free_evolution_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    """A NaN tol used to give a failing report whose worst defect is 0."""
+    h, pair = bender(1.0, 1.0, np.pi / 6)
+    with pytest.raises(ValidationError, match=r"^tol must be finite and positive, got "):
+        verify_free_evolution(h, pair, 0.5, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+def test_free_kraus_defect_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    """A NaN tol used to count every image as annihilated: a defect of 0."""
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    with pytest.raises(ValidationError, match=r"^tol must be finite and positive, got "):
+        free_kraus_defect(hadamard, free_basis(np.eye(2)), tol)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-9])
+def test_is_incoherent_checks_the_tolerance_before_the_basis(tol):
+    """A NaN tol used to skip the orthonormality gate for an oblique basis."""
+    basis = free_basis([[1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValidationError, match=r"^tol must be finite and positive, got "):
+        is_incoherent(np.eye(2) / 2.0, basis, tol)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-9])
+def test_is_superposition_free_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValidationError, match=r"^tol must be finite and positive, got "):
+        is_superposition_free(np.eye(2) / 2.0, free_basis(np.eye(2)), tol)
+
+
+@pytest.mark.parametrize("vectors, expected", [
+    ([[1e200, 1e200], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]]),
+    ([[1e-170, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]),
+    ([[3e-320, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]),
+])
+def test_free_basis_normalises_vectors_whose_norm_leaves_the_float_range(vectors, expected):
+    """The squares of these entries over- or underflow; under the warning
+    filter that used to end in a RuntimeWarning."""
+    basis = free_basis(vectors)
+    for v, e in zip(basis.vectors, expected):
+        e = np.array(e) / np.linalg.norm(e)
+        assert np.max(np.abs(v - e)) <= 1e-15
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda b: is_superposition_free(np.eye(3) / 3.0, b), DimensionError,
+     "rho dimension does not match the basis"),
+    (lambda b: free_kraus_defect(np.eye(3), b), DimensionError,
+     "K dimension does not match the basis"),
+    (lambda b: free_basis([[1.0, 0.0], [1.0, 0.0, 0.0]]), DimensionError,
+     "basis vectors have mixed dimensions"),
+    (lambda b: free_basis([[1.0, 0.0]]), ValidationError,
+     "need 2 basis vectors for dimension 2, got 1"),
+])
+def test_superposition_input_errors(call, kind, message):
+    with pytest.raises(kind, match=f"^{message}$"):
+        call(free_basis(np.eye(2)))

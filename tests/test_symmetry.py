@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ptqm.errors import ValidationError
+from ptqm.errors import DimensionError, ValidationError
 from ptqm.linalg import operator_norm
 from ptqm.sampling import random_pt_pair
 from ptqm.symmetry import apply_antilinear, is_pt_symmetric, validate_pt_pair
@@ -187,3 +187,13 @@ def test_validate_rejects_a_non_finite_tolerance(val_tol):
     """A NaN tolerance would clear every identity: P = diag(2, 1) has P^2 != I."""
     with pytest.raises(ValidationError, match="val_tol must be finite and positive"):
         validate_pt_pair(np.diag([2.0, 1.0]), np.eye(2), val_tol=val_tol)
+
+
+@pytest.mark.parametrize("v, message", [
+    ([1.0, 0.0, 0.0], "vector dimension 3 does not match pair dimension 2"),
+    ([1.0], "vector dimension 1 does not match pair dimension 2"),
+])
+def test_symmetry_input_errors(v, message):
+    pair = validate_pt_pair(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        apply_antilinear(pair, v)
