@@ -15,9 +15,18 @@ completion (Sz.-Nagy & Foias, Harmonic Analysis of Operators on Hilbert
 Space, ch. I); the Gram matrices I - c^2 U U^dag are never formed.
 Applying V to a state supported on the first block and post-selecting
 that block reproduces the normalized PT evolution with success
-probability c^2 Tr[U rho U^dag]. The dilation is built for every
-time point of a grid at once, as one stack of V(t); no joint
-time-independent generator on the large space is attempted.
+probability c^2 Tr[U rho U^dag].
+
+The same SVD factors the dilation as V = diag(W, X) M(Sigma)
+diag(X^dag, W^dag), where M(Sigma) is the direct sum of the real 2x2
+blocks [[s, (1 - s^2)^1/2], [(1 - s^2)^1/2, -s]] (Halmos 1950; Paige &
+Wei, Linear Algebra Appl. 208/209, 1994). V is unitary exactly when W
+and X are, the post-selected block is W Sigma X^dag rho X Sigma W^dag,
+and the failure branch carries Tr[(I - Sigma^2) X^dag rho X]. The
+embedded check therefore works in these d-dimensional frames, one SVD
+of c U(t) per time point for a whole grid at once, and builds no V;
+halmos_dilation builds V explicitly. No joint time-independent
+generator on the large space is attempted.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .linalg import as_square, as_square_stack, dagger, first_index, hermitian_root
+from .linalg import (as_square, as_square_stack, dagger, first_index, hermitian_root,
+                     require_psd_floor)
 from .symmetry import PTPair
 
 DEFAULT_SLACK = 0.99
@@ -63,6 +73,24 @@ class DilationResult:
     contraction_margin: float
 
 
+def _contraction_gap(sigma: np.ndarray) -> np.ndarray:
+    """1 - sigma^2 for singular values sigma, shape (..., d), in
+    descending order, so the gap ascends and gap[..., 0] is the
+    contraction margin. The first matrix of a stack whose margin lies
+    below -1e-10 raises PreconditionError with its stack position as the
+    error's index attribute."""
+    gap = 1.0 - sigma * sigma
+    margin = gap[..., 0]
+    bad = first_index(margin < -1e-10)
+    if bad is not None:
+        err = PreconditionError(
+            f"c U is not a contraction (eigenvalue {np.ravel(margin)[bad]:.6e} "
+            f"of I - c^2 U^dag U)")
+        err.index = bad
+        raise err
+    return gap
+
+
 def halmos_dilation(u, c: float) -> DilationResult:
     """Two-block unitary completion of the contraction c U.
 
@@ -85,16 +113,8 @@ def halmos_dilation(u, c: float) -> DilationResult:
     d = u.shape[-1]
     cu = c * u
     w, sigma, xh = np.linalg.svd(cu)
-    # numpy returns sigma in descending order, so gap ascends: gap[..., 0] = 1 - sigma_max^2
-    gap = 1.0 - sigma * sigma
+    gap = _contraction_gap(sigma)
     margin = gap[..., 0]
-    bad = first_index(margin < -1e-10)
-    if bad is not None:
-        err = PreconditionError(
-            f"c U is not a contraction (eigenvalue {np.ravel(margin)[bad]:.6e} "
-            f"of I - c^2 U^dag U)")
-        err.index = bad
-        raise err
     d_l = hermitian_root(gap, w)
     d_r = hermitian_root(gap, dagger(xh))
     v = np.block([[cu, d_l], [d_r, -dagger(cu)]])
@@ -108,6 +128,19 @@ def halmos_dilation(u, c: float) -> DilationResult:
 
 @dataclass(frozen=True)
 class EmbeddingReport:
+    """What embedded_evolution_check measured on its grid.
+
+    c is the contraction factor. success_probabilities[k] is
+    p = Tr[c U rho (c U)^dag] at times[k]. max_deviation is the largest
+    trace distance, over the grid, between the post-selected state the
+    dilation yields, W Sigma X^dag rho X Sigma W^dag over its trace with
+    c U = W Sigma X^dag, and c U rho (c U)^dag / p. unitarity_residuals[k]
+    is the largest of ||W^dag W - I||_2 and ||X^dag X - I||_2, zero
+    exactly when the dilation is unitary, and the conservation defect
+    |p + Tr[(I - Sigma^2) X^dag rho X] - Tr rho| of the two post-selection
+    branches.
+    """
+
     c: float
     times: np.ndarray
     max_deviation: float
@@ -121,10 +154,14 @@ def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
                              decomp: CanonicalDecomposition | None = None) -> EmbeddingReport:
     """Compare post-selected dilated evolution with the direct route.
 
-    For each grid time the dilation V(t) acts on rho padded to twice
-    the dimensions; the top block is post-selected and normalized, and
-    its trace distance to U(t) rho U(t)^dag / Tr[...] is recorded. The
-    success probability c^2 Tr[U rho U^dag] is reported per time.
+    For each grid time one SVD c U(t) = W Sigma X^dag gives the Halmos
+    dilation in its d-dimensional frames (module docstring): the state
+    post-selected from V(t) (rho + 0) V(t)^dag, normalized, is compared
+    in trace distance with c U rho (c U)^dag normalized, the frames are
+    checked for orthonormality, and the two post-selection branches for
+    conservation of Tr rho; EmbeddingReport names each quantity. The
+    contraction gate and the positive semidefinite floor of the gap
+    1 - Sigma^2 are those of halmos_dilation.
 
     U(t) comes from the canonical decomposition of H, and every check
     runs on the stacked grid at once; a failed contraction or
@@ -141,33 +178,40 @@ def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
 
     d = h.shape[0]
     times = grid.times
+    mass = np.trace(rho).real
     deviations = np.empty(len(times))
     probs = np.empty(len(times))
     residuals = np.empty(len(times))
-    big = np.zeros((2 * d, 2 * d), dtype=complex)
-    big[:d, :d] = rho
-    for chunk in _grid_chunks(len(times), 2 * d):
+    for chunk in _grid_chunks(len(times), d):
         t = times[chunk]
-        u = propagator_stack(decomp, t)
+        cu = c * propagator_stack(decomp, t)
+        w, sigma, xh = np.linalg.svd(cu)
         try:
-            dil = halmos_dilation(u, c)
+            gap = _contraction_gap(sigma)
         except PreconditionError as exc:
             raise PreconditionError(f"{exc} at t = {t[exc.index]:.6f}") from exc
-        residuals[chunk] = dil.unitarity_residual
+        require_psd_floor(gap)
 
-        top = (dil.V @ big @ dagger(dil.V))[:, :d, :d]
-        prob = np.trace(top, axis1=1, axis2=2).real
+        direct = cu @ rho @ dagger(cu)
+        prob = np.trace(direct, axis1=1, axis2=2).real
         low = first_index(prob < 1e-12)
         if low is not None:
             raise DegeneratePostSelectionError(
                 f"success probability {prob[low]:.3e} at t = {t[low]:.6f}")
         probs[chunk] = prob
 
-        direct = u @ rho @ dagger(u)
-        direct = direct / np.trace(direct, axis1=1, axis2=2).real[:, None, None]
-        delta = top / prob[:, None, None] - direct
-        # the trace norm of the Hermitian delta is the sum of its |eigenvalues|
+        inner = xh @ rho @ dagger(xh)  # X^dag rho X
+        ws = w * sigma[:, None, :]
+        post = ws @ inner @ dagger(ws)
+        post = post / np.trace(post, axis1=1, axis2=2).real[:, None, None]
+        # each matrix below is Hermitian, so its 2-norm is its largest
+        # |eigenvalue| and its trace norm the sum of them
+        delta = post - direct / prob[:, None, None]
         deviations[chunk] = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
+        grams = np.concatenate([dagger(w) @ w, xh @ dagger(xh)]) - np.eye(d)
+        frame = np.max(np.abs(np.linalg.eigvalsh(grams)), axis=-1).reshape(2, -1).max(axis=0)
+        fail = np.sum(gap * np.diagonal(inner, axis1=1, axis2=2).real, axis=-1)
+        residuals[chunk] = np.maximum(frame, np.abs(prob + fail - mass))
 
     return EmbeddingReport(
         c=c,

@@ -90,12 +90,11 @@ def _grid_chunks(num_points: int, width: int):
     """Slices that cover a time grid in order, chunk by chunk.
 
     width is the size of the widest matrices the calling analysis
-    stacks per point: d for invariant_report and verify_free_evolution,
-    whose stacks are (points, d, d), and 2d for embedded_evolution_check,
-    which stacks the dilations V(t). A chunk holds as many points as
-    fit one stacked (points, width, width) complex array into
-    GRID_CHUNK_BYTES; at least one point per chunk. Memory then stays
-    bounded whatever the grid length.
+    stacks per point: d for invariant_report, embedded_evolution_check
+    and verify_free_evolution, whose stacks are all (points, d, d). A
+    chunk holds as many points as fit one stacked (points, width, width)
+    complex array into GRID_CHUNK_BYTES; at least one point per chunk.
+    Memory then stays bounded whatever the grid length.
     """
     step = max(1, GRID_CHUNK_BYTES // (16 * width ** 2))
     for start in range(0, num_points, step):

@@ -205,17 +205,25 @@ def hermitian_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     order, and orthonormal eigenvectors in the columns of v.
 
     Eigenvalues in [-PSD_NEG_FLOOR * max(1, max |w|), 0) are clamped to
-    zero; the first matrix of a stack with one below that floor raises.
-    The result is symmetrised as (B + B^dag) / 2.
+    zero; the first matrix of a stack with one below that floor raises
+    (require_psd_floor). The result is symmetrised as (B + B^dag) / 2.
     """
+    require_psd_floor(w)
+    b = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dagger(v)
+    return 0.5 * (b + dagger(b))
+
+
+def require_psd_floor(w: np.ndarray) -> None:
+    """Raise NotPositiveSemidefiniteError naming the smallest eigenvalue
+    of the first matrix of a stack, eigenvalues w of shape (..., n) in
+    ascending order, whose smallest lies below -PSD_NEG_FLOOR * max(1,
+    max |w|)."""
     scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
     low = first_index(w[..., 0] < -PSD_NEG_FLOOR * scale)
     if low is not None:
         raise NotPositiveSemidefiniteError(
             f"eigenvalue {w[..., 0].flat[low]:.6e} below the positive semidefinite floor"
         )
-    b = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dagger(v)
-    return 0.5 * (b + dagger(b))
 
 
 @dataclass(frozen=True)
@@ -369,7 +377,8 @@ def _clusters(w: np.ndarray, tol_abs: float) -> tuple[np.ndarray, np.ndarray]:
     members = np.argsort(component, kind="stable")
     starts = np.cumsum(sizes) - sizes
     means = np.empty(len(sizes), dtype=complex)
-    for size in np.unique(sizes).tolist():
+    # the distinct sizes in ascending order; np.unique would import numpy.ma
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
         rows = np.flatnonzero(sizes == size)
         means[rows] = w[members[starts[rows, None] + np.arange(size)]].sum(axis=1) / size
     ranked = np.argsort(means, kind="stable")  # by real part, then imaginary part

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import ptqm.dilation as dilation
 from ptqm.bender import BenderParams, bender_hamiltonian
 from ptqm.canonical import pt_canonical_form
 from ptqm.dilation import embedded_evolution_check, halmos_dilation, uniform_bound
@@ -166,3 +168,60 @@ def test_embedded_rejects_broken():
 def test_dilation_input_errors(u, message):
     with pytest.raises(DimensionError, match=f"^{message}$"):
         halmos_dilation(u, 0.5)
+
+
+def _unbroken_instance():
+    """The instance of test_embedded_unbroken_matches_direct."""
+    h, pair = bender(1.0, 1.0, np.pi / 6)
+    rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+    return h, pair, rho, TimeGrid(0.0, 10.0, 101)
+
+
+def _small_rotation(d, seed):
+    """expm(1e-6 i K) for a random Hermitian K."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return sla.expm(1e-6j * (a + a.conj().T))
+
+
+_R = _small_rotation(2, 103)
+# each fault spoils one factor of the stacked SVD c U = W Sigma X^dag
+_SVD_FAULTS = {
+    "sigma_scaled": lambda w, s, xh: (w, s * (1.0 + 1e-6), xh),
+    "w_rotated": lambda w, s, xh: (w @ _R, s, xh),
+    "x_rotated": lambda w, s, xh: (w, s, _R @ xh),
+    "w_scaled": lambda w, s, xh: (w * (1.0 + 1e-6), s, xh),
+}
+
+
+@pytest.mark.parametrize("fault", list(_SVD_FAULTS))
+def test_embedded_check_flags_a_planted_svd_fault(monkeypatch, fault):
+    h, pair, rho, grid = _unbroken_instance()
+    dec = pt_canonical_form(h, pair)
+    svd = np.linalg.svd
+
+    def planted(a, *args, **kwargs):
+        factors = svd(a, *args, **kwargs)
+        # only the stacked SVD with vectors, the one of c U over the grid
+        if np.ndim(a) == 3 and not isinstance(factors, np.ndarray):
+            return _SVD_FAULTS[fault](*factors)
+        return factors
+
+    monkeypatch.setattr(np.linalg, "svd", planted)
+    rep = embedded_evolution_check(h, pair, rho, grid, decomp=dec)
+    assert max(rep.max_deviation, np.max(rep.unitarity_residuals)) > 1e-8
+
+
+def test_embedded_margin_between_the_gates_is_not_psd(monkeypatch):
+    # the input of test_halmos_margin_between_the_gates_is_not_psd, as the
+    # propagator at every grid point
+    rng = np.random.default_rng(89)
+    u = _with_singular_values(rng, [np.sqrt(1.0 + 1e-11), 0.7, 0.2])
+    h = np.diag([1.0, 2.0, 3.0])
+    pair = validate_pt_pair(np.eye(3), np.eye(3))
+    dec = pt_canonical_form(h, pair)
+    c = uniform_bound(dec)
+    monkeypatch.setattr(dilation, "propagator_stack",
+                        lambda decomp, t: np.repeat(u[None] / c, len(t), axis=0))
+    with pytest.raises(NotPositiveSemidefiniteError, match="below the positive semidefinite floor"):
+        embedded_evolution_check(h, pair, np.eye(3) / 3, TimeGrid(0.0, 1.0, 5), decomp=dec)

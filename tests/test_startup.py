@@ -26,13 +26,13 @@ from test_cli_golden import GOLDEN, INPUTS, _argv, _load_cases, assert_same_text
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs each command line of the JSON list on stdin through cli.main and
-# prints, as one JSON line, whether scipy was loaded after import ptqm
-# and which ptqm modules were, then each run's exit code, stdout, stderr
-# and the same two after it
+# prints, as one JSON line, whether scipy and numpy.ma were loaded after
+# import ptqm and which ptqm modules were, then each run's exit code,
+# stdout, stderr and the same three after it
 _CHILD = """
 import contextlib, io, json, sys
 def loaded():
-    return {"scipy": "scipy" in sys.modules,
+    return {"scipy": "scipy" in sys.modules, "numpy.ma": "numpy.ma" in sys.modules,
             "ptqm": sorted(m for m in sys.modules if m.startswith("ptqm."))}
 import ptqm
 runs = [loaded()]
@@ -88,6 +88,19 @@ def test_commands_without_a_factorisation_leave_scipy_unloaded(tmp_path):
     assert [json.loads(r["err"])["error"] for r in runs[-2:]] == ["parse", "not_pt_symmetric"]
     # a loaded module stays in sys.modules, so the last run speaks for all
     assert not runs[-1]["scipy"]
+
+
+def test_commands_without_an_exceptional_point_leave_numpy_ma_unloaded(tmp_path):
+    """numpy.ma costs about 10 ms of imports, loaded by np.unique on its
+    first call and by scipy; only an exceptional point, whose Schur form
+    imports scipy, needs either."""
+    names = [c["name"] for c in _load_cases() if "_ep" not in c["name"]]
+    cases, argvs = _golden(names, tmp_path / "summary.json")
+    imported, *runs = _run_fresh(argvs)
+    assert not imported["numpy.ma"]
+    assert [r["code"] for r in runs] == [c["exit"] for c in cases]
+    # a loaded module stays in sys.modules, so the last run speaks for all
+    assert not runs[-1]["numpy.ma"]
 
 
 def test_first_scipy_import_inside_a_command_matches_golden(tmp_path):
