@@ -13,13 +13,14 @@ exactly and halves the numerical error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import IllConditionedError, NotPTSymmetricError
 from .linalg import (BlockLayout, _cluster_chains, _clustered_spectrum, _require_positive,
-                     first_index)
-from .symmetry import PTPair, _pt_test
+                     first_index, norm_within, operator_norm)
+from .symmetry import PTPair, _pt_defect, _pt_test
 
 
 REAL_SIMPLE = "RealSimple"
@@ -60,30 +61,43 @@ class CanonicalDecomposition:
     first (ascending Re, the Im > 0 member leading inside each pair),
     then real blocks ascending by eigenvalue then order. layout is the
     column layout of those units, from which J and K are built; K is
-    exact (0/1 entries). h_norm is ||H||_2, computed once here for every
-    later scale. pt_residual is ||H PT - PT conj(H)||_2 from the
-    PT-symmetry test, None where no test ran. residuals holds the
-    similarity and K-relation defects; warning is set when the structure
-    was decided inside the clustering tolerance band or Psi is badly
-    conditioned.
+    exact (0/1 entries). pt is the P T the decomposition was built
+    with. h_norm is ||H||_2, computed once here for every later scale.
+    warning is set when the structure was decided inside the clustering
+    tolerance band or Psi is badly conditioned.
+
+    The residual gates are screened (linalg.norm_within), so the exact
+    residuals are computed on first access: pt_residual is
+    ||H PT - PT conj(H)||_2, None unless pt_tested (H passed the
+    PT-symmetry test); residuals holds the 2-norms of the similarity and
+    K-relation defects.
     """
 
     hamiltonian: np.ndarray
     h_norm: float
-    pt_residual: float | None
+    pt: np.ndarray
     Psi: np.ndarray
     J: np.ndarray
     K: np.ndarray
     blocks: tuple
     layout: BlockLayout
     spectral_class: SpectralClass
-    residuals: dict
     condition_number: float
     warning: str | None
+    pt_tested: bool
 
     @property
     def dim(self) -> int:
         return self.Psi.shape[0]
+
+    @cached_property
+    def pt_residual(self) -> float | None:
+        return operator_norm(_pt_defect(self.hamiltonian, self.pt)) if self.pt_tested else None
+
+    @cached_property
+    def residuals(self) -> dict:
+        defects = _canonical_defects(self.hamiltonian, self.pt, self.Psi, self.J, self.K)
+        return dict(zip(("similarity", "k_relation"), operator_norm(defects).tolist()))
 
 
 def _classify_blocks(blocks: tuple) -> SpectralClass:
@@ -94,9 +108,9 @@ def _classify_blocks(blocks: tuple) -> SpectralClass:
 def _analyze(h, pair: PTPair, tol: float, cluster_tol: float | None, rank_tol: float):
     """PT-test H, then cluster, snap, pair conjugates, and construct chains.
 
-    Raises unless H is PT-symmetric at tol; cluster_tol None means tol.
-    Returns (h, h_norm, pt_residual, units, in_band): H validated, its
-    2-norm, the PT residual, the units as (BlockDescriptor, chain) in the
+    Raises unless H is PT-symmetric at tol, naming the exact residual;
+    cluster_tol None means tol. Returns (h, h_norm, units, in_band): H
+    validated, its 2-norm, the units as (BlockDescriptor, chain) in the
     column order of Psi, and whether a cluster was decided inside the
     clustering tolerance band. A pair unit holds the chain of its Im > 0
     member, whose PT image is the chain of its mate. Every chain passes
@@ -104,9 +118,10 @@ def _analyze(h, pair: PTPair, tol: float, cluster_tol: float | None, rank_tol: f
     """
     cluster_tol = tol if cluster_tol is None else cluster_tol
     _require_positive(tol=tol, cluster_tol=cluster_tol, rank_tol=rank_tol)
-    h, ok, pt_residual, h_norm = _pt_test(h, pair, tol)
+    h, ok, h_norm = _pt_test(h, pair, tol)
     if not ok:
-        raise NotPTSymmetricError(f"H is not PT-symmetric (residual {pt_residual:.6e})")
+        residual = operator_norm(_pt_defect(h, pair.pt))
+        raise NotPTSymmetricError(f"H is not PT-symmetric (residual {residual:.6e})")
     scale = max(1.0, h_norm)
     tol_abs = cluster_tol * scale
     spectrum = _clustered_spectrum(h, scale, tol_abs)
@@ -151,7 +166,7 @@ def _analyze(h, pair: PTPair, tol: float, cluster_tol: float | None, rank_tol: f
     # conjugate pairs first, then real units, each ascending by (Re, Im, order)
     units.sort(key=lambda u: (u[0].kind != COMPLEX_PAIR, u[0].eigenvalue.real,
                               u[0].eigenvalue.imag, u[0].order))
-    return h, h_norm, pt_residual, units, in_band
+    return h, h_norm, units, in_band
 
 
 def classify_spectrum(h, pair: PTPair, tol: float = 1e-8, *,
@@ -161,9 +176,10 @@ def classify_spectrum(h, pair: PTPair, tol: float = 1e-8, *,
 
     Eigenvalues with |Im| <= tol * max(1, ||H||) are snapped to the
     real axis before classification. The chains are built and gated as
-    for pt_canonical_form; only the basis is not assembled.
+    for pt_canonical_form; only the basis is not assembled. Its one SVD
+    is that of H: the PT residual gate is screened (linalg.norm_within).
     """
-    units = _analyze(h, pair, tol, cluster_tol, rank_tol)[3]
+    units = _analyze(h, pair, tol, cluster_tol, rank_tol)[2]
     return _classify_blocks(tuple(block for block, _ in units))
 
 
@@ -178,7 +194,7 @@ def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
     can_tol (the achieved residual is attached to the error).
     """
     _require_positive(can_tol=can_tol)
-    h, h_norm, pt_residual, units, in_band = _analyze(h, pair, tol, cluster_tol, rank_tol)
+    h, h_norm, units, in_band = _analyze(h, pair, tol, cluster_tol, rank_tol)
     cols = []
     for block, chain in units:
         cols.extend(chain)
@@ -186,32 +202,37 @@ def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
             cols.extend(pair.pt @ np.conj(v) for v in chain)
     blocks = tuple(block for block, _ in units)
     return _decomposition(h, h_norm, pair, np.column_stack(cols), blocks, can_tol, in_band,
-                          pt_residual)
+                          pt_tested=True)
+
+
+def _canonical_defects(h: np.ndarray, pt: np.ndarray, psi: np.ndarray, j: np.ndarray,
+                       k: np.ndarray) -> np.ndarray:
+    """The similarity defect Psi^-1 H Psi - J and the K-relation defect
+    PT conj(Psi) - Psi K, stacked."""
+    return np.stack([np.linalg.solve(psi, h @ psi) - j, pt @ np.conj(psi) - psi @ k])
 
 
 def _decomposition(h: np.ndarray, h_norm: float, pair: PTPair, psi: np.ndarray,
                    blocks: tuple, can_tol: float = 1e-8, in_band: bool = False,
-                   pt_residual: float | None = None) -> CanonicalDecomposition:
+                   pt_tested: bool = False) -> CanonicalDecomposition:
     """CanonicalDecomposition of H in the basis psi, whose columns follow blocks.
 
     J and K are built from the block layout. Raises when the similarity
-    or K-relation residual exceeds can_tol; in_band says the structure
-    was decided inside the clustering tolerance band. pt_residual is the
-    residual of a PT-symmetry test already run on H, if any.
+    or K-relation residual exceeds can_tol, naming both exact residuals;
+    in_band says the structure was decided inside the clustering
+    tolerance band. pt_tested says H passed a PT-symmetry test.
     """
     layout = BlockLayout.from_units((b.eigenvalue, b.order, b.kind == COMPLEX_PAIR)
                                     for b in blocks)
     j, k = layout.matrices()
 
-    # the singular values of Psi and the 2-norms of both defects, in one SVD call
-    sing = np.linalg.svd(np.stack([psi, np.linalg.solve(psi, h @ psi) - j,
-                                   pair.pt @ np.conj(psi) - psi @ k]), compute_uv=False)
-    cond = float(sing[0, 0] / sing[0, -1]) if sing[0, -1] > 0 else np.inf
-    sim_res, krel_res = float(sing[1, 0]), float(sing[2, 0])
+    sing = np.linalg.svd(psi, compute_uv=False)
+    cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
 
-    h_scale = max(1.0, h_norm)
-    psi_scale = max(1.0, float(sing[0, 0]))
-    if sim_res > can_tol * h_scale or krel_res > can_tol * psi_scale:
+    defects = _canonical_defects(h, pair.pt, psi, j, k)
+    bounds = can_tol * np.array([max(1.0, h_norm), max(1.0, float(sing[0]))])
+    if not norm_within(defects, bounds).all():
+        sim_res, krel_res = operator_norm(defects).tolist()
         raise IllConditionedError(
             f"canonical residuals exceed tolerance (similarity {sim_res:.3e}, "
             f"K-relation {krel_res:.3e})", residual=max(sim_res, krel_res))
@@ -226,14 +247,14 @@ def _decomposition(h: np.ndarray, h_norm: float, pair: PTPair, psi: np.ndarray,
     return CanonicalDecomposition(
         hamiltonian=h,
         h_norm=h_norm,
-        pt_residual=pt_residual,
+        pt=pair.pt,
         Psi=psi,
         J=j,
         K=k,
         blocks=blocks,
         layout=layout,
         spectral_class=_classify_blocks(blocks),
-        residuals={"similarity": sim_res, "k_relation": krel_res},
         condition_number=cond,
         warning=warning,
+        pt_tested=pt_tested,
     )

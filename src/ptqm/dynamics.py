@@ -31,7 +31,7 @@ from .canonical import CanonicalDecomposition, SpectralClass, pt_canonical_form
 from .errors import (DimensionError, InvalidDensityError, NumericalError, PreconditionError,
                      ValidationError)
 from .linalg import (MAX_GRID_POINTS, as_square, dagger, first_index, matrix_exponential,
-                     solve_stack)
+                     norm_within, solve_stack)
 from .metric import MetricOperator, SignCharacteristic, basis_coefficients, build_metric
 from .symmetry import PTPair
 
@@ -187,19 +187,34 @@ def validate_density(rho, tol: float = 1e-10) -> np.ndarray:
 
     tol must be positive; an infinite tol accepts any square matrix (an
     evolved density whose trace has drifted, say), a NaN is an error.
+
+    The Hermiticity and positivity gates are relative to
+    max(1, ||rho||_2). The exact ||rho||_2 is taken only where it can
+    matter: when the Hermiticity gate fails its screen at the lower
+    scale max(1, ||rho||_F / sqrt(d)) (linalg.norm_within), or when the
+    smallest eigenvalue lies below -tol.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
     m = as_square(rho, "rho")
-    scale = max(1.0, float(np.linalg.norm(m, 2)))
-    if np.linalg.norm(m - m.conj().T, 2) > tol * scale:
+
+    def bound() -> float:
+        return tol * max(1.0, float(np.linalg.norm(m, 2)))
+
+    skew = m - m.conj().T
+    with np.errstate(over="ignore"):
+        low = float(np.linalg.norm(m)) / np.sqrt(m.shape[0])
+    # an overflowed Frobenius norm bounds nothing: the exact scale decides
+    screened = low < np.inf and norm_within(skew, tol * max(1.0, low))
+    if not (screened or norm_within(skew, bound())):
         raise InvalidDensityError("density matrix is not Hermitian")
-    m = 0.5 * (m + m.conj().T)
-    if float(np.linalg.eigvalsh(m)[0]) < -tol * scale:
+    herm = 0.5 * (m + m.conj().T)
+    lowest = float(np.linalg.eigvalsh(herm)[0])
+    if lowest < -tol and lowest < -bound():
         raise InvalidDensityError("density matrix is not positive semidefinite")
-    if abs(np.trace(m).real - 1.0) > tol:
+    if abs(np.trace(herm).real - 1.0) > tol:
         raise InvalidDensityError("density matrix trace is not 1")
-    return m
+    return herm
 
 
 def _matching_density(rho, h: np.ndarray, tol: float = 1e-10) -> np.ndarray:

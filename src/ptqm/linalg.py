@@ -124,6 +124,32 @@ def operator_norm(a):
     return float(top) if m.ndim == 2 else top
 
 
+def norm_within(d: np.ndarray, bound):
+    """Whether ||D||_2 <= bound: a bool for one matrix D, a bool array
+    for a stack, shape (..., m, n), with one bound or one per matrix.
+
+    As ||D||_2 <= ||D||_F, a D with ||D / bound||_F^2 <= 1/4 clears the
+    bound by a margin that rounding cannot cross, without an SVD; D is
+    divided by the bound before squaring, so the squares neither
+    overflow nor underflow where they could reach it, and a NaN or
+    infinite sum clears nothing. The exact 2-norm decides the rest, so
+    every decision is the one operator_norm would give.
+    """
+    d = np.asarray(d, dtype=complex)
+    bounds = np.asarray(bound, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scaled = (d * (1.0 / bounds)[..., None, None]).view(float)
+        ok = np.square(scaled).sum(axis=(-2, -1)) <= 0.25
+    if not ok.all():
+        lead = ok.shape
+        unclear = np.flatnonzero(~ok)
+        ok = ok.reshape(-1)
+        ok[unclear] = (operator_norm(d.reshape(-1, *d.shape[-2:])[unclear])
+                       <= np.broadcast_to(bounds, lead).reshape(-1)[unclear])
+        ok = ok.reshape(lead)
+    return ok if ok.ndim else bool(ok)
+
+
 def matrix_exponential(a, z: complex = 1.0) -> np.ndarray:
     """Return exp(z * A) for square A.
 

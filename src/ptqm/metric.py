@@ -14,13 +14,14 @@ every eps is +1, which is the unbroken case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .canonical import CanonicalDecomposition
 from .errors import DimensionError, NumericalError, SingularMatrixError, ValidationError
 from .linalg import (_require_positive, as_square, as_square_stack, as_vector, congruence_solve,
-                     first_index, operator_norm)
+                     first_index, norm_within, operator_norm)
 
 # basis_coefficients: reconstruction gate, relative to max(1, ||rho||)
 RECON_TOL = 1e-9
@@ -39,14 +40,20 @@ class SignCharacteristic:
 
 @dataclass(frozen=True)
 class MetricOperator:
-    """eta with its signs, its positivity, and defect, the intertwining
-    defect ||H^dag eta - eta H|| against the source Hamiltonian."""
+    """eta with its signs, its positivity, and the decomposition it was
+    built from. defect, the intertwining defect ||H^dag eta - eta H||_2
+    against the source Hamiltonian, is computed on first access: the
+    gate of build_metric is screened (linalg.norm_within).
+    """
 
     eta: np.ndarray
     signs: SignCharacteristic
     positive_definite: bool
     source: CanonicalDecomposition
-    defect: float
+
+    @cached_property
+    def defect(self) -> float:
+        return verify_metric(self.source.hamiltonian, self.eta)
 
 
 def structure_matrix(decomp: CanonicalDecomposition,
@@ -76,7 +83,8 @@ def build_metric(decomp: CanonicalDecomposition,
     (eta + eta^dag)/2 to strip floating-point asymmetry before the
     eigenvalue checks; the intertwining defect against the source
     Hamiltonian is verified and must stay below
-    met_tol * ||eta|| * max(1, ||H||).
+    met_tol * ||eta|| * max(1, ||H||), with ||eta|| the largest
+    |eigenvalue| of eta; the gate is screened (linalg.norm_within).
     """
     _require_positive(met_tol=met_tol)
     if signs is None:
@@ -95,14 +103,17 @@ def build_metric(decomp: CanonicalDecomposition,
         raise SingularMatrixError("metric is numerically singular")
 
     h = decomp.hamiltonian
-    defect = verify_metric(h, eta)
-    if defect > met_tol * eta_norm * max(1.0, decomp.h_norm):
+    if not norm_within(_intertwining_defect(h, eta), met_tol * eta_norm * max(1.0, decomp.h_norm)):
         raise NumericalError(
-            f"intertwining defect {defect:.6e} exceeds tolerance")
+            f"intertwining defect {verify_metric(h, eta):.6e} exceeds tolerance")
 
     positive = bool(evals[0] > 1e-12 * eta_norm)
-    return MetricOperator(eta=eta, signs=signs, positive_definite=positive,
-                          source=decomp, defect=defect)
+    return MetricOperator(eta=eta, signs=signs, positive_definite=positive, source=decomp)
+
+
+def _intertwining_defect(h: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """H^dag eta - eta H."""
+    return h.conj().T @ eta - eta @ h
 
 
 def verify_metric(h, eta) -> float:
@@ -111,7 +122,7 @@ def verify_metric(h, eta) -> float:
     eta = as_square(eta, "eta")
     if h.shape != eta.shape:
         raise DimensionError(f"H and eta dimensions differ: {h.shape} vs {eta.shape}")
-    return operator_norm(h.conj().T @ eta - eta @ h)
+    return operator_norm(_intertwining_defect(h, eta))
 
 
 def eta_inner(phi1, phi2, eta) -> complex:

@@ -7,11 +7,13 @@ src directories of two checkouts. Each command line below is run as
 `python -m ptqm.cli` in a fresh interpreter under each tree: the 50
 golden lines of cases.json, then a fixed list of failing and edge
 lines (one per error kind, plus non-finite numbers in flags, probes
-and config files), then sweeps that between them hold every kind of
-row, then classify, canonical and metric at d = 48 for an unbroken, a
-conjugate-pair and an exceptional-point H, and free-check, dilate and
-invariants over short grids at d = 48. Exit code, stdout, stderr and
-the --summary file are recorded.
+and config files, plus classify, canonical and metric on two 2 x 2 H
+whose entries lie near 1e-170 and near 1e200, which put every residual
+gate at the edges of the float range), then sweeps that between them
+hold every kind of row, then classify, canonical and metric at d = 48
+for an unbroken, a conjugate-pair and an exceptional-point H, and
+free-check, dilate and invariants over short grids at d = 48. Exit
+code, stdout, stderr and the --summary file are recorded.
 
 The d = 48 inputs come from seeded numpy generators in this script,
 written once into the scratch directory, so both trees read the same
@@ -57,6 +59,12 @@ _FILES = {
     "p_bad.json": '{"dim": 2, "rows": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]}',
     "t_id.json": '{"dim": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
     "h_huge.json": '{"dim": 2, "rows": [[[0, 0], [1e300, 0]], [[1e300, 0], [0, 0]]]}',
+    # H = [[a, b], [b', conj(a)]] with b' = b (1 + 5e-13): PT-symmetric for
+    # P = swap, T = I within every tolerance, with a residual that is not 0
+    "h_tiny.json": ('{"dim": 2, "rows": [[[1e-170, 3e-171], [2e-170, 0]], '
+                    '[[2.000000000001e-170, 0], [1e-170, -3e-171]]]}'),
+    "h_vast.json": ('{"dim": 2, "rows": [[[1e200, 3e199], [2e200, 0]], '
+                    '[[2.000000000001e200, 0], [1e200, -3e199]]]}'),
     "rho.json": '{"dim": 2, "rows": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
     "cfg_signs.json": '{"signs": "1,1"}',
     "cfg_key.json": '{"p_tol": 1e-8}',
@@ -117,6 +125,9 @@ _EXTRA = [
     ("numerical-can-tol", ["canonical", *_U2, "--can-tol", "1e-30"]),
     ("numerical-evolve-overflow", ["evolve", "{tmp}/h_huge.json", "{tmp}/rho.json",
                                    "--t", "1e10"]),
+    *((f"{command}-{scale}", [command, f"{{tmp}}/h_{scale}.json", "{tmp}/p_swap.json",
+                               "{tmp}/t_id.json"])
+      for scale in ("tiny", "vast") for command in ("classify", "canonical", "metric")),
     ("config-probe", _SWEEP + ["--config", "{tmp}/cfg_probe.json"]),
     ("config-probe-bool", _SWEEP + ["--config", "{tmp}/cfg_probe_bool.json"]),
     # non-finite numbers in flags, probes and config files

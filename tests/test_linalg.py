@@ -14,6 +14,7 @@ from ptqm.linalg import (
     congruence_solve,
     eigen_decompose,
     matrix_exponential,
+    norm_within,
     operator_norm,
     psd_square_root,
     solve_stack,
@@ -44,6 +45,28 @@ def test_operator_norm_unitary_invariance():
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     assert abs(operator_norm(q @ a) - operator_norm(a)) < 1e-12
+
+
+def test_norm_within_matches_the_exact_norm_on_a_stack():
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(6, 5, 5)) + 1j * rng.normal(size=(6, 5, 5))
+    exact = operator_norm(stack)
+    bounds = exact * np.array([0.5, 1 - 1e-9, 1 + 1e-9, 2.0, 3.0, 1e300])
+    np.testing.assert_array_equal(norm_within(stack, bounds), exact <= bounds)
+    assert norm_within(stack[0], np.inf) is True
+    assert norm_within(stack[0], exact[0] * (1 - 1e-9)) is False
+    assert norm_within(np.zeros((3, 3)), 1e-300) is True
+    assert norm_within(stack, exact.max()).all()
+
+
+def test_norm_within_screens_at_the_edges_of_the_float_range():
+    """D / bound is squared, not D: a defect near 1e-170 or 1e200 is
+    screened at a bound of its own scale without underflow or overflow."""
+    d = np.outer([1.0, 1.0j], [1.0, 0.0])  # rank 1: ||D||_F = ||D||_2 = sqrt(2)
+    for scale in (1e-170, 1e200):
+        assert norm_within(scale * d, scale * 2.0 * np.sqrt(2.0))
+        assert not norm_within(scale * d, scale * np.sqrt(2.0) * (1 - 1e-9))
+        assert norm_within(scale * d, scale * np.sqrt(2.0) * (1 + 1e-9))
 
 
 def test_matrix_exponential_zero_and_diagonal():
