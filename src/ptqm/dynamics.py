@@ -30,13 +30,13 @@ import numpy as np
 from .canonical import CanonicalDecomposition, SpectralClass, pt_canonical_form
 from .errors import (DimensionError, InvalidDensityError, NumericalError, PreconditionError,
                      ValidationError)
-from .linalg import (MAX_GRID_POINTS, as_square, dagger, first_index, matrix_exponential,
-                     norm_within, solve_stack)
+from .linalg import (MAX_GRID_POINTS, _within_scale, as_square, dagger, first_index,
+                     matrix_exponential, solve_stack)
 from .metric import MetricOperator, SignCharacteristic, basis_coefficients, build_metric
 from .symmetry import PTPair
 
 OVERFLOW_EXPONENT = 30.0
-# byte budget of the widest stacked complex array a grid analysis builds per chunk
+# byte budget of the (points, d, d) complex stack a grid analysis builds per chunk
 GRID_CHUNK_BYTES = 1 << 17
 # smallest |trace| that normalize_density divides by
 NORMALIZE_FLOOR = 1e-12
@@ -86,17 +86,14 @@ class InvariantReport:
     metric: MetricOperator
 
 
-def _grid_chunks(num_points: int, width: int):
+def _grid_chunks(num_points: int, d: int):
     """Slices that cover a time grid in order, chunk by chunk.
 
-    width is the size of the widest matrices the calling analysis
-    stacks per point: d for invariant_report, embedded_evolution_check
-    and verify_free_evolution, whose stacks are all (points, d, d). A
-    chunk holds as many points as fit one stacked (points, width, width)
+    A chunk holds as many points as fit one stacked (points, d, d)
     complex array into GRID_CHUNK_BYTES; at least one point per chunk.
     Memory then stays bounded whatever the grid length.
     """
-    step = max(1, GRID_CHUNK_BYTES // (16 * width ** 2))
+    step = max(1, GRID_CHUNK_BYTES // (16 * d ** 2))
     for start in range(0, num_points, step):
         yield slice(start, min(start + step, num_points))
 
@@ -189,28 +186,19 @@ def validate_density(rho, tol: float = 1e-10) -> np.ndarray:
     evolved density whose trace has drifted, say), a NaN is an error.
 
     The Hermiticity and positivity gates are relative to
-    max(1, ||rho||_2). The exact ||rho||_2 is taken only where it can
-    matter: when the Hermiticity gate fails its screen at the lower
-    scale max(1, ||rho||_F / sqrt(d)) (linalg.norm_within), or when the
-    smallest eigenvalue lies below -tol.
+    max(1, ||rho||_2); the Hermiticity gate follows the relative-scale
+    rule of linalg._within_scale, and the exact ||rho||_2 is taken for
+    the positivity gate only when the smallest eigenvalue lies below
+    -tol.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
     m = as_square(rho, "rho")
-
-    def bound() -> float:
-        return tol * max(1.0, float(np.linalg.norm(m, 2)))
-
-    skew = m - m.conj().T
-    with np.errstate(over="ignore"):
-        low = float(np.linalg.norm(m)) / np.sqrt(m.shape[0])
-    # an overflowed Frobenius norm bounds nothing: the exact scale decides
-    screened = low < np.inf and norm_within(skew, tol * max(1.0, low))
-    if not (screened or norm_within(skew, bound())):
+    if not _within_scale(m - m.conj().T, m, tol):
         raise InvalidDensityError("density matrix is not Hermitian")
     herm = 0.5 * (m + m.conj().T)
     lowest = float(np.linalg.eigvalsh(herm)[0])
-    if lowest < -tol and lowest < -bound():
+    if lowest < -tol and lowest < -tol * max(1.0, float(np.linalg.norm(m, 2))):
         raise InvalidDensityError("density matrix is not positive semidefinite")
     if abs(np.trace(herm).real - 1.0) > tol:
         raise InvalidDensityError("density matrix trace is not 1")

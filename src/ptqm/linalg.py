@@ -103,7 +103,7 @@ def _require_positive(**tolerances: float) -> None:
 
 
 def first_index(mask: np.ndarray) -> int | None:
-    """Position of the first true entry of a 1-d or 0-d mask, or None."""
+    """Flat position of the first true entry of a mask, or None."""
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else None
 
@@ -148,6 +148,23 @@ def norm_within(d: np.ndarray, bound):
                        <= np.broadcast_to(bounds, lead).reshape(-1)[unclear])
         ok = ok.reshape(lead)
     return ok if ok.ndim else bool(ok)
+
+
+def _within_scale(d: np.ndarray, ref: np.ndarray, tol: float):
+    """norm_within(D, tol * max(1, ||R||_2)) as a bool array, 0-d for a
+    matrix D and its square reference R, one entry per matrix for stacks.
+
+    As ||R||_2 >= ||R||_F / sqrt(n), D is held first to the lower scale
+    max(1, ||R||_F / sqrt(n)), where an R whose Frobenius norm overflows
+    counts at scale 1, not at an infinite one; the exact ||R||_2 is
+    taken only for the matrices that this does not clear.
+    """
+    with np.errstate(over="ignore"):
+        low = np.linalg.norm(ref, axis=(-2, -1)) / np.sqrt(ref.shape[-1])
+    ok = np.array(norm_within(d, tol * np.maximum(1.0, np.where(low < np.inf, low, 0.0))))
+    if not ok.all():
+        ok[~ok] = norm_within(d[~ok], tol * np.maximum(1.0, operator_norm(ref[~ok])))
+    return ok
 
 
 def matrix_exponential(a, z: complex = 1.0) -> np.ndarray:
@@ -221,7 +238,7 @@ def psd_square_root(a) -> np.ndarray:
     m = as_square_stack(a, "A")
     w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
     scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
-    if np.any(operator_norm(m - dagger(m)) > PSD_HERM_TOL * scale):
+    if not np.all(norm_within(m - dagger(m), PSD_HERM_TOL * scale)):
         raise ValidationError("matrix is not Hermitian within tolerance")
     return hermitian_root(w, v)
 
@@ -606,7 +623,7 @@ def _deflated_chains(schur: tuple[np.ndarray, np.ndarray], size: int, rep: compl
     if conj_mat is not None:
         conj_block = q.conj().T @ conj_mat @ np.conj(q)
         invol = conj_block @ np.conj(conj_block)
-        if np.linalg.norm(invol - np.eye(sdim), 2) > _INVOLUTION_TOL:
+        if not norm_within(invol - np.eye(sdim), _INVOLUTION_TOL):
             raise IllConditionedError("cluster subspace is not conjugation-invariant")
 
     chains = _nilpotent_chains(mblock, rank_tol, zero_floor, conj_op=conj_block)

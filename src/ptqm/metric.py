@@ -20,8 +20,8 @@ import numpy as np
 
 from .canonical import CanonicalDecomposition
 from .errors import DimensionError, NumericalError, SingularMatrixError, ValidationError
-from .linalg import (_require_positive, as_square, as_square_stack, as_vector, congruence_solve,
-                     first_index, norm_within, operator_norm)
+from .linalg import (_require_positive, _within_scale, as_square, as_square_stack, as_vector,
+                     congruence_solve, first_index, norm_within, operator_norm)
 
 # basis_coefficients: reconstruction gate, relative to max(1, ||rho||)
 RECON_TOL = 1e-9
@@ -151,30 +151,20 @@ def basis_coefficients(rho, decomp: CanonicalDecomposition) -> np.ndarray:
     reconstruction Psi R Psi^dag is checked against rho. A stack of
     density matrices, shape (..., d, d), gives one R per matrix.
 
-    The gate is ||Psi R Psi^dag - rho||_2 <= RECON_TOL * max(1, ||rho||_2).
-    Since ||A||_2 <= ||A||_F and ||rho||_2 >= ||rho||_F / sqrt(d), a
-    matrix whose Frobenius defect is within RECON_TOL * max(1,
-    ||rho||_F / sqrt(d)) passes it; the exact 2-norms are taken only for
-    the matrices this screen cannot clear, and the error names the exact
-    defect of the first that fails.
+    The gate is ||Psi R Psi^dag - rho||_2 <= RECON_TOL * max(1, ||rho||_2),
+    decided by the relative-scale rule of linalg._within_scale; the error
+    names the exact defect of the first matrix that fails.
     """
     rho = as_square_stack(rho, "rho")
     psi = decomp.Psi
     if rho.shape[-2:] != psi.shape:
         raise DimensionError(f"rho dimension {rho.shape} does not match basis {psi.shape}")
     r = congruence_solve(psi, rho, "Psi")
-    d = psi.shape[0]
-    defect = (psi @ r @ psi.conj().T - rho).reshape(-1, d, d)
-    flat = rho.reshape(-1, d, d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        screen = RECON_TOL * np.maximum(1.0, np.linalg.norm(flat, axis=(1, 2)) / np.sqrt(d))
-        # a NaN or infinite Frobenius norm clears nothing: the exact norm decides
-        unclear = np.flatnonzero(~(np.linalg.norm(defect, axis=(1, 2)) <= screen))
-    if unclear.size:
-        exact = operator_norm(defect[unclear])
-        bad = first_index(exact > RECON_TOL * np.maximum(1.0, operator_norm(flat[unclear])))
-        if bad is not None:
-            raise NumericalError(f"coefficient reconstruction defect {exact[bad]:.6e}")
+    defect = psi @ r @ psi.conj().T - rho
+    bad = first_index(~_within_scale(defect, rho, RECON_TOL))
+    if bad is not None:
+        exact = operator_norm(defect.reshape(-1, *psi.shape)[bad])
+        raise NumericalError(f"coefficient reconstruction defect {exact:.6e}")
     return r
 
 

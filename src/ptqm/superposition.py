@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (_require_positive, as_square, as_square_stack, as_vector, congruence_solve,
-                     dagger, operator_norm)
+                     dagger, norm_within, operator_norm)
 from .symmetry import PTPair
 
 # free_basis: smallest singular value of an independent unit-vector basis
@@ -112,10 +112,10 @@ def is_incoherent(rho, orthobasis: FreeBasis,
     """Superposition-freeness against an orthonormal basis."""
     _require_positive(tol=tol)
     c = orthobasis.matrix
-    defect = operator_norm(c.conj().T @ c - np.eye(orthobasis.dim))
-    if defect > max(tol, 1e-10):
+    defect = c.conj().T @ c - np.eye(orthobasis.dim)
+    if not norm_within(defect, max(tol, 1e-10)):
         raise PreconditionError(
-            f"basis is not orthonormal (defect {defect:.3e})")
+            f"basis is not orthonormal (defect {operator_norm(defect):.3e})")
     return is_superposition_free(rho, orthobasis, tol)
 
 

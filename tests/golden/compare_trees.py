@@ -12,13 +12,16 @@ whose entries lie near 1e-170 and near 1e200, which put every residual
 gate at the edges of the float range), then sweeps that between them
 hold every kind of row, then classify, canonical and metric at d = 48
 for an unbroken, a conjugate-pair and an exceptional-point H, and
-free-check, dilate and invariants over short grids at d = 48. Exit
-code, stdout, stderr and the --summary file are recorded.
+free-check, dilate and invariants over short grids at d = 48, and
+invariants for a conjugate pair at d = 4 out to a time where rho(t)
+nears 1e200. Exit code, stdout, stderr and the --summary file are
+recorded.
 
-The d = 48 inputs come from seeded numpy generators in this script,
-written once into the scratch directory, so both trees read the same
-bytes. The density has a generator of its own, so adding it left the
-bytes of H, P and T as they were.
+The d = 48 and d = 4 inputs come from seeded numpy generators in this
+script, written once into the scratch directory, so both trees read the
+same bytes. The d = 48 density and the d = 4 case have generators of
+their own, so adding them left the bytes of the d = 48 H, P and T as
+they were.
 
 The golden test compares numbers within NUM_TOL of a recording, and
 recordings drift in their last digits whenever the numerics change at
@@ -167,9 +170,8 @@ def _matrix_text(m) -> str:
     return json.dumps({"dim": len(rows), "rows": rows})
 
 
-def _large_files(seed: int = 48) -> dict:
-    """File name -> text of the H, P and T of every d = 48 case, and of
-    one d = 48 density matrix.
+def _case_files(rng, name: str, d: int, kind: str, shape: str) -> dict:
+    """File name -> text of the H, P and T of one case, drawn from rng.
 
     With G = P T real symmetric orthogonal, G = W diag(sigma) W^T, the
     vectors fixed by v -> G conj(v) are M y for real y, M = W diag(phi)
@@ -178,37 +180,43 @@ def _large_files(seed: int = 48) -> dict:
     columns and [[1, 1], [i, -i]] / sqrt(2) on each conjugate pair, and J
     a Jordan matrix whose pairs are (lam, conj(lam)), is PT-symmetric.
     """
-    rng = np.random.default_rng(seed)
-    d = _LARGE_D
     eye = np.eye(d)
+    p, t = eye, eye
+    if shape == "swap":
+        p = np.fliplr(eye)
+    elif shape == "householder":
+        u = rng.normal(size=d)
+        t = eye - 2.0 * np.outer(u, u) / (u @ u)
+    sigma, w = np.linalg.eigh(p @ t)
+    frame = w * np.where(sigma > 0, 1.0, 1.0j)
+    values = rng.permutation(0.6 * (np.arange(d) - d / 2)) + rng.uniform(-0.1, 0.1, d)
+    jordan = np.diag(values.astype(complex))
+    basis = np.eye(d, dtype=complex)
+    if kind == "complex":  # columns 2k, 2k + 1 hold a pair, for k < d / 8
+        for k in range(0, d // 4, 2):
+            lam = complex(values[k], rng.uniform(0.3, 0.5))
+            jordan[k, k], jordan[k + 1, k + 1] = lam, np.conj(lam)
+            basis[k:k + 2, k:k + 2] = np.array([[1, 1], [1j, -1j]]) / np.sqrt(2.0)
+    elif kind == "ep":  # one Jordan block of order 2
+        jordan[1, 1], jordan[0, 1] = values[0], 1.0
+    x = np.linalg.qr(rng.normal(size=(d, d)))[0] * rng.uniform(1.0, 3.0, d)
+    psi = frame @ x @ basis
+    h = psi @ jordan @ np.linalg.inv(psi)
+    return {f"{prefix}_{name}.json": _matrix_text(m) for prefix, m in (("h", h), ("p", p), ("t", t))}
+
+
+def _large_files(seed: int = 48) -> dict:
+    """File name -> text of the H, P and T of every d = 48 case, of one
+    d = 48 density matrix, and of the d = 4 conjugate-pair case."""
+    rng = np.random.default_rng(seed)
     files = {}
     for name, kind, shape in _LARGE:
-        p, t = eye, eye
-        if shape == "swap":
-            p = np.fliplr(eye)
-        elif shape == "householder":
-            u = rng.normal(size=d)
-            t = eye - 2.0 * np.outer(u, u) / (u @ u)
-        sigma, w = np.linalg.eigh(p @ t)
-        frame = w * np.where(sigma > 0, 1.0, 1.0j)
-        values = rng.permutation(0.6 * (np.arange(d) - d / 2)) + rng.uniform(-0.1, 0.1, d)
-        jordan = np.diag(values.astype(complex))
-        basis = np.eye(d, dtype=complex)
-        if kind == "complex":  # columns 2k, 2k + 1 hold a pair, for k < d / 8
-            for k in range(0, d // 4, 2):
-                lam = complex(values[k], rng.uniform(0.3, 0.5))
-                jordan[k, k], jordan[k + 1, k + 1] = lam, np.conj(lam)
-                basis[k:k + 2, k:k + 2] = np.array([[1, 1], [1j, -1j]]) / np.sqrt(2.0)
-        elif kind == "ep":  # one Jordan block of order 2
-            jordan[1, 1], jordan[0, 1] = values[0], 1.0
-        x = np.linalg.qr(rng.normal(size=(d, d)))[0] * rng.uniform(1.0, 3.0, d)
-        psi = frame @ x @ basis
-        h = psi @ jordan @ np.linalg.inv(psi)
-        for prefix, m in (("h", h), ("p", p), ("t", t)):
-            files[f"{prefix}_{name}.json"] = _matrix_text(m)
+        files.update(_case_files(rng, name, _LARGE_D, kind, shape))
+    d = _LARGE_D
     g = np.random.default_rng(seed + 1).normal(size=(d, d, 2)) @ np.array([1.0, 1.0j])
     rho = g @ g.conj().T
     files["rho_48.json"] = _matrix_text(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
+    files.update(_case_files(np.random.default_rng(seed + 2), "complex4", 4, "complex", "swap"))
     return files
 
 
@@ -229,6 +237,12 @@ def _large_lines() -> list:
         ("free-check-unbroken48", ["free-check", *hpt["unbroken48"], "--num-points", "21"]),
         ("dilate-unbroken48", ["dilate", *hpt["unbroken48"], rho, "--num-points", "21"]),
         ("invariants-complex48", ["invariants", *hpt["complex48"], rho, "--num-points", "5"]),
+        # Im lam = 0.313, so e^{2 Im lam t} reaches 1e200 at t = 735: rho(t)
+        # passes 1e155, where its Frobenius norm overflows
+        ("invariants-complex4-vast", ["invariants", *(f"{{tmp}}/{prefix}_complex4.json"
+                                                      for prefix in ("h", "p", "t")),
+                                      "{inputs}/rho_complex4.json", "--t-end", "735",
+                                      "--num-points", "5", "--summary", "{summary}"]),
     ]
 
 

@@ -10,6 +10,7 @@ from ptqm.errors import (DimensionError, NotPositiveSemidefiniteError, SingularM
                          ValidationError)
 from ptqm.linalg import (
     BlockLayout,
+    _within_scale,
     EigenStructure,
     congruence_solve,
     eigen_decompose,
@@ -67,6 +68,28 @@ def test_norm_within_screens_at_the_edges_of_the_float_range():
         assert norm_within(scale * d, scale * 2.0 * np.sqrt(2.0))
         assert not norm_within(scale * d, scale * np.sqrt(2.0) * (1 - 1e-9))
         assert norm_within(scale * d, scale * np.sqrt(2.0) * (1 + 1e-9))
+
+
+def test_within_scale_decides_as_the_exact_norms_do():
+    """||D||_2 <= tol * max(1, ||R||_2) for R near 1e-170, 1 and 1e200,
+    where ||R||_F overflows, and D on either side of the bound."""
+    rng = np.random.default_rng(8)
+    tol = 1e-9
+    refs, defects = [], []
+    for scale in (1e-170, 1.0, 1e200):
+        for factor in (0.5, 1 - 1e-9, 1 + 1e-9, 2.0):
+            r = scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            u = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            bound = tol * max(1.0, operator_norm(r))
+            refs.append(r)
+            defects.append(factor * bound * u / operator_norm(u))
+    refs, defects = np.array(refs), np.array(defects)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.norm(refs[-1]))
+    exact = operator_norm(defects) <= tol * np.maximum(1.0, operator_norm(refs))
+    np.testing.assert_array_equal(_within_scale(defects, refs, tol), exact)
+    np.testing.assert_array_equal(exact, np.tile([True, True, False, False], 3))
+    assert _within_scale(defects[-3], refs[-3], tol).shape == ()
 
 
 def test_matrix_exponential_zero_and_diagonal():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ptqm.bender import BenderParams, bender_eigensystem, bender_hamiltonian
 from ptqm.canonical import pt_canonical_form
-from ptqm.dynamics import TimeGrid, evolve_density
+from ptqm.dynamics import TimeGrid, evolve_density, invariant_report
 from ptqm.linalg import operator_norm
 from ptqm.metric import build_metric, eta_trace, verify_metric
 from ptqm.sampling import random_density, random_instance
@@ -22,6 +22,7 @@ SETTINGS = settings(max_examples=100, derandomize=True, database=None, deadline=
 
 seeds = st.integers(0, 2**32 - 1)
 kinds = st.sampled_from(("unbroken", "complex", "ep", "mixed"))
+simple_kinds = st.sampled_from(("unbroken", "complex"))
 pair_kinds = st.sampled_from(("trivial", "swap", "real_involution", "householder_t"))
 dims = st.integers(2, 64)
 
@@ -68,3 +69,28 @@ def test_two_level_closed_form_matches_canonical_form(r, s, theta, sign):
     gram = dec.Psi.conj().T @ es.eta.eta @ dec.Psi
     assert abs(gram[0, 1]) <= 1e-9 * operator_norm(gram)
     assert min(gram[0, 0].real, gram[1, 1].real) > 0.0
+
+
+# Over 100 examples up to d = 64 the largest deviation reads 3.2e-15 of
+# max |R(t)|; rounding in the two solves of R = Psi^-1 rho Psi^-dag is of
+# order cond(Psi)^2 eps, below 3e-14 for the samplers' cond(Psi) <= 11.
+# 1e-13 stays above both, while a wrong exponent moves an entry by O(1).
+SUPERPOSITION_TOL = 1e-13
+
+
+@SETTINGS
+@given(seeds, dims, simple_kinds, pair_kinds)
+def test_stationary_superposition_of_simple_spectra(seed, d, kind, pair_kind):
+    """|R_ab(t)| = e^{(Im lam_a + Im lam_b) t} |R_ab(0)| for the eta-inner
+    product coefficients of a simple spectrum, so every |R_ab| is
+    constant when H is unbroken (every Im lam is 0)."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, d, kind, pair_kind)
+    report = invariant_report(inst["h"], inst["pair"], random_density(rng, d),
+                              TimeGrid(0.0, 5.0, 11), cluster_tol=1e-6)
+    im = np.asarray(report.decomposition.layout.eigenvalues).imag
+    assert kind == "complex" or not im.any()
+    r = np.abs(report.coefficient_series)
+    expected = np.exp(np.multiply.outer(report.times, im[:, None] + im[None, :])) * r[0]
+    scale = r.max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(r - expected) <= SUPERPOSITION_TOL * scale)
