@@ -14,7 +14,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
+
+# the BLAS fixes its thread count when numpy loads, and the rounding of a
+# large product can depend on that count: one thread, unless the caller
+# set a count, so that the output bytes do not depend on the machine
+for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_threads, "1")
 
 import numpy as np
 

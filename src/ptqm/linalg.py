@@ -10,23 +10,19 @@ whose eigenvalues are clustered. A cluster with a single member is a
 simple eigenvalue: its vector is the eigenvector eig returned, and all
 such vectors are gated and normalised together, with the same checks
 and thresholds a deflated 1x1 block would meet. Only clusters with
-more than one member, the exceptional points, are deflated. The matrix
-is then reduced to complex Schur form once, and each such cluster is
-moved to the leading diagonal block by reordering that form with
-LAPACK ztrsen (Bai & Demmel 1993), which separates the cluster's
-invariant subspace without factoring the matrix again. Chain
-construction happens inside the small deflated block. There the "zero"
-singular values sit near the cluster diameter while the structural
-couplings stay at the scale of the matrix, so rank decisions remain
-clean even when the raw eigenvalues of a defective cluster split at
-the square-root-of-epsilon scale.
+more than one member, the exceptional points, are deflated: the span
+of the eigenvectors eig returned for the members, which a defective
+cluster leaves accurate only to about the square root of its
+splitting, is refined by one Newton step on the Sylvester equation of
+the invariant subspace (Stewart, SIAM Rev. 15, 1973; Demmel, Computing
+38, 1987). Chain construction happens inside the small deflated block.
+There the "zero" singular values sit near the cluster diameter while
+the structural couplings stay at the scale of the matrix, so rank
+decisions remain clean even when the raw eigenvalues of a defective
+cluster split at the square-root-of-epsilon scale.
 
-matrix_exponential needs numpy alone: scaling and squaring with the
-[13/13] Pade approximant. scipy serves only the exceptional points,
-for the Schur form and ztrsen, which numpy lacks. It is imported
-inside the two functions that call them, not at module level:
-importing it dominates the start-up of a command-line call, and most
-calls have no multi-member cluster.
+Everything here needs numpy alone; matrix_exponential is scaling and
+squaring with the [13/13] Pade approximant.
 """
 
 from __future__ import annotations
@@ -137,17 +133,19 @@ def norm_within(d: np.ndarray, bound):
     """
     d = np.asarray(d, dtype=complex)
     bounds = np.asarray(bound, dtype=float)
+    ok = _screened(d, bounds)
+    if not ok.all():
+        unclear = ~ok
+        ok[unclear] = operator_norm(d[unclear]) <= np.broadcast_to(bounds, ok.shape)[unclear]
+    return ok if ok.ndim else bool(ok)
+
+
+def _screened(d: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """norm_within's Frobenius screen, as a bool array of the stack's
+    leading shape (0-d for one matrix): True where it clears D."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         scaled = (d * (1.0 / bounds)[..., None, None]).view(float)
-        ok = np.square(scaled).sum(axis=(-2, -1)) <= 0.25
-    if not ok.all():
-        lead = ok.shape
-        unclear = np.flatnonzero(~ok)
-        ok = ok.reshape(-1)
-        ok[unclear] = (operator_norm(d.reshape(-1, *d.shape[-2:])[unclear])
-                       <= np.broadcast_to(bounds, lead).reshape(-1)[unclear])
-        ok = ok.reshape(lead)
-    return ok if ok.ndim else bool(ok)
+        return np.array(np.square(scaled).sum(axis=(-2, -1)) <= 0.25)
 
 
 def _within_scale(d: np.ndarray, ref: np.ndarray, tol: float):
@@ -156,14 +154,22 @@ def _within_scale(d: np.ndarray, ref: np.ndarray, tol: float):
 
     As ||R||_2 >= ||R||_F / sqrt(n), D is held first to the lower scale
     max(1, ||R||_F / sqrt(n)), where an R whose Frobenius norm overflows
-    counts at scale 1, not at an infinite one; the exact ||R||_2 is
-    taken only for the matrices that this does not clear.
+    counts at scale 1, not at an infinite one: by the Frobenius screen,
+    then by the exact ||D||_2. Only a D that fails both meets the exact
+    ||R||_2, with the ||D||_2 already taken, so no D takes two SVDs.
     """
     with np.errstate(over="ignore"):
         low = np.linalg.norm(ref, axis=(-2, -1)) / np.sqrt(ref.shape[-1])
-    ok = np.array(norm_within(d, tol * np.maximum(1.0, np.where(low < np.inf, low, 0.0))))
+    bound = tol * np.maximum(1.0, np.where(low < np.inf, low, 0.0))
+    ok = _screened(d, bound)
     if not ok.all():
-        ok[~ok] = norm_within(d[~ok], tol * np.maximum(1.0, operator_norm(ref[~ok])))
+        unclear = ~ok
+        top = operator_norm(d[unclear])
+        within = top <= bound[unclear]
+        if not within.all():
+            within[~within] = top[~within] <= tol * np.maximum(
+                1.0, operator_norm(ref[unclear][~within]))
+        ok[unclear] = within
     return ok
 
 
@@ -459,40 +465,47 @@ def _clustered_spectrum(a: np.ndarray, scale: float, tol_abs: float) -> Clustere
     return ClusteredSpectrum(a, scale, w, vectors, *_clusters(w, tol_abs))
 
 
-def _schur_form(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur form (T, Z) of a, with a = Z T Z^dag.
+def _deflate_cluster(spectrum: ClusteredSpectrum, members: np.ndarray, rep: complex,
+                     radius: float, zero_floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis q of the invariant subspace of one cluster, and
+    the restriction b = q^H A q.
 
-    Computed at most once per decomposition, and only when a cluster
-    has more than one member; _deflate_cluster reorders it for each
-    such cluster. Simple clusters take their vectors from the
-    eigendecomposition instead.
+    members indexes the cluster in spectrum.w; radius isolates it around
+    rep and zero_floor bounds its residual, both from _cluster_chains.
+    The start q is an orthonormal basis of the eigenvectors eig returned
+    for the members; with [q, p] unitary, one Newton step solves
+    (p^H A p - rep) X - X (q^H A q - rep) = -p^H A q and takes the span
+    of q + p X. The second operator is nearly nilpotent, so one inverse
+    of the first and m sweeps for an m-member cluster solve it. The
+    result must isolate the cluster, every eigenvalue of b within radius
+    of rep, with ||A q - q b||_2 <= zero_floor; IllConditionedError
+    otherwise. A cluster that holds the whole spectrum takes q = I.
     """
-    import scipy.linalg as sla
-
-    return sla.schur(a, output="complex")
-
-
-def _deflate_cluster(schur: tuple[np.ndarray, np.ndarray], lam: complex, radius: float):
-    """Schur basis of the invariant subspace of eigenvalues near lam.
-
-    schur is the pair (T, Z) from _schur_form. ztrsen reorders it so
-    the diagonal entries within radius of lam lead, leaving T and Z
-    themselves untouched; this is the reordering step a sorted Schur
-    decomposition performs after its factorisation. It runs once per
-    multi-member cluster. Returns (q, b, sdim) with a @ q = q @ b to
-    machine precision, where q has orthonormal columns and b is the
-    upper-triangular restriction.
-    """
-    from scipy.linalg import lapack
-
-    t, z = schur
-    select = np.abs(np.diag(t) - lam) <= radius
-    ts, zs, _, sdim, _, _, info = lapack.ztrsen(select, t, z, job="N")
-    sdim = int(sdim)
-    if info != 0 or not np.all(np.abs(np.diag(ts)[:sdim] - lam) <= radius):
-        raise IllConditionedError(
-            "Schur reordering could not isolate the eigenvalue cluster")
-    return zs[:, :sdim], ts[:sdim, :sdim], sdim
+    a = spectrum.matrix
+    n, m = a.shape[0], len(members)
+    if m == n:
+        return np.eye(n, dtype=complex), a
+    basis = np.linalg.qr(spectrum.vectors[:, members], mode="complete")[0]
+    q, p = basis[:, :m], basis[:, m:]
+    aq = a @ q
+    nilpotent = q.conj().T @ aq - rep * np.eye(m)
+    coupling = p.conj().T @ aq
+    unisolated = "refinement did not isolate the eigenvalue cluster"
+    try:
+        inverse = np.linalg.inv(p.conj().T @ a @ p - rep * np.eye(n - m))
+    except np.linalg.LinAlgError as exc:  # the complement holds rep itself
+        raise IllConditionedError(unisolated) from exc
+    x = np.zeros_like(coupling)
+    for _ in range(m):
+        x = inverse @ (x @ nilpotent - coupling)
+    q = np.linalg.qr(q + p @ x)[0]
+    aq = a @ q
+    b = q.conj().T @ aq
+    if not np.all(np.abs(np.linalg.eigvals(b) - rep) <= radius):
+        raise IllConditionedError(unisolated)
+    if not norm_within(aq - q @ b, zero_floor):
+        raise IllConditionedError("refinement left a residual above the cluster's zero floor")
+    return q, b
 
 
 def _orth(a: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
@@ -507,19 +520,22 @@ def _orth(a: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
 def _fixed_under(gmat: np.ndarray, w: np.ndarray, established: np.ndarray) -> np.ndarray:
     """Replace w by a vector fixed under v -> gmat conj(v).
 
-    Of the two symmetrizations w + G conj(w) and i(w - G conj(w)), at
-    least one keeps a component outside the established span whenever w
-    itself does; the larger one is chosen and renormalized.
+    Every e^{i phi} w + e^{-i phi} G conj(w) is fixed. With a and b the
+    parts of w and of G conj(w) outside the established span, the part
+    of that vector outside the span has squared norm ||a||^2 + ||b||^2 +
+    2 Re(e^{-2 i phi} a^H b), largest at phi = arg(a^H b) / 2; that phi
+    is taken, which makes the result independent of the phase of w, and
+    the vector is renormalized. Its outside part is then at least as
+    long as that of either w + G conj(w) or i (w - G conj(w)).
     """
-    cands = [w + gmat @ np.conj(w), 1j * (w - gmat @ np.conj(w))]
-
-    def outside(u):
-        return float(np.linalg.norm(u - established @ (established.conj().T @ u)))
-
-    best = max(cands, key=outside)
-    if outside(best) < _FIXED_TOP_FLOOR:
+    gw = gmat @ np.conj(w)
+    a = w - established @ (established.conj().T @ w)
+    b = gw - established @ (established.conj().T @ gw)
+    phase = np.exp(0.5j * np.angle(np.vdot(a, b)))
+    if np.linalg.norm(phase * a + np.conj(phase) * b) < _FIXED_TOP_FLOOR:
         raise IllConditionedError("conjugation-fixed chain top degenerated")
-    return best / np.linalg.norm(best)
+    top = phase * w + np.conj(phase) * gw
+    return top / np.linalg.norm(top)
 
 
 def _zero_threshold(top, rank_tol: float, zero_floor, m: int = 1, smax: float = 1.0,
@@ -602,28 +618,25 @@ def _nilpotent_chains(mblock: np.ndarray, rank_tol: float, zero_floor: float,
     return out
 
 
-def _deflated_chains(schur: tuple[np.ndarray, np.ndarray], size: int, rep: complex,
+def _deflated_chains(spectrum: ClusteredSpectrum, members: np.ndarray, rep: complex,
                      radius: float, zero_floor: float, rank_tol: float,
                      conj_mat: np.ndarray | None = None) -> list[list[np.ndarray]]:
-    """Jordan chains of one eigenvalue cluster of size members, lifted to the full space.
+    """Jordan chains of the eigenvalue cluster of spectrum.w[members],
+    lifted to the full space.
 
-    schur is the Schur form (T, Z) of the matrix from _schur_form. rep
-    may differ from the cluster mean (e.g. snapped to the real axis);
+    rep may differ from the cluster mean (e.g. snapped to the real axis);
     radius isolates the cluster around it and zero_floor is the zero
     threshold of the deflated block, both from _cluster_chains.
     """
-    q, b, sdim = _deflate_cluster(schur, rep, radius)
-    if sdim != size:
-        raise IllConditionedError(
-            f"Schur selection returned {sdim} eigenvalues for a cluster of {size}")
-
-    mblock = b - rep * np.eye(sdim)
+    q, b = _deflate_cluster(spectrum, members, rep, radius, zero_floor)
+    size = q.shape[1]
+    mblock = b - rep * np.eye(size)
 
     conj_block = None
     if conj_mat is not None:
         conj_block = q.conj().T @ conj_mat @ np.conj(q)
         invol = conj_block @ np.conj(conj_block)
-        if not norm_within(invol - np.eye(sdim), _INVOLUTION_TOL):
+        if not norm_within(invol - np.eye(size), _INVOLUTION_TOL):
             raise IllConditionedError("cluster subspace is not conjugation-invariant")
 
     chains = _nilpotent_chains(mblock, rank_tol, zero_floor, conj_op=conj_block)
@@ -653,7 +666,9 @@ def _simple_vectors(spectrum: ClusteredSpectrum, members: np.ndarray, reps: np.n
         c = np.einsum("ij,ij->j", qf.conj(), conj_mat @ qf.conj())
         if np.any(np.abs(c * np.conj(c) - 1.0) > _INVOLUTION_TOL):
             raise IllConditionedError("cluster subspace is not conjugation-invariant")
-        # _fixed_under on the 1x1 block (c): the larger of 1 + c and i(1 - c)
+        # _fixed_under on the 1x1 block (c) takes the phase e^{i arg(c) / 2};
+        # for |c| = 1 the larger of 1 + c and i(1 - c) is a real multiple of
+        # it, whose sign the normalisation fixes
         plus, minus = 1.0 + c, 1j * (1.0 - c)
         top = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
         if np.any(np.abs(top) < _FIXED_TOP_FLOOR):
@@ -702,8 +717,7 @@ def _cluster_chains(spectrum: ClusteredSpectrum, wanted, rank_tol: float,
     floor, internal + 64 eps scale, bounds what counts as zero in its
     block. Simple clusters take their vectors from the eigendecomposition,
     all in one batch (_simple_vectors). Only clusters with more than one
-    member are deflated from the Schur form, which is computed on the
-    first of them.
+    member are deflated, each from its own eigenvectors (_deflate_cluster).
     """
     idx = np.array([i for i, _ in wanted])
     reps = np.array([rep for _, rep in wanted], dtype=complex)
@@ -730,14 +744,11 @@ def _cluster_chains(spectrum: ClusteredSpectrum, wanted, rank_tol: float,
                 for k, col in zip(simple.tolist(), q.T):
                     out[k] = [[col]]
 
-            schur = None
             for k in np.flatnonzero(sizes > 1).tolist():
-                if schur is None:
-                    schur = _schur_form(spectrum.matrix)
                 radius = (0.5 * (internal[k] + external[k]) if np.isfinite(external[k])
                           else internal[k] + 1.0)
-                chains = _deflated_chains(schur, int(sizes[k]), reps[k], radius,
-                                          zero_floor[k], rank_tol,
+                chains = _deflated_chains(spectrum, np.flatnonzero(spectrum.label == idx[k]),
+                                          reps[k], radius, zero_floor[k], rank_tol,
                                           conj_mat if fixed[k] else None)
                 factors = _normalizing_factors(np.column_stack([c[0] for c in chains]), fixed[k])
                 out[k] = [[f * v for v in chain] for f, chain in zip(factors, chains)]

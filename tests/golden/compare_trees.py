@@ -14,14 +14,15 @@ hold every kind of row, then classify, canonical and metric at d = 48
 for an unbroken, a conjugate-pair and an exceptional-point H, and
 free-check, dilate and invariants over short grids at d = 48, and
 invariants for a conjugate pair at d = 4 out to a time where rho(t)
-nears 1e200. Exit code, stdout, stderr and the --summary file are
-recorded.
+nears 1e200, then canonical and metric for an unbroken H at d = 200,
+a size where the rounding of a product depends on the BLAS thread
+count. Exit code, stdout, stderr and the --summary file are recorded.
 
-The d = 48 and d = 4 inputs come from seeded numpy generators in this
-script, written once into the scratch directory, so both trees read the
-same bytes. The d = 48 density and the d = 4 case have generators of
-their own, so adding them left the bytes of the d = 48 H, P and T as
-they were.
+The d = 48, d = 4 and d = 200 inputs come from seeded numpy generators
+in this script, written once into the scratch directory, so both trees
+read the same bytes. The d = 48 density, the d = 4 case and the d = 200
+case have generators of their own, so adding them left the bytes of the
+d = 48 H, P and T as they were.
 
 The golden test compares numbers within NUM_TOL of a recording, and
 recordings drift in their last digits whenever the numerics change at
@@ -46,6 +47,13 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# the lines run under the caller's environment; the inputs are drawn here
+# on one BLAS thread whatever it sets, since the rounding of a d = 200
+# product depends on the thread count
+_CALLER_ENV = {k: v for k, v in os.environ.items() if k != "PTQM_CONFIG"}
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                "1"))
 
 import numpy as np
 
@@ -207,7 +215,8 @@ def _case_files(rng, name: str, d: int, kind: str, shape: str) -> dict:
 
 def _large_files(seed: int = 48) -> dict:
     """File name -> text of the H, P and T of every d = 48 case, of one
-    d = 48 density matrix, and of the d = 4 conjugate-pair case."""
+    d = 48 density matrix, of the d = 4 conjugate-pair case and of the
+    d = 200 unbroken case."""
     rng = np.random.default_rng(seed)
     files = {}
     for name, kind, shape in _LARGE:
@@ -217,6 +226,8 @@ def _large_files(seed: int = 48) -> dict:
     rho = g @ g.conj().T
     files["rho_48.json"] = _matrix_text(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
     files.update(_case_files(np.random.default_rng(seed + 2), "complex4", 4, "complex", "swap"))
+    files.update(_case_files(np.random.default_rng(seed + 3), "unbroken200", 200, "unbroken",
+                             "householder"))
     return files
 
 
@@ -243,7 +254,9 @@ def _large_lines() -> list:
                                                       for prefix in ("h", "p", "t")),
                                       "{inputs}/rho_complex4.json", "--t-end", "735",
                                       "--num-points", "5", "--summary", "{summary}"]),
-    ]
+    ] + [(f"{command}-unbroken200", [command, *(f"{{tmp}}/{prefix}_unbroken200.json"
+                                                for prefix in ("h", "p", "t"))])
+         for command in ("canonical", "metric")]
 
 
 def _lines() -> list:
@@ -259,8 +272,7 @@ def _run(src: Path, argv: list, tmp: Path) -> dict:
     places = {"{inputs}": str(INPUTS), "{tmp}": str(tmp), "{summary}": str(summary)}
     for key, value in places.items():
         argv = [a.replace(key, value) for a in argv]
-    env = {k: v for k, v in os.environ.items() if k != "PTQM_CONFIG"}
-    env["PYTHONPATH"] = str(src)
+    env = dict(_CALLER_ENV, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "ptqm.cli", *argv], cwd=tmp, env=env,
                           capture_output=True, text=True, timeout=300)
     record = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,

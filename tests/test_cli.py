@@ -17,6 +17,7 @@ from ptqm.bender import BenderParams, bender_hamiltonian
 from ptqm.cli import main
 from ptqm.config import RunConfig
 from ptqm.matio import load_matrix_file, render_json
+from ptqm.sampling import random_instance
 
 GOLDEN = Path(__file__).with_name("golden")
 DECOMPOSE = ("val_tol", "tol", "cluster_tol", "rank_tol", "can_tol")
@@ -495,6 +496,29 @@ def test_invariants_grid_too_large_for_memory_is_numerical(tmp_path):
     doc = json.loads(lines[0])
     assert doc["error"] == "numerical"
     assert "1000000 points" in doc["detail"] and f"d = {d}" in doc["detail"]
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_output_bytes_do_not_depend_on_the_blas_thread_variables(tmp_path):
+    """ptqm.cli sets one BLAS thread unless the caller set a count, so
+    metric at d = 200, whose products round differently on more threads,
+    prints the same bytes with the three variables unset as at 1."""
+    inst = random_instance(np.random.default_rng(200), 200, "unbroken")
+    pair = inst["pair"]
+    paths = [write_matrix(tmp_path / f"{name}.json", m) for name, m in
+             (("h", inst["h"]), ("p", pair.parity), ("t", pair.time_reversal))]
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    base["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]), base.get("PYTHONPATH")]))
+    outs = []
+    for env in (base, dict(base, **dict.fromkeys(_BLAS_THREADS, "1"))):
+        proc = subprocess.run([sys.executable, "-m", "ptqm.cli", "metric", *paths],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def counting(monkeypatch, targets):

@@ -3,11 +3,14 @@
 Every decomposition takes the vectors of all simple eigenvalue clusters
 from one np.linalg.eig, in a batch that applies the same gates as a 1x1
 deflated block. Only clusters with more than one member (exceptional
-points) are isolated from a Schur form, computed once and reordered by
-ztrsen per such cluster. The reference path below deflates every
-cluster, simple ones included, with its own sorted Schur decomposition
-of H; both must give the same canonical form.
+points) are deflated: the span of the eigenvectors eig returned for
+them is refined by one Newton step (linalg._deflate_cluster). The
+reference path below deflates every cluster, simple ones included,
+with its own sorted Schur decomposition of H (scipy); both must give
+the same canonical form.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ptqm.canonical as canonical
 import ptqm.linalg as linalg
 from ptqm.canonical import classify_spectrum, pt_canonical_form
 from ptqm.errors import IllConditionedError
@@ -50,9 +54,11 @@ def real_pt_instance(d: int, case: str, seed: int):
     return h, validate_pt_pair(np.eye(d), np.eye(d)), cluster_tol
 
 
-def _sorted_schur_deflation(a, lam, radius):
-    t, z, sdim = sla.schur(a, output="complex", sort=lambda x: abs(x - lam) <= radius)
-    return z[:, :sdim], t[:sdim, :sdim], int(sdim)
+def _sorted_schur_deflation(spectrum, members, rep, radius, zero_floor):
+    t, z, sdim = sla.schur(spectrum.matrix, output="complex",
+                           sort=lambda x: abs(x - rep) <= radius)
+    assert sdim == len(members)
+    return z[:, :sdim], t[:sdim, :sdim]
 
 
 def _per_cluster_simple_vectors(spectrum, members, reps, zero_floor, fixed, rank_tol, conj_mat):
@@ -61,20 +67,20 @@ def _per_cluster_simple_vectors(spectrum, members, reps, zero_floor, fixed, rank
         # deflate halfway between the member and the nearest other eigenvalue
         dist = np.abs(spectrum.w - rep)
         internal, dist[member] = dist[member], np.inf
-        [[v]] = linalg._deflated_chains(spectrum.matrix, 1, rep, 0.5 * (internal + dist.min()),
-                                        floor, rank_tol, conj_mat if f else None)
+        [[v]] = linalg._deflated_chains(spectrum, np.array([member]), rep,
+                                        0.5 * (internal + dist.min()), floor, rank_tol,
+                                        conj_mat if f else None)
         cols.append(v)
     return np.column_stack(cols)
 
 
 @pytest.fixture
 def per_cluster_schur(monkeypatch):
-    """Route every cluster through its own sorted Schur form of H: hand H
-    itself down as the Schur form, deflate by a sorted factorisation, and
-    build simple clusters by the same deflation instead of the batch."""
+    """Route every cluster through its own sorted Schur form of H: deflate
+    by a sorted factorisation, and build simple clusters by the same
+    deflation instead of the batch."""
 
     def use():
-        monkeypatch.setattr(linalg, "_schur_form", lambda a: a)
         monkeypatch.setattr(linalg, "_deflate_cluster", _sorted_schur_deflation)
         monkeypatch.setattr(linalg, "_simple_vectors", _per_cluster_simple_vectors)
 
@@ -82,39 +88,33 @@ def per_cluster_schur(monkeypatch):
 
 
 @pytest.fixture
-def factorisations(monkeypatch):
-    """Count Schur factorisations and ztrsen reorderings."""
-    calls = {"schur": [], "ztrsen": 0}
-    schur, ztrsen = sla.schur, sla.lapack.ztrsen
+def deflations(monkeypatch):
+    """The number of members of every cluster deflated."""
+    sizes = []
+    deflate = linalg._deflate_cluster
 
-    def counted_schur(*args, **kwargs):
-        calls["schur"].append(kwargs.get("sort"))
-        return schur(*args, **kwargs)
+    def counted(spectrum, members, *args):
+        sizes.append(len(members))
+        return deflate(spectrum, members, *args)
 
-    def counted_ztrsen(*args, **kwargs):
-        calls["ztrsen"] += 1
-        return ztrsen(*args, **kwargs)
-
-    monkeypatch.setattr(sla, "schur", counted_schur)
-    monkeypatch.setattr(sla.lapack, "ztrsen", counted_ztrsen)
-    return calls
+    monkeypatch.setattr(linalg, "_deflate_cluster", counted)
+    return sizes
 
 
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("d", [48, 64])
-def test_one_schur_per_decomposition(d, case, factorisations):
-    """No Schur form without a multi-member cluster; with one, a single
-    Schur form and one reordering per multi-member cluster."""
+def test_one_schur_per_decomposition(d, case, deflations):
+    """No deflation without a multi-member cluster, and one per
+    multi-member cluster per decomposition."""
     h, pair, cluster_tol = real_pt_instance(d, case, seed=d)
-    multi = 1 if case == "jordan" else 0
+    multi = [2] if case == "jordan" else []
     pt_canonical_form(h, pair, cluster_tol=cluster_tol)
-    assert (len(factorisations["schur"]), factorisations["ztrsen"]) == (multi, multi)
+    assert deflations == multi
     classify_spectrum(h, pair, cluster_tol=cluster_tol)
-    assert (len(factorisations["schur"]), factorisations["ztrsen"]) == (2 * multi, 2 * multi)
+    assert deflations == 2 * multi
     es = eigen_decompose(h, cluster_tol=cluster_tol or 1e-8)
-    assert sum(m > 1 for m in es.multiplicities) == multi
-    assert factorisations["schur"] == [None] * 3 * multi
-    assert factorisations["ztrsen"] == 3 * multi
+    assert [m for m in es.multiplicities if m > 1] == multi
+    assert deflations == 3 * multi
 
 
 def _assert_matches_reference(dec, ref, psi_tol):
@@ -318,22 +318,111 @@ def test_sorted_sweep_clusters_like_the_pair_scan(seed):
     assert any(len(g) >= 3 for g in got)
 
 
+def _jordan_and_diagonal(d: int, split: float = 0.0):
+    """H, the direct sum of J_2(0.5) and diag(-2, -1, 1, 2, ...), with
+    split below the 1 of J_2, and P = T = I: the simple eigenvectors are
+    the unit vectors e_2, e_3, ..., and split > 0 moves the double
+    eigenvalue to 0.5 +- sqrt(split)."""
+    h = np.diag(np.r_[0.5, 0.5, -2.0, -1.0, np.arange(1.0, d - 3)])
+    h[0, 1], h[1, 0] = 1.0, split
+    return h, validate_pt_pair(np.eye(d), np.eye(d)), 1e-6
+
+
+def _planted_start(monkeypatch, start):
+    """Have eig return start(vectors, multi, simple) as the vectors of the
+    members of the multi-member cluster, which index multi in w; simple
+    indexes the members of simple clusters."""
+    clustered = linalg._clustered_spectrum
+
+    def planted(a, scale, tol_abs):
+        spectrum = clustered(a, scale, tol_abs)
+        in_multi = spectrum.sizes[spectrum.label] > 1
+        vectors = spectrum.vectors.copy()
+        vectors[:, in_multi] = start(vectors, np.flatnonzero(in_multi),
+                                     np.flatnonzero(~in_multi))
+        return replace(spectrum, vectors=vectors)
+
+    monkeypatch.setattr(linalg, "_clustered_spectrum", planted)
+    monkeypatch.setattr(canonical, "_clustered_spectrum", planted)
+
+
+# the two gates of the refinement; the ids name the Schur reordering
+# failures (ztrsen's info, an unordered result) that these starts replace
+_FAILED_STARTS = {
+    # the exact eigenvectors of -2 and -1: invariant already, so the step
+    # keeps them, and their eigenvalues lie outside the cluster (the split
+    # keeps the complement block, which holds 0.5 +- 1e-7, invertible)
+    "unordered": ("did not isolate", _jordan_and_diagonal(8, split=1e-14),
+                  lambda v, multi, simple: np.eye(8)[:, [2, 3]]),
+    # the cluster's vectors off by 1e-2 of two other eigenvectors: one
+    # Newton step leaves a residual far above the zero floor
+    "info": ("left a residual", real_pt_instance(8, "jordan", seed=3),
+             lambda v, multi, simple: v[:, multi] + 1e-2 * v[:, simple[:2]]),
+}
+
+
 @pytest.mark.parametrize("failure", ["info", "unordered"])
 def test_failed_reordering_raises_ill_conditioned(failure, monkeypatch):
-    original = sla.lapack.ztrsen
-
-    def failing(select, t, q, **kwargs):
-        ts, qs, w, m, s, sep, info = original(select, t, q, **kwargs)
-        if failure == "info":
-            return ts, qs, w, m, s, sep, 1
-        return t, q, w, m, s, sep, info
-
-    monkeypatch.setattr(sla.lapack, "ztrsen", failing)
-    h, pair, cluster_tol = real_pt_instance(8, "jordan", seed=3)
-    with pytest.raises(IllConditionedError, match="reordering"):
+    match, (h, pair, cluster_tol), start = _FAILED_STARTS[failure]
+    pt_canonical_form(h, pair, cluster_tol=cluster_tol)
+    _planted_start(monkeypatch, start)
+    with pytest.raises(IllConditionedError, match=f"^refinement {match}"):
         pt_canonical_form(h, pair, cluster_tol=cluster_tol)
-    with pytest.raises(IllConditionedError, match="reordering"):
+    with pytest.raises(IllConditionedError, match=f"^refinement {match}"):
         eigen_decompose(h, cluster_tol=cluster_tol)
+
+
+def _rotated_deflation(monkeypatch, seed: int):
+    """Have every deflation return q U and U^H b U for a random unitary U."""
+    rng = np.random.default_rng(seed)
+    deflate = linalg._deflate_cluster
+
+    def rotated(*args):
+        q, b = deflate(*args)
+        m = q.shape[1]
+        u = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+        return q @ u, u.conj().T @ b @ u
+
+    monkeypatch.setattr(linalg, "_deflate_cluster", rotated)
+
+
+@pytest.mark.parametrize("instance", ["sampled-ep16", "real-jordan48"])
+def test_chains_do_not_depend_on_the_deflation_basis(instance, monkeypatch):
+    """Any orthonormal basis of the cluster's subspace gives the same
+    chains: for a P T that is not unitary (the sampled instance, where
+    ||(PT)^H PT - I||_2 = 1.6) as for a unitary one (P = T = I)."""
+    if instance == "sampled-ep16":
+        inst = random_instance(np.random.default_rng(1016), 16, "ep")
+        h, pair, cluster_tol = inst["h"], inst["pair"], 1e-6
+        assert np.linalg.norm(pair.pt.conj().T @ pair.pt - np.eye(16), 2) > 1.5
+    else:
+        h, pair, cluster_tol = real_pt_instance(48, "jordan", seed=48)
+    dec = pt_canonical_form(h, pair, cluster_tol=cluster_tol)
+    assert any(b.order > 1 for b in dec.blocks)
+    for seed in range(3):
+        _rotated_deflation(monkeypatch, seed)
+        _assert_matches_reference(dec, pt_canonical_form(h, pair, cluster_tol=cluster_tol),
+                                  1e-13)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("d", [16, 32])
+def test_parallel_eigenvectors_isolate_the_cluster_or_raise(d, per_cluster_schur):
+    """A permutation similarity of J_2(0.5) + diag: eig finds the double
+    eigenvalue exactly and may return parallel vectors for it, so the
+    start spans too little. The step either still isolates the cluster,
+    matching the sorted-Schur reference, or raises; it never returns a
+    wrong basis."""
+    h, pair, cluster_tol = _jordan_and_diagonal(d)
+    perm = np.random.default_rng(d).permutation(d)
+    h = h[np.ix_(perm, perm)]
+    try:
+        dec = pt_canonical_form(h, pair, cluster_tol=cluster_tol)
+    except IllConditionedError as exc:
+        assert str(exc).startswith("refinement")
+        return
+    per_cluster_schur()
+    _assert_matches_reference(dec, pt_canonical_form(h, pair, cluster_tol=cluster_tol), 1e-13)
 
 
 def _spectrum(diagonal, w, scale=1.0):

@@ -24,7 +24,7 @@ from ptqm import metric
 from ptqm.canonical import classify_spectrum, pt_canonical_form
 from ptqm.dynamics import validate_density
 from ptqm.errors import NumericalError
-from ptqm.linalg import congruence_solve, operator_norm, psd_square_root
+from ptqm.linalg import _within_scale, congruence_solve, operator_norm, psd_square_root
 from ptqm.metric import basis_coefficients, build_metric
 from ptqm.sampling import random_density, random_instance
 from ptqm.superposition import free_basis, is_incoherent
@@ -123,3 +123,20 @@ def test_reconstruction_gate_catches_a_fault_where_the_frobenius_norm_overflows(
     exact = operator_norm(dec.Psi @ r[1] @ dec.Psi.conj().T - rho[1])
     with pytest.raises(NumericalError, match=re.escape(f"reconstruction defect {exact:.6e}")):
         basis_coefficients(rho, dec)
+
+
+def test_within_scale_takes_at_most_one_svd_of_each_defect(svds):
+    """R = diag(1e3, 0, 0, 0) has ||R||_F / sqrt(4) = ||R||_2 / 2, so the
+    lower bound is half the exact one. D0 clears the Frobenius screen at
+    the lower bound; D1 = c I fails it but clears by its exact 2-norm;
+    D2 and D3 fail the lower bound and meet the exact one with the 2-norm
+    already taken: one SVD of D1..D3, one of R2 and R3."""
+    tol = 1e-9
+    low = tol * 500.0
+    rank1 = np.outer([0.6, 0.8j, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
+    defects = np.stack([0.4 * low * rank1, 0.9 * low * np.eye(4),
+                        1.5 * low * rank1, 2.5 * low * rank1]).astype(complex)
+    refs = np.broadcast_to(np.diag([1e3, 0.0, 0.0, 0.0]).astype(complex), (4, 4, 4))
+    taken = _taken(svds, lambda: np.testing.assert_array_equal(
+        _within_scale(defects, refs, tol), [True, True, True, False]))
+    assert taken == [(3,), (2,)]

@@ -1,18 +1,17 @@
 """A command line loads only the modules its subcommand runs.
 
-Importing scipy.linalg dominates the start-up of a command-line call,
-so ptqm.linalg imports it inside the two functions that call it, the
-Schur form and ztrsen of an exceptional point; the exponential evolve
-needs is numpy's. Importing ptqm loads none of its modules, and
-ptqm.cli calls the library through the package's lazy exports, so a
-subcommand's modules load when its handler first calls into them and
-a command whose input fails to parse loads none. The test modules
-import scipy and every ptqm module themselves, so only a fresh
-interpreter can see what a command loaded.
+ptqm needs numpy alone, and no command line loads scipy or numpy.ma.
+Importing ptqm loads none of its modules, and ptqm.cli calls the
+library through the package's lazy exports, so a subcommand's modules
+load when its handler first calls into them and a command whose input
+fails to parse loads none. The test modules import scipy and every
+ptqm module themselves, so only a fresh interpreter can see what a
+command loaded.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +45,13 @@ sys.stdout.write(json.dumps(runs))
 """
 
 
+def test_numpy_is_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(SRC.parent / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
+
+
 def _python(code: str, stdin: str = "") -> str:
     """stdout of code run by a new interpreter that imports ptqm from SRC."""
     env = dict(os.environ)
@@ -67,7 +73,19 @@ def _golden(names: list, summary: Path) -> tuple[list, list]:
     return [cases[n] for n in names], [_argv(cases[n], summary) for n in names]
 
 
+def _assert_matches_golden(cases: list, runs: list) -> None:
+    for case, run in zip(cases, runs, strict=True):
+        assert run["code"] == case["exit"], case["name"]
+        assert_same_text(run["err"], case["stderr"], f"{case['name']} stderr")
+        assert_same_text(run["out"], (GOLDEN / f"{case['name']}.out").read_text(
+            encoding="utf-8"), case["name"])
+
+
 def test_commands_without_a_factorisation_leave_scipy_unloaded(tmp_path):
+    """Every golden line without an exceptional point's cluster, then a
+    line whose input fails to parse and one whose H is not PT-symmetric,
+    in one interpreter: none loads scipy, and each prints what was
+    recorded."""
     names = ["stokes", "bender-sweep"] + [
         f"{command}_{case}{d}"
         for command in ("classify", "canonical", "metric", "inner", "invariants",
@@ -84,7 +102,8 @@ def test_commands_without_a_factorisation_leave_scipy_unloaded(tmp_path):
 
     imported, *runs = _run_fresh(argvs)
     assert not imported["scipy"]
-    assert [r["code"] for r in runs] == [c["exit"] for c in cases] + [2, 3]
+    _assert_matches_golden(cases, runs[:-2])
+    assert [r["code"] for r in runs[-2:]] == [2, 3]
     assert [json.loads(r["err"])["error"] for r in runs[-2:]] == ["parse", "not_pt_symmetric"]
     # a loaded module stays in sys.modules, so the last run speaks for all
     assert not runs[-1]["scipy"]
@@ -92,8 +111,7 @@ def test_commands_without_a_factorisation_leave_scipy_unloaded(tmp_path):
 
 def test_commands_without_an_exceptional_point_leave_numpy_ma_unloaded(tmp_path):
     """numpy.ma costs about 10 ms of imports, loaded by np.unique on its
-    first call and by scipy; only an exceptional point, whose Schur form
-    imports scipy, needs either."""
+    first call and by scipy; no command line needs it."""
     names = [c["name"] for c in _load_cases() if "_ep" not in c["name"]]
     cases, argvs = _golden(names, tmp_path / "summary.json")
     imported, *runs = _run_fresh(argvs)
@@ -104,16 +122,17 @@ def test_commands_without_an_exceptional_point_leave_numpy_ma_unloaded(tmp_path)
 
 
 def test_first_scipy_import_inside_a_command_matches_golden(tmp_path):
-    """The exceptional point's Schur form imports scipy first inside
-    cli.main's np.errstate(raise), which must not turn into a numerical
-    failure."""
-    for names in (["canonical_ep2"],):
-        cases, argvs = _golden(names, tmp_path / "summary.json")
-        imported, run = _run_fresh(argvs)
-        assert not imported["scipy"] and run["scipy"]
-        assert (run["code"], run["err"]) == (cases[0]["exit"], cases[0]["stderr"])
-        assert_same_text(run["out"], (GOLDEN / f"{names[0]}.out").read_text(encoding="utf-8"),
-                         names[0])
+    """Every exceptional-point line, in one interpreter and inside
+    cli.main's np.errstate(raise). Its Schur form was where a command
+    first imported scipy; the cluster is now refined with numpy alone, so
+    neither scipy nor numpy.ma loads, and each prints what was recorded."""
+    names = [c["name"] for c in _load_cases() if "_ep" in c["name"]]
+    cases, argvs = _golden(names, tmp_path / "summary.json")
+    imported, *runs = _run_fresh(argvs)
+    assert not imported["scipy"] and not imported["numpy.ma"]
+    _assert_matches_golden(cases, runs)
+    # a loaded module stays in sys.modules, so the last run speaks for all
+    assert not runs[-1]["scipy"] and not runs[-1]["numpy.ma"]
 
 
 def test_decomposing_commands_load_no_analysis_module(tmp_path):
