@@ -28,7 +28,8 @@ _EXPORTS = {
     "dilation": ("DilationResult", "EmbeddingReport", "embedded_evolution_check",
                  "halmos_dilation", "uniform_bound"),
     "dynamics": ("InvariantReport", "TimeGrid", "default_grid", "evolve_density",
-                 "invariant_report", "normalize_density", "propagator", "validate_density"),
+                 "invariant_report", "normalize_density", "propagator", "propagator_stack",
+                 "validate_density"),
     "errors": ("BrokenRegimeError", "BrokenSymmetryError", "CriticalPointError",
                "DegeneratePostSelectionError", "DimensionError", "IllConditionedError",
                "InvalidDensityError", "NotPositiveSemidefiniteError", "NotPTSymmetricError",

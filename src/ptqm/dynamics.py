@@ -98,9 +98,10 @@ def _grid_chunks(num_points: int, d: int):
         yield slice(start, min(start + step, num_points))
 
 
-def _own_decomposition(h, pair: PTPair | None, decomp: CanonicalDecomposition | None,
+def _own_decomposition(h, pair: PTPair, decomp: CanonicalDecomposition | None,
                        **settings) -> CanonicalDecomposition:
-    """The canonical decomposition of H at settings, unless decomp is given.
+    """The canonical decomposition of H at settings, unless decomp is
+    given: the one decompose-or-check step of the three grid analyses.
 
     A given decomp must be the decomposition of H itself (ValidationError
     otherwise): a caller given the decomposition of another H would
@@ -166,17 +167,13 @@ def propagator_stack(decomp: CanonicalDecomposition, times) -> np.ndarray:
     return u
 
 
-def propagator(h, t: float, decomp: CanonicalDecomposition | None = None) -> np.ndarray:
-    """U(t) = e^{-itH}.
+def propagator(h, t: float) -> np.ndarray:
+    """U(t) = e^{-itH} by the dense scaling-and-squaring exponential of H.
 
-    Given the canonical decomposition of H, this is the one-point case
-    of propagator_stack; the decomposition of another H raises
-    ValidationError. Without one it is the dense scaling-and-squaring
-    exponential of H.
+    The closed form Psi e^{-itJ} Psi^-1 from a canonical decomposition
+    is propagator_stack.
     """
-    if decomp is None:
-        return matrix_exponential(h, -1j * float(t))
-    return propagator_stack(_own_decomposition(h, None, decomp), [float(t)])[0]
+    return matrix_exponential(h, -1j * float(t))
 
 
 def validate_density(rho, tol: float = 1e-10) -> np.ndarray:
@@ -213,17 +210,14 @@ def _matching_density(rho, h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return m
 
 
-def evolve_density(rho, h, t: float, val_tol: float = 1e-10,
-                   decomp: CanonicalDecomposition | None = None) -> np.ndarray:
-    """U(t) rho U(t)^dag, not renormalized.
+def evolve_density(rho, h, t: float, val_tol: float = 1e-10) -> np.ndarray:
+    """U(t) rho U(t)^dag with U(t) = propagator(h, t), not renormalized.
 
-    U(t) is propagator(h, t, decomp), so a decomp must be the
-    decomposition of this H (ValidationError). An evolution that
-    overflows raises NumericalError naming t.
+    An evolution that overflows raises NumericalError naming t.
     """
     m = _matching_density(rho, as_square(h, "H"), val_tol)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = propagator(h, t, decomp)
+        u = propagator(h, t)
         rho_t = u @ m @ u.conj().T
     _require_finite(rho_t[np.newaxis], np.array([float(t)]), "evolved density")
     return rho_t

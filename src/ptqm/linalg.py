@@ -45,9 +45,6 @@ _EPS = float(np.finfo(float).eps)
 # a cluster subspace is conjugation-invariant when the conjugation, restricted
 # to it, squares to the identity within this 2-norm distance
 _INVOLUTION_TOL = 1e-6
-# a conjugation-fixed chain top keeps at least this norm outside the span
-# already established, or the choice has degenerated
-_FIXED_TOP_FLOOR = 0.5
 # psd_square_root: Hermiticity gate, and the negative eigenvalues that
 # hermitian_root clamps to zero, both relative to max(1, ||A||)
 PSD_HERM_TOL = 1e-10
@@ -527,13 +524,18 @@ def _fixed_under(gmat: np.ndarray, w: np.ndarray, established: np.ndarray) -> np
     is taken, which makes the result independent of the phase of w, and
     the vector is renormalized. Its outside part is then at least as
     long as that of either w + G conj(w) or i (w - G conj(w)).
+
+    No input can make that choice degenerate, so it is not gated: w is a
+    unit vector orthogonal to the established span, so ||a|| = 1 and the
+    outside part has norm sqrt(||a||^2 + ||b||^2 + 2 |a^H b|) >= 1. On a
+    1x1 block (c), _simple_vectors' choice has norm at least
+    sqrt(1 + |c|^2) >= sqrt(2) (1 - 5e-7), since |c|^2 is within
+    _INVOLUTION_TOL of 1.
     """
     gw = gmat @ np.conj(w)
     a = w - established @ (established.conj().T @ w)
     b = gw - established @ (established.conj().T @ gw)
     phase = np.exp(0.5j * np.angle(np.vdot(a, b)))
-    if np.linalg.norm(phase * a + np.conj(phase) * b) < _FIXED_TOP_FLOOR:
-        raise IllConditionedError("conjugation-fixed chain top degenerated")
     top = phase * w + np.conj(phase) * gw
     return top / np.linalg.norm(top)
 
@@ -671,8 +673,6 @@ def _simple_vectors(spectrum: ClusteredSpectrum, members: np.ndarray, reps: np.n
         # it, whose sign the normalisation fixes
         plus, minus = 1.0 + c, 1j * (1.0 - c)
         top = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
-        if np.any(np.abs(top) < _FIXED_TOP_FLOOR):
-            raise IllConditionedError("conjugation-fixed chain top degenerated")
         q[:, fixed] = qf * (top / np.abs(top))
     return q
 

@@ -5,8 +5,8 @@ import numpy as np
 from ptqm.bender import BenderParams, bender_hamiltonian, expansion_coefficients, s0_eta
 from ptqm.canonical import classify_spectrum, pt_canonical_form
 from ptqm.dilation import embedded_evolution_check, uniform_bound
-from ptqm.dynamics import TimeGrid, evolve_density
-from ptqm.linalg import eigen_decompose, matrix_exponential, operator_norm
+from ptqm.dynamics import TimeGrid, propagator_stack, validate_density
+from ptqm.linalg import dagger, eigen_decompose, matrix_exponential, operator_norm
 from ptqm.metric import build_metric, eta_inner, eta_trace
 from ptqm.sampling import random_density, random_instance
 from ptqm.superposition import free_basis, is_free_kraus, verify_free_evolution
@@ -64,8 +64,9 @@ def test_criterion_02_universal_conservation():
         eta = build_metric(dec).eta
         rho = random_density(rng, d)
         base = eta_trace(rho, eta)
-        for t in GRID.times:
-            rho_t = evolve_density(rho, inst["h"], t, decomp=dec)
+        m = validate_density(rho)
+        u = propagator_stack(dec, GRID.times)
+        for rho_t in u @ m @ dagger(u):
             worst = max(worst, abs(eta_trace(rho_t, eta) - base))
     _verdict(2, "universal conservation", worst <= 1e-8)
 

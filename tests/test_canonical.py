@@ -12,7 +12,7 @@ from ptqm.canonical import (
     classify_spectrum,
     pt_canonical_form,
 )
-from ptqm.errors import NotPTSymmetricError, NumericalError, ValidationError
+from ptqm.errors import IllConditionedError, NotPTSymmetricError, NumericalError, ValidationError
 from ptqm.linalg import operator_norm
 from ptqm.matio import load_matrix_file
 from ptqm.sampling import random_instance, random_pt_pair
@@ -191,6 +191,32 @@ def test_canonical_warns_on_ill_conditioned_psi():
     assert dec.condition_number > 1e8
     assert dec.warning == (f"Psi condition number {dec.condition_number:.3e}; "
                            "results may lose accuracy")
+
+
+def test_canonical_rejects_an_eigenvalue_without_conjugate_partner():
+    # the two-level EP plus 1e-9 i in one corner: PT-symmetric within
+    # tol, with eigenvalues +-e^{i pi/4} sqrt(1e-9) whose conjugates,
+    # 4.5e-5 away, are no eigenvalues
+    h = np.array([[1j, 1.0 + 1e-9j], [1.0, -1j]])
+    pair = validate_pt_pair(SX, np.eye(2))
+    with pytest.raises(IllConditionedError, match="has no conjugate partner cluster"):
+        pt_canonical_form(h, pair)
+
+
+def test_canonical_rejects_conjugate_clusters_of_different_multiplicity():
+    # J_2(1 + i) + J_2(1 - i), swapped by P, with 1e-9 below the first
+    # block's diagonal: PT-symmetric within tol, the first block splits
+    # into two eigenvalues 6.3e-5 apart, beyond the clustering tolerance
+    # 2e-5, each 3.2e-5 from the mirror of the double eigenvalue 1 - i
+    lam = 1.0 + 1.0j
+    h = np.zeros((4, 4), dtype=complex)
+    h[:2, :2] = [[lam, 1.0], [1e-9, lam]]
+    h[2:, 2:] = [[np.conj(lam), 1.0], [0.0, np.conj(lam)]]
+    swap = np.roll(np.eye(4), 2, axis=0)
+    pair = validate_pt_pair(swap, np.eye(4))
+    with pytest.raises(IllConditionedError,
+                       match="conjugate clusters have different algebraic multiplicities"):
+        pt_canonical_form(h, pair, cluster_tol=1e-5)
 
 
 def test_canonical_output_is_deterministic():

@@ -164,13 +164,31 @@ def test_metric_signs_with_empty_part_is_rejected(files, capsys, text):
     (["--num-points", "0"], None, "--num-points must be a positive integer"),
 ])
 def test_settings_error_names_the_flag_it_came_from(files, capsys, extra, config, detail):
-    paths, tmp_path = files
+    paths, _ = files
+    _assert_settings_error(files, capsys, ["dilate", paths["h_unbroken"], paths["p_swap"],
+                                           paths["t_id"], paths["rho"], *extra], config, detail)
+
+
+@pytest.mark.parametrize("extra, config, detail", [
+    (["--signs", "2,1"], None, "--signs entries must be +1 or -1"),
+    ([], {"signs": [2, 1]}, "config: signs entries must be +1 or -1"),
+])
+def test_signs_error_names_the_flag_it_came_from(files, capsys, extra, config, detail):
+    # dilate takes no --signs; metric does
+    paths, _ = files
+    _assert_settings_error(files, capsys, ["metric", paths["h_unbroken"], paths["p_swap"],
+                                           paths["t_id"], *extra], config, detail)
+
+
+def _assert_settings_error(files, capsys, argv, config, detail):
+    """argv, plus a --config file holding config unless it is None, exits 2
+    with detail as the one validation error."""
+    _, tmp_path = files
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        extra = extra + ["--config", str(cfg)]
-    code, out, err = run(capsys, ["dilate", paths["h_unbroken"], paths["p_swap"],
-                                  paths["t_id"], paths["rho"], *extra])
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "validation", "detail": detail}
 

@@ -22,8 +22,8 @@ import ptqm.superposition as superposition
 from ptqm import cli
 from ptqm.canonical import COMPLEX_PAIR, pt_canonical_form
 from ptqm.dilation import embedded_evolution_check, halmos_dilation, uniform_bound
-from ptqm.dynamics import (TimeGrid, default_grid, evolve_density, invariant_report, propagator,
-                           propagator_stack, validate_density)
+from ptqm.dynamics import (TimeGrid, default_grid, invariant_report, propagator, propagator_stack,
+                           validate_density)
 from ptqm.errors import (DegeneratePostSelectionError, NumericalError, PreconditionError,
                          ValidationError)
 from ptqm.metric import basis_coefficients
@@ -394,7 +394,7 @@ def test_overflowing_grid_is_a_numerical_error(tmp_path, capsys):
     first = finite.index(False)
     assert f"t = {times[first]:.6f}" in doc["detail"]
     with pytest.raises(NumericalError):
-        propagator(h, times[-1], dec)
+        propagator_stack(dec, times[-1:])
 
 
 # -- a decomposition bound to its H ---------------------------------------
@@ -414,8 +414,6 @@ def test_analyses_reject_the_decomposition_of_another_hamiltonian(foreign):
         "dilation": lambda dec: embedded_evolution_check(h, pair, rho, grid, decomp=dec),
         "free": lambda dec: verify_free_evolution(h, pair, 0.5 * uniform_bound(dec), grid,
                                                   decomp=dec),
-        "propagator": lambda dec: propagator(h, 1.0, dec),
-        "evolve": lambda dec: evolve_density(rho, h, 1.0, decomp=dec),
     }
     for name, run in analyses.items():
         with pytest.raises(ValidationError, match="another H"):

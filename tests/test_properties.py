@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from ptqm.bender import BenderParams, bender_eigensystem, bender_hamiltonian
 from ptqm.canonical import pt_canonical_form
-from ptqm.dynamics import TimeGrid, evolve_density, invariant_report
-from ptqm.linalg import operator_norm
+from ptqm.dynamics import TimeGrid, invariant_report, propagator_stack, validate_density
+from ptqm.linalg import dagger, operator_norm
 from ptqm.metric import build_metric, eta_trace, verify_metric
 from ptqm.sampling import random_density, random_instance
 
@@ -47,8 +47,9 @@ def test_instance_identities(seed, d, kind, pair_kind):
     # Tr(eta rho(t)) is conserved
     rho = random_density(rng, d)
     base = eta_trace(rho, eta)
-    for t in TimeGrid(0.0, 2.0, 5).times:
-        rho_t = evolve_density(rho, h, t, decomp=dec)
+    m = validate_density(rho)
+    u = propagator_stack(dec, TimeGrid(0.0, 2.0, 5).times)
+    for rho_t in u @ m @ dagger(u):
         drift = abs(eta_trace(rho_t, eta) - base)
         assert drift <= 1e-9 * eta_norm * max(1.0, operator_norm(rho_t))
 

@@ -7,7 +7,7 @@ import pytest
 
 from ptqm.canonical import pt_canonical_form
 from ptqm.dilation import uniform_bound
-from ptqm.dynamics import TimeGrid, default_grid, propagator
+from ptqm.dynamics import TimeGrid, default_grid, propagator, propagator_stack
 from ptqm.errors import (BrokenSymmetryError, DimensionError, NumericalError, PreconditionError,
                          ValidationError)
 from ptqm.linalg import operator_norm, psd_square_root
@@ -192,7 +192,7 @@ def test_verify_free_evolution_overflow_names_first_t(c):
     times = default_grid().times
     with np.errstate(over="ignore", invalid="ignore"):
         finite = [np.all(np.isfinite((c * u).conj().T @ (c * u)))
-                  for u in (propagator(h, s, dec) for s in times)]
+                  for u in (propagator_stack(dec, [s])[0] for s in times)]
     first = finite.index(False)
     with pytest.raises(NumericalError, match=f"not finite at t = {times[first]:.6f}$"):
         verify_free_evolution(h, pair, c, decomp=dec)
