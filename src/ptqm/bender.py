@@ -15,21 +15,26 @@ cos(alpha) value is what the constructed metric reproduces.
 
 The discriminant, alpha and S0 formulas are elementwise helpers: the
 scalar functions evaluate them at one point, critical_sweep on a grid.
+
+Each function imports the decomposition modules (canonical, linalg,
+metric, symmetry) it calls, so that stokes_vector, which needs none of
+them, loads none.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .canonical import (COMPLEX_PAIR, REAL_JORDAN, REAL_SIMPLE, BlockDescriptor,
-                        CanonicalDecomposition, SpectralClass, _classify_blocks, _decomposition)
 from .errors import BrokenRegimeError, CriticalPointError, NumericalError, ValidationError
-from .linalg import _require_positive
-from .metric import MetricOperator, build_metric
-from .symmetry import PTPair, validate_pt_pair
+
+if TYPE_CHECKING:
+    from .canonical import CanonicalDecomposition, SpectralClass
+    from .metric import MetricOperator
+    from .symmetry import PTPair
 
 
 @contextmanager
@@ -83,6 +88,8 @@ class StokesVector:
 
 def bender_hamiltonian(p: BenderParams) -> tuple[np.ndarray, PTPair]:
     """The model Hamiltonian with its (swap, conjugation) PT pair."""
+    from .symmetry import validate_pt_pair
+
     h = np.array([[p.r * np.exp(1j * p.theta), p.s], [p.s, p.r * np.exp(-1j * p.theta)]])
     pair = validate_pt_pair(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
     return h, pair
@@ -117,6 +124,8 @@ def bender_classify(p: BenderParams, tol: float = 1e-8) -> SpectralClass:
     degenerate but diagonalizable (hence unbroken) point. tol must be
     nonnegative.
     """
+    from .canonical import COMPLEX_PAIR, REAL_JORDAN, REAL_SIMPLE, BlockDescriptor, _classify_blocks
+
     _check_tol(tol)
     with _float_range("the discriminant"):
         rs, disc = _discriminant(p.r, p.s, p.theta)
@@ -160,6 +169,10 @@ def bender_eigensystem(p: BenderParams, crit_tol: float = 1e-6) -> BenderEigensy
     canonical decomposition assembled from the normalized eigenvectors
     with signs (+1, +1).
     """
+    from .canonical import REAL_SIMPLE, BlockDescriptor, _decomposition
+    from .linalg import _require_positive
+    from .metric import build_metric
+
     if p.s == 0:
         raise ValidationError("eigensystem requires s != 0")
     _require_positive(crit_tol=crit_tol)
@@ -198,6 +211,8 @@ def bender_eigensystem(p: BenderParams, crit_tol: float = 1e-6) -> BenderEigensy
 
 
 def _check_alpha(alpha: float, crit_tol: float) -> float:
+    from .linalg import _require_positive
+
     if not np.isfinite(alpha):
         raise ValidationError("alpha must be finite")
     _require_positive(crit_tol=crit_tol)
@@ -286,6 +301,9 @@ def critical_sweep(r: float, s: float, theta_grid, probe=(1.0, 0.0),
     raises what the first row meeting one raises on its own. tol must be
     nonnegative, as for bender_classify.
     """
+    from .canonical import COMPLEX_PAIR, REAL_JORDAN
+    from .linalg import _require_positive
+
     if s == 0:
         raise ValidationError("sweep requires s != 0")
     _require_positive(crit_tol=crit_tol)

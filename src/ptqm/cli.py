@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import math
 import os
+import stat
 import sys
 
 # the BLAS fixes its thread count when numpy loads, and the rounding of a
@@ -31,11 +33,22 @@ import ptqm
 
 from . import config as cfgmod
 from .errors import NumericalError, ParseError, PreconditionError, ValidationError
-from .matio import load_matrix_file, load_vector_file, render_csv, render_json
+from .matio import csv_pieces, load_matrix_file, load_vector_file, render_csv, render_json
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as validation errors."""
+    """argparse that reports usage problems as validation errors. A
+    subcommand's parser adds its arguments (the arguments of
+    _add_arguments) when argparse first hands it a command line, so a
+    call builds the one argument table it parses."""
+
+    _pending = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending is not None:
+            pending, self._pending = self._pending, None
+            _add_arguments(self, *pending)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         raise ValidationError(message)
@@ -44,6 +57,8 @@ class _Parser(argparse.ArgumentParser):
 _PAIR = ("hamiltonian", "parity", "timereversal")
 _DECOMPOSE = ("val_tol", "tol", "cluster_tol", "rank_tol", "can_tol")
 _GRID = ("t_start", "t_end", "num_points")
+# the numbers in one block of a streamed CSV
+_CSV_BLOCK_CELLS = 1 << 16
 
 
 def _finite_float(text: str) -> float:
@@ -93,32 +108,42 @@ def _commands() -> dict:
     }
 
 
+# the arguments of each subcommand besides its positionals, --config,
+# --output and its settings: (flag, argparse keywords)
+_OWN_ARGUMENTS = {
+    "evolve": (("--t", {"type": _finite_float, "required": True}),
+               ("--normalize", {"action": "store_true"})),
+    "invariants": (("--summary", {"default": None,
+                                  "help": "write drift summary JSON to this path"}),),
+    "bender-sweep": tuple((flag, {"type": _finite_float, "required": True})
+                          for flag in ("--r", "--s", "--theta-min", "--theta-max"))
+                    + (("--steps", {"type": int, "required": True}),),
+    "stokes": (("--ex", {"required": True, "help": "re,im"}),
+               ("--ey", {"required": True, "help": "re,im"})),
+    "free-check": (("--c", {"type": _finite_float, "default": None,
+                            "help": "contraction scale; default from the uniform bound"}),),
+}
+
+
+def _add_arguments(sub: _Parser, positionals: tuple, settings: tuple, own: tuple) -> None:
+    for positional in positionals:
+        sub.add_argument(positional)
+    sub.add_argument("--config", default=None, help="config file path")
+    sub.add_argument("--output", "-o", default=None, help="write main output here")
+    for setting in settings:
+        sub.add_argument("--" + setting.replace("_", "-"),
+                         **_SETTING_FLAGS.get(setting, {"type": _finite_float}))
+    for flag, keywords in own:
+        sub.add_argument(flag, **keywords)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ptqm", description=__doc__, allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
-    sp = {}
     for name, (handler, help_text, positionals, settings) in _commands().items():
-        sp[name] = sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
-        for positional in positionals:
-            sub.add_argument(positional)
-        sub.add_argument("--config", default=None, help="config file path")
-        sub.add_argument("--output", "-o", default=None, help="write main output here")
-        for setting in settings:
-            sub.add_argument("--" + setting.replace("_", "-"),
-                             **_SETTING_FLAGS.get(setting, {"type": _finite_float}))
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        sub._pending = (positionals, settings, _OWN_ARGUMENTS.get(name, ()))
         sub.set_defaults(handler=handler)
-
-    sp["evolve"].add_argument("--t", type=_finite_float, required=True)
-    sp["evolve"].add_argument("--normalize", action="store_true")
-    sp["invariants"].add_argument("--summary", default=None,
-                                  help="write drift summary JSON to this path")
-    for flag in ("--r", "--s", "--theta-min", "--theta-max"):
-        sp["bender-sweep"].add_argument(flag, type=_finite_float, required=True)
-    sp["bender-sweep"].add_argument("--steps", type=int, required=True)
-    sp["stokes"].add_argument("--ex", required=True, help="re,im")
-    sp["stokes"].add_argument("--ey", required=True, help="re,im")
-    sp["free-check"].add_argument("--c", type=_finite_float, default=None,
-                                  help="contraction scale; default from the uniform bound")
     return parser
 
 
@@ -157,17 +182,62 @@ def _matrix_doc(a: np.ndarray) -> dict:
     return {"dim": a.shape[0], "rows": np.asarray(a, dtype=complex)}
 
 
-def _write_file(path: str, text: str) -> None:
+def _write_file(path: str, pieces) -> None:
+    """Write the text pieces to path in place, as they come."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_whole(path: str, pieces) -> None:
+    """Write the text pieces to path whole or not at all, when path
+    resolves through symlinks to a regular file or to nothing: into a new
+    file beside that file, which takes its permission bits and is renamed
+    over it once the last piece is written, and is removed if any piece
+    fails. Any other path (a device, a pipe, /dev/fd/N of a pipe, a
+    directory) is written in place. An error names path, as
+    open(path, "w") would."""
+    target = os.path.realpath(path)
+    try:
+        found = os.stat(target)
+        whole = stat.S_ISREG(found.st_mode) and os.path.samestat(found, os.stat(path))
+    except FileNotFoundError:
+        # the symlinks of /dev/fd/N resolve to no path when N is a pipe
+        found, whole = None, not os.path.exists(path)
+    except OSError:
+        whole = False
+    if not whole:
+        _write_file(path, pieces)
+        return
+    head, tail = os.path.split(target)
+    partial = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.partial")
+    created = False
+    try:
+        # a rename would replace a file that open(path, "w") may not write
+        if found is not None and not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        with open(partial, "x", encoding="utf-8", newline="") as fh:
+            created = True
+            if found is not None:
+                os.chmod(fh.fileno(), found.st_mode & 0o777)
+            for piece in pieces:
+                fh.write(piece)
+        os.replace(partial, target)
+        created = False
+    except OSError as exc:
+        named = OSError(exc.errno, exc.strerror, path) if exc.filename is not None else exc
+        raise ValidationError(f"cannot write {path}: {named}") from exc
+    finally:
+        if created:
+            os.unlink(partial)
+
+
 def _emit(args, text: str) -> None:
     if args.output:
-        _write_file(args.output, text)
+        _write_file(args.output, [text])
     else:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -249,10 +319,20 @@ def cmd_invariants(args, cfg) -> None:
     entries = range(1, d + 1)
     header = ["t", *(f"{part}_R_{i}_{j}" for i in entries for j in entries
                      for part in ("re", "im")), "re_eta_trace", "im_eta_trace"]
+    coefficients = report.coefficient_series.reshape(n, -1)
+    step = max(1, _CSV_BLOCK_CELLS // len(header))
     # a complex array viewed as floats interleaves re and im, as the header does
-    table = np.column_stack([report.times, report.coefficient_series.reshape(n, -1).view(float),
-                             report.eta_trace_series.view(float).reshape(n, 2)])
-    _emit(args, render_csv(header, table))
+    blocks = (np.column_stack([report.times[k:k + step], coefficients[k:k + step].view(float),
+                               report.eta_trace_series[k:k + step].view(float).reshape(-1, 2)])
+              for k in range(0, n, step))
+    pieces = csv_pieces(header, blocks)
+    if args.output:
+        _write_whole(args.output, pieces)
+    else:
+        # stdout takes each block as it renders
+        for piece in pieces:
+            sys.stdout.write(piece)
+        sys.stdout.flush()
     if args.summary:
         summary = {
             "class": report.case_tag.tag,
@@ -260,7 +340,7 @@ def cmd_invariants(args, cfg) -> None:
             "overflow_risk": report.overflow_risk,
             "t_cap": report.t_cap,
         }
-        _write_file(args.summary, render_json(summary) + "\n")
+        _write_file(args.summary, [render_json(summary) + "\n"])
 
 
 def cmd_bender_sweep(args, cfg) -> None:

@@ -16,7 +16,10 @@ free-check, dilate and invariants over short grids at d = 48, and
 invariants for a conjugate pair at d = 4 out to a time where rho(t)
 nears 1e200, then canonical and metric for an unbroken H at d = 200,
 a size where the rounding of a product depends on the BLAS thread
-count. Exit code, stdout, stderr and the --summary file are recorded.
+count, then invariants for the d = 48 unbroken H on the default
+201-point grid, whose CSV is written in several blocks. Exit code,
+stdout, stderr, the --summary file and the series.csv file that an
+--output line writes are recorded.
 
 The d = 48, d = 4 and d = 200 inputs come from seeded numpy generators
 in this script, written once into the scratch directory, so both trees
@@ -30,9 +33,9 @@ rounding level, so it cannot show that a refactoring left the output
 alone. This script compares the two trees with each other instead.
 
 It prints the name of every line whose record differs (with both exit
-codes and stderr texts, and, for a differing stdout or summary, the
-largest numeric difference: its JSON path or CSV column and the value
-under each tree) and one sha256 per tree over all records, with
+codes and stderr texts, and, for a differing stdout, summary or output
+file, the largest numeric difference: its JSON path or CSV column and
+the value under each tree) and one sha256 per tree over all records, with
 the input and scratch directories written as {inputs} and {tmp} so
 the digests do not depend on where the script runs. The exit status
 is 1 when any line differs.
@@ -165,6 +168,12 @@ _EXTRA = [
     ("sweep-overflowing-ratio", ["bender-sweep", "--r", "1e10", "--s", "1e-300",
                                  "--theta-min", "-1", "--theta-max", "1", "--steps", "3"]),
     ("dilate-slack-1", ["dilate", *_U2, "{inputs}/rho_unbroken2.json", "--slack", "1"]),
+    # help texts, which list the arguments of the subcommand asked for
+    ("help", ["--help"]),
+    ("help-invariants", ["invariants", "--help"]),
+    ("help-stokes", ["stokes", "--help"]),
+    ("invariants-output", ["invariants", *_U2, "{inputs}/rho_unbroken2.json",
+                           "--output", "{tmp}/series.csv"]),
 ]
 
 # the d = 48 cases: (name, spectrum, pair shape), every pair shape once
@@ -256,7 +265,9 @@ def _large_lines() -> list:
                                       "--num-points", "5", "--summary", "{summary}"]),
     ] + [(f"{command}-unbroken200", [command, *(f"{{tmp}}/{prefix}_unbroken200.json"
                                                 for prefix in ("h", "p", "t"))])
-         for command in ("canonical", "metric")]
+         for command in ("canonical", "metric")] + [
+        ("invariants-unbroken48-default-grid", ["invariants", *hpt["unbroken48"], rho]),
+    ]
 
 
 def _lines() -> list:
@@ -265,10 +276,12 @@ def _lines() -> list:
 
 
 def _run(src: Path, argv: list, tmp: Path) -> dict:
-    """Exit code, stdout, stderr and --summary text of one line under src,
-    with the input and scratch directories written back as placeholders."""
-    summary = tmp / "summary.json"
+    """Exit code, stdout, stderr, --summary text and series.csv text of
+    one line under src, with the input and scratch directories written
+    back as placeholders."""
+    summary, output = tmp / "summary.json", tmp / "series.csv"
     summary.unlink(missing_ok=True)
+    output.unlink(missing_ok=True)
     places = {"{inputs}": str(INPUTS), "{tmp}": str(tmp), "{summary}": str(summary)}
     for key, value in places.items():
         argv = [a.replace(key, value) for a in argv]
@@ -276,7 +289,8 @@ def _run(src: Path, argv: list, tmp: Path) -> dict:
     proc = subprocess.run([sys.executable, "-m", "ptqm.cli", *argv], cwd=tmp, env=env,
                           capture_output=True, text=True, timeout=300)
     record = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
-              "summary": summary.read_text(encoding="utf-8") if summary.exists() else None}
+              "summary": summary.read_text(encoding="utf-8") if summary.exists() else None,
+              "output": output.read_text(encoding="utf-8") if output.exists() else None}
     text = json.dumps(record)
     for key in ("{summary}", "{tmp}", "{inputs}"):
         text = text.replace(json.dumps(places[key])[1:-1], key)
@@ -353,7 +367,7 @@ def main(argv: list) -> int:
                 if "exit" in fields or "stderr" in fields:
                     print(f"  A exit {a['exit']}: {a['stderr'].rstrip()}")
                     print(f"  B exit {b['exit']}: {b['stderr'].rstrip()}")
-                for field in ("stdout", "summary"):
+                for field in ("stdout", "summary", "output"):
                     largest = _largest_difference(a[field], b[field]) if field in fields else None
                     if largest is not None:
                         key, va, vb = largest

@@ -4,18 +4,21 @@ import dataclasses
 import importlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ptqm
-from ptqm import cli, dynamics, linalg
+from ptqm import cli, dynamics, linalg, matio
 from ptqm.bender import BenderParams, bender_hamiltonian
 from ptqm.cli import main
 from ptqm.config import RunConfig
+from ptqm.errors import ValidationError
 from ptqm.matio import load_matrix_file, render_json
 from ptqm.sampling import random_instance
 
@@ -875,16 +878,154 @@ def test_real_matrix_renders_as_complex_pairs():
 def test_invariants_csv_too_large_for_memory_is_numerical(files, capsys, monkeypatch):
     """The series fits but its CSV text does not: one error line, exit 4."""
     paths, _ = files
-    calls = []
 
-    def format_float(x):
-        calls.append(x)
-        if len(calls) > 10:
-            raise MemoryError
-        return repr(x)
+    def csv_rows(rows):
+        raise MemoryError
 
-    monkeypatch.setattr("ptqm.matio.format_float", format_float)
+    # the function that renders one block of rows
+    monkeypatch.setattr("ptqm.matio._csv_rows", csv_rows)
     code, out, err = run(capsys, ["invariants", paths["h_unbroken"], paths["p_swap"],
                                   paths["t_id"], paths["rho"]])
     assert (code, out) == (4, "")
     assert err == '{"error":"numerical","detail":"the CSV output does not fit in memory"}\n'
+
+
+def _failing_after_first_block(monkeypatch):
+    """Render every block of rows after the first as a failure."""
+    blocks = []
+    render = matio._csv_rows
+
+    def csv_rows(rows):
+        blocks.append(rows)
+        if len(blocks) > 1:
+            raise ValidationError("cannot render non-finite value nan")
+        return render(rows)
+
+    monkeypatch.setattr("ptqm.matio._csv_rows", csv_rows)
+    # one row per block
+    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", 1)
+
+
+@pytest.mark.parametrize("existing", [None, "kept\n"])
+def test_invariants_output_is_written_whole_or_not_at_all(files, capsys, monkeypatch, existing):
+    """A render failure after the first block leaves no --output file, or
+    the file that was there, and no partial file beside it."""
+    paths, tmp_path = files
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "series.csv"
+    if existing is not None:
+        target.write_text(existing)
+    _failing_after_first_block(monkeypatch)
+    code, out, err = run(capsys, ["invariants", paths["h_unbroken"], paths["p_swap"],
+                                  paths["t_id"], paths["rho"], "--num-points", "5",
+                                  "--output", str(target)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "validation",
+                               "detail": "cannot render non-finite value nan"}
+    if existing is None:
+        assert list(out_dir.iterdir()) == []
+    else:
+        assert list(out_dir.iterdir()) == [target]
+        assert target.read_text() == existing
+
+
+def test_invariants_stdout_holds_the_rows_before_a_failure(files, capsys, monkeypatch):
+    paths, _ = files
+    argv = ["invariants", paths["h_unbroken"], paths["p_swap"], paths["t_id"], paths["rho"],
+            "--num-points", "5"]
+    _, whole, _ = run(capsys, argv)
+    _failing_after_first_block(monkeypatch)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and json.loads(err)["error"] == "validation"
+    # the header and the first row
+    assert out == "".join(whole.splitlines(keepends=True)[:2])
+
+
+@pytest.mark.parametrize("cells", [1, 100])
+def test_invariants_csv_bytes_do_not_depend_on_the_block_size(files, capsys, monkeypatch,
+                                                               tmp_path, cells):
+    paths, _ = files
+    argv = ["invariants", paths["h_unbroken"], paths["p_swap"], paths["t_id"], paths["rho"],
+            "--num-points", "9"]
+    _, whole, _ = run(capsys, argv)
+    assert len(whole.splitlines()) == 10
+    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", cells)
+    assert run(capsys, argv) == (0, whole, "")
+    target = tmp_path / "series.csv"
+    assert run(capsys, argv + ["--output", str(target)]) == (0, "", "")
+    assert target.read_text() == whole
+    assert list(tmp_path.glob(".series.csv.*")) == []
+
+
+def _invariants_argv(paths):
+    return ["invariants", paths["h_unbroken"], paths["p_swap"], paths["t_id"], paths["rho"],
+            "--num-points", "5"]
+
+
+def test_invariants_output_keeps_the_files_mode_and_a_symlink(files, capsys, tmp_path):
+    """A regular file reached through a symlink is replaced whole, with
+    its permission bits, and the symlink stays."""
+    paths, _ = files
+    _, whole, _ = run(capsys, _invariants_argv(paths))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "series.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = out_dir / "link.csv"
+    link.symlink_to(target)
+    assert run(capsys, _invariants_argv(paths) + ["--output", str(link)]) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == whole
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in out_dir.iterdir()) == ["link.csv", "series.csv"]
+
+
+def test_invariants_output_to_a_fifo_is_written_in_place(files, capsys, tmp_path):
+    """A path that is not a regular file, here a symlink to a FIFO, is
+    opened and written as it is; nothing is created beside it."""
+    paths, _ = files
+    _, whole, _ = run(capsys, _invariants_argv(paths))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    fifo = out_dir / "fifo"
+    os.mkfifo(fifo)
+    link = out_dir / "link"
+    link.symlink_to(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run(capsys, _invariants_argv(paths) + ["--output", str(link)]) == (0, "", "")
+    reader.join(timeout=60)
+    assert received == [whole]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode) and link.is_symlink()
+    assert sorted(p.name for p in out_dir.iterdir()) == ["fifo", "link"]
+
+
+def test_invariants_output_to_an_open_pipe_is_written_in_place(files, capsys):
+    """/dev/fd/N of a pipe, the path a shell's process substitution
+    gives, resolves to no file name and is written through."""
+    paths, _ = files
+    _, whole, _ = run(capsys, _invariants_argv(paths))
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end) as reader:
+        try:
+            assert run(capsys, _invariants_argv(paths)
+                       + ["--output", f"/dev/fd/{write_end}"]) == (0, "", "")
+        finally:
+            os.close(write_end)
+        assert reader.read() == whole
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_invariants_output_is_validation(files, capsys, tmp_path, target):
+    """The error names the path, as open(path, "w") words it."""
+    paths, _ = files
+    path = tmp_path / "no" / "x.csv" if target == "missing_dir" else tmp_path
+    code, out, err = run(capsys, _invariants_argv(paths) + ["--output", str(path)])
+    assert (code, out) == (2, "")
+    reason = ("[Errno 2] No such file or directory" if target == "missing_dir"
+              else "[Errno 21] Is a directory")
+    assert json.loads(err) == {"error": "validation",
+                               "detail": f"cannot write {path}: {reason}: '{path}'"}

@@ -225,3 +225,69 @@ def test_embedded_margin_between_the_gates_is_not_psd(monkeypatch):
                         lambda decomp, t: np.repeat(u[None] / c, len(t), axis=0))
     with pytest.raises(NotPositiveSemidefiniteError, match="below the positive semidefinite floor"):
         embedded_evolution_check(h, pair, np.eye(3) / 3, TimeGrid(0.0, 1.0, 5), decomp=dec)
+
+
+def _trace_distances(delta):
+    """0.5 ||delta_k||_1 for every matrix of the stack, from eigvalsh."""
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
+
+
+def _eigvalsh_frobenius(delta):
+    """Frobenius norm of the Hermitian matrix eigvalsh reads: the real
+    diagonal and the strict lower triangle."""
+    lower = np.tril(delta, -1)
+    return np.sqrt(np.sum(np.diagonal(delta, axis1=-2, axis2=-1).real ** 2, axis=-1)
+                   + 2.0 * np.sum(np.abs(lower) ** 2, axis=(-2, -1)))
+
+
+def test_max_trace_distance_skips_points_that_cannot_be_the_maximum(monkeypatch):
+    """The maximum sits at a point without the largest F, and a point
+    whose bound sqrt(d) F / 2 is below it is never decomposed."""
+    delta = np.array([0.7 * np.diag([1.0, -1.0, 1.0, -1.0]),  # F 1.4, value 1.4
+                      np.diag([1.5, 0.0, 0.0, 0.0]),          # F 1.5, value 0.75
+                      np.diag([1e-3, 0.0, 0.0, 0.0])], dtype=complex)
+    values = _trace_distances(delta)
+    assert np.argmax(_eigvalsh_frobenius(delta)) != np.argmax(values)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        seen.extend(np.asarray(a).reshape(-1, 4, 4)[:, 0, 0].real.tolist())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert dilation._max_trace_distance(delta, 0.0) == np.max(values)
+    assert sorted(seen) == [0.7, 1.5]
+    assert dilation._max_trace_distance(delta, 2.0) == 2.0
+
+
+def test_embedded_max_deviation_equals_the_unpruned_maximum(monkeypatch):
+    """On random unbroken instances, d = 2 ... 16, max_deviation is the
+    float that decomposing every grid point gives, including instances
+    whose maximum sits at a point without the largest F."""
+    from ptqm.sampling import random_instance
+
+    deltas = []
+
+    def unpruned(delta, best):
+        deltas.append(delta)
+        return max(best, float(np.max(_trace_distances(delta))))
+
+    elsewhere = 0
+    for d in (2, 3, 4, 8, 16):
+        for seed in range(4):
+            inst = random_instance(np.random.default_rng(seed), d, "unbroken")
+            g = np.random.default_rng(100 + seed).normal(size=(d, d, 2)) @ np.array([1, 1j])
+            rho = g @ g.conj().T
+            rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+            grid = TimeGrid(0.0, 10.0, 201)
+            pruned = embedded_evolution_check(inst["h"], inst["pair"], rho, grid).max_deviation
+            deltas.clear()
+            with monkeypatch.context() as m:
+                m.setattr(dilation, "_max_trace_distance", unpruned)
+                full = embedded_evolution_check(inst["h"], inst["pair"], rho, grid).max_deviation
+            assert pruned == full, (d, seed)
+            stack = np.concatenate(deltas)
+            elsewhere += np.argmax(_eigvalsh_frobenius(stack)) != np.argmax(
+                _trace_distances(stack))
+    assert elsewhere > 0

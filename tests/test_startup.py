@@ -160,8 +160,8 @@ _LOADS = {
     "inner_unbroken2": _METRIC,
     "evolve_unbroken2": _DYNAMICS,
     "invariants_unbroken2": _DYNAMICS,
-    "bender-sweep": _METRIC | {"ptqm.bender"},
-    "stokes": _METRIC | {"ptqm.bender"},
+    "bender-sweep": _DECOMPOSE | {"ptqm.bender"},
+    "stokes": {"ptqm.bender"},
     "dilate_unbroken2": _DILATE,
     "free-check_unbroken2": _DILATE | {"ptqm.superposition"},
     "missing-file": set(),
@@ -196,3 +196,20 @@ print(json.dumps([name for name, value in values.items() if name not in dir(ptqm
                   or not any(getattr(mod, name, None) is value for mod in modules)]))
 """))
     assert unresolved == []
+
+
+def test_a_call_builds_only_its_subcommands_arguments(monkeypatch, capsys):
+    """Every subcommand has its parser, but only the one a command line
+    names holds arguments beyond -h."""
+    from ptqm import cli
+
+    built, build_parser = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build_parser()) or built[-1])
+    assert cli.main(["stokes", "--ex=1,0", "--ey=0,1"]) == 0
+    assert capsys.readouterr().err == ""
+    (parser,) = built
+    (subparsers,) = parser._subparsers._group_actions
+    assert set(subparsers.choices) == set(cli._commands())
+    holding = {name for name, sub in subparsers.choices.items()
+               if [action.dest for action in sub._actions] != ["help"]}
+    assert holding == {"stokes"}
