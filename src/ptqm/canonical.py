@@ -61,8 +61,9 @@ class CanonicalDecomposition:
     first (ascending Re, the Im > 0 member leading inside each pair),
     then real blocks ascending by eigenvalue then order. layout is the
     column layout of those units, from which J and K are built; K is
-    exact (0/1 entries). pt is the P T the decomposition was built
-    with. h_norm is ||H||_2, computed once here for every later scale.
+    exact (0/1 entries). pt is the P T and can_tol the residual
+    tolerance the decomposition was built with. h_norm is ||H||_2,
+    computed once here for every later scale.
     warning is set when the structure was decided inside the clustering
     tolerance band or Psi is badly conditioned.
 
@@ -85,6 +86,7 @@ class CanonicalDecomposition:
     condition_number: float
     warning: str | None
     pt_tested: bool
+    can_tol: float
 
     @property
     def dim(self) -> int:
@@ -229,13 +231,7 @@ def _decomposition(h: np.ndarray, h_norm: float, pair: PTPair, psi: np.ndarray,
     sing = np.linalg.svd(psi, compute_uv=False)
     cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
 
-    defects = _canonical_defects(h, pair.pt, psi, j, k)
-    bounds = can_tol * np.array([max(1.0, h_norm), max(1.0, float(sing[0]))])
-    if not norm_within(defects, bounds).all():
-        sim_res, krel_res = operator_norm(defects).tolist()
-        raise IllConditionedError(
-            f"canonical residuals exceed tolerance (similarity {sim_res:.3e}, "
-            f"K-relation {krel_res:.3e})", residual=max(sim_res, krel_res))
+    _residual_gate(h, h_norm, pair.pt, psi, j, k, can_tol, float(sing[0]))
 
     warning = None
     if in_band:
@@ -257,4 +253,28 @@ def _decomposition(h: np.ndarray, h_norm: float, pair: PTPair, psi: np.ndarray,
         condition_number=cond,
         warning=warning,
         pt_tested=pt_tested,
+        can_tol=can_tol,
     )
+
+
+def _residual_gate(h: np.ndarray, h_norm: float, pt: np.ndarray, psi: np.ndarray,
+                   j: np.ndarray, k: np.ndarray, can_tol: float, psi_norm: float) -> None:
+    """Raise IllConditionedError, naming both exact residuals, unless the
+    similarity defect is within can_tol * max(1, ||H||_2) and the
+    K-relation defect within can_tol * max(1, ||Psi||_2)."""
+    defects = _canonical_defects(h, pt, psi, j, k)
+    bounds = can_tol * np.array([max(1.0, h_norm), max(1.0, psi_norm)])
+    if not norm_within(defects, bounds).all():
+        sim_res, krel_res = operator_norm(defects).tolist()
+        raise IllConditionedError(
+            f"canonical residuals exceed tolerance (similarity {sim_res:.3e}, "
+            f"K-relation {krel_res:.3e})", residual=max(sim_res, krel_res))
+
+
+def _regate(decomp: CanonicalDecomposition) -> None:
+    """Re-run on a given decomposition the residual gate it passed when
+    _decomposition built it, at its can_tol, with J and K rebuilt from
+    its layout, which is what the closed-form evolution reads."""
+    j, k = decomp.layout.matrices()
+    _residual_gate(decomp.hamiltonian, decomp.h_norm, decomp.pt, decomp.Psi, j, k,
+                   decomp.can_tol, operator_norm(decomp.Psi))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalDecomposition, SpectralClass, pt_canonical_form
+from .canonical import CanonicalDecomposition, SpectralClass, _regate, pt_canonical_form
 from .errors import (DimensionError, InvalidDensityError, NumericalError, PreconditionError,
                      ValidationError)
 from .linalg import (MAX_GRID_POINTS, _within_scale, as_square, dagger, first_index,
@@ -103,14 +103,21 @@ def _own_decomposition(h, pair: PTPair, decomp: CanonicalDecomposition | None,
     """The canonical decomposition of H at settings, unless decomp is
     given: the one decompose-or-check step of the three grid analyses.
 
-    A given decomp must be the decomposition of H itself (ValidationError
-    otherwise): a caller given the decomposition of another H would
-    report on that H's dynamics.
+    A given decomp must be the decomposition of H itself, built under the
+    PT of pair (ValidationError otherwise): a caller given the
+    decomposition of another H, or under another PT, would report on
+    that decomposition and ignore its own input. It must also still pass
+    the residual gate it passed when it was built (IllConditionedError
+    otherwise): a layout moved after the gate would evolve by another H,
+    while every per-point check compares the decomposition with itself.
     """
     if decomp is None:
         return pt_canonical_form(h, pair, **settings)
     if not np.array_equal(decomp.hamiltonian, h):
         raise ValidationError("decomp is the canonical decomposition of another H")
+    if not np.array_equal(decomp.pt, pair.pt):
+        raise ValidationError("decomp was built under another PT")
+    _regate(decomp)
     return decomp
 
 

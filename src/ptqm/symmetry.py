@@ -14,7 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .linalg import _require_positive, as_square, as_vector, norm_within, operator_norm
+from .linalg import (_EPS, _require_positive, _screened, as_square, as_vector, norm_within,
+                     operator_norm)
 
 
 _IDENTITIES = ("parity_involution", "time_reversal_involution", "commutation", "pt_involution")
@@ -25,6 +26,25 @@ def _defects(p: np.ndarray, t: np.ndarray, pt: np.ndarray) -> np.ndarray:
     eye = np.eye(p.shape[0])
     return np.stack([p @ p - eye, t @ np.conj(t) - eye, pt - t @ np.conj(p),
                      pt @ np.conj(pt) - eye])
+
+
+def _cleared_in_real(p: np.ndarray, t: np.ndarray, pt: np.ndarray, val_tol: float) -> bool:
+    """Whether the Frobenius screen of linalg.norm_within clears the four
+    defects of a pair with no imaginary part, computed from the real parts.
+
+    Each defect holds one product X Y of two of P, T and PT, whose real
+    and complex evaluations both lie within gamma_2n |X| |Y| of the exact
+    one (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    sec. 3.5): so a real and a complex defect differ by at most about
+    2 n eps s^2 in 2-norm, s the largest Frobenius norm of P, T and PT.
+    The real screen runs only where 10 n eps s^2 <= val_tol. A defect it
+    clears, ||D||_F <= val_tol / 2, then has a complex counterpart of
+    2-norm at most about val_tol / 2 + val_tol / 5, so the complex gate
+    accepts every pair this one does.
+    """
+    real = [np.ascontiguousarray(m.real) for m in (p, t, pt)]
+    room = 10 * p.shape[0] * _EPS * max(np.vdot(m, m) for m in real)
+    return room <= val_tol and bool(_screened(_defects(*real), np.asarray(val_tol)).all())
 
 
 def _residuals(defects: np.ndarray) -> dict:
@@ -64,9 +84,16 @@ def validate_pt_pair(p, t, val_tol: float = 1e-10) -> PTPair:
     (PT) conj(PT) = I. Raises a validation error naming every violated
     identity; the error carries the full residual table.
 
-    The gate is ||D||_2 <= val_tol for every defect D, decided by
-    linalg.norm_within: the exact 2-norms are taken only when some
-    defect fails its Frobenius screen.
+    The gate is ||D||_2 <= val_tol for every defect D. When P and T have
+    no imaginary part, the defects are first computed in real arithmetic
+    and held to the Frobenius screen of linalg.norm_within, with room for
+    the rounding by which they can differ from the complex ones
+    (_cleared_in_real); a pair that screen clears is accepted. Any other
+    pair falls back to the complex defects, decided by norm_within,
+    whose exact 2-norms are taken only when some defect fails its
+    Frobenius screen, and the error is worded from those exact norms.
+    So the decision, the message and the residuals are those of the
+    complex gate, and pt is the complex product P @ T either way.
     """
     p = as_square(p, "P")
     t = as_square(t, "T")
@@ -75,6 +102,8 @@ def validate_pt_pair(p, t, val_tol: float = 1e-10) -> PTPair:
     _require_positive(val_tol=val_tol)
 
     pt = p @ t
+    if not (p.imag.any() or t.imag.any()) and _cleared_in_real(p, t, pt, val_tol):
+        return PTPair(parity=p, time_reversal=t, pt=pt, val_tol=val_tol)
     defects = _defects(p, t, pt)
     ok = norm_within(defects, val_tol)
     if not ok.all():

@@ -9,7 +9,8 @@ golden lines of cases.json, then a fixed list of failing and edge
 lines (one per error kind, plus non-finite numbers in flags, probes
 and config files, plus classify, canonical and metric on two 2 x 2 H
 whose entries lie near 1e-170 and near 1e200, which put every residual
-gate at the edges of the float range), then sweeps that between them
+gate at the edges of the float range, plus canonical for a golden H
+with T = e^{i pi / 3} I, a pair with an imaginary part), then sweeps that between them
 hold every kind of row, then classify, canonical and metric at d = 48
 for an unbroken, a conjugate-pair and an exceptional-point H, and
 free-check, dilate and invariants over short grids at d = 48, and
@@ -90,6 +91,10 @@ _FILES = {
     "cfg_probe_nan.json": '{"probe": [[NaN, 0], [0, 1]]}',
     "cfg_t_nan.json": '{"t_start": NaN}',
     "cfg_tol_inf.json": '{"tol": Infinity}',
+    # T = e^{i pi / 3} I, a time reversal with an imaginary part
+    "t_phase4.json": json.dumps({"dim": 4, "rows": [[[0.5, 0.8660254037844386] if i == j
+                                                     else [0.0, 0.0] for j in range(4)]
+                                                    for i in range(4)]}),
 }
 
 _U2 = [f"{{inputs}}/{n}_unbroken2.json" for n in ("h", "p", "t")]
@@ -174,6 +179,9 @@ _EXTRA = [
     ("help-stokes", ["stokes", "--help"]),
     ("invariants-output", ["invariants", *_U2, "{inputs}/rho_unbroken2.json",
                            "--output", "{tmp}/series.csv"]),
+    # a valid pair with a complex T, which the pair gate decides in complex arithmetic
+    ("canonical-unbroken4-phase-t", ["canonical", "{inputs}/h_unbroken4.json",
+                                     "{inputs}/p_unbroken4.json", "{tmp}/t_phase4.json"]),
 ]
 
 # the d = 48 cases: (name, spectrum, pair shape), every pair shape once

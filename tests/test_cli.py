@@ -1029,3 +1029,36 @@ def test_unwritable_invariants_output_is_validation(files, capsys, tmp_path, tar
               else "[Errno 21] Is a directory")
     assert json.loads(err) == {"error": "validation",
                                "detail": f"cannot write {path}: {reason}: '{path}'"}
+
+
+def test_invariants_output_through_a_symlink_loop_is_validation(files, capsys, tmp_path):
+    """A path whose stat fails other than by absence (ELOOP) is opened as
+    it is, and open words the error."""
+    paths, _ = files
+    loop = tmp_path / "loop"
+    loop.symlink_to(tmp_path / "back")
+    (tmp_path / "back").symlink_to(loop)
+    code, out, err = run(capsys, _invariants_argv(paths) + ["--output", str(loop)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "validation",
+        "detail": f"cannot write {loop}: [Errno 40] Too many levels of symbolic links: '{loop}'"}
+
+
+def test_invariants_output_to_a_file_it_may_not_write_is_validation(files, capsys, tmp_path,
+                                                                     monkeypatch):
+    """A regular file that os.access says is not writable is not replaced
+    by a rename: the error is open's, and the file and its directory stay
+    as they were. (os.access is planted, as a root user may write any file.)"""
+    paths, _ = files
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "series.csv"
+    target.write_text("kept\n")
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    code, out, err = run(capsys, _invariants_argv(paths) + ["--output", str(target)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "validation",
+        "detail": f"cannot write {target}: [Errno 13] Permission denied: '{target}'"}
+    assert list(out_dir.iterdir()) == [target] and target.read_text() == "kept\n"

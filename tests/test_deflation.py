@@ -432,6 +432,24 @@ def _spectrum(diagonal, w, scale=1.0):
     return ClusteredSpectrum(a, scale, w, np.eye(len(w), dtype=complex), np.arange(len(w)), w)
 
 
+def test_deflation_with_a_singular_complement_is_ill_conditioned():
+    """A = I with a two-member cluster at 1: the complement p^H A p - 1 is
+    exactly zero, so the Newton step has no inverse to take."""
+    spectrum = ClusteredSpectrum(np.eye(3, dtype=complex), 1.0, np.ones(3, dtype=complex),
+                                 np.eye(3, dtype=complex), np.array([0, 0, 1]),
+                                 np.ones(2, dtype=complex))
+    with pytest.raises(IllConditionedError, match="^refinement did not isolate the eigenvalue "
+                                                  "cluster$"):
+        linalg._deflate_cluster(spectrum, np.array([0, 1]), 1.0, 0.1, 1e-12)
+
+
+def test_chains_of_a_block_that_is_not_nilpotent_are_refused():
+    """Every power of I has full rank, so no power reaches nullity m."""
+    with pytest.raises(IllConditionedError, match="^cluster block is not nilpotent at the "
+                                                  "working tolerance$"):
+        linalg._nilpotent_chains(np.eye(2, dtype=complex), 1e-10, 1e-12)
+
+
 def _first_vector(spectrum, rep, conj_mat=None):
     """The vector of simple cluster 0, fixed under v -> conj_mat conj(v) when given."""
     [[v]] = _cluster_chains(spectrum, [(0, complex(rep))], 1e-10, conj_mat)[0]

@@ -19,7 +19,7 @@ from ptqm.dynamics import (
     propagator_stack,
     validate_density,
 )
-from ptqm.errors import InvalidDensityError, PreconditionError, ValidationError
+from ptqm.errors import InvalidDensityError, NumericalError, PreconditionError, ValidationError
 from ptqm.linalg import matrix_exponential, operator_norm
 from ptqm.matio import load_matrix_file
 from ptqm.metric import basis_coefficients
@@ -254,3 +254,21 @@ def test_validate_density_rejects_a_nan_tolerance():
     """A NaN tolerance used to pass a matrix that is not even Hermitian."""
     with pytest.raises(ValidationError, match="^tol must be positive, got nan"):
         validate_density(np.array([[2.0, 5.0], [0.0, -1.0]]), tol=np.nan)
+
+
+def test_invariants_series_too_large_for_memory_is_numerical(monkeypatch):
+    """An allocation of the coefficient series that fails is named, with
+    its size, as a NumericalError, not left as a MemoryError."""
+    h = np.array([[1.0, 0.5], [0.5, 1.0]])
+    pair = validate_pt_pair(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+    empty = np.empty
+
+    def failing(shape, *args, **kwargs):
+        if shape == (7, 2, 2):
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", failing)
+    with pytest.raises(NumericalError, match="^the coefficient series of 7 points at d = 2 "
+                                             "does not fit in memory$"):
+        invariant_report(h, pair, np.eye(2) / 2, TimeGrid(0.0, 1.0, 7))

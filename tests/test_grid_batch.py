@@ -9,6 +9,7 @@ and the dense exponential with one Kraus-defect scan per point for the
 free-operation check.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -24,8 +25,9 @@ from ptqm.canonical import COMPLEX_PAIR, pt_canonical_form
 from ptqm.dilation import embedded_evolution_check, halmos_dilation, uniform_bound
 from ptqm.dynamics import (TimeGrid, default_grid, invariant_report, propagator, propagator_stack,
                            validate_density)
-from ptqm.errors import (DegeneratePostSelectionError, NumericalError, PreconditionError,
-                         ValidationError)
+from ptqm.errors import (DegeneratePostSelectionError, IllConditionedError, NumericalError,
+                         PreconditionError, ValidationError)
+from ptqm.linalg import operator_norm
 from ptqm.metric import basis_coefficients
 from ptqm.superposition import free_basis, free_kraus_defect, verify_free_evolution
 from ptqm.symmetry import validate_pt_pair
@@ -419,6 +421,74 @@ def test_analyses_reject_the_decomposition_of_another_hamiltonian(foreign):
         with pytest.raises(ValidationError, match="another H"):
             run(decomp)
         run(pt_canonical_form(h, pair))
+
+
+def test_analyses_reject_a_decomposition_built_under_another_pt():
+    """H is PT-symmetric under both (I, I) and (flip, I); a decomposition
+    built under the flip, given with the pair (I, I), would be read while
+    the pair passed in is ignored."""
+    h = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 1.0]])
+    pair = validate_pt_pair(np.eye(3), np.eye(3))
+    flipped = pt_canonical_form(h, validate_pt_pair(np.eye(3)[::-1], np.eye(3)))
+    rho = np.eye(3) / 3
+    grid = TimeGrid(0.0, 1.0, 5)
+    c = 0.5 * uniform_bound(flipped)
+    analyses = {
+        "invariants": lambda dec: invariant_report(h, pair, rho, grid, decomp=dec),
+        "dilation": lambda dec: embedded_evolution_check(h, pair, rho, grid, decomp=dec),
+        "free": lambda dec: verify_free_evolution(h, pair, c, grid, decomp=dec),
+    }
+    for name, run in analyses.items():
+        with pytest.raises(ValidationError, match="^decomp was built under another PT$"):
+            run(flipped)
+        run(pt_canonical_form(h, pair))
+
+
+def test_analyses_reject_a_decomposition_whose_layout_was_moved():
+    """A decomposition of H itself whose layout eigenvalues and J are
+    shifted by 1e-3 evolves by another H: at d = 4 its propagator is
+    1.4e-2 from expm(-10iH) at t = 10. Each analysis re-runs the residual
+    gate the decomposition passed when it was built, with J and K from its
+    layout and the can_tol it was built with, and names both residuals."""
+    h, pair, rho, _ = real_instance(4, "unbroken", seed=17)
+    decomp = pt_canonical_form(h, pair)
+    moved = dataclasses.replace(
+        decomp, J=decomp.J + 1e-3 * np.eye(4),
+        layout=dataclasses.replace(decomp.layout,
+                                   eigenvalues=decomp.layout.eigenvalues + 1e-3))
+    assert np.array_equal(moved.hamiltonian, h)
+    drift = np.linalg.norm(propagator_stack(moved, np.array([10.0]))[0]
+                           - sla.expm(-10j * h), 2)
+    assert drift > 1e-2
+    similarity = operator_norm(np.linalg.solve(decomp.Psi, h @ decomp.Psi) - moved.J)
+    k_relation = operator_norm(pair.pt @ np.conj(decomp.Psi) - decomp.Psi @ decomp.K)
+    message = (f"canonical residuals exceed tolerance (similarity {similarity:.3e}, "
+               f"K-relation {k_relation:.3e})")
+    grid = TimeGrid(0.0, 10.0, 11)
+    c = 0.5 * uniform_bound(decomp)
+    analyses = {
+        "invariants": lambda dec: invariant_report(h, pair, rho, grid, decomp=dec),
+        "dilation": lambda dec: embedded_evolution_check(h, pair, rho, grid, decomp=dec),
+        "free": lambda dec: verify_free_evolution(h, pair, c, grid, decomp=dec),
+    }
+    for name, run in analyses.items():
+        with pytest.raises(IllConditionedError) as err:
+            run(moved)
+        assert str(err.value) == message, name
+        run(decomp)
+
+
+def test_a_given_decomposition_is_gated_at_the_can_tol_it_was_built_with():
+    """A decomposition built at a looser can_tol passes the analyses'
+    re-run gate at that can_tol, not at the default one."""
+    h, pair, rho, _ = real_instance(4, "unbroken", seed=17)
+    decomp = pt_canonical_form(h, pair, can_tol=1e-2)
+    moved = dataclasses.replace(
+        decomp, J=decomp.J + 1e-3 * np.eye(4),
+        layout=dataclasses.replace(decomp.layout,
+                                   eigenvalues=decomp.layout.eigenvalues + 1e-3))
+    assert moved.can_tol == 1e-2
+    invariant_report(h, pair, rho, TimeGrid(0.0, 1.0, 3), decomp=moved)
 
 
 # -- one decomposition per command ---------------------------------------

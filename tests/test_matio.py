@@ -16,6 +16,7 @@ from ptqm import matio
 from ptqm.canonical import BlockDescriptor
 from ptqm.errors import ParseError, ValidationError
 from ptqm.matio import (
+    csv_pieces,
     format_float,
     load_matrix_file,
     load_vector_file,
@@ -125,6 +126,15 @@ def test_render_json_ndarray_and_rejects_unknown():
         "[1.0000000000000000e+00,2.0000000000000000e+00]")
     with pytest.raises(TypeError):
         render_json(object())
+
+
+def test_render_json_integer_ndarray_renders_its_integers():
+    """An integer array is not a float array: its entries render as ints."""
+    assert render_json(np.array([[1, -2], [0, 3]])) == "[[1,-2],[0,3]]"
+
+
+def test_csv_pieces_of_no_blocks_is_the_header_alone():
+    assert list(csv_pieces(["t", "value"], [])) == ["t,value\n"]
 
 
 def test_render_csv_frozen():

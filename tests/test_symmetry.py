@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ptqm import symmetry
 from ptqm.errors import DimensionError, ValidationError
 from ptqm.linalg import operator_norm
 from ptqm.sampling import random_pt_pair
@@ -139,26 +140,82 @@ def test_residuals_are_the_exact_norms_when_read(kind, d):
     assert pair.residuals == _exact_residuals(pair.parity, pair.time_reversal)
 
 
-def _planted(delta: float) -> np.ndarray:
-    """P = I + i delta E_01: P^2 - I and P - conj(P) are 2 i delta E_01 exactly,
-    a rank-1 defect whose Frobenius norm is its 2-norm."""
+def _planted(delta: float, unit: complex) -> np.ndarray:
+    """P = I + unit delta E_01: P^2 - I is 2 unit delta E_01 exactly, a
+    rank-1 defect whose Frobenius norm is its 2-norm. With unit = 1j the
+    commutation defect P - conj(P) is that matrix too and the pair is
+    decided in complex arithmetic; with unit = 1 it is zero and P is real,
+    so the pair meets the real screen first."""
     p = np.eye(3, dtype=complex)
-    p[0, 1] = 1j * delta
+    p[0, 1] = unit * delta
     return p
 
 
+_AT_THE_BOUND = (0.5 * (1 - 1e-15), 0.5, 0.5 * (1 + 1e-15), 1 - 1e-15, 1.0, 1 + 1e-15, 2.0)
+
+
 @pytest.mark.parametrize("val_tol", [1e-300, 1e-10, 1.0])
-@pytest.mark.parametrize("factor", [0.5 * (1 - 1e-15), 0.5, 0.5 * (1 + 1e-15),
-                                    1 - 1e-15, 1.0, 1 + 1e-15, 2.0])
+@pytest.mark.parametrize("factor", _AT_THE_BOUND)
 def test_planted_rank_one_defect_decides_as_the_exact_gate(val_tol, factor):
-    _check_against_exact_gate(_planted(0.5 * factor * val_tol), np.eye(3), val_tol)
+    _check_against_exact_gate(_planted(0.5 * factor * val_tol, 1j), np.eye(3), val_tol)
+
+
+@pytest.mark.parametrize("val_tol", [1e-300, 1e-10, 1.0])
+@pytest.mark.parametrize("factor", _AT_THE_BOUND)
+def test_real_planted_rank_one_defect_decides_as_the_exact_gate(val_tol, factor):
+    _check_against_exact_gate(_planted(0.5 * factor * val_tol, 1.0), np.eye(3), val_tol)
+
+
+def _check_underflowing_defect(unit):
+    # entries of 1e-200 square to 0 in floating point; at val_tol 1e-300 they fail the gate
+    _check_against_exact_gate(_planted(0.5e-200, unit), np.eye(3), 1e-300)
+    with pytest.raises(ValidationError, match="parity_involution: 1.000e-200"):
+        validate_pt_pair(_planted(0.5e-200, unit), np.eye(3), 1e-300)
 
 
 def test_defect_whose_squares_underflow_is_still_caught():
-    # entries of 1e-200 square to 0 in floating point; at val_tol 1e-300 they fail the gate
-    _check_against_exact_gate(_planted(0.5e-200), np.eye(3), 1e-300)
-    with pytest.raises(ValidationError, match="parity_involution: 1.000e-200"):
-        validate_pt_pair(_planted(0.5e-200), np.eye(3), 1e-300)
+    _check_underflowing_defect(1j)
+
+
+def test_real_defect_whose_squares_underflow_is_still_caught():
+    _check_underflowing_defect(1.0)
+
+
+@pytest.mark.parametrize("val_tol, real", [(1.0, True), (1e-10, True), (1e-300, False)])
+def test_a_real_pair_meets_the_real_screen_where_its_rounding_room_fits(val_tol, real,
+                                                                         monkeypatch):
+    """A real pair the real screen clears is accepted without the complex
+    defects, which norm_within would decide. At val_tol 1e-300 the room
+    for rounding, 10 n eps s^2, is above val_tol, so even an exact pair
+    takes the complex gate."""
+    calls = []
+    monkeypatch.setattr(symmetry, "norm_within", lambda *a: calls.append(1) or np.ones(4, bool))
+    validate_pt_pair(_planted(0.25 * val_tol, 1.0), np.eye(3), val_tol)
+    assert calls == ([] if real else [1])
+    validate_pt_pair(np.eye(3), np.exp(1j * np.pi / 3) * np.eye(3), val_tol)
+    assert calls == ([1] if real else [1, 1])
+
+
+@pytest.mark.parametrize("kind", ["trivial", "swap", "real_involution", "householder_t"])
+@pytest.mark.parametrize("d", [2, 5, 64, 200])
+def test_a_real_pair_keeps_the_complex_product(kind, d):
+    """The stored P, T and PT are the complex P, T and P @ T bit for bit,
+    whichever arithmetic decided the pair."""
+    raw = random_pt_pair(np.random.default_rng(d), d, kind)
+    p, t = raw.parity.real, raw.time_reversal.real
+    pair = validate_pt_pair(p, t)
+    assert pair.parity.dtype == pair.time_reversal.dtype == pair.pt.dtype == complex
+    assert np.array_equal(pair.parity, p) and np.array_equal(pair.time_reversal, t)
+    complex_pt = p.astype(complex) @ t.astype(complex)
+    assert pair.pt.tobytes() == complex_pt.tobytes()
+
+
+def test_a_complex_pair_is_decided_as_the_exact_gate():
+    """T = e^{i pi / 3} I: T conj(T) = I and P T = T conj(P) for a real P."""
+    t = np.exp(1j * np.pi / 3) * np.eye(4)
+    pair = validate_pt_pair(np.fliplr(np.eye(4)), t)
+    assert pair.residuals == _exact_residuals(np.fliplr(np.eye(4)), t)
+    _check_against_exact_gate(np.fliplr(np.eye(4)), t, 1e-300)
 
 
 @pytest.mark.parametrize("kind", ["trivial", "swap", "real_involution", "householder_t"])
