@@ -84,48 +84,44 @@ _SETTING_TEXT = {"signs": cfgmod.parse_signs, "probe": cfgmod.parse_probe}
 
 
 def _commands() -> dict:
-    """Subcommand -> (handler, help, positional arguments, the RunConfig
-    fields it reads). Each field is a flag of the same name, --cluster-tol
-    for cluster_tol; a subcommand accepts no other setting flag."""
+    """Subcommand -> (handler, help, positional arguments, its other
+    arguments besides --config and --output as (flag, argparse keywords),
+    the RunConfig fields it reads). Each field is a flag of the same name,
+    --cluster-tol for cluster_tol; a subcommand accepts no other setting
+    flag."""
+    required_real = {"type": _finite_float, "required": True}
     return {
-        "classify": (cmd_classify, "spectral classification report", _PAIR, _DECOMPOSE),
-        "canonical": (cmd_canonical, "canonical form (Psi, J, K)", _PAIR, _DECOMPOSE),
-        "metric": (cmd_metric, "metric operator and positivity", _PAIR,
+        "classify": (cmd_classify, "spectral classification report", _PAIR, (), _DECOMPOSE),
+        "canonical": (cmd_canonical, "canonical form (Psi, J, K)", _PAIR, (), _DECOMPOSE),
+        "metric": (cmd_metric, "metric operator and positivity", _PAIR, (),
                    _DECOMPOSE + ("met_tol", "signs")),
         "inner": (cmd_inner, "eta inner product of two vectors", _PAIR + ("vector1", "vector2"),
-                  _DECOMPOSE + ("met_tol", "signs")),
+                  (), _DECOMPOSE + ("met_tol", "signs")),
         "evolve": (cmd_evolve, "evolve a density matrix to time t", ("hamiltonian", "state"),
+                   (("--t", required_real), ("--normalize", {"action": "store_true"})),
                    ("val_tol",)),
         "invariants": (cmd_invariants, "conserved-coefficient time series", _PAIR + ("state",),
+                       (("--summary", {"default": None,
+                                       "help": "write drift summary JSON to this path"}),),
                        _DECOMPOSE + ("met_tol", "signs") + _GRID),
         "bender-sweep": (cmd_bender_sweep, "two-level family theta sweep", (),
+                         tuple((flag, required_real)
+                               for flag in ("--r", "--s", "--theta-min", "--theta-max"))
+                         + (("--steps", {"type": int, "required": True}),),
                          ("tol", "crit_tol", "probe")),
-        "stokes": (cmd_stokes, "Stokes parameters of a two-component field", (), ()),
-        "dilate": (cmd_dilate, "post-selected embedding check", _PAIR + ("state",),
+        "stokes": (cmd_stokes, "Stokes parameters of a two-component field", (),
+                   (("--ex", {"required": True, "help": "re,im"}),
+                    ("--ey", {"required": True, "help": "re,im"})), ()),
+        "dilate": (cmd_dilate, "post-selected embedding check", _PAIR + ("state",), (),
                    _DECOMPOSE + ("slack",) + _GRID),
         "free-check": (cmd_free_check, "free-operation property of c U(t)", _PAIR,
+                       (("--c", {"type": _finite_float, "default": None,
+                                 "help": "contraction scale; default from the uniform bound"}),),
                        _DECOMPOSE + ("slack", "free_tol") + _GRID),
     }
 
 
-# the arguments of each subcommand besides its positionals, --config,
-# --output and its settings: (flag, argparse keywords)
-_OWN_ARGUMENTS = {
-    "evolve": (("--t", {"type": _finite_float, "required": True}),
-               ("--normalize", {"action": "store_true"})),
-    "invariants": (("--summary", {"default": None,
-                                  "help": "write drift summary JSON to this path"}),),
-    "bender-sweep": tuple((flag, {"type": _finite_float, "required": True})
-                          for flag in ("--r", "--s", "--theta-min", "--theta-max"))
-                    + (("--steps", {"type": int, "required": True}),),
-    "stokes": (("--ex", {"required": True, "help": "re,im"}),
-               ("--ey", {"required": True, "help": "re,im"})),
-    "free-check": (("--c", {"type": _finite_float, "default": None,
-                            "help": "contraction scale; default from the uniform bound"}),),
-}
-
-
-def _add_arguments(sub: _Parser, positionals: tuple, settings: tuple, own: tuple) -> None:
+def _add_arguments(sub: _Parser, positionals: tuple, own: tuple, settings: tuple) -> None:
     for positional in positionals:
         sub.add_argument(positional)
     sub.add_argument("--config", default=None, help="config file path")
@@ -140,9 +136,9 @@ def _add_arguments(sub: _Parser, positionals: tuple, settings: tuple, own: tuple
 def build_parser() -> _Parser:
     parser = _Parser(prog="ptqm", description=__doc__, allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, positionals, settings) in _commands().items():
+    for name, (handler, help_text, *arguments) in _commands().items():
         sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
-        sub._pending = (positionals, settings, _OWN_ARGUMENTS.get(name, ()))
+        sub._pending = arguments
         sub.set_defaults(handler=handler)
     return parser
 
@@ -182,24 +178,19 @@ def _matrix_doc(a: np.ndarray) -> dict:
     return {"dim": a.shape[0], "rows": np.asarray(a, dtype=complex)}
 
 
-def _write_file(path: str, pieces) -> None:
-    """Write the text pieces to path in place, as they come."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for piece in pieces:
-                fh.write(piece)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_whole(path: str, pieces) -> None:
-    """Write the text pieces to path whole or not at all, when path
-    resolves through symlinks to a regular file or to nothing: into a new
-    file beside that file, which takes its permission bits and is renamed
-    over it once the last piece is written, and is removed if any piece
-    fails. Any other path (a device, a pipe, /dev/fd/N of a pipe, a
-    directory) is written in place. An error names path, as
-    open(path, "w") would."""
+def _emit(path: str | None, pieces) -> None:
+    """Write the text pieces, the only way output leaves a subcommand.
+    Without a path they go to stdout as they come. A path that resolves
+    through symlinks to a regular file or to nothing is written whole or
+    not at all: into a new file beside that file, which takes its
+    permission bits and is renamed over it once the last piece is
+    written, and is removed if any piece fails. Any other path (a device,
+    a pipe, /dev/fd/N of a pipe, a directory) is opened and written in
+    place. An error names path, as open(path, "w") would."""
+    if not path:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+        return
     target = os.path.realpath(path)
     try:
         found = os.stat(target)
@@ -209,22 +200,22 @@ def _write_whole(path: str, pieces) -> None:
         found, whole = None, not os.path.exists(path)
     except OSError:
         whole = False
-    if not whole:
-        _write_file(path, pieces)
-        return
-    head, tail = os.path.split(target)
-    partial = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.partial")
     created = False
     try:
+        if not whole:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(pieces)
+            return
         # a rename would replace a file that open(path, "w") may not write
         if found is not None and not os.access(target, os.W_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        head, tail = os.path.split(target)
+        partial = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.partial")
         with open(partial, "x", encoding="utf-8", newline="") as fh:
             created = True
             if found is not None:
                 os.chmod(fh.fileno(), found.st_mode & 0o777)
-            for piece in pieces:
-                fh.write(piece)
+            fh.writelines(pieces)
         os.replace(partial, target)
         created = False
     except OSError as exc:
@@ -233,14 +224,6 @@ def _write_whole(path: str, pieces) -> None:
     finally:
         if created:
             os.unlink(partial)
-
-
-def _emit(args, text: str) -> None:
-    if args.output:
-        _write_file(args.output, [text])
-    else:
-        sys.stdout.write(text)
-        sys.stdout.flush()
 
 
 def cmd_classify(args, cfg) -> None:
@@ -252,7 +235,7 @@ def cmd_classify(args, cfg) -> None:
         "blocks": decomp.blocks,
         "eigenvalues": decomp.layout.eigenvalues,
     }
-    _emit(args, render_json(report) + "\n")
+    _emit(args.output, [render_json(report) + "\n"])
 
 
 def cmd_canonical(args, cfg) -> None:
@@ -267,7 +250,7 @@ def cmd_canonical(args, cfg) -> None:
         "condition_number": decomp.condition_number,
         "warning": decomp.warning,
     }
-    _emit(args, render_json(report) + "\n")
+    _emit(args.output, [render_json(report) + "\n"])
 
 
 def cmd_metric(args, cfg) -> None:
@@ -280,7 +263,7 @@ def cmd_metric(args, cfg) -> None:
         "signs": met.signs.epsilons,
         "class": decomp.spectral_class.tag,
     }
-    _emit(args, render_json(report) + "\n")
+    _emit(args.output, [render_json(report) + "\n"])
 
 
 def cmd_inner(args, cfg) -> None:
@@ -292,7 +275,7 @@ def cmd_inner(args, cfg) -> None:
         "value": ptqm.eta_inner(v1, v2, met.eta),
         "positive_definite": met.positive_definite,
     }
-    _emit(args, render_json(report) + "\n")
+    _emit(args.output, [render_json(report) + "\n"])
 
 
 def cmd_evolve(args, cfg) -> None:
@@ -307,7 +290,7 @@ def cmd_evolve(args, cfg) -> None:
         "trace": np.trace(rho_t),
         "rho": _matrix_doc(rho_t),
     }
-    _emit(args, render_json(report) + "\n")
+    _emit(args.output, [render_json(report) + "\n"])
 
 
 def cmd_invariants(args, cfg) -> None:
@@ -325,14 +308,7 @@ def cmd_invariants(args, cfg) -> None:
     blocks = (np.column_stack([report.times[k:k + step], coefficients[k:k + step].view(float),
                                report.eta_trace_series[k:k + step].view(float).reshape(-1, 2)])
               for k in range(0, n, step))
-    pieces = csv_pieces(header, blocks)
-    if args.output:
-        _write_whole(args.output, pieces)
-    else:
-        # stdout takes each block as it renders
-        for piece in pieces:
-            sys.stdout.write(piece)
-        sys.stdout.flush()
+    _emit(args.output, csv_pieces(header, blocks))
     if args.summary:
         summary = {
             "class": report.case_tag.tag,
@@ -340,7 +316,7 @@ def cmd_invariants(args, cfg) -> None:
             "overflow_risk": report.overflow_risk,
             "t_cap": report.t_cap,
         }
-        _write_file(args.summary, [render_json(summary) + "\n"])
+        _emit(args.summary, [render_json(summary) + "\n"])
 
 
 def cmd_bender_sweep(args, cfg) -> None:
@@ -358,13 +334,13 @@ def cmd_bender_sweep(args, cfg) -> None:
     # the columns of SweepRow, in field order
     header = ["theta", "class", "alpha", "S0", "S0_times_cos_alpha",
               "eigvec_overlap", "error"]
-    _emit(args, render_csv(header, map(dataclasses.astuple, rows)))
+    _emit(args.output, [render_csv(header, map(dataclasses.astuple, rows))])
 
 
 def cmd_stokes(args, cfg) -> None:
     (ex,) = cfgmod.parse_complex_text(args.ex, "--ex", 1, "re,im")
     (ey,) = cfgmod.parse_complex_text(args.ey, "--ey", 1, "re,im")
-    _emit(args, render_json(ptqm.stokes_vector(ex, ey)) + "\n")
+    _emit(args.output, [render_json(ptqm.stokes_vector(ex, ey)) + "\n"])
 
 
 def cmd_dilate(args, cfg) -> None:
@@ -379,7 +355,7 @@ def cmd_dilate(args, cfg) -> None:
         "times": report.times,
         "success_probabilities": report.success_probabilities,
     }
-    _emit(args, render_json(doc) + "\n")
+    _emit(args.output, [render_json(doc) + "\n"])
 
 
 def cmd_free_check(args, cfg) -> None:
@@ -397,7 +373,7 @@ def cmd_free_check(args, cfg) -> None:
         "worst_defect": report.worst_defect,
         "min_contraction_margin": report.min_contraction_margin,
     }
-    _emit(args, render_json(doc) + "\n")
+    _emit(args.output, [render_json(doc) + "\n"])
 
 
 def main(argv=None) -> int:

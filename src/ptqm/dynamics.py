@@ -249,19 +249,20 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
     """Track the conserved coefficient combinations along the evolution.
 
     The drift of an invariant is the maximum absolute deviation of its
-    series from the t = 0 value. Which entries are tracked follows
-    from the detected block structure; Tr(eta rho(t)) is always
-    tracked. In broken cases with t ||H|| beyond the overflow exponent
-    the report flags overflow risk and computes drift only on the
-    usable part of the grid. The evolved states, their coefficient
-    matrices and the eta-trace series are computed for the whole grid
-    at once; an evolution that overflows raises NumericalError naming
-    the first t where it does, and so does a coefficient series too
-    large for memory, naming the point count and d. The decomposition
-    of H is computed here at tol and cluster_tol unless decomp is given,
-    which must then be the decomposition of this H (ValidationError
-    otherwise). val_tol bounds the validation of rho and met_tol the
-    metric's intertwining defect.
+    series from its value at the first usable grid point (t = 0 on the
+    default grid). Which entries are tracked follows from the detected
+    block structure; Tr(eta rho(t)) is always tracked. In broken cases
+    with t ||H|| beyond the overflow exponent the report flags overflow
+    risk and computes drift only on the usable part of the grid, |t| <=
+    t_cap; a grid with no point there raises PreconditionError. The
+    evolved states, their coefficient matrices and the eta-trace series
+    are computed for the whole grid at once; an evolution that overflows
+    raises NumericalError naming the first t where it does, and so does
+    a coefficient series too large for memory, naming the point count
+    and d. The decomposition of H is computed here at tol and
+    cluster_tol unless decomp is given, which must then be the
+    decomposition of this H (ValidationError otherwise). val_tol bounds
+    the validation of rho and met_tol the metric's intertwining defect.
     """
     h = as_square(h, "H")
     rho = _matching_density(rho, h, val_tol)
@@ -296,6 +297,9 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
         if float(np.max(np.abs(times))) > t_cap:
             overflow = True
             usable = np.abs(times) <= t_cap
+            if not usable.any():
+                raise PreconditionError(f"no grid point lies within t_cap = {t_cap:.6f} "
+                                        f"of t = 0, so no drift can be measured")
 
     scale = max(1.0, h_norm)
     layout = decomp.layout
@@ -306,7 +310,8 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
     drift: dict[str, float] = {}
 
     def record(key, values):
-        drift[key] = float(np.max(np.abs(values[usable] - values[0])))
+        kept = values[usable]
+        drift[key] = float(np.max(np.abs(kept - kept[0])))
 
     record("eta_trace", traces)
     for a in simple:

@@ -177,8 +177,13 @@ _EXTRA = [
     ("help", ["--help"]),
     ("help-invariants", ["invariants", "--help"]),
     ("help-stokes", ["stokes", "--help"]),
+    # one writer takes every --output: a streamed CSV, a JSON report, a sweep CSV
     ("invariants-output", ["invariants", *_U2, "{inputs}/rho_unbroken2.json",
                            "--output", "{tmp}/series.csv"]),
+    ("canonical-unbroken4-output", ["canonical", *(f"{{inputs}}/{n}_unbroken4.json"
+                                                   for n in ("h", "p", "t")),
+                                    "--output", "{tmp}/series.csv"]),
+    ("bender-sweep-output", _SWEEP + ["--output", "{tmp}/series.csv"]),
     # a valid pair with a complex T, which the pair gate decides in complex arithmetic
     ("canonical-unbroken4-phase-t", ["canonical", "{inputs}/h_unbroken4.json",
                                      "{inputs}/p_unbroken4.json", "{tmp}/t_phase4.json"]),

@@ -230,6 +230,27 @@ def test_invariants_overflow_flag():
     assert rep.drift["R_1_2"] <= 1e-8
 
 
+def test_invariants_drift_is_measured_from_the_first_usable_point():
+    """On a grid that starts beyond t_cap, the reference of every drift is
+    the first point within t_cap, not a point where rounding has grown."""
+    h, pair = bender(1.0, 0.5, np.pi / 2)
+    h = h + 10.0 * np.eye(2)
+    rep = invariant_report(h, pair, RHO, TimeGrid(-20.0, 2.0, 12))
+    usable = np.abs(rep.times) <= rep.t_cap
+    assert rep.overflow_risk and not usable[0] and usable.any()
+    kept = rep.eta_trace_series[usable]
+    assert rep.drift["eta_trace"] == np.max(np.abs(kept - kept[0]))
+    assert rep.drift["eta_trace"] <= 1e-8
+    assert rep.drift["R_1_2"] <= 1e-8
+
+
+def test_invariants_grid_beyond_t_cap_is_precondition():
+    h, pair = bender(1.0, 0.5, np.pi / 2)
+    h = h + 10.0 * np.eye(2)
+    with pytest.raises(PreconditionError, match=r"^no grid point lies within t_cap = 2\.84"):
+        invariant_report(h, pair, RHO, TimeGrid(-6.0, -3.0, 4))
+
+
 def test_invariants_random_conservation():
     rng = np.random.default_rng(211)
     for _ in range(5):
