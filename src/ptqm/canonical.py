@@ -127,37 +127,38 @@ def _analyze(h, pair: PTPair, tol: float, cluster_tol: float | None, rank_tol: f
     scale = max(1.0, h_norm)
     tol_abs = cluster_tol * scale
     spectrum = _clustered_spectrum(h, scale, tol_abs)
-    means, sizes = spectrum.means, spectrum.sizes
+    means = spectrum.means
     reps = np.where(np.abs(means.imag) <= tol * scale, means.real, means)
 
     spread = np.abs(spectrum.w - reps[spectrum.label])
-    in_band = bool(np.max(spread) > 0.1 * tol_abs)
+    in_band = bool(spread.max() > 0.1 * tol_abs)
 
     # real clusters and the Im > 0 member of each conjugate pair; the
     # minus chains are the PT images of the plus chains
     wanted = []
     used = np.zeros(len(means), dtype=bool)
-    for gi, rep in enumerate(reps):
+    for gi, rep in enumerate(reps.tolist()):
         if used[gi]:
             continue
         used[gi] = True
         if rep.imag == 0.0:
-            wanted.append((gi, complex(rep)))
+            wanted.append(gi)
             continue
-        partner = first_index(~used & (np.abs(reps - np.conj(rep)) <= 2 * tol_abs))
+        partner = first_index(~used & (np.abs(reps - rep.conjugate()) <= 2 * tol_abs))
         if partner is None:
             raise IllConditionedError(
-                f"eigenvalue {complex(rep):.6e} has no conjugate partner cluster")
-        if sizes[partner] != sizes[gi]:
+                f"eigenvalue {rep:.6e} has no conjugate partner cluster")
+        if spectrum.sizes[partner] != spectrum.sizes[gi]:
             raise IllConditionedError(
                 "conjugate clusters have different algebraic multiplicities")
         used[partner] = True
-        plus = gi if rep.imag > 0 else partner
-        wanted.append((plus, complex(reps[plus])))
+        wanted.append(gi if rep.imag > 0 else partner)
 
+    idx = np.array(wanted)
+    wanted_reps = reps[idx]
     units = []
-    for (_, rep), chains in zip(wanted, _cluster_chains(spectrum, wanted, rank_tol,
-                                                        conj_mat=pair.pt)):
+    for rep, chains in zip(wanted_reps.tolist(), _cluster_chains(spectrum, idx, wanted_reps,
+                                                                 rank_tol, conj_mat=pair.pt)):
         for chain in chains:
             if rep.imag != 0.0:
                 block = BlockDescriptor(COMPLEX_PAIR, rep, len(chain))
@@ -203,7 +204,7 @@ def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
         if block.kind == COMPLEX_PAIR:
             cols.extend(pair.pt @ np.conj(v) for v in chain)
     blocks = tuple(block for block, _ in units)
-    return _decomposition(h, h_norm, pair, np.column_stack(cols), blocks, can_tol, in_band,
+    return _decomposition(h, h_norm, pair, np.array(cols).T.copy(), blocks, can_tol, in_band,
                           pt_tested=True)
 
 
@@ -263,7 +264,7 @@ def _residual_gate(h: np.ndarray, h_norm: float, pt: np.ndarray, psi: np.ndarray
     similarity defect is within can_tol * max(1, ||H||_2) and the
     K-relation defect within can_tol * max(1, ||Psi||_2)."""
     defects = _canonical_defects(h, pt, psi, j, k)
-    bounds = can_tol * np.array([max(1.0, h_norm), max(1.0, psi_norm)])
+    bounds = np.array([can_tol * max(1.0, h_norm), can_tol * max(1.0, psi_norm)])
     if not norm_within(defects, bounds).all():
         sim_res, krel_res = operator_norm(defects).tolist()
         raise IllConditionedError(

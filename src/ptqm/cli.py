@@ -186,7 +186,8 @@ def _emit(path: str | None, pieces) -> None:
     permission bits and is renamed over it once the last piece is
     written, and is removed if any piece fails. Any other path (a device,
     a pipe, /dev/fd/N of a pipe, a directory) is opened and written in
-    place. An error names path, as open(path, "w") would."""
+    place. An error names path, as open(path, "w") would, except where
+    an existing directory refuses the new file: it names that directory."""
     if not path:
         sys.stdout.writelines(pieces)
         sys.stdout.flush()
@@ -201,6 +202,7 @@ def _emit(path: str | None, pieces) -> None:
     except OSError:
         whole = False
     created = False
+    named = path
     try:
         if not whole:
             with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -211,16 +213,18 @@ def _emit(path: str | None, pieces) -> None:
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
         head, tail = os.path.split(target)
         partial = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.partial")
+        # a directory that exists and takes no new file is what refused it
+        named = head if os.path.isdir(head) else path
         with open(partial, "x", encoding="utf-8", newline="") as fh:
-            created = True
+            named, created = path, True
             if found is not None:
                 os.chmod(fh.fileno(), found.st_mode & 0o777)
             fh.writelines(pieces)
         os.replace(partial, target)
         created = False
     except OSError as exc:
-        named = OSError(exc.errno, exc.strerror, path) if exc.filename is not None else exc
-        raise ValidationError(f"cannot write {path}: {named}") from exc
+        reason = OSError(exc.errno, exc.strerror, named) if exc.filename is not None else exc
+        raise ValidationError(f"cannot write {path}: {reason}") from exc
     finally:
         if created:
             os.unlink(partial)

@@ -61,7 +61,7 @@ def _as_array(a, name: str, ndim: int = 2, stacked: bool = False) -> np.ndarray:
         raise DimensionError(f"{name} must be {ndim}-dimensional, got shape {m.shape}")
     if m.size == 0:
         raise ValidationError(f"{name} is empty")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 
@@ -141,8 +141,9 @@ def _screened(d: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """norm_within's Frobenius screen, as a bool array of the stack's
     leading shape (0-d for one matrix): True where it clears D."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scaled = (d * (1.0 / bounds)[..., None, None]).view(float)
-        return np.array(np.square(scaled).sum(axis=(-2, -1)) <= 0.25)
+        scaled = d * (1.0 / bounds)[..., None, None]
+        flat = scaled.view(float).reshape(scaled.shape[:-2] + (-1,))
+        return np.array(np.square(flat, out=flat).sum(axis=-1) <= 0.25)
 
 
 def _within_scale(d: np.ndarray, ref: np.ndarray, tol: float):
@@ -298,7 +299,7 @@ class BlockLayout:
         paired = []
         for lam, order, pair in units:
             offset = len(lams)
-            for z in (lam, np.conj(lam)) if pair else (lam,):
+            for z in (lam, lam.conjugate()) if pair else (lam,):
                 chains.append((len(lams), order))
                 lams.extend([z] * order)
             spans.append((offset, len(lams) - offset))
@@ -315,24 +316,20 @@ class BlockLayout:
         superdiagonal inside each chain; K swaps the two chains of every
         conjugate-pair unit and fixes every other column."""
         d = self.eigenvalues.shape[0]
-        linked = np.ones(d, dtype=bool)  # column c links to c + 1 unless it ends a chain
-        offsets, lengths = np.array(self.chains).T
-        linked[offsets + lengths - 1] = False
-        rows = np.flatnonzero(linked)
-        nilpotent = np.zeros((d, d))
-        nilpotent[rows, rows + 1] = 1.0
-        unit, offset, span = self._column_units
+        links = np.ones(d - 1)  # column c links to c + 1 unless it ends a chain
+        links[[offset + length - 1 for offset, length in self.chains[:-1]]] = 0.0
+        # row c of K holds its 1 in column c + shift, the shift of c's chain
+        shift = [s for (_, span), pair in zip(self.units, self.paired)
+                 for s in ((span // 2, -(span // 2)) if pair else (0,))]
         cols = np.arange(d)
-        half = np.where(np.array(self.paired)[unit], span // 2, 0)
         k = np.zeros((d, d), dtype=complex)
-        k[cols, offset + (cols - offset + half) % span] = 1.0
-        return np.diag(self.eigenvalues) + nilpotent, k
+        k[cols, cols + np.repeat(shift, [length for _, length in self.chains])] = 1.0
+        return np.diag(self.eigenvalues) + np.diag(links, 1), k
 
     @cached_property
     def _column_units(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(unit, offset, span): for each column, the index of its unit
-        and that unit's offset and span; J, K and the metric's S are all
-        read off them."""
+        and that unit's offset and span; the metric's S is read off them."""
         offsets, spans = np.array(self.units).T
         unit = np.repeat(np.arange(len(spans)), spans)
         return unit, offsets[unit], spans[unit]
@@ -410,27 +407,27 @@ def _clusters(w: np.ndarray, tol_abs: float) -> tuple[np.ndarray, np.ndarray]:
     # np.hypot, not np.abs: it rounds |wi - wj| as the scalar abs does; a
     # difference past the float range is an infinite distance, linking nothing
     with np.errstate(over="ignore"):
-        near = np.hypot(w.real[:, None] - w.real, w.imag[:, None] - w.imag) <= tol_abs
-    root = np.arange(n)
+        diff = w[:, None] - w
+        near = np.hypot(diff.real, diff.imag) <= tol_abs
+    index = np.arange(n)
+    root = index
     while True:
-        step = np.min(np.where(near, root, n), axis=1)
+        step = np.where(near, root, n).min(axis=1)
         step = step[step]
-        if np.array_equal(step, root):
+        if (step == root).all():
             break
         root = step
-    component = (np.cumsum(root == np.arange(n)) - 1)[root]  # by smallest member
+    component = ((root == index).cumsum() - 1)[root]  # by smallest member
     sizes = np.bincount(component)
-    members = np.argsort(component, kind="stable")
-    starts = np.cumsum(sizes) - sizes
+    members = component.argsort(kind="stable")
+    starts = sizes.cumsum() - sizes
     means = np.empty(len(sizes), dtype=complex)
     # the distinct sizes in ascending order; np.unique would import numpy.ma
-    for size in np.flatnonzero(np.bincount(sizes)).tolist():
-        rows = np.flatnonzero(sizes == size)
+    for size in np.bincount(sizes).nonzero()[0].tolist():
+        rows = (sizes == size).nonzero()[0]
         means[rows] = w[members[starts[rows, None] + np.arange(size)]].sum(axis=1) / size
-    ranked = np.argsort(means, kind="stable")  # by real part, then imaginary part
-    rank = np.empty_like(ranked)
-    rank[ranked] = np.arange(len(ranked))
-    return rank[component], means[ranked]
+    ranked = means.argsort(kind="stable")  # by real part, then imaginary part
+    return ranked.argsort()[component], means[ranked]
 
 
 @dataclass(frozen=True)
@@ -498,7 +495,7 @@ def _deflate_cluster(spectrum: ClusteredSpectrum, members: np.ndarray, rep: comp
     q = np.linalg.qr(q + p @ x)[0]
     aq = a @ q
     b = q.conj().T @ aq
-    if not np.all(np.abs(np.linalg.eigvals(b) - rep) <= radius):
+    if not (np.abs(np.linalg.eigvals(b) - rep) <= radius).all():
         raise IllConditionedError(unisolated)
     if not norm_within(aq - q @ b, zero_floor):
         raise IllConditionedError("refinement left a residual above the cluster's zero floor")
@@ -510,7 +507,7 @@ def _orth(a: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     if a.shape[1] == 0:
         return a
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > rel_tol * s[0]))
+    rank = int((s > rel_tol * s[0]).sum())
     return u[:, :rank]
 
 
@@ -563,7 +560,7 @@ def _nilpotent_chains(mblock: np.ndarray, rank_tol: float, zero_floor: float,
     it, which makes all chain vectors fixed as well.
     """
     m = mblock.shape[0]
-    smax = max(1.0, float(np.linalg.norm(mblock, 2)))
+    smax = max(1.0, float(np.linalg.svd(mblock, compute_uv=False)[0]))  # ||M||_2
 
     nullbases: list[np.ndarray] = [np.zeros((m, 0), dtype=complex)]
     nullities = [0]
@@ -573,7 +570,7 @@ def _nilpotent_chains(mblock: np.ndarray, rank_tol: float, zero_floor: float,
         power = power @ mblock
         _, s, vh = np.linalg.svd(power)
         tau = _zero_threshold(float(s[0]), rank_tol, zero_floor, m, smax, k)
-        nullity = int(np.sum(s <= tau))
+        nullity = int((s <= tau).sum())
         if nullity < nullities[-1]:
             raise IllConditionedError("nullity sequence is not monotone; "
                                       "cluster structure unresolved at this tolerance")
@@ -593,8 +590,10 @@ def _nilpotent_chains(mblock: np.ndarray, rank_tol: float, zero_floor: float,
         if newtops == 0:
             continue
         carried = [c[len(c) - k][:, None] for c in chains_topfirst]
-        established = _orth(np.hstack([nullbases[k - 1]] + carried))
-        for _ in range(newtops):
+        established = _orth(np.concatenate([nullbases[k - 1]] + carried, axis=1))
+        for i in range(newtops):
+            if i:  # the tops drawn so far at this height join the established span
+                established = _orth(np.column_stack([established, chains_topfirst[-1][0]]))
             g = nullbases[k] - established @ (established.conj().T @ nullbases[k])
             uu, ss, _ = np.linalg.svd(g)
             if ss[0] < 1e-6:
@@ -607,7 +606,6 @@ def _nilpotent_chains(mblock: np.ndarray, rank_tol: float, zero_floor: float,
             for _ in range(k - 1):
                 chain.append(mblock @ chain[-1])
             chains_topfirst.append(chain)
-            established = _orth(np.hstack([established, chain[0][:, None]]))
 
     out = []
     for chain in chains_topfirst:
@@ -660,13 +658,14 @@ def _simple_vectors(spectrum: ClusteredSpectrum, members: np.ndarray, reps: np.n
     q = spectrum.vectors[:, members]
     q = q / np.linalg.norm(q, axis=0)
     offset = np.abs(np.einsum("ij,ij->j", q.conj(), spectrum.matrix @ q) - reps)
-    if np.any(offset > _zero_threshold(offset, rank_tol, zero_floor)):
+    if (offset > _zero_threshold(offset, rank_tol, zero_floor)).any():
         raise IllConditionedError("cluster block is not nilpotent at the working tolerance")
 
-    if np.any(fixed):
+    if fixed.any():
         qf = q[:, fixed]
-        c = np.einsum("ij,ij->j", qf.conj(), conj_mat @ qf.conj())
-        if np.any(np.abs(c * np.conj(c) - 1.0) > _INVOLUTION_TOL):
+        qc = qf.conj()
+        c = np.einsum("ij,ij->j", qc, conj_mat @ qc)
+        if (np.abs(c * np.conj(c) - 1.0) > _INVOLUTION_TOL).any():
             raise IllConditionedError("cluster subspace is not conjugation-invariant")
         # _fixed_under on the 1x1 block (c) takes the phase e^{i arg(c) / 2};
         # for |c| = 1 the larger of 1 + c and i(1 - c) is a real multiple of
@@ -685,72 +684,59 @@ def _normalizing_factors(bottoms: np.ndarray, fixed) -> np.ndarray:
     under a conjugation, where a complex phase would break fixedness, a
     sign making Re z positive (Im z when Re z vanishes).
     """
-    z = bottoms[np.argmax(np.abs(bottoms), axis=0), np.arange(bottoms.shape[1])]
-    positive = np.where(np.abs(z.real) >= 1e-12 * np.abs(z), z.real, z.imag) >= 0
-    return np.where(fixed, np.where(positive, 1.0, -1.0), np.conj(z) / np.abs(z))
+    z = bottoms[np.abs(bottoms).argmax(axis=0), np.arange(bottoms.shape[1])]
+    size = np.abs(z)
+    positive = np.where(np.abs(z.real) >= 1e-12 * size, z.real, z.imag) >= 0
+    return np.where(fixed, np.where(positive, 1.0, -1.0), np.conj(z) / size)
 
 
-def _cluster_margins(spectrum: ClusteredSpectrum, idx: np.ndarray, reps: np.ndarray):
-    """(internal, external) distances of each cluster idx[k] from reps[k].
+def _cluster_chains(spectrum: ClusteredSpectrum, idx: np.ndarray, reps: np.ndarray,
+                    rank_tol: float, conj_mat: np.ndarray | None = None) -> list:
+    """Normalised Jordan chains of the clusters idx, represented by reps.
 
-    internal is the largest distance of a member, external the smallest
-    distance of a non-member (inf when there is none).
-    """
-    member = spectrum.label[None, :] == idx[:, None]
-    dist = np.abs(spectrum.w[None, :] - reps[:, None])
-    return (np.max(dist, axis=1, where=member, initial=0.0),
-            np.min(dist, axis=1, where=~member, initial=np.inf))
-
-
-def _cluster_chains(spectrum: ClusteredSpectrum, wanted, rank_tol: float,
-                    conj_mat: np.ndarray | None = None) -> list:
-    """Normalised Jordan chains of the wanted clusters.
-
-    wanted lists (cluster index, representative) pairs; the result
-    holds the chains of each, longest first, bottom vector first. With
-    conj_mat G, a cluster with a real representative gets chains fixed
-    under v -> G conj(v), normalised by sign; every other chain is
-    normalised by phase (_normalizing_factors).
+    The result holds, for each cluster idx[k], its chains longest first,
+    bottom vector first. With conj_mat G, a cluster with a real
+    representative gets chains fixed under v -> G conj(v), normalised by
+    sign; every other chain is normalised by phase (_normalizing_factors).
 
     Every cluster must be separable from the rest of the spectrum:
-    external > 2 internal + 16 eps scale (_cluster_margins). Its zero
-    floor, internal + 64 eps scale, bounds what counts as zero in its
-    block. Simple clusters take their vectors from the eigendecomposition,
-    all in one batch (_simple_vectors). Only clusters with more than one
-    member are deflated, each from its own eigenvectors (_deflate_cluster).
+    external > 2 internal + 16 eps scale, where internal is the largest
+    distance of a member from reps[k] and external the smallest distance
+    of a non-member (inf when there is none). Its zero floor, internal +
+    64 eps scale, bounds what counts as zero in its block. Simple
+    clusters take their vectors from the eigendecomposition, all in one
+    batch (_simple_vectors). Only clusters with more than one member are
+    deflated, each from its own eigenvectors (_deflate_cluster).
     """
-    idx = np.array([i for i, _ in wanted])
-    reps = np.array([rep for _, rep in wanted], dtype=complex)
     fixed = (reps.imag == 0.0) & (conj_mat is not None)
-    out: list = [None] * len(wanted)
+    out: list = [None] * len(idx)
     # chain vectors and powers of a defective block scale like ||A||^k: at
     # ||A|| near 1e155 they leave the float range
     try:
         with np.errstate(over="raise", invalid="raise"):
-            internal, external = _cluster_margins(spectrum, idx, reps)
-            if np.any(external <= 2.0 * internal + 16.0 * _EPS * spectrum.scale):
+            member = spectrum.label == idx[:, None]
+            dist = np.abs(spectrum.w - reps[:, None])
+            internal = dist.max(axis=1, where=member, initial=0.0)
+            external = dist.min(axis=1, where=~member, initial=np.inf)
+            if (external <= 2.0 * internal + 16.0 * _EPS * spectrum.scale).any():
                 raise IllConditionedError("eigenvalue clusters are not separable")
             zero_floor = internal + 64.0 * _EPS * spectrum.scale
 
-            sizes = spectrum.sizes[idx]
-            simple = np.flatnonzero(sizes == 1)
-            if simple.size:
-                # the one member of each simple cluster
-                members = np.empty(len(spectrum.means), dtype=int)
-                members[spectrum.label] = np.arange(len(spectrum.w))
-                q = _simple_vectors(spectrum, members[idx[simple]], reps[simple],
-                                    zero_floor[simple], fixed[simple], rank_tol, conj_mat)
-                q = q * _normalizing_factors(q, fixed[simple])
-                for k, col in zip(simple.tolist(), q.T):
+            simple = member.sum(axis=1) == 1
+            if simple.any():
+                signed = fixed[simple]
+                q = _simple_vectors(spectrum, member[simple].argmax(axis=1), reps[simple],
+                                    zero_floor[simple], signed, rank_tol, conj_mat)
+                q = q * _normalizing_factors(q, signed)
+                for k, col in zip(simple.nonzero()[0].tolist(), q.T):
                     out[k] = [[col]]
 
-            for k in np.flatnonzero(sizes > 1).tolist():
+            for k in (~simple).nonzero()[0].tolist():
                 radius = (0.5 * (internal[k] + external[k]) if np.isfinite(external[k])
                           else internal[k] + 1.0)
-                chains = _deflated_chains(spectrum, np.flatnonzero(spectrum.label == idx[k]),
-                                          reps[k], radius, zero_floor[k], rank_tol,
-                                          conj_mat if fixed[k] else None)
-                factors = _normalizing_factors(np.column_stack([c[0] for c in chains]), fixed[k])
+                chains = _deflated_chains(spectrum, member[k].nonzero()[0], reps[k], radius,
+                                          zero_floor[k], rank_tol, conj_mat if fixed[k] else None)
+                factors = _normalizing_factors(np.array([c[0] for c in chains]).T, fixed[k])
                 out[k] = [[f * v for v in chain] for f, chain in zip(factors, chains)]
     except FloatingPointError as exc:
         raise NumericalError("Jordan chain construction overflowed the floating-point range") from exc
@@ -771,8 +757,8 @@ def eigen_decompose(a, cluster_tol: float = 1e-8, rank_tol: float = 1e-10) -> Ei
     _require_positive(cluster_tol=cluster_tol, rank_tol=rank_tol)
     scale = max(1.0, float(np.linalg.norm(m, 2)))
     spectrum = _clustered_spectrum(m, scale, cluster_tol * scale)
-    eigenvalues = [complex(z) for z in spectrum.means]
-    chains = _cluster_chains(spectrum, list(enumerate(eigenvalues)), rank_tol)
+    eigenvalues = spectrum.means.tolist()
+    chains = _cluster_chains(spectrum, np.arange(len(eigenvalues)), spectrum.means, rank_tol)
 
     structure = EigenStructure(
         eigenvalues=tuple(eigenvalues),

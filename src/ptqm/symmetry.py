@@ -24,8 +24,12 @@ _IDENTITIES = ("parity_involution", "time_reversal_involution", "commutation", "
 def _defects(p: np.ndarray, t: np.ndarray, pt: np.ndarray) -> np.ndarray:
     """The defects of the four identities, in the order of _IDENTITIES."""
     eye = np.eye(p.shape[0])
-    return np.stack([p @ p - eye, t @ np.conj(t) - eye, pt - t @ np.conj(p),
-                     pt @ np.conj(pt) - eye])
+    defects = np.empty((4,) + p.shape, dtype=pt.dtype)
+    np.subtract(p @ p, eye, out=defects[0])
+    np.subtract(t @ np.conj(t), eye, out=defects[1])
+    np.subtract(pt, t @ np.conj(p), out=defects[2])
+    np.subtract(pt @ np.conj(pt), eye, out=defects[3])
+    return defects
 
 
 def _cleared_in_real(p: np.ndarray, t: np.ndarray, pt: np.ndarray, val_tol: float) -> bool:
@@ -42,7 +46,7 @@ def _cleared_in_real(p: np.ndarray, t: np.ndarray, pt: np.ndarray, val_tol: floa
     2-norm at most about val_tol / 2 + val_tol / 5, so the complex gate
     accepts every pair this one does.
     """
-    real = [np.ascontiguousarray(m.real) for m in (p, t, pt)]
+    real = np.array([p.real, t.real, pt.real])
     room = 10 * p.shape[0] * _EPS * max(np.vdot(m, m) for m in real)
     return room <= val_tol and bool(_screened(_defects(*real), np.asarray(val_tol)).all())
 
@@ -141,7 +145,7 @@ def _pt_test(h, pair: PTPair, tol: float) -> tuple[np.ndarray, bool, float]:
     m = as_square(h, "H")
     if m.shape[0] != pair.dim:
         raise DimensionError(f"H dimension {m.shape[0]} does not match pair dimension {pair.dim}")
-    h_norm = operator_norm(m)
+    h_norm = float(np.linalg.svd(m, compute_uv=False)[0])
     return m, norm_within(_pt_defect(m, pair.pt), tol * max(1.0, h_norm)), h_norm
 
 

@@ -18,15 +18,20 @@ invariants for a conjugate pair at d = 4 out to a time where rho(t)
 nears 1e200, then canonical and metric for an unbroken H at d = 200,
 a size where the rounding of a product depends on the BLAS thread
 count, then invariants for the d = 48 unbroken H on the default
-201-point grid, whose CSV is written in several blocks. Exit code,
+201-point grid, whose CSV is written in several blocks, then classify,
+canonical, metric, invariants, dilate and free-check at d = 8, the
+benchmark's largest small size, for an unbroken, a conjugate-pair and
+an exceptional-point H under a Householder T, on the default grid,
+which runs there in two chunks. Exit code,
 stdout, stderr, the --summary file and the series.csv file that an
 --output line writes are recorded.
 
-The d = 48, d = 4 and d = 200 inputs come from seeded numpy generators
-in this script, written once into the scratch directory, so both trees
-read the same bytes. The d = 48 density, the d = 4 case and the d = 200
-case have generators of their own, so adding them left the bytes of the
-d = 48 H, P and T as they were.
+The d = 48, d = 4, d = 200 and d = 8 inputs come from seeded numpy
+generators in this script, written once into the scratch directory, so
+both trees read the same bytes. The d = 48 density, the d = 4 case, the
+d = 200 case and the d = 8 cases with their density have generators of
+their own, so adding them left the bytes of the earlier inputs as they
+were.
 
 The golden test compares numbers within NUM_TOL of a recording, and
 recordings drift in their last digits whenever the numerics change at
@@ -193,6 +198,8 @@ _EXTRA = [
 _LARGE_D = 48
 _LARGE = (("unbroken48", "unbroken", "trivial"), ("complex48", "complex", "swap"),
           ("ep48", "ep", "householder"))
+# the d = 8 cases, one per spectrum, all under a Householder T
+_SMALL = tuple((f"{kind}8", kind, "householder") for kind in ("unbroken", "complex", "ep"))
 
 
 def _matrix_text(m) -> str:
@@ -250,6 +257,12 @@ def _large_files(seed: int = 48) -> dict:
     files.update(_case_files(np.random.default_rng(seed + 2), "complex4", 4, "complex", "swap"))
     files.update(_case_files(np.random.default_rng(seed + 3), "unbroken200", 200, "unbroken",
                              "householder"))
+    small = np.random.default_rng(seed + 4)
+    for name, kind, shape in _SMALL:
+        files.update(_case_files(small, name, 8, kind, shape))
+    g = small.normal(size=(8, 8, 2)) @ np.array([1.0, 1.0j])
+    rho = g @ g.conj().T
+    files["rho_8.json"] = _matrix_text(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
     return files
 
 
@@ -280,7 +293,19 @@ def _large_lines() -> list:
                                                 for prefix in ("h", "p", "t"))])
          for command in ("canonical", "metric")] + [
         ("invariants-unbroken48-default-grid", ["invariants", *hpt["unbroken48"], rho]),
-    ]
+    ] + _small_lines()
+
+
+def _small_lines() -> list:
+    lines = []
+    for name, kind, _ in _SMALL:
+        args = [f"{{tmp}}/{prefix}_{name}.json" for prefix in ("h", "p", "t")]
+        tol = ["--cluster-tol", "1e-6"] if kind == "ep" else []
+        lines += [(f"{command}-{name}", [command, *args, *tol])
+                  for command in ("classify", "canonical", "metric", "free-check")]
+        lines += [(f"{command}-{name}", [command, *args, "{tmp}/rho_8.json", *tol])
+                  for command in ("invariants", "dilate")]
+    return lines
 
 
 def _lines() -> list:

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
 import dataclasses
+import errno
 import importlib
 import json
 import os
@@ -1094,6 +1095,34 @@ def test_invariants_output_to_a_file_it_may_not_write_is_validation(files, capsy
         assert json.loads(err) == {
             "error": "validation",
             "detail": f"cannot write {target}: [Errno 13] Permission denied: '{target}'"}
+        assert list(out_dir.iterdir()) == [target] and target.read_text() == "kept\n"
+
+
+def test_output_whose_directory_refuses_the_new_file_names_the_directory(files, capsys,
+                                                                        tmp_path, monkeypatch):
+    """A writable file in a directory that refuses the new file beside it
+    is not replaced: the error names that directory, and the file and
+    the directory stay as they were; for canonical too. (Creating the new
+    file is made to fail, as a root user may write in any directory.)"""
+    paths, _ = files
+
+    def refusing(file, mode="r", *args, **kwargs):
+        if mode == "x":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", refusing, raising=False)
+    for argv in _writers(paths):
+        out_dir = tmp_path / argv[0]
+        out_dir.mkdir()
+        target = out_dir / "series.csv"
+        target.write_text("kept\n")
+        code, out, err = run(capsys, argv + ["--output", str(target)])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "validation",
+            "detail": f"cannot write {target}: [Errno 13] Permission denied: "
+                      f"'{os.path.realpath(out_dir)}'"}
         assert list(out_dir.iterdir()) == [target] and target.read_text() == "kept\n"
 
 

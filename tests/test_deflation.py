@@ -452,7 +452,8 @@ def test_chains_of_a_block_that_is_not_nilpotent_are_refused():
 
 def _first_vector(spectrum, rep, conj_mat=None):
     """The vector of simple cluster 0, fixed under v -> conj_mat conj(v) when given."""
-    [[v]] = _cluster_chains(spectrum, [(0, complex(rep))], 1e-10, conj_mat)[0]
+    [[v]] = _cluster_chains(spectrum, np.array([0]), np.array([rep], dtype=complex), 1e-10,
+                            conj_mat)[0]
     return v
 
 
