@@ -44,8 +44,8 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .linalg import (as_square, as_square_stack, dagger, first_index, hermitian_root,
-                     require_psd_floor)
+from .linalg import (_fixed_product, _max_last, as_square, as_square_stack, dagger,
+                     first_index, hermitian_root, require_psd_floor)
 from .symmetry import PTPair
 
 DEFAULT_SLACK = 0.99
@@ -222,7 +222,7 @@ def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
             raise PreconditionError(f"{exc} at t = {t[exc.index]:.6f}") from exc
         require_psd_floor(gap)
 
-        direct = cu @ rho @ dagger(cu)
+        direct = _fixed_product(cu, rho) @ dagger(cu)
         prob = np.trace(direct, axis1=1, axis2=2).real
         low = first_index(prob < 1e-12)
         if low is not None:
@@ -230,15 +230,15 @@ def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
                 f"success probability {prob[low]:.3e} at t = {t[low]:.6f}")
         probs[chunk] = prob
 
-        inner = xh @ rho @ dagger(xh)  # X^dag rho X
+        inner = _fixed_product(xh, rho) @ dagger(xh)  # X^dag rho X
         ws = w * sigma[:, None, :]
         post = ws @ inner @ dagger(ws)
-        post = post / np.trace(post, axis1=1, axis2=2).real[:, None, None]
+        post /= np.trace(post, axis1=1, axis2=2).real[:, None, None]
         # each matrix below is Hermitian, so its 2-norm is its largest
         # |eigenvalue| and its trace norm the sum of them
         max_deviation = _max_trace_distance(post - direct / prob[:, None, None], max_deviation)
         grams = np.concatenate([dagger(w) @ w, xh @ dagger(xh)]) - np.eye(d)
-        frame = np.max(np.abs(np.linalg.eigvalsh(grams)), axis=-1).reshape(2, -1).max(axis=0)
+        frame = _max_last(np.abs(np.linalg.eigvalsh(grams))).reshape(2, -1).max(axis=0)
         fail = np.sum(gap * np.diagonal(inner, axis1=1, axis2=2).real, axis=-1)
         residuals[chunk] = np.maximum(frame, np.abs(prob + fail - mass))
 

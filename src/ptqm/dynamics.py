@@ -30,8 +30,8 @@ import numpy as np
 from .canonical import CanonicalDecomposition, SpectralClass, _regate, pt_canonical_form
 from .errors import (DimensionError, InvalidDensityError, NumericalError, PreconditionError,
                      ValidationError)
-from .linalg import (MAX_GRID_POINTS, _within_scale, as_square, dagger, first_index,
-                     matrix_exponential, solve_stack)
+from .linalg import (MAX_GRID_POINTS, _fixed_product, _within_scale, as_square, dagger,
+                     first_index, matrix_exponential, solve_stack)
 from .metric import MetricOperator, SignCharacteristic, basis_coefficients, build_metric
 from .symmetry import PTPair
 
@@ -123,8 +123,9 @@ def _own_decomposition(h, pair: PTPair, decomp: CanonicalDecomposition | None,
 
 def _require_finite(stack: np.ndarray, times: np.ndarray, what: str) -> None:
     """Raise NumericalError naming the first t whose matrix is not finite."""
-    bad = first_index(~np.isfinite(stack).all(axis=(-2, -1)))
-    if bad is not None:
+    finite = np.isfinite(stack)
+    if not finite.all():
+        bad = first_index(~finite.all(axis=(-2, -1)))
         raise NumericalError(f"{what} is not finite at t = {times[bad]:.6f}")
 
 
@@ -138,8 +139,8 @@ def _exponential_stack(decomp: CanonicalDecomposition, s: np.ndarray) -> np.ndar
     d = lams.shape[0]
     phase = np.exp(np.multiply.outer(s, lams))
     out = np.zeros((s.shape[0], d, d), dtype=complex)
-    out[:, np.arange(d), np.arange(d)] = phase
-    for offset, length in decomp.layout.chains:
+    out.reshape(-1, d * d)[:, ::d + 1] = phase  # the diagonals
+    for offset, length in (chain for chain in decomp.layout.chains if chain[1] > 1):
         coeff = np.ones_like(s)
         for k in range(1, length):
             coeff = coeff * s / k
@@ -149,16 +150,12 @@ def _exponential_stack(decomp: CanonicalDecomposition, s: np.ndarray) -> np.ndar
 
 
 def _closed_form_stack(decomp: CanonicalDecomposition, times: np.ndarray) -> np.ndarray:
-    """Psi e^{-itJ} Psi^-1 for every t; entries that overflow stay inf or nan.
-
-    The right division by Psi is one solve_stack against Psi^T, so Psi
-    is factorised once per stack; a point that overflows leaves the
-    others untouched.
-    """
+    """Psi e^{-itJ} Psi^-1 for every t, under the caller's np.errstate: one
+    solve_stack against Psi^T divides by Psi, factorising it once per stack, and
+    an overflowed point stays inf or nan without touching the others."""
     psi = decomp.Psi
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = _exponential_stack(decomp, -1j * times)
-        return solve_stack(psi.T, (psi @ e).swapaxes(-1, -2)).swapaxes(-1, -2)
+    e = _exponential_stack(decomp, -1j * times)
+    return solve_stack(psi.T, (psi @ e).swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def propagator_stack(decomp: CanonicalDecomposition, times) -> np.ndarray:
@@ -169,7 +166,8 @@ def propagator_stack(decomp: CanonicalDecomposition, times) -> np.ndarray:
     first t whose propagator is not finite.
     """
     times = np.asarray(times, dtype=float)
-    u = _closed_form_stack(decomp, times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _closed_form_stack(decomp, times)
     _require_finite(u, times, "propagator")
     return u
 
@@ -280,18 +278,17 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
                              f"does not fit in memory") from exc
     traces = np.empty(len(times), dtype=complex)
     for chunk in _grid_chunks(len(times), d):
-        u = _closed_form_stack(decomp, times[chunk])
         with np.errstate(over="ignore", invalid="ignore"):
-            rho_t = u @ rho @ dagger(u)
+            u = _closed_form_stack(decomp, times[chunk])
+            rho_t = _fixed_product(u, rho) @ dagger(u)
         # an overflowed entry of U leaves rho_t non-finite as well
         _require_finite(rho_t, times[chunk], "evolved density")
         series[chunk] = basis_coefficients(rho_t, decomp)
         traces[chunk] = np.einsum("ij,tji->t", met.eta, rho_t)
 
     h_norm = decomp.h_norm
-    overflow = False
-    t_cap = None
-    usable = np.ones(len(times), dtype=bool)
+    overflow, t_cap = False, None
+    usable = slice(None)  # every point, unless t_cap cuts the grid
     if not decomp.spectral_class.unbroken and h_norm > 0:
         t_cap = OVERFLOW_EXPONENT / h_norm
         if float(np.max(np.abs(times))) > t_cap:
@@ -301,30 +298,21 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
                 raise PreconditionError(f"no grid point lies within t_cap = {t_cap:.6f} "
                                         f"of t = 0, so no drift can be measured")
 
-    scale = max(1.0, h_norm)
-    layout = decomp.layout
-    lams = layout.eigenvalues
+    lams = decomp.layout.eigenvalues.tolist()
+    bound = tol * max(1.0, h_norm)
     # an order-1 unit is one column, or two for a pair: chains of length 1
-    simple = [offset for offset, length in layout.chains if length == 1]
-
-    drift: dict[str, float] = {}
-
-    def record(key, values):
-        kept = values[usable]
-        drift[key] = float(np.max(np.abs(kept - kept[0])))
-
-    record("eta_trace", traces)
-    for a in simple:
-        for b in simple:
-            if abs(lams[a] - np.conj(lams[b])) <= tol * scale:
-                record(f"R_{a + 1}_{b + 1}", series[:, a, b])
-    for block, (offset, span) in zip(decomp.blocks, layout.units):
-        if block.order == 1:
-            continue
-        idx = [(offset + i, offset + span - 1 - i) for i in range(span)]
-        key = "+".join(f"R_{a + 1}_{b + 1}" for a, b in idx)
-        values = np.sum([series[:, a, b] for a, b in idx], axis=0)
-        record(key, values)
+    simple = [offset for offset, length in decomp.layout.chains if length == 1]
+    # every tracked series by its key, in the order the report lists them
+    tracked = {"eta_trace": traces, **{f"R_{a + 1}_{b + 1}": series[:, a, b]
+                                       for a in simple for b in simple
+                                       if abs(lams[a] - lams[b].conjugate()) <= bound}}
+    for block, (offset, span) in zip(decomp.blocks, decomp.layout.units):
+        if block.order > 1:
+            idx = [(offset + i, offset + span - 1 - i) for i in range(span)]
+            tracked["+".join(f"R_{a + 1}_{b + 1}" for a, b in idx)] = np.sum(
+                [series[:, a, b] for a, b in idx], axis=0)
+    kept = np.array(list(tracked.values()))[:, usable]
+    drift = dict(zip(tracked, np.max(np.abs(kept - kept[:, :1]), axis=1).tolist()))
 
     return InvariantReport(
         times=times,

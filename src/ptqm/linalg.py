@@ -28,7 +28,7 @@ squaring with the [13/13] Pade approximant.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -265,7 +265,7 @@ def require_psd_floor(w: np.ndarray) -> None:
     of the first matrix of a stack, eigenvalues w of shape (..., n) in
     ascending order, whose smallest lies below -PSD_NEG_FLOOR * max(1,
     max |w|)."""
-    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
+    scale = np.maximum(1.0, _max_last(np.abs(w)))
     low = first_index(w[..., 0] < -PSD_NEG_FLOOR * scale)
     if low is not None:
         raise NotPositiveSemidefiniteError(
@@ -344,9 +344,22 @@ def solve_stack(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     as it would be alone. np.linalg.LinAlgError propagates when C is
     singular.
     """
-    cols = np.moveaxis(x, -2, 0)
-    sol = np.linalg.solve(c, cols.reshape(c.shape[0], -1))
-    return np.moveaxis(sol.reshape(cols.shape), 0, -2)
+    cols = x.transpose(-2, *range(x.ndim - 2), -1)  # the row axis first
+    sol = np.linalg.solve(c, cols.reshape(c.shape[0], -1)).reshape(cols.shape)
+    return sol.transpose(*range(1, x.ndim - 1), 0, -1)
+
+
+def _max_last(a: np.ndarray) -> np.ndarray:
+    """np.max(a, axis=-1), the same floats, as one np.maximum per entry of a
+    short last axis: numpy's reduction would loop over the rows one by one."""
+    return reduce(np.maximum, (a[..., j] for j in range(a.shape[-1])))
+
+
+def _fixed_product(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """X @ M for a stack X, shape (..., n, k), as one product of all its rows with M:
+    one BLAS call, not one per matrix, and the same floats at every size tried; a
+    fixed left factor does not keep them."""
+    return (x.reshape(-1, x.shape[-1]) @ m).reshape(*x.shape[:-1], m.shape[-1])
 
 
 def congruence_solve(c: np.ndarray, x: np.ndarray, name: str) -> np.ndarray:

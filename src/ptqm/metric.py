@@ -20,8 +20,8 @@ import numpy as np
 
 from .canonical import CanonicalDecomposition
 from .errors import DimensionError, NumericalError, SingularMatrixError, ValidationError
-from .linalg import (_require_positive, _within_scale, as_square, as_square_stack, as_vector,
-                     congruence_solve, first_index, norm_within, operator_norm)
+from .linalg import (_fixed_product, _require_positive, _within_scale, as_square, as_square_stack,
+                     as_vector, congruence_solve, first_index, norm_within, operator_norm)
 
 # basis_coefficients: reconstruction gate, relative to max(1, ||rho||)
 RECON_TOL = 1e-9
@@ -160,7 +160,7 @@ def basis_coefficients(rho, decomp: CanonicalDecomposition) -> np.ndarray:
     if rho.shape[-2:] != psi.shape:
         raise DimensionError(f"rho dimension {rho.shape} does not match basis {psi.shape}")
     r = congruence_solve(psi, rho, "Psi")
-    defect = psi @ r @ psi.conj().T - rho
+    defect = _fixed_product(psi @ r, psi.conj().T) - rho
     bad = first_index(~_within_scale(defect, rho, RECON_TOL))
     if bad is not None:
         exact = operator_norm(defect.reshape(-1, *psi.shape)[bad])

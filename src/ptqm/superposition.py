@@ -28,8 +28,8 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .linalg import (_require_positive, as_square, as_square_stack, as_vector, congruence_solve,
-                     dagger, norm_within, operator_norm)
+from .linalg import (_fixed_product, _max_last, _require_positive, as_square, as_square_stack,
+                     as_vector, congruence_solve, dagger, norm_within, operator_norm)
 from .symmetry import PTPair
 
 # free_basis: smallest singular value of an independent unit-vector basis
@@ -132,12 +132,12 @@ def free_kraus_defect(k, basis: FreeBasis, tol: float = 1e-8):
     if k.shape[-1] != basis.dim:
         raise DimensionError("K dimension does not match the basis")
     c = basis.matrix
-    images = k @ c
+    images = _fixed_product(k, c)
     norms = np.linalg.norm(images, axis=-2)
     live = norms > tol
     overlaps = np.abs(c.conj().T @ images) / np.where(live, norms, 1.0)[..., None, :]
-    defects = np.where(live, 1.0 - np.max(overlaps, axis=-2), 0.0)
-    worst = np.maximum(0.0, np.max(defects, axis=-1))
+    defects = np.where(live, 1.0 - _max_last(overlaps.swapaxes(-1, -2)), 0.0)
+    worst = np.maximum(0.0, _max_last(defects))
     return float(worst) if k.ndim == 2 else worst
 
 
@@ -181,8 +181,7 @@ def verify_free_evolution(h, pair: PTPair, c: float,
     grid = grid if grid is not None else default_grid()
 
     times = grid.times
-    worst = 0.0
-    margin = np.inf
+    worst, margin = 0.0, np.inf
     eye = np.eye(h.shape[0])
     for chunk in _grid_chunks(len(times), h.shape[0]):
         u = propagator_stack(decomp, times[chunk])
@@ -190,7 +189,7 @@ def verify_free_evolution(h, pair: PTPair, c: float,
             ku = c * u
             gram = dagger(ku) @ ku
         _require_finite(gram, times[chunk], "c^2 U^dag U")
-        gaps = np.linalg.eigvalsh(eye - gram)[:, 0]
+        gaps = np.linalg.eigvalsh(np.subtract(eye, gram, out=gram))[:, 0]
         margin = min(margin, float(np.min(gaps)))
         worst = max(worst, float(np.max(free_kraus_defect(ku, basis, tol))))
     ok = margin >= -tol and worst <= tol

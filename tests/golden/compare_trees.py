@@ -22,16 +22,19 @@ count, then invariants for the d = 48 unbroken H on the default
 canonical, metric, invariants, dilate and free-check at d = 8, the
 benchmark's largest small size, for an unbroken, a conjugate-pair and
 an exceptional-point H under a Householder T, on the default grid,
-which runs there in two chunks. Exit code,
+which runs there in two chunks, then invariants, dilate and free-check
+at d = 3 and d = 5, sizes where OpenBLAS takes other small-matrix
+kernels, for an unbroken and a conjugate-pair H under a Householder T,
+on the default grid. Exit code,
 stdout, stderr, the --summary file and the series.csv file that an
 --output line writes are recorded.
 
-The d = 48, d = 4, d = 200 and d = 8 inputs come from seeded numpy
-generators in this script, written once into the scratch directory, so
-both trees read the same bytes. The d = 48 density, the d = 4 case, the
-d = 200 case and the d = 8 cases with their density have generators of
-their own, so adding them left the bytes of the earlier inputs as they
-were.
+The d = 48, d = 4, d = 200, d = 8, d = 3 and d = 5 inputs come from
+seeded numpy generators in this script, written once into the scratch
+directory, so both trees read the same bytes. The d = 48 density, the
+d = 4 case, the d = 200 case, the d = 8 cases with their density and
+the d = 3 and d = 5 cases with theirs have generators of their own, so
+adding them left the bytes of the earlier inputs as they were.
 
 The golden test compares numbers within NUM_TOL of a recording, and
 recordings drift in their last digits whenever the numerics change at
@@ -200,6 +203,8 @@ _LARGE = (("unbroken48", "unbroken", "trivial"), ("complex48", "complex", "swap"
           ("ep48", "ep", "householder"))
 # the d = 8 cases, one per spectrum, all under a Householder T
 _SMALL = tuple((f"{kind}8", kind, "householder") for kind in ("unbroken", "complex", "ep"))
+# the d = 3 and d = 5 cases: (name, d, spectrum), all under a Householder T
+_ODD = tuple((f"{kind}{d}", d, kind) for d in (3, 5) for kind in ("unbroken", "complex"))
 
 
 def _matrix_text(m) -> str:
@@ -229,8 +234,8 @@ def _case_files(rng, name: str, d: int, kind: str, shape: str) -> dict:
     values = rng.permutation(0.6 * (np.arange(d) - d / 2)) + rng.uniform(-0.1, 0.1, d)
     jordan = np.diag(values.astype(complex))
     basis = np.eye(d, dtype=complex)
-    if kind == "complex":  # columns 2k, 2k + 1 hold a pair, for k < d / 8
-        for k in range(0, d // 4, 2):
+    if kind == "complex":  # columns k, k + 1 hold a pair, for even k < d / 4, and k = 0
+        for k in range(0, max(d // 4, 1), 2):
             lam = complex(values[k], rng.uniform(0.3, 0.5))
             jordan[k, k], jordan[k + 1, k + 1] = lam, np.conj(lam)
             basis[k:k + 2, k:k + 2] = np.array([[1, 1], [1j, -1j]]) / np.sqrt(2.0)
@@ -244,8 +249,9 @@ def _case_files(rng, name: str, d: int, kind: str, shape: str) -> dict:
 
 def _large_files(seed: int = 48) -> dict:
     """File name -> text of the H, P and T of every d = 48 case, of one
-    d = 48 density matrix, of the d = 4 conjugate-pair case and of the
-    d = 200 unbroken case."""
+    d = 48 density matrix, of the d = 4 conjugate-pair case, of the
+    d = 200 unbroken case, and of the d = 8, d = 3 and d = 5 cases with
+    one density matrix per size."""
     rng = np.random.default_rng(seed)
     files = {}
     for name, kind, shape in _LARGE:
@@ -263,6 +269,13 @@ def _large_files(seed: int = 48) -> dict:
     g = small.normal(size=(8, 8, 2)) @ np.array([1.0, 1.0j])
     rho = g @ g.conj().T
     files["rho_8.json"] = _matrix_text(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
+    odd = np.random.default_rng(seed + 5)
+    for name, d, kind in _ODD:
+        files.update(_case_files(odd, name, d, kind, "householder"))
+    for d in (3, 5):
+        g = odd.normal(size=(d, d, 2)) @ np.array([1.0, 1.0j])
+        rho = g @ g.conj().T
+        files[f"rho_{d}.json"] = _matrix_text(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
     return files
 
 
@@ -305,6 +318,11 @@ def _small_lines() -> list:
                   for command in ("classify", "canonical", "metric", "free-check")]
         lines += [(f"{command}-{name}", [command, *args, "{tmp}/rho_8.json", *tol])
                   for command in ("invariants", "dilate")]
+    for name, d, _ in _ODD:
+        args = [f"{{tmp}}/{prefix}_{name}.json" for prefix in ("h", "p", "t")]
+        lines += [(f"invariants-{name}", ["invariants", *args, f"{{tmp}}/rho_{d}.json"]),
+                  (f"dilate-{name}", ["dilate", *args, f"{{tmp}}/rho_{d}.json"]),
+                  (f"free-check-{name}", ["free-check", *args])]
     return lines
 
 

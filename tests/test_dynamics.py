@@ -244,6 +244,27 @@ def test_invariants_drift_is_measured_from_the_first_usable_point():
     assert rep.drift["R_1_2"] <= 1e-8
 
 
+def test_invariants_drift_keys_follow_the_column_order():
+    """The --summary JSON renders the drift in insertion order: eta_trace,
+    then R_a_b row by row over the order-1 columns whose eigenvalues
+    satisfy lam_a = conj(lam_b), then the anti-diagonal sum of every
+    unit of order above 1."""
+    # columns: a pair -1 +- 0.4i (1, 2), reals -0.3, 0.4, 1.1 (3-5), a
+    # Jordan block at 2.0 (6, 7) and a real 3.0 after it (8)
+    jordan = np.diag([-1.0, -1.0, -0.3, 0.4, 1.1, 2.0, 2.0, 3.0])
+    jordan[0, 1], jordan[1, 0], jordan[5, 6] = 0.4, -0.4, 1.0
+    rng = np.random.default_rng(8)
+    o1, o2 = (np.linalg.qr(rng.normal(size=(8, 8)))[0] for _ in range(2))
+    v = (o1 * rng.uniform(1.0, 2.0, 8)) @ o2
+    h = v @ jordan @ np.linalg.inv(v)
+    rep = invariant_report(h, validate_pt_pair(np.eye(8), np.eye(8)), random_density(rng, 8),
+                           cluster_tol=1e-6)
+    assert [b.order for b in rep.decomposition.blocks] == [1, 1, 1, 1, 2, 1]
+    assert list(rep.drift) == ["eta_trace", "R_1_2", "R_2_1", "R_3_3", "R_4_4", "R_5_5",
+                               "R_8_8", "R_6_7+R_7_6"]
+    assert all(value <= 1e-8 for value in rep.drift.values())
+
+
 def test_invariants_grid_beyond_t_cap_is_precondition():
     h, pair = bender(1.0, 0.5, np.pi / 2)
     h = h + 10.0 * np.eye(2)
