@@ -59,13 +59,15 @@ class CanonicalDecomposition:
 
     blocks lists the units in the column order of Psi: conjugate pairs
     first (ascending Re, the Im > 0 member leading inside each pair),
-    then real blocks ascending by eigenvalue then order. layout is the
-    column layout of those units, from which J and K are built; K is
-    exact (0/1 entries). pt is the P T and can_tol the residual
-    tolerance the decomposition was built with. h_norm is ||H||_2,
-    computed once here for every later scale.
-    warning is set when the structure was decided inside the clustering
-    tolerance band or Psi is badly conditioned.
+    then real blocks ascending by eigenvalue then order. blocks is the
+    one record of the structure: layout (their column layout),
+    spectral_class, J and K are read off it. J and K are rebuilt from
+    layout on every read, as the residual gate does; K is exact (0/1
+    entries). pt is the P T and can_tol the residual tolerance the
+    decomposition was built with. h_norm is ||H||_2, computed once here
+    for every later scale. warning is set when the structure was
+    decided inside the clustering tolerance band or Psi is badly
+    conditioned.
 
     The residual gates are screened (linalg.norm_within), so the exact
     residuals are computed on first access: pt_residual is
@@ -78,11 +80,7 @@ class CanonicalDecomposition:
     h_norm: float
     pt: np.ndarray
     Psi: np.ndarray
-    J: np.ndarray
-    K: np.ndarray
     blocks: tuple
-    layout: BlockLayout
-    spectral_class: SpectralClass
     condition_number: float
     warning: str | None
     pt_tested: bool
@@ -93,13 +91,30 @@ class CanonicalDecomposition:
         return self.Psi.shape[0]
 
     @cached_property
+    def layout(self) -> BlockLayout:
+        return BlockLayout.from_units((b.eigenvalue, b.order, b.kind == COMPLEX_PAIR)
+                                      for b in self.blocks)
+
+    @cached_property
+    def spectral_class(self) -> SpectralClass:
+        return _classify_blocks(self.blocks)
+
+    @property
+    def J(self) -> np.ndarray:
+        return self.layout.matrices()[0]
+
+    @property
+    def K(self) -> np.ndarray:
+        return self.layout.matrices()[1]
+
+    @cached_property
     def pt_residual(self) -> float | None:
         return operator_norm(_pt_defect(self.hamiltonian, self.pt)) if self.pt_tested else None
 
     @cached_property
     def residuals(self) -> dict:
-        defects = _canonical_defects(self.hamiltonian, self.pt, self.Psi, self.J, self.K)
-        return dict(zip(("similarity", "k_relation"), operator_norm(defects).tolist()))
+        return dict(zip(("similarity", "k_relation"),
+                        operator_norm(_canonical_defects(self)).tolist()))
 
 
 def _classify_blocks(blocks: tuple) -> SpectralClass:
@@ -208,11 +223,12 @@ def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
                           pt_tested=True)
 
 
-def _canonical_defects(h: np.ndarray, pt: np.ndarray, psi: np.ndarray, j: np.ndarray,
-                       k: np.ndarray) -> np.ndarray:
+def _canonical_defects(decomp: CanonicalDecomposition) -> np.ndarray:
     """The similarity defect Psi^-1 H Psi - J and the K-relation defect
-    PT conj(Psi) - Psi K, stacked."""
-    return np.stack([np.linalg.solve(psi, h @ psi) - j, pt @ np.conj(psi) - psi @ k])
+    PT conj(Psi) - Psi K, stacked, with J and K built once from the layout."""
+    (j, k), psi = decomp.layout.matrices(), decomp.Psi
+    return np.stack([np.linalg.solve(psi, decomp.hamiltonian @ psi) - j,
+                     decomp.pt @ np.conj(psi) - psi @ k])
 
 
 def _decomposition(h: np.ndarray, h_norm: float, pair: PTPair, psi: np.ndarray,
@@ -220,20 +236,13 @@ def _decomposition(h: np.ndarray, h_norm: float, pair: PTPair, psi: np.ndarray,
                    pt_tested: bool = False) -> CanonicalDecomposition:
     """CanonicalDecomposition of H in the basis psi, whose columns follow blocks.
 
-    J and K are built from the block layout. Raises when the similarity
-    or K-relation residual exceeds can_tol, naming both exact residuals;
-    in_band says the structure was decided inside the clustering
-    tolerance band. pt_tested says H passed a PT-symmetry test.
+    Raises when the similarity or K-relation residual exceeds can_tol,
+    naming both exact residuals; in_band says the structure was decided
+    inside the clustering tolerance band. pt_tested says H passed a
+    PT-symmetry test.
     """
-    layout = BlockLayout.from_units((b.eigenvalue, b.order, b.kind == COMPLEX_PAIR)
-                                    for b in blocks)
-    j, k = layout.matrices()
-
     sing = np.linalg.svd(psi, compute_uv=False)
     cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
-
-    _residual_gate(h, h_norm, pair.pt, psi, j, k, can_tol, float(sing[0]))
-
     warning = None
     if in_band:
         warning = ("eigenvalue cluster diameter lies within the clustering "
@@ -241,41 +250,23 @@ def _decomposition(h: np.ndarray, h_norm: float, pair: PTPair, psi: np.ndarray,
     elif cond > 1e8:
         warning = f"Psi condition number {cond:.3e}; results may lose accuracy"
 
-    return CanonicalDecomposition(
-        hamiltonian=h,
-        h_norm=h_norm,
-        pt=pair.pt,
-        Psi=psi,
-        J=j,
-        K=k,
-        blocks=blocks,
-        layout=layout,
-        spectral_class=_classify_blocks(blocks),
-        condition_number=cond,
-        warning=warning,
-        pt_tested=pt_tested,
-        can_tol=can_tol,
-    )
+    decomp = CanonicalDecomposition(hamiltonian=h, h_norm=h_norm, pt=pair.pt, Psi=psi,
+                                    blocks=blocks, condition_number=cond, warning=warning,
+                                    pt_tested=pt_tested, can_tol=can_tol)
+    _residual_gate(decomp, float(sing[0]))
+    return decomp
 
 
-def _residual_gate(h: np.ndarray, h_norm: float, pt: np.ndarray, psi: np.ndarray,
-                   j: np.ndarray, k: np.ndarray, can_tol: float, psi_norm: float) -> None:
+def _residual_gate(decomp: CanonicalDecomposition, psi_norm: float) -> None:
     """Raise IllConditionedError, naming both exact residuals, unless the
     similarity defect is within can_tol * max(1, ||H||_2) and the
-    K-relation defect within can_tol * max(1, ||Psi||_2)."""
-    defects = _canonical_defects(h, pt, psi, j, k)
-    bounds = np.array([can_tol * max(1.0, h_norm), can_tol * max(1.0, psi_norm)])
+    K-relation defect within can_tol * max(1, psi_norm), at the can_tol
+    decomp was built with; psi_norm is ||Psi||_2."""
+    defects = _canonical_defects(decomp)
+    bounds = np.array([decomp.can_tol * max(1.0, decomp.h_norm),
+                       decomp.can_tol * max(1.0, psi_norm)])
     if not norm_within(defects, bounds).all():
         sim_res, krel_res = operator_norm(defects).tolist()
         raise IllConditionedError(
             f"canonical residuals exceed tolerance (similarity {sim_res:.3e}, "
             f"K-relation {krel_res:.3e})", residual=max(sim_res, krel_res))
-
-
-def _regate(decomp: CanonicalDecomposition) -> None:
-    """Re-run on a given decomposition the residual gate it passed when
-    _decomposition built it, at its can_tol, with J and K rebuilt from
-    its layout, which is what the closed-form evolution reads."""
-    j, k = decomp.layout.matrices()
-    _residual_gate(decomp.hamiltonian, decomp.h_norm, decomp.pt, decomp.Psi, j, k,
-                   decomp.can_tol, operator_norm(decomp.Psi))

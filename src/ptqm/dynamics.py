@@ -23,15 +23,16 @@ points so that memory stays bounded.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalDecomposition, SpectralClass, _regate, pt_canonical_form
+from .canonical import CanonicalDecomposition, SpectralClass, _residual_gate, pt_canonical_form
 from .errors import (DimensionError, InvalidDensityError, NumericalError, PreconditionError,
                      ValidationError)
 from .linalg import (MAX_GRID_POINTS, _fixed_product, _within_scale, as_square, dagger,
-                     first_index, matrix_exponential, solve_stack)
+                     first_index, matrix_exponential, operator_norm, solve_stack)
 from .metric import MetricOperator, SignCharacteristic, basis_coefficients, build_metric
 from .symmetry import PTPair
 
@@ -44,13 +45,16 @@ NORMALIZE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time samples on [t_start, t_end]."""
+    """Uniform time samples on [t_start, t_end]; num_points is an integer,
+    a numpy integer included, but not a bool."""
 
     t_start: float
     t_end: float
     num_points: int
 
     def __post_init__(self):
+        if isinstance(self.num_points, bool) or not isinstance(self.num_points, numbers.Integral):
+            raise ValidationError("num_points must be an integer")
         if self.num_points < 1:
             raise ValidationError("num_points must be at least 1")
         if self.num_points > MAX_GRID_POINTS:
@@ -117,7 +121,7 @@ def _own_decomposition(h, pair: PTPair, decomp: CanonicalDecomposition | None,
         raise ValidationError("decomp is the canonical decomposition of another H")
     if not np.array_equal(decomp.pt, pair.pt):
         raise ValidationError("decomp was built under another PT")
-    _regate(decomp)
+    _residual_gate(decomp, operator_norm(decomp.Psi))
     return decomp
 
 
@@ -161,11 +165,14 @@ def _closed_form_stack(decomp: CanonicalDecomposition, times: np.ndarray) -> np.
 def propagator_stack(decomp: CanonicalDecomposition, times) -> np.ndarray:
     """U(t) = Psi e^{-itJ} Psi^-1 for every t in times, shape (len(times), d, d).
 
-    The closed form avoids the squaring error growth of the dense route
-    when t ||H|| is large. Overflow raises NumericalError naming the
-    first t whose propagator is not finite.
+    times must be one-dimensional (DimensionError otherwise). The closed
+    form avoids the squaring error growth of the dense route when
+    t ||H|| is large. Overflow raises NumericalError naming the first t
+    whose propagator is not finite.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise DimensionError(f"times must be one-dimensional, got shape {times.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         u = _closed_form_stack(decomp, times)
     _require_finite(u, times, "propagator")

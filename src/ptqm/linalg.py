@@ -666,7 +666,11 @@ def _simple_vectors(spectrum: ClusteredSpectrum, members: np.ndarray, reps: np.n
     column passes the checks _deflated_chains applies to a 1x1 block,
     with the same thresholds: the nilpotency gate on q^H A q - rep and,
     where fixed[k], invariance under v -> G conj(v) with G = conj_mat.
-    Those columns are then made fixed under it as _fixed_under does.
+    Those columns are then made fixed under it: each is multiplied by the
+    unit phase of the larger of 1 + c and i(1 - c), where c is the 1x1
+    block q^H G conj(q). That agrees with _fixed_under only up to a real
+    factor, and only when |c| = 1; the gate above admits |c|^2 within
+    _INVOLUTION_TOL of 1.
     """
     q = spectrum.vectors[:, members]
     q = q / np.linalg.norm(q, axis=0)

@@ -11,15 +11,18 @@ build_metric, invariant_report, embedded_evolution_check and
 verify_free_evolution on them (the last three with decomp= the
 decomposition, on the default 201-point grid; the free check at
 c = uniform_bound and at c = 1). An exceptional-point draw is
-decomposed with cluster_tol = 1e-6.
+decomposed with cluster_tol = 1e-6. It then calls bender_eigensystem,
+the other constructor of a decomposition, on seeded unbroken (r, s,
+theta).
 
 Every result is hashed whole: arrays by dtype, shape and bytes, floats
 and complexes by float.hex, dicts in their insertion order, dataclasses
-field by field and then every property and cached_property, each of
-which is read as a call of its own. A call records its result, or the
-type and text of the error it raised, and the category and text of
-every warning it issued. The inputs are hashed too, so a change of the
-sampler shows as well.
+by their fields and public properties and cached_properties in one
+name-sorted pass, each read as a call of its own, so a value moved
+between a field and a property keeps the hash. A call records its
+result, or the type and text of the error it raised, and the category
+and text of every warning it issued. The inputs are hashed too, so a
+change of the sampler shows as well.
 
 The script prints the first call whose hash differs, if any, and one
 sha256 per tree over all calls; the exit status is 1 when they differ.
@@ -41,6 +44,7 @@ from pathlib import Path
 DIMS = (*range(2, 13), 32)
 KINDS = ("unbroken", "complex", "ep")
 PAIR_KINDS = ("trivial", "swap", "real_involution", "householder_t")
+BENDER_SEED, BENDER_DRAWS = 2018, 24
 
 
 def _feed(h, x) -> None:
@@ -67,11 +71,10 @@ def _feed(h, x) -> None:
             _feed(h, item)
     elif dataclasses.is_dataclass(x):
         h.update(f"dc {type(x).__name__} ".encode())
-        for field in dataclasses.fields(x):
-            _feed(h, field.name)
-            _feed(h, getattr(x, field.name))
-        for name in sorted({name for cls in type(x).__mro__ for name, attr in vars(cls).items()
-                            if isinstance(attr, (property, cached_property))}):
+        properties = {name for cls in type(x).__mro__ for name, attr in vars(cls).items()
+                      if isinstance(attr, (property, cached_property))
+                      and not name.startswith("_")}
+        for name in sorted(properties.union(f.name for f in dataclasses.fields(x))):
             _feed(h, name)
             _feed(h, _run(lambda: getattr(x, name))[1])
     else:
@@ -132,6 +135,13 @@ def _emit() -> None:
                 for factor in (c, 1.0):
                     record(f"verify_free_evolution c={factor!r} {tag}",
                            lambda: ptqm.verify_free_evolution(h, pair, factor, grid, decomp=dec))
+    rng = np.random.default_rng(BENDER_SEED)
+    for _ in range(BENDER_DRAWS):
+        r, theta = rng.uniform(0.1, 3.0), rng.uniform(-np.pi, np.pi)
+        # unbroken: |s| > |r sin(theta)|
+        s = float(rng.choice([-1.0, 1.0]) * (abs(r * np.sin(theta)) + rng.uniform(0.05, 2.0)))
+        p = ptqm.BenderParams(r=r, s=s, theta=theta)
+        record(f"bender_eigensystem {p}", lambda: ptqm.bender_eigensystem(p))
     json.dump(lines, sys.stdout)
 
 

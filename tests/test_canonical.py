@@ -1,5 +1,6 @@
 """Spectral classification and the structured canonical form (Psi, J, K)."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ from ptqm.canonical import (
     COMPLEX_PAIR,
     REAL_JORDAN,
     REAL_SIMPLE,
+    BlockDescriptor,
+    SpectralClass,
     classify_spectrum,
     pt_canonical_form,
 )
@@ -91,6 +94,24 @@ def test_canonical_k_matrix_is_exact():
     h, pair = bender(1.0, 1.0, np.pi / 6)
     dec = pt_canonical_form(h, pair)
     assert np.array_equal(dec.K, np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("block, j, k", [
+    (BlockDescriptor(COMPLEX_PAIR, 0.5 + 1j, 1), np.diag([0.5 + 1j, 0.5 - 1j]), [[0, 1], [1, 0]]),
+    (BlockDescriptor(REAL_JORDAN, 0.5 + 0j, 2), [[0.5, 1], [0, 0.5]], np.eye(2)),
+])
+def test_blocks_are_the_one_record_of_the_structure(block, j, k):
+    """layout, spectral_class, J and K are read off blocks: none of them
+    can be replaced on its own, and replacing blocks moves all four."""
+    dec = pt_canonical_form(*bender(1.0, 1.0, np.pi / 6))
+    for name in ("J", "K", "layout", "spectral_class"):
+        with pytest.raises(TypeError):
+            dataclasses.replace(dec, **{name: getattr(dec, name)})
+    moved = dataclasses.replace(dec, blocks=(block,))
+    assert moved.spectral_class == SpectralClass("Broken", (block,))
+    assert np.array_equal(moved.layout.eigenvalues, np.diag(j))
+    assert np.array_equal(moved.J, j) and np.array_equal(moved.K, k)
+    assert dec.spectral_class.unbroken and np.array_equal(dec.K, np.eye(2))
 
 
 def test_canonical_block_ordering():

@@ -1,5 +1,6 @@
 """Evolution under e^{-itH} and case-resolved conservation laws."""
 
+import re
 from pathlib import Path
 
 import mpmath
@@ -19,7 +20,8 @@ from ptqm.dynamics import (
     propagator_stack,
     validate_density,
 )
-from ptqm.errors import InvalidDensityError, NumericalError, PreconditionError, ValidationError
+from ptqm.errors import (DimensionError, InvalidDensityError, NumericalError, PreconditionError,
+                         ValidationError)
 from ptqm.linalg import matrix_exponential, operator_norm
 from ptqm.matio import load_matrix_file
 from ptqm.metric import basis_coefficients
@@ -50,6 +52,8 @@ def test_time_grid_validation():
     with pytest.raises(ValidationError, match="^t_end must not precede t_start$"):
         TimeGrid(1.0, 0.0, 1)
     assert TimeGrid(1.0, 1.0, 1).times.tolist() == [1.0]
+    for n in (np.int64(3), np.uint8(3)):
+        assert TimeGrid(0.0, 1.0, n).times.tolist() == [0.0, 0.5, 1.0]
     g = default_grid()
     assert (g.t_start, g.t_end, g.num_points) == (0.0, 10.0, 201)
 
@@ -67,6 +71,22 @@ def test_time_grid_size_cap_allocates_nothing():
         with pytest.raises(ValidationError,
                            match=f"^num_points must be at most {MAX_GRID_POINTS}$"):
             TimeGrid(0.0, 1.0, n)
+
+
+@pytest.mark.parametrize("num_points", [2.5, float("nan"), 5.0, np.float64(5.0), True,
+                                        np.True_, "5", None])
+def test_time_grid_rejects_a_num_points_that_is_not_an_integer(num_points):
+    with pytest.raises(ValidationError, match="^num_points must be an integer$"):
+        TimeGrid(0.0, 1.0, num_points)
+
+
+@pytest.mark.parametrize("times", [1.0, [[0.0, 1.0]], np.zeros((2, 1)), np.zeros((0, 3))])
+def test_propagator_stack_rejects_times_that_are_not_one_dimensional(times):
+    dec = pt_canonical_form(*bender(1.0, 1.0, np.pi / 6))
+    message = f"times must be one-dimensional, got shape {np.shape(times)}"
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        propagator_stack(dec, times)
+    assert propagator_stack(dec, []).shape == (0, 2, 2)
 
 
 def test_propagator_identity_at_zero():

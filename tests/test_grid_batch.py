@@ -448,18 +448,24 @@ def test_analyses_reject_a_decomposition_built_under_another_pt():
         run(pt_canonical_form(h, pair))
 
 
+def _moved_blocks(decomp, shift):
+    """decomp with the eigenvalue of every block moved by shift."""
+    return dataclasses.replace(decomp, blocks=tuple(
+        dataclasses.replace(b, eigenvalue=b.eigenvalue + shift) for b in decomp.blocks))
+
+
 def test_analyses_reject_a_decomposition_whose_layout_was_moved():
-    """A decomposition of H itself whose layout eigenvalues and J are
-    shifted by 1e-3 evolves by another H: at d = 4 its propagator is
-    1.4e-2 from expm(-10iH) at t = 10. Each analysis re-runs the residual
-    gate the decomposition passed when it was built, with J and K from its
-    layout and the can_tol it was built with, and names both residuals."""
+    """A decomposition of H itself whose block eigenvalues, and with them
+    its layout and J, are shifted by 1e-3 evolves by another H: at d = 4
+    its propagator is 1.4e-2 from expm(-10iH) at t = 10. Each analysis
+    re-runs the residual gate the decomposition passed when it was built,
+    with J and K from its layout and the can_tol it was built with, and
+    names both residuals. The gate rebuilds J and K on every run, so the
+    same shift made in place on the layout of a decomposition whose J and
+    K were already read is caught as well."""
     h, pair, rho, _ = real_instance(4, "unbroken", seed=17)
     decomp = pt_canonical_form(h, pair)
-    moved = dataclasses.replace(
-        decomp, J=decomp.J + 1e-3 * np.eye(4),
-        layout=dataclasses.replace(decomp.layout,
-                                   eigenvalues=decomp.layout.eigenvalues + 1e-3))
+    moved = _moved_blocks(decomp, 1e-3)
     assert np.array_equal(moved.hamiltonian, h)
     drift = np.linalg.norm(propagator_stack(moved, np.array([10.0]))[0]
                            - sla.expm(-10j * h), 2)
@@ -480,6 +486,12 @@ def test_analyses_reject_a_decomposition_whose_layout_was_moved():
             run(moved)
         assert str(err.value) == message, name
         run(decomp)
+    decomp.J, decomp.K  # read before the in-place move
+    decomp.layout.eigenvalues[:] += 1e-3
+    for name, run in analyses.items():
+        with pytest.raises(IllConditionedError) as err:
+            run(decomp)
+        assert str(err.value) == message, name
 
 
 def test_a_given_decomposition_is_gated_at_the_can_tol_it_was_built_with():
@@ -487,10 +499,7 @@ def test_a_given_decomposition_is_gated_at_the_can_tol_it_was_built_with():
     re-run gate at that can_tol, not at the default one."""
     h, pair, rho, _ = real_instance(4, "unbroken", seed=17)
     decomp = pt_canonical_form(h, pair, can_tol=1e-2)
-    moved = dataclasses.replace(
-        decomp, J=decomp.J + 1e-3 * np.eye(4),
-        layout=dataclasses.replace(decomp.layout,
-                                   eigenvalues=decomp.layout.eigenvalues + 1e-3))
+    moved = _moved_blocks(decomp, 1e-3)
     assert moved.can_tol == 1e-2
     invariant_report(h, pair, rho, TimeGrid(0.0, 1.0, 3), decomp=moved)
 
