@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 
 # module -> the names the package exports from it
 _EXPORTS = {
-    "bender": ("BenderEigensystem", "BenderParams", "StokesVector", "SweepRow",
-               "bender_classify", "bender_eigensystem", "bender_hamiltonian",
-               "critical_sweep", "expansion_coefficients", "s0_eta", "stokes_vector"),
+    "bender": ("BenderEigensystem", "BenderParams", "SweepRow", "bender_classify",
+               "bender_eigensystem", "bender_hamiltonian", "critical_sweep",
+               "expansion_coefficients", "s0_eta"),
     "canonical": ("COMPLEX_PAIR", "REAL_JORDAN", "REAL_SIMPLE", "BlockDescriptor",
                   "CanonicalDecomposition", "SpectralClass", "classify_spectrum",
                   "pt_canonical_form"),
@@ -43,6 +43,7 @@ _EXPORTS = {
     "superposition": ("FreeBasis", "FreeDecomposition", "FreeEvolutionReport", "free_basis",
                       "free_kraus_defect", "is_free_kraus", "is_incoherent",
                       "is_superposition_free", "verify_free_evolution"),
+    "stokes": ("StokesVector", "stokes_vector"),
     "symmetry": ("PTPair", "apply_antilinear", "is_pt_symmetric", "validate_pt_pair"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -17,8 +17,9 @@ The discriminant, alpha and S0 formulas are elementwise helpers: the
 scalar functions evaluate them at one point, critical_sweep on a grid.
 
 Each function imports the decomposition modules (canonical, linalg,
-metric, symmetry) it calls, so that stokes_vector, which needs none of
-them, loads none.
+metric, symmetry) where it calls them, so that critical_sweep loads no
+metric. The Stokes parameters of a field are ptqm.stokes, which needs no
+numpy.
 """
 
 from __future__ import annotations
@@ -76,14 +77,6 @@ class BenderEigensystem:
     eigenvalues: tuple
     eta: MetricOperator
     decomposition: CanonicalDecomposition
-
-
-@dataclass(frozen=True)
-class StokesVector:
-    S0: float
-    S1: float
-    S2: float
-    S3: float
 
 
 def bender_hamiltonian(p: BenderParams) -> tuple[np.ndarray, PTPair]:
@@ -254,25 +247,6 @@ def s0_eta(x: complex, y: complex, alpha: float, crit_tol: float = 1e-6) -> floa
     """|c1|^2 + |c2|^2 of (x, y), in the closed form of _s0."""
     ca = _check_alpha(alpha, crit_tol)
     return float(_s0(complex(x), complex(y), alpha, ca))
-
-
-def stokes_vector(ex: complex, ey: complex) -> StokesVector:
-    """The four quadratic field parameters.
-
-    S3 = i (Ex conj(Ey) - Ey conj(Ex)), so that (1, i)/sqrt(2) gives
-    S3 = +1. Scalar inputs always satisfy S0^2 = S1^2 + S2^2 + S3^2.
-    Fields whose squares leave the float range raise NumericalError.
-    """
-    ex, ey = complex(ex), complex(ey)
-    if not all(np.isfinite([ex.real, ex.imag, ey.real, ey.imag])):
-        raise ValidationError("field components must be finite")
-    with _float_range("Stokes parameters"):
-        # a sum of Python floats overflows to inf silently; numpy's raises here
-        s0 = np.add(abs(ex) ** 2, abs(ey) ** 2)
-        s1 = abs(ex) ** 2 - abs(ey) ** 2
-        s2 = (ex * np.conj(ey) + ey * np.conj(ex)).real
-        s3 = (1j * (ex * np.conj(ey) - ey * np.conj(ex))).real
-    return StokesVector(S0=float(s0), S1=float(s1), S2=float(s2), S3=float(s3))
 
 
 @dataclass(frozen=True)

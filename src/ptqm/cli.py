@@ -18,6 +18,8 @@ import math
 import os
 import stat
 import sys
+from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
 # the BLAS fixes its thread count when numpy loads, and the rounding of a
 # large product can depend on that count: one thread, unless the caller
@@ -25,15 +27,17 @@ import sys
 for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_threads, "1")
 
-import numpy as np
-
 # the handlers call the library through the package's lazy exports, so a
-# command line loads only the modules its subcommand calls into
+# command line loads only the modules its subcommand calls into, and
+# numpy only once it has read its input files
 import ptqm
 
 from . import config as cfgmod
 from .errors import NumericalError, ParseError, PreconditionError, ValidationError
 from .matio import csv_pieces, load_matrix_file, load_vector_file, render_csv, render_json
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,14 +157,30 @@ def _overrides(args) -> dict:
     return out
 
 
+@contextmanager
+def _raising():
+    """numpy, with overflow, invalid and divide set to raise: an overflow
+    that no library check catches ends the run as a numerical failure,
+    not as a numpy warning followed by a LAPACK error. A subcommand
+    enters it once its input files are read."""
+    import numpy as np
+
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        yield np
+
+
+@contextmanager
 def _decomposed(args, cfg):
     """(pair, decomposition) of the command's H, P and T files, at the
-    settings of cfg; the decomposition carries H as hamiltonian."""
+    settings of cfg, inside _raising; the decomposition carries H as
+    hamiltonian."""
     h = load_matrix_file(args.hamiltonian)
-    pair = ptqm.validate_pt_pair(load_matrix_file(args.parity),
-                                 load_matrix_file(args.timereversal), cfg.val_tol)
-    return pair, ptqm.pt_canonical_form(h, pair, cfg.tol, cluster_tol=cfg.cluster_tol,
-                                        rank_tol=cfg.rank_tol, can_tol=cfg.can_tol)
+    p = load_matrix_file(args.parity)
+    t = load_matrix_file(args.timereversal)
+    with _raising():
+        pair = ptqm.validate_pt_pair(p, t, cfg.val_tol)
+        yield pair, ptqm.pt_canonical_form(h, pair, cfg.tol, cluster_tol=cfg.cluster_tol,
+                                           rank_tol=cfg.rank_tol, can_tol=cfg.can_tol)
 
 
 def _grid(cfg) -> ptqm.TimeGrid:
@@ -175,7 +195,7 @@ def _signs_arg(cfg):
 
 def _matrix_doc(a: np.ndarray) -> dict:
     # complex, so that a real matrix still renders as [re, im] pairs
-    return {"dim": a.shape[0], "rows": np.asarray(a, dtype=complex)}
+    return {"dim": a.shape[0], "rows": a.astype(complex, copy=False)}
 
 
 def _emit(path: str | None, pieces) -> None:
@@ -231,96 +251,100 @@ def _emit(path: str | None, pieces) -> None:
 
 
 def cmd_classify(args, cfg) -> None:
-    _, decomp = _decomposed(args, cfg)
-    report = {
-        "pt_symmetric": True,
-        "residual": decomp.pt_residual,
-        "class": decomp.spectral_class.tag,
-        "blocks": decomp.blocks,
-        "eigenvalues": decomp.layout.eigenvalues,
-    }
-    _emit(args.output, [render_json(report) + "\n"])
+    with _decomposed(args, cfg) as (_, decomp):
+        report = {
+            "pt_symmetric": True,
+            "residual": decomp.pt_residual,
+            "class": decomp.spectral_class.tag,
+            "blocks": decomp.blocks,
+            "eigenvalues": decomp.layout.eigenvalues,
+        }
+        _emit(args.output, [render_json(report) + "\n"])
 
 
 def cmd_canonical(args, cfg) -> None:
-    _, decomp = _decomposed(args, cfg)
-    report = {
-        "class": decomp.spectral_class.tag,
-        "blocks": decomp.blocks,
-        "Psi": _matrix_doc(decomp.Psi),
-        "J": _matrix_doc(decomp.J),
-        "K": _matrix_doc(decomp.K),
-        "residuals": dict(sorted(decomp.residuals.items())),
-        "condition_number": decomp.condition_number,
-        "warning": decomp.warning,
-    }
-    _emit(args.output, [render_json(report) + "\n"])
+    with _decomposed(args, cfg) as (_, decomp):
+        report = {
+            "class": decomp.spectral_class.tag,
+            "blocks": decomp.blocks,
+            "Psi": _matrix_doc(decomp.Psi),
+            "J": _matrix_doc(decomp.J),
+            "K": _matrix_doc(decomp.K),
+            "residuals": dict(sorted(decomp.residuals.items())),
+            "condition_number": decomp.condition_number,
+            "warning": decomp.warning,
+        }
+        _emit(args.output, [render_json(report) + "\n"])
 
 
 def cmd_metric(args, cfg) -> None:
-    _, decomp = _decomposed(args, cfg)
-    met = ptqm.build_metric(decomp, _signs_arg(cfg), cfg.met_tol)
-    report = {
-        "eta": _matrix_doc(met.eta),
-        "positive_definite": met.positive_definite,
-        "residual": met.defect,
-        "signs": met.signs.epsilons,
-        "class": decomp.spectral_class.tag,
-    }
-    _emit(args.output, [render_json(report) + "\n"])
+    with _decomposed(args, cfg) as (_, decomp):
+        met = ptqm.build_metric(decomp, _signs_arg(cfg), cfg.met_tol)
+        report = {
+            "eta": _matrix_doc(met.eta),
+            "positive_definite": met.positive_definite,
+            "residual": met.defect,
+            "signs": met.signs.epsilons,
+            "class": decomp.spectral_class.tag,
+        }
+        _emit(args.output, [render_json(report) + "\n"])
 
 
 def cmd_inner(args, cfg) -> None:
-    _, decomp = _decomposed(args, cfg)
-    v1 = load_vector_file(args.vector1)
-    v2 = load_vector_file(args.vector2)
-    met = ptqm.build_metric(decomp, _signs_arg(cfg), cfg.met_tol)
-    report = {
-        "value": ptqm.eta_inner(v1, v2, met.eta),
-        "positive_definite": met.positive_definite,
-    }
-    _emit(args.output, [render_json(report) + "\n"])
+    with _decomposed(args, cfg) as (_, decomp):
+        v1 = load_vector_file(args.vector1)
+        v2 = load_vector_file(args.vector2)
+        met = ptqm.build_metric(decomp, _signs_arg(cfg), cfg.met_tol)
+        report = {
+            "value": ptqm.eta_inner(v1, v2, met.eta),
+            "positive_definite": met.positive_definite,
+        }
+        _emit(args.output, [render_json(report) + "\n"])
 
 
 def cmd_evolve(args, cfg) -> None:
     h = load_matrix_file(args.hamiltonian)
     rho = load_matrix_file(args.state)
-    rho_t = ptqm.evolve_density(rho, h, args.t, cfg.val_tol)
-    if args.normalize:
-        rho_t = ptqm.normalize_density(rho_t)
-    report = {
-        "t": args.t,
-        "normalized": args.normalize,
-        "trace": np.trace(rho_t),
-        "rho": _matrix_doc(rho_t),
-    }
-    _emit(args.output, [render_json(report) + "\n"])
+    with _raising():
+        rho_t = ptqm.evolve_density(rho, h, args.t, cfg.val_tol)
+        if args.normalize:
+            rho_t = ptqm.normalize_density(rho_t)
+        report = {
+            "t": args.t,
+            "normalized": args.normalize,
+            "trace": rho_t.trace(),
+            "rho": _matrix_doc(rho_t),
+        }
+        _emit(args.output, [render_json(report) + "\n"])
 
 
 def cmd_invariants(args, cfg) -> None:
-    pair, decomp = _decomposed(args, cfg)
-    report = ptqm.invariant_report(decomp.hamiltonian, pair, load_matrix_file(args.state),
-                                   _grid(cfg), _signs_arg(cfg), cfg.tol, val_tol=cfg.val_tol,
-                                   met_tol=cfg.met_tol, decomp=decomp)
-    n, d = report.coefficient_series.shape[:2]
-    entries = range(1, d + 1)
-    header = ["t", *(f"{part}_R_{i}_{j}" for i in entries for j in entries
-                     for part in ("re", "im")), "re_eta_trace", "im_eta_trace"]
-    coefficients = report.coefficient_series.reshape(n, -1)
-    step = max(1, _CSV_BLOCK_CELLS // len(header))
-    # a complex array viewed as floats interleaves re and im, as the header does
-    blocks = (np.column_stack([report.times[k:k + step], coefficients[k:k + step].view(float),
-                               report.eta_trace_series[k:k + step].view(float).reshape(-1, 2)])
-              for k in range(0, n, step))
-    _emit(args.output, csv_pieces(header, blocks))
-    if args.summary:
-        summary = {
-            "class": report.case_tag.tag,
-            "drift": dict(sorted(report.drift.items())),
-            "overflow_risk": report.overflow_risk,
-            "t_cap": report.t_cap,
-        }
-        _emit(args.summary, [render_json(summary) + "\n"])
+    with _decomposed(args, cfg) as (pair, decomp):
+        import numpy as np
+
+        report = ptqm.invariant_report(decomp.hamiltonian, pair, load_matrix_file(args.state),
+                                       _grid(cfg), _signs_arg(cfg), cfg.tol,
+                                       val_tol=cfg.val_tol, met_tol=cfg.met_tol, decomp=decomp)
+        n, d = report.coefficient_series.shape[:2]
+        entries = range(1, d + 1)
+        header = ["t", *(f"{part}_R_{i}_{j}" for i in entries for j in entries
+                         for part in ("re", "im")), "re_eta_trace", "im_eta_trace"]
+        coefficients = report.coefficient_series.reshape(n, -1)
+        step = max(1, _CSV_BLOCK_CELLS // len(header))
+        # a complex array viewed as floats interleaves re and im, as the header does
+        blocks = (np.column_stack([report.times[k:k + step],
+                                   coefficients[k:k + step].view(float),
+                                   report.eta_trace_series[k:k + step].view(float).reshape(-1, 2)])
+                  for k in range(0, n, step))
+        _emit(args.output, csv_pieces(header, blocks))
+        if args.summary:
+            summary = {
+                "class": report.case_tag.tag,
+                "drift": dict(sorted(report.drift.items())),
+                "overflow_risk": report.overflow_risk,
+                "t_cap": report.t_cap,
+            }
+            _emit(args.summary, [render_json(summary) + "\n"])
 
 
 def cmd_bender_sweep(args, cfg) -> None:
@@ -333,12 +357,13 @@ def cmd_bender_sweep(args, cfg) -> None:
     for flag, theta in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
         if not -math.pi < theta <= math.pi:
             raise ValidationError(f"{flag} must be in (-pi, pi], got {theta!r}")
-    grid = np.linspace(args.theta_min, args.theta_max, args.steps)
-    rows = ptqm.critical_sweep(args.r, args.s, grid, cfg.probe, cfg.crit_tol, cfg.tol)
-    # the columns of SweepRow, in field order
-    header = ["theta", "class", "alpha", "S0", "S0_times_cos_alpha",
-              "eigvec_overlap", "error"]
-    _emit(args.output, [render_csv(header, map(dataclasses.astuple, rows))])
+    with _raising() as np:
+        grid = np.linspace(args.theta_min, args.theta_max, args.steps)
+        rows = ptqm.critical_sweep(args.r, args.s, grid, cfg.probe, cfg.crit_tol, cfg.tol)
+        # the columns of SweepRow, in field order
+        header = ["theta", "class", "alpha", "S0", "S0_times_cos_alpha",
+                  "eigvec_overlap", "error"]
+        _emit(args.output, [render_csv(header, map(dataclasses.astuple, rows))])
 
 
 def cmd_stokes(args, cfg) -> None:
@@ -348,36 +373,36 @@ def cmd_stokes(args, cfg) -> None:
 
 
 def cmd_dilate(args, cfg) -> None:
-    pair, decomp = _decomposed(args, cfg)
-    report = ptqm.embedded_evolution_check(decomp.hamiltonian, pair,
-                                           load_matrix_file(args.state), _grid(cfg), cfg.slack,
-                                           val_tol=cfg.val_tol, decomp=decomp)
-    doc = {
-        "c": report.c,
-        "max_deviation": report.max_deviation,
-        "max_unitarity_residual": np.max(report.unitarity_residuals),
-        "times": report.times,
-        "success_probabilities": report.success_probabilities,
-    }
-    _emit(args.output, [render_json(doc) + "\n"])
+    with _decomposed(args, cfg) as (pair, decomp):
+        report = ptqm.embedded_evolution_check(decomp.hamiltonian, pair,
+                                               load_matrix_file(args.state), _grid(cfg),
+                                               cfg.slack, val_tol=cfg.val_tol, decomp=decomp)
+        doc = {
+            "c": report.c,
+            "max_deviation": report.max_deviation,
+            "max_unitarity_residual": report.unitarity_residuals.max(),
+            "times": report.times,
+            "success_probabilities": report.success_probabilities,
+        }
+        _emit(args.output, [render_json(doc) + "\n"])
 
 
 def cmd_free_check(args, cfg) -> None:
     if args.c is not None and args.slack is not None:
         raise ValidationError("--slack has no effect with --c")
-    pair, decomp = _decomposed(args, cfg)
-    c = args.c
-    if c is None:
-        c = ptqm.uniform_bound(decomp, cfg.slack)
-    report = ptqm.verify_free_evolution(decomp.hamiltonian, pair, c, _grid(cfg), cfg.free_tol,
-                                        decomp=decomp)
-    doc = {
-        "ok": report.ok,
-        "c": c,
-        "worst_defect": report.worst_defect,
-        "min_contraction_margin": report.min_contraction_margin,
-    }
-    _emit(args.output, [render_json(doc) + "\n"])
+    with _decomposed(args, cfg) as (pair, decomp):
+        c = args.c
+        if c is None:
+            c = ptqm.uniform_bound(decomp, cfg.slack)
+        report = ptqm.verify_free_evolution(decomp.hamiltonian, pair, c, _grid(cfg),
+                                            cfg.free_tol, decomp=decomp)
+        doc = {
+            "ok": report.ok,
+            "c": c,
+            "worst_defect": report.worst_defect,
+            "min_contraction_margin": report.min_contraction_margin,
+        }
+        _emit(args.output, [render_json(doc) + "\n"])
 
 
 def main(argv=None) -> int:
@@ -385,10 +410,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = cfgmod.resolve_config(getattr(args, "config", None), _overrides(args))
-        # an overflow that no library check catches ends the run as a
-        # numerical failure, not as a numpy warning followed by a LAPACK error
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            args.handler(args, cfg)
+        args.handler(args, cfg)
         return 0
     except (ParseError, ValidationError, PreconditionError, NumericalError) as exc:
         failure = exc

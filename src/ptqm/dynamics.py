@@ -19,22 +19,29 @@ by point: U[t] = Psi E(t) Psi^-1 with E(t) = e^{-itJ} in closed form
 (Higham, Functions of Matrices, SIAM 2008, ch. 1), with Psi factorised
 once for the whole stack. Long grids are processed in chunks of time
 points so that memory stays bounded.
+
+The functions that decompose H or build its metric import canonical and
+metric where they call them, and symmetry is needed for its types only,
+so that evolve_density loads none of the three.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .canonical import CanonicalDecomposition, SpectralClass, _residual_gate, pt_canonical_form
 from .errors import (DimensionError, InvalidDensityError, NumericalError, PreconditionError,
                      ValidationError)
 from .linalg import (MAX_GRID_POINTS, _fixed_product, _within_scale, as_square, dagger,
                      first_index, matrix_exponential, operator_norm, solve_stack)
-from .metric import MetricOperator, SignCharacteristic, basis_coefficients, build_metric
-from .symmetry import PTPair
+
+if TYPE_CHECKING:
+    from .canonical import CanonicalDecomposition, SpectralClass
+    from .metric import MetricOperator, SignCharacteristic
+    from .symmetry import PTPair
 
 OVERFLOW_EXPONENT = 30.0
 # byte budget of the (points, d, d) complex stack a grid analysis builds per chunk
@@ -115,6 +122,8 @@ def _own_decomposition(h, pair: PTPair, decomp: CanonicalDecomposition | None,
     otherwise): a layout moved after the gate would evolve by another H,
     while every per-point check compares the decomposition with itself.
     """
+    from .canonical import _residual_gate, pt_canonical_form
+
     if decomp is None:
         return pt_canonical_form(h, pair, **settings)
     if not np.array_equal(decomp.hamiltonian, h):
@@ -269,6 +278,8 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
     decomposition of this H (ValidationError otherwise). val_tol bounds
     the validation of rho and met_tol the metric's intertwining defect.
     """
+    from .metric import basis_coefficients, build_metric
+
     h = as_square(h, "H")
     rho = _matching_density(rho, h, val_tol)
     grid = grid if grid is not None else default_grid()

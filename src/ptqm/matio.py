@@ -12,19 +12,23 @@ number; a float or complex array is rendered a whole array at a time,
 with the same text and, for its first non-finite entry in C order, the
 same error. A matrix or vector file is read into one array when every
 number sits where it belongs; only a malformed file takes the per-entry
-loop, which words the error.
+loop, which words the error. numpy is imported by the functions that
+build or render an array, so a file that fails to parse and a document
+of Python values need none.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from itertools import chain
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .errors import NumericalError, ParseError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # the text of one finite float: 17 significant digits, lowercase scientific
@@ -33,7 +37,7 @@ _NUMBER = "{:.16e}"
 
 def format_float(x: float) -> str:
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValidationError(f"cannot render non-finite value {x!r}")
     if x == 0.0:
         x = 0.0
@@ -50,7 +54,7 @@ def _entry_to_complex(entry, where: str) -> complex:
     except OverflowError as exc:
         # an integer literal too large for a float
         raise ValidationError(f"{where}: entry outside the floating-point range") from exc
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValidationError(f"{where}: non-finite entry {entry!r}")
     return z
 
@@ -67,6 +71,9 @@ def _load_json(path: str, label: str = "") -> Any:
     except ValueError as exc:
         # an integer literal longer than Python converts
         raise ParseError(f"cannot parse {label}{path}: {exc}") from exc
+    except RecursionError as exc:
+        # arrays or objects nested past the interpreter's recursion limit
+        raise ParseError(f"cannot parse {label}{path}: nested too deeply") from exc
 
 
 def _load_items(path: str, key: str) -> tuple[int, list]:
@@ -89,6 +96,8 @@ def _bulk_complex(items: list, shape: tuple):
     shape and then holds a [re, im] pair of ints or floats (never bools)
     that are finite as floats; None otherwise, for the per-entry loop to
     word the error."""
+    import numpy as np
+
     numbers = items
     for _ in shape:
         numbers = chain.from_iterable(numbers)
@@ -109,6 +118,8 @@ def load_matrix_file(path: str) -> np.ndarray:
     out = _bulk_complex(rows, (dim, dim))
     if out is not None:
         return out
+    import numpy as np
+
     out = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
@@ -123,6 +134,8 @@ def load_vector_file(path: str) -> np.ndarray:
     out = _bulk_complex(entries, (dim,))
     if out is not None:
         return out
+    import numpy as np
+
     return np.array([_entry_to_complex(e, f"{path}: entry {i}")
                      for i, e in enumerate(entries)], dtype=complex)
 
@@ -154,23 +167,40 @@ def _render(value: Any, out: list) -> None:
                 out.append(",")
             _render(v, out)
         out.append("]")
-    elif isinstance(value, (bool, np.bool_)) or value is None:
-        out.append(json.dumps(None if value is None else bool(value)))
-    elif isinstance(value, (int, np.integer)):
+    elif isinstance(value, bool) or value is None:
+        out.append(json.dumps(value))
+    elif isinstance(value, int):
         out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
+    elif isinstance(value, float):
         out.append(format_float(value))
-    elif isinstance(value, (complex, np.complexfloating)):
+    elif isinstance(value, complex):
+        _render([value.real, value.imag], out)
+    elif isinstance(value, str):
+        out.append(json.dumps(value))
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        _render({f.name: getattr(value, f.name) for f in dataclasses.fields(value)}, out)
+    else:
+        _render_numpy(value, out)
+
+
+def _render_numpy(value: Any, out: list) -> None:
+    """_render of a numpy scalar or array that is not a Python scalar
+    (np.float64 and np.complex128 are)."""
+    import numpy as np
+
+    if isinstance(value, np.bool_):
+        out.append(json.dumps(bool(value)))
+    elif isinstance(value, np.integer):
+        out.append(str(int(value)))
+    elif isinstance(value, np.floating):
+        out.append(format_float(value))
+    elif isinstance(value, np.complexfloating):
         _render([value.real, value.imag], out)
     elif isinstance(value, np.ndarray):
         if _whole(value):
             out.append(_array_text(_finite_floats(value)))
         else:
             _render(value.tolist(), out)
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        _render({f.name: getattr(value, f.name) for f in dataclasses.fields(value)}, out)
     else:
         raise TypeError(f"cannot render {type(value).__name__} deterministically")
 
@@ -183,6 +213,8 @@ _TEMPLATE_CELLS = 1 << 12
 def _whole(a: np.ndarray) -> bool:
     """Whether a renders a whole array at a time: a float or complex
     dtype that float64 holds exactly."""
+    import numpy as np
+
     return a.dtype.kind in "fc" and np.can_cast(a.dtype, complex)
 
 
@@ -190,6 +222,8 @@ def _finite_floats(a: np.ndarray) -> np.ndarray:
     """a as float64, a complex entry as its (re, im) pair on a new last
     axis, with negative zero collapsed; format_float's ValidationError
     for the first non-finite number in C order."""
+    import numpy as np
+
     x = np.asarray(np.stack((a.real, a.imag), axis=-1) if a.dtype.kind == "c" else a,
                    dtype=float)
     finite = np.isfinite(x)
@@ -221,6 +255,8 @@ def _csv_rows(rows) -> str:
     """The CSV lines of rows, each ending in LF: a 2-D float array a
     whole array at a time, any other iterable cell by cell, a number
     through format_float, None as an empty cell and a string as itself."""
+    import numpy as np
+
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and _whole(rows) \
             and rows.dtype.kind == "f":
         line = ",".join([_NUMBER] * rows.shape[1]) + "\n"

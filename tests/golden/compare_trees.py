@@ -7,7 +7,8 @@ src directories of two checkouts. Each command line below is run as
 `python -m ptqm.cli` in a fresh interpreter under each tree: the 50
 golden lines of cases.json, then a fixed list of failing and edge
 lines (one per error kind, plus non-finite numbers in flags, probes
-and config files, plus classify, canonical and metric on two 2 x 2 H
+and config files, plus a matrix and a config file nested past the
+recursion limit, plus classify, canonical and metric on two 2 x 2 H
 whose entries lie near 1e-170 and near 1e200, which put every residual
 gate at the edges of the float range, plus canonical for a golden H
 with T = e^{i pi / 3} I, a pair with an imaginary part), then sweeps that between them
@@ -92,6 +93,8 @@ _FILES = {
     "cfg_signs.json": '{"signs": "1,1"}',
     "cfg_key.json": '{"p_tol": 1e-8}',
     "cfg_bad.json": "{",
+    "cfg_deep.json": "[" * 100000,
+    "deep.json": '{"dim": 1, "rows": %s1%s}' % ("[" * 3000, "]" * 3000),
     "cfg_big.json": '{"t_end": 1' + "0" * 400 + "}",
     "cfg_long.json": '{"t_end": 1' + "0" * 5000 + "}",
     "cfg_probe.json": '{"probe": [[0.6, 0.2], [-0.3, 0.7]]}',
@@ -117,6 +120,8 @@ _EXTRA = [
     ("parse-missing-file", ["classify", "{tmp}/missing.json", *_U2[1:]]),
     ("parse-config-bad-json", ["classify", *_U2, "--config", "{tmp}/cfg_bad.json"]),
     ("parse-config-missing", ["classify", *_U2, "--config", "{tmp}/missing.json"]),
+    ("parse-deep-json", ["classify", "{tmp}/deep.json", *_U2[1:]]),
+    ("parse-config-deep-json", ["classify", *_U2, "--config", "{tmp}/cfg_deep.json"]),
     ("validation-matrix-header", ["classify", "{tmp}/header.json", *_U2[1:]]),
     ("validation-pt-algebra", ["classify", "{tmp}/h_not_pt.json", "{tmp}/p_bad.json",
                                "{tmp}/t_id.json"]),

@@ -16,12 +16,12 @@ from ptqm.bender import (
     critical_sweep,
     expansion_coefficients,
     s0_eta,
-    stokes_vector,
 )
 from ptqm.canonical import COMPLEX_PAIR, REAL_JORDAN, REAL_SIMPLE, pt_canonical_form
 from ptqm.errors import BrokenRegimeError, CriticalPointError, NumericalError, ValidationError
 from ptqm.linalg import operator_norm
 from ptqm.metric import eta_inner, eta_trace
+from ptqm.stokes import stokes_vector
 from ptqm.symmetry import is_pt_symmetric
 
 
@@ -234,6 +234,42 @@ def test_stokes_pure_field_identity():
 def test_stokes_overflow_raises_numerical_error(ex, ey):
     with pytest.raises(NumericalError, match="floating-point range"):
         stokes_vector(ex, ey)
+
+
+def _numpy_stokes(ex: complex, ey: complex) -> tuple:
+    """The four parameters by numpy scalar arithmetic under over and
+    invalid set to raise: FloatingPointError (or Python's OverflowError
+    from abs and **) wherever a step leaves the float range."""
+    with np.errstate(over="raise", invalid="raise"):
+        s0 = np.add(abs(ex) ** 2, abs(ey) ** 2)
+        s1 = abs(ex) ** 2 - abs(ey) ** 2
+        s2 = (ex * np.conj(ey) + ey * np.conj(ex)).real
+        s3 = (1j * (ex * np.conj(ey) - ey * np.conj(ex))).real
+    return tuple(float(s) for s in (s0, s1, s2, s3))
+
+
+def test_stokes_is_bitwise_the_numpy_evaluation():
+    """Python floats give the numpy evaluation's bits, and raise exactly
+    where it does, over fields from 1e-160 to past the float range."""
+    rng = np.random.default_rng(2027)
+    outcomes = set()
+    for exponents in (rng.uniform(-160, 160, (1500, 4)), rng.uniform(150, 156, (1500, 4)),
+                      rng.uniform(300, 308, (500, 4))):
+        for parts in rng.uniform(-1.0, 1.0, exponents.shape) * 10.0 ** exponents:
+            ex, ey = complex(*parts[:2]), complex(*parts[2:])
+            try:
+                want = _numpy_stokes(ex, ey)
+            except (FloatingPointError, OverflowError):
+                with pytest.raises(NumericalError, match="^Stokes parameters out of the "
+                                                          "floating-point range$"):
+                    stokes_vector(ex, ey)
+                outcomes.add("overflow")
+                continue
+            sv = stokes_vector(ex, ey)
+            got = (sv.S0, sv.S1, sv.S2, sv.S3)
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), (ex, ey)
+            outcomes.add("finite")
+    assert outcomes == {"overflow", "finite"}
 
 
 @pytest.mark.parametrize("r, s, probe", [(1e200, 1e200, (1.0, 0.0)), (1e200, 1.0, (1.0, 0.0)),

@@ -311,7 +311,7 @@ def test_bender_sweep_rejects_bad_grid(files, capsys):
 def test_bender_sweep_rejects_more_steps_than_the_grid_cap(capsys, monkeypatch, steps):
     """The cap is checked before the grid is built: no sweep runs."""
     monkeypatch.setattr(ptqm, "critical_sweep", lambda *args: pytest.fail("sweep ran"))
-    monkeypatch.setattr(cli.np, "linspace", lambda *args: pytest.fail("grid built"))
+    monkeypatch.setattr(np, "linspace", lambda *args: pytest.fail("grid built"))
     code, out, err = run(capsys, ["bender-sweep", "--r", "1", "--s", "0.8", "--theta-min", "0",
                                   "--theta-max", "1", "--steps", str(steps)])
     assert (code, out) == (2, "")
@@ -490,6 +490,32 @@ def test_oversized_integer_literal_is_rejected(files, capsys, tmp_path, where, d
     code, _, err = run(capsys, ["metric", str(h), paths["p_swap"], paths["t_id"],
                                 "--config", str(cfg)])
     assert (code, json.loads(err)["error"]) == (2, error)
+
+
+@pytest.mark.parametrize("where, text", [
+    pytest.param("matrix", "[" * 100000, id="matrix"),
+    pytest.param("matrix", '{"dim": 1, "rows": %s1%s}' % ("[" * 3000, "]" * 3000), id="rows"),
+    pytest.param("vector", '{"dim": 1, "entries": %s1%s}' % ("[" * 3000, "]" * 3000),
+                 id="entries"),
+    pytest.param("config", "[" * 100000, id="config"),
+])
+def test_json_nested_past_the_recursion_limit_is_parse_error(files, capsys, tmp_path,
+                                                             where, text):
+    """The JSON parser stops at the interpreter's recursion limit; the
+    file is then one that does not parse, not a traceback."""
+    paths, _ = files
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    read = {"matrix": paths["h_unbroken"], "vector": paths["e1"], "config": str(cfg)}
+    read[where] = str(deep)
+    label = "config " if where == "config" else ""
+    code, out, err = run(capsys, ["inner", read["matrix"], paths["p_swap"], paths["t_id"],
+                                  read["vector"], paths["e2"], "--config", read["config"]])
+    assert (code, out) == (2, "")
+    assert err == render_json({"error": "parse",
+                               "detail": f"cannot parse {label}{deep}: nested too deeply"}) + "\n"
 
 
 @pytest.mark.parametrize("source", ["config", "flag"])

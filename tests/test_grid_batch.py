@@ -524,7 +524,7 @@ def test_free_check_decomposes_once(tmp_path, monkeypatch, capsys, extra):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ptqm, "pt_canonical_form", counted)
-    monkeypatch.setattr("ptqm.dynamics.pt_canonical_form", counted)
+    monkeypatch.setattr("ptqm.canonical.pt_canonical_form", counted)
     files = _cli_files(tmp_path)[:3]
     assert cli.main(["free-check", *files, "--num-points", "5", *extra]) == 0
     assert len(calls) == 1

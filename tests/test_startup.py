@@ -4,7 +4,9 @@ ptqm needs numpy alone, and no command line loads scipy or numpy.ma.
 Importing ptqm loads none of its modules, and ptqm.cli calls the
 library through the package's lazy exports, so a subcommand's modules
 load when its handler first calls into them and a command whose input
-fails to parse loads none. The test modules import scipy and every
+fails to parse loads none. numpy itself loads only once a command has
+read its input files, so help, usage errors, unreadable files and
+stokes finish without it. The test modules import scipy and every
 ptqm module themselves, so only a fresh interpreter can see what a
 command loaded.
 """
@@ -25,13 +27,14 @@ from test_cli_golden import GOLDEN, INPUTS, _argv, _load_cases, assert_same_text
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # runs each command line of the JSON list on stdin through cli.main and
-# prints, as one JSON line, whether scipy and numpy.ma were loaded after
-# import ptqm and which ptqm modules were, then each run's exit code,
-# stdout, stderr and the same three after it
+# prints, as one JSON line, whether numpy, scipy and numpy.ma were loaded
+# after import ptqm and which ptqm modules were, then each run's exit code
+# (argparse's for --help), stdout, stderr and the same four after it
 _CHILD = """
 import contextlib, io, json, sys
 def loaded():
-    return {"scipy": "scipy" in sys.modules, "numpy.ma": "numpy.ma" in sys.modules,
+    return {"numpy": "numpy" in sys.modules, "scipy": "scipy" in sys.modules,
+            "numpy.ma": "numpy.ma" in sys.modules,
             "ptqm": sorted(m for m in sys.modules if m.startswith("ptqm."))}
 import ptqm
 runs = [loaded()]
@@ -39,7 +42,10 @@ from ptqm.cli import main
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     runs.append({"code": code, "out": out.getvalue(), "err": err.getvalue(), **loaded()})
 sys.stdout.write(json.dumps(runs))
 """
@@ -135,6 +141,32 @@ def test_first_scipy_import_inside_a_command_matches_golden(tmp_path):
     assert not runs[-1]["scipy"] and not runs[-1]["numpy.ma"]
 
 
+def test_commands_that_compute_on_no_matrix_leave_numpy_unloaded(tmp_path):
+    """--help, a usage error, a non-finite flag value, a missing, a
+    truncated and a too-deep input file, and stokes, in one interpreter:
+    none loads numpy."""
+    truncated, deep = tmp_path / "truncated.json", tmp_path / "deep.json"
+    truncated.write_text('{"dim": 2, "rows": [[[1.0, 0.0], [0.5')
+    deep.write_text("[" * 100000)
+    pair = [str(INPUTS / "p_unbroken2.json"), str(INPUTS / "t_unbroken2.json")]
+    argvs = [["--help"],
+             ["classify", str(INPUTS / "h_unbroken2.json"), *pair, "--bogus"],
+             ["bender-sweep", "--r", "nan", "--s", "1", "--theta-min", "0",
+              "--theta-max", "1", "--steps", "3"],
+             *(["classify", str(path), *pair]
+               for path in (tmp_path / "missing.json", truncated, deep)),
+             ["stokes", "--ex=1,0", "--ey=0,1"]]
+    imported, *runs = _run_fresh(argvs)
+    assert not imported["numpy"]
+    assert [r["code"] for r in runs] == [0, 2, 2, 2, 2, 2, 0]
+    assert [json.loads(r["err"])["error"] for r in runs[1:-1]] == [
+        "validation", "validation", "parse", "parse", "parse"]
+    assert runs[0]["out"].startswith("usage: ptqm")
+    assert json.loads(runs[-1]["out"]) == {"S0": 2.0, "S1": 0.0, "S2": 0.0, "S3": 2.0}
+    # a loaded module stays in sys.modules, so the last run speaks for all
+    assert not runs[-1]["numpy"]
+
+
 def test_decomposing_commands_load_no_analysis_module(tmp_path):
     _, argvs = _golden(["classify_unbroken2", "canonical_unbroken2"], tmp_path / "summary.json")
     imported, *runs = _run_fresh(argvs)
@@ -150,18 +182,17 @@ def test_decomposing_commands_load_no_analysis_module(tmp_path):
 _BASE = {"ptqm.cli", "ptqm.config", "ptqm.errors", "ptqm.matio"}
 _DECOMPOSE = {"ptqm.canonical", "ptqm.linalg", "ptqm.symmetry"}
 _METRIC = _DECOMPOSE | {"ptqm.metric"}
-_DYNAMICS = _METRIC | {"ptqm.dynamics"}
-_DILATE = _DYNAMICS | {"ptqm.dilation"}
+_DILATE = _DECOMPOSE | {"ptqm.dynamics", "ptqm.dilation"}
 # golden line (or the missing-file line) -> the modules it loads on top of _BASE
 _LOADS = {
     "classify_unbroken2": _DECOMPOSE,
     "canonical_unbroken2": _DECOMPOSE,
     "metric_unbroken2": _METRIC,
     "inner_unbroken2": _METRIC,
-    "evolve_unbroken2": _DYNAMICS,
-    "invariants_unbroken2": _DYNAMICS,
+    "evolve_unbroken2": {"ptqm.linalg", "ptqm.dynamics"},
+    "invariants_unbroken2": _METRIC | {"ptqm.dynamics"},
     "bender-sweep": _DECOMPOSE | {"ptqm.bender"},
-    "stokes": {"ptqm.bender"},
+    "stokes": {"ptqm.stokes"},
     "dilate_unbroken2": _DILATE,
     "free-check_unbroken2": _DILATE | {"ptqm.superposition"},
     "missing-file": set(),
