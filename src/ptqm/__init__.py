@@ -21,20 +21,19 @@ _EXPORTS = {
     "bender": ("BenderEigensystem", "BenderParams", "SweepRow", "bender_classify",
                "bender_eigensystem", "bender_hamiltonian", "critical_sweep",
                "expansion_coefficients", "s0_eta"),
-    "canonical": ("COMPLEX_PAIR", "REAL_JORDAN", "REAL_SIMPLE", "BlockDescriptor",
-                  "CanonicalDecomposition", "SpectralClass", "classify_spectrum",
-                  "pt_canonical_form"),
+    "canonical": ("BlockDescriptor", "CanonicalDecomposition", "SpectralClass",
+                  "classify_spectrum", "pt_canonical_form"),
     "config": ("RunConfig", "resolve_config"),
     "dilation": ("DilationResult", "EmbeddingReport", "embedded_evolution_check",
                  "halmos_dilation", "uniform_bound"),
     "dynamics": ("InvariantReport", "TimeGrid", "default_grid", "evolve_density",
                  "invariant_report", "normalize_density", "propagator", "propagator_stack",
                  "validate_density"),
-    "errors": ("BrokenRegimeError", "BrokenSymmetryError", "CriticalPointError",
-               "DegeneratePostSelectionError", "DimensionError", "IllConditionedError",
-               "InvalidDensityError", "NotPositiveSemidefiniteError", "NotPTSymmetricError",
-               "NumericalError", "ParseError", "PreconditionError", "SingularMatrixError",
-               "ValidationError"),
+    "errors": ("COMPLEX_PAIR", "REAL_JORDAN", "REAL_SIMPLE", "BrokenRegimeError",
+               "BrokenSymmetryError", "CriticalPointError", "DegeneratePostSelectionError",
+               "DimensionError", "IllConditionedError", "InvalidDensityError",
+               "NotPositiveSemidefiniteError", "NotPTSymmetricError", "NumericalError",
+               "ParseError", "PreconditionError", "SingularMatrixError", "ValidationError"),
     "linalg": ("EigenStructure", "eigen_decompose", "matrix_exponential", "operator_norm",
                "psd_square_root"),
     "metric": ("MetricOperator", "SignCharacteristic", "basis_coefficients", "build_metric",

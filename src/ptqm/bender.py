@@ -16,9 +16,10 @@ cos(alpha) value is what the constructed metric reproduces.
 The discriminant, alpha and S0 formulas are elementwise helpers: the
 scalar functions evaluate them at one point, critical_sweep on a grid.
 
-Each function imports the decomposition modules (canonical, linalg,
-metric, symmetry) where it calls them, so that critical_sweep loads no
-metric. The Stokes parameters of a field are ptqm.stokes, which needs no
+Each function imports the decomposition modules (canonical, metric,
+symmetry) where it calls them, so that critical_sweep, which reads only
+the block tags and the tolerance check of ptqm.errors, loads none. The
+Stokes parameters of a field are ptqm.stokes, which needs no
 numpy.
 """
 
@@ -30,7 +31,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BrokenRegimeError, CriticalPointError, NumericalError, ValidationError
+from .errors import (COMPLEX_PAIR, REAL_JORDAN, REAL_SIMPLE, BrokenRegimeError, CriticalPointError,
+                     NumericalError, ValidationError, _require_positive)
 
 if TYPE_CHECKING:
     from .canonical import CanonicalDecomposition, SpectralClass
@@ -117,7 +119,7 @@ def bender_classify(p: BenderParams, tol: float = 1e-8) -> SpectralClass:
     degenerate but diagonalizable (hence unbroken) point. tol must be
     nonnegative.
     """
-    from .canonical import COMPLEX_PAIR, REAL_JORDAN, REAL_SIMPLE, BlockDescriptor, _classify_blocks
+    from .canonical import BlockDescriptor, _classify_blocks
 
     _check_tol(tol)
     with _float_range("the discriminant"):
@@ -162,8 +164,7 @@ def bender_eigensystem(p: BenderParams, crit_tol: float = 1e-6) -> BenderEigensy
     canonical decomposition assembled from the normalized eigenvectors
     with signs (+1, +1).
     """
-    from .canonical import REAL_SIMPLE, BlockDescriptor, _decomposition
-    from .linalg import _require_positive
+    from .canonical import BlockDescriptor, _decomposition
     from .metric import build_metric
 
     if p.s == 0:
@@ -204,8 +205,6 @@ def bender_eigensystem(p: BenderParams, crit_tol: float = 1e-6) -> BenderEigensy
 
 
 def _check_alpha(alpha: float, crit_tol: float) -> float:
-    from .linalg import _require_positive
-
     if not np.isfinite(alpha):
         raise ValidationError("alpha must be finite")
     _require_positive(crit_tol=crit_tol)
@@ -275,9 +274,6 @@ def critical_sweep(r: float, s: float, theta_grid, probe=(1.0, 0.0),
     raises what the first row meeting one raises on its own. tol must be
     nonnegative, as for bender_classify.
     """
-    from .canonical import COMPLEX_PAIR, REAL_JORDAN
-    from .linalg import _require_positive
-
     if s == 0:
         raise ValidationError("sweep requires s != 0")
     _require_positive(crit_tol=crit_tol)

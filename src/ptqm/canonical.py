@@ -17,15 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IllConditionedError, NotPTSymmetricError
-from .linalg import (BlockLayout, _cluster_chains, _clustered_spectrum, _require_positive,
-                     first_index, norm_within, operator_norm)
+from .errors import (COMPLEX_PAIR, REAL_JORDAN, REAL_SIMPLE, IllConditionedError,
+                     NotPTSymmetricError, _require_positive)
+from .linalg import (BlockLayout, _cluster_chains, _clustered_spectrum, first_index, norm_within,
+                     operator_norm)
 from .symmetry import PTPair, _pt_defect, _pt_test
-
-
-REAL_SIMPLE = "RealSimple"
-REAL_JORDAN = "RealJordan"
-COMPLEX_PAIR = "ComplexConjugatePair"
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ machine-readable JSON on stderr with exit codes: 0 success, 2
 validation or parse failure, 3 domain precondition failure, 4
 numerical failure. Identical inputs and configuration produce
 byte-identical output.
+
+run() is the process entry of `python -m ptqm.cli` and of the installed
+`ptqm` command: main() with Python's cyclic garbage collector switched
+off, since a call's objects live until the process ends anyway, and
+everything frozen before the interpreter finalizes, so that its last
+collections skip them. main(argv) leaves the collector as it finds it.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import gc
 import math
 import os
 import stat
@@ -33,7 +40,8 @@ for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import ptqm
 
 from . import config as cfgmod
-from .errors import NumericalError, ParseError, PreconditionError, ValidationError
+from .errors import (MAX_GRID_POINTS, NumericalError, ParseError, PreconditionError,
+                     ValidationError)
 from .matio import csv_pieces, load_matrix_file, load_vector_file, render_csv, render_json
 
 if TYPE_CHECKING:
@@ -138,7 +146,8 @@ def _add_arguments(sub: _Parser, positionals: tuple, own: tuple, settings: tuple
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="ptqm", description=__doc__, allow_abbrev=False)
+    # the help text is the docstring up to its last paragraph, on run()
+    parser = _Parser(prog="ptqm", description=__doc__.rsplit("\n\n", 1)[0], allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, *arguments) in _commands().items():
         sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
@@ -350,8 +359,8 @@ def cmd_invariants(args, cfg) -> None:
 def cmd_bender_sweep(args, cfg) -> None:
     if args.steps < 2:
         raise ValidationError("steps must be at least 2")
-    if args.steps > ptqm.linalg.MAX_GRID_POINTS:
-        raise ValidationError(f"steps must be at most {ptqm.linalg.MAX_GRID_POINTS}")
+    if args.steps > MAX_GRID_POINTS:
+        raise ValidationError(f"steps must be at most {MAX_GRID_POINTS}")
     if not args.theta_max > args.theta_min:
         raise ValidationError("theta-max must exceed theta-min")
     for flag, theta in (("--theta-min", args.theta_min), ("--theta-max", args.theta_max)):
@@ -422,5 +431,17 @@ def main(argv=None) -> int:
     return failure.exit_code
 
 
+def run() -> int:
+    """main() on the process's command line, as the process entry: no
+    automatic collection while it runs, and gc.freeze() on every way out,
+    an exception and argparse's SystemExit included, so the shutdown
+    collections skip what it built. atexit handlers still run."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -4,7 +4,21 @@ Four families: parse and validation errors (malformed input, exit 2),
 precondition errors (valid input outside an operation's domain, exit 3),
 and numerical errors (requested accuracy not reached, exit 4). Each
 class carries the kind the CLI reports on stderr and its exit code.
+
+The module also holds what numpy-free callers share with the
+decomposition: the tags of the three canonical block kinds, the largest
+accepted grid and the check that a tolerance is a finite positive
+number.
 """
+
+import math
+
+REAL_SIMPLE = "RealSimple"
+REAL_JORDAN = "RealJordan"
+COMPLEX_PAIR = "ComplexConjugatePair"
+# largest accepted grid, of times or of angles: an analysis holds its
+# per-point series in memory
+MAX_GRID_POINTS = 1_000_000
 
 
 class ParseError(Exception):
@@ -91,3 +105,11 @@ class IllConditionedError(NumericalError):
 
 class SingularMatrixError(NumericalError):
     """Matrix is numerically singular at the working precision."""
+
+
+def _require_positive(**tolerances: float) -> None:
+    """Raise ValidationError naming the first tolerance that is not a
+    finite positive number; a NaN would pass every gate it bounds."""
+    for name, value in tolerances.items():
+        if not 0.0 < value < math.inf:
+            raise ValidationError(f"{name} must be finite and positive, got {value!r}")

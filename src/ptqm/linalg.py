@@ -33,12 +33,14 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import (
+    MAX_GRID_POINTS,
     DimensionError,
     IllConditionedError,
     NotPositiveSemidefiniteError,
     NumericalError,
     SingularMatrixError,
     ValidationError,
+    _require_positive,
 )
 
 _EPS = float(np.finfo(float).eps)
@@ -49,9 +51,6 @@ _INVOLUTION_TOL = 1e-6
 # hermitian_root clamps to zero, both relative to max(1, ||A||)
 PSD_HERM_TOL = 1e-10
 PSD_NEG_FLOOR = 1e-12
-# largest accepted grid, of times or of angles: an analysis holds its
-# per-point series in memory
-MAX_GRID_POINTS = 1_000_000
 
 
 def _as_array(a, name: str, ndim: int = 2, stacked: bool = False) -> np.ndarray:
@@ -85,14 +84,6 @@ def as_square_stack(a, name: str = "matrix") -> np.ndarray:
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
-
-
-def _require_positive(**tolerances: float) -> None:
-    """Raise ValidationError naming the first tolerance that is not a
-    finite positive number; a NaN would pass every gate it bounds."""
-    for name, value in tolerances.items():
-        if not 0.0 < value < np.inf:
-            raise ValidationError(f"{name} must be finite and positive, got {value!r}")
 
 
 def first_index(mask: np.ndarray) -> int | None:

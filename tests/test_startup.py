@@ -9,8 +9,16 @@ read its input files, so help, usage errors, unreadable files and
 stokes finish without it. The test modules import scipy and every
 ptqm module themselves, so only a fresh interpreter can see what a
 command loaded.
+
+The process entry, cli.run, which both `python -m ptqm.cli` and the
+installed `ptqm` command call, runs with automatic garbage collection
+off and freezes what it built before the interpreter finalizes; a fresh
+interpreter shows that no collection starts during a call, on every way
+out, and that atexit handlers still run. cli.main, called in process,
+leaves the collector as it finds it.
 """
 
+import gc
 import json
 import os
 import re
@@ -21,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ptqm.cli import main
 from ptqm.matio import render_json
 from test_cli_golden import GOLDEN, INPUTS, _argv, _load_cases, assert_same_text
 
@@ -58,14 +67,19 @@ def test_numpy_is_the_only_dependency():
     assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
 
 
-def _python(code: str, stdin: str = "") -> str:
-    """stdout of code run by a new interpreter that imports ptqm from SRC."""
+def _process(args: list, stdin: str = "") -> subprocess.CompletedProcess:
+    """A new interpreter that imports ptqm from SRC, run on args."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], input=stdin,
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return subprocess.run([sys.executable, *args], input=stdin.encode(),
+                          capture_output=True, env=env, timeout=120)
+
+
+def _python(code: str, stdin: str = "") -> str:
+    """stdout of code run by a new interpreter that imports ptqm from SRC."""
+    proc = _process(["-c", code], stdin)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode()
 
 
 def _run_fresh(argvs: list) -> list:
@@ -191,7 +205,7 @@ _LOADS = {
     "inner_unbroken2": _METRIC,
     "evolve_unbroken2": {"ptqm.linalg", "ptqm.dynamics"},
     "invariants_unbroken2": _METRIC | {"ptqm.dynamics"},
-    "bender-sweep": _DECOMPOSE | {"ptqm.bender"},
+    "bender-sweep": {"ptqm.bender"},
     "stokes": {"ptqm.stokes"},
     "dilate_unbroken2": _DILATE,
     "free-check_unbroken2": _DILATE | {"ptqm.superposition"},
@@ -244,3 +258,99 @@ def test_a_call_builds_only_its_subcommands_arguments(monkeypatch, capsys):
     holding = {name for name, sub in subparsers.choices.items()
                if [action.dest for action in sub._actions] != ["help"]}
     assert holding == {"stokes"}
+
+
+def _console_script() -> tuple[str, str]:
+    """(module, function) of the `ptqm` command in pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(SRC.parent / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["ptqm"]
+    module, function = target.split(":")
+    return module, function
+
+
+def _failing_lines(tmp_path: Path) -> dict:
+    """exit code -> a command line on golden inputs that ends with it."""
+    pair = [str(INPUTS / "p_unbroken2.json"), str(INPUTS / "t_unbroken2.json")]
+    h = str(INPUTS / "h_unbroken2.json")
+    (precondition,) = _golden(["dilate_complex2"], tmp_path / "summary.json")[1]
+    return {2: ["classify", str(tmp_path / "missing.json"), *pair],
+            3: precondition,
+            4: ["canonical", h, *pair, "--can-tol", "1e-30"]}
+
+
+def test_the_installed_command_prints_what_python_m_prints(tmp_path):
+    """The `ptqm` command of pyproject.toml, called as a console script
+    calls it, against `python -m ptqm.cli`, on one line per exit code:
+    the same exit code, stdout and stderr, byte for byte."""
+    module, function = _console_script()
+    script = f"import sys\nfrom {module} import {function}\nsys.exit({function}())\n"
+    (success,) = _golden(["invariants_unbroken2"], tmp_path / "summary.json")[1]
+    lines = {0: success, **_failing_lines(tmp_path)}
+    for code, argv in lines.items():
+        installed = _process(["-c", script, *argv])
+        module_run = _process(["-m", "ptqm.cli", *argv])
+        assert installed.returncode == module_run.returncode == code, argv
+        assert installed.stdout == module_run.stdout, argv
+        assert installed.stderr == module_run.stderr, argv
+
+
+# cli.run on the command line after -c, as the installed command calls it,
+# counting the collections that start after ptqm.cli is imported; an
+# atexit handler writes that count and gc.get_freeze_count() to the path
+# given first on the command line. With PLANT, cli.main raises instead.
+_ENTRY_PROBE = """
+import atexit, gc, json, sys
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info))
+from ptqm import cli
+probe_path, before = sys.argv.pop(1), len(starts)
+@atexit.register
+def probe():
+    with open(probe_path, "w") as f:
+        json.dump({"collections": len(starts) - before, "frozen": gc.get_freeze_count()}, f)
+if PLANT:
+    def planted(argv=None):
+        raise RuntimeError("planted")
+    cli.main = planted
+sys.exit(cli.run())
+"""
+
+
+@pytest.mark.parametrize("way_out", ["success", "precondition", "help", "unexpected"])
+def test_the_process_entry_collects_nothing_and_freezes_what_it_built(tmp_path, way_out):
+    """A decomposing golden line, a golden line that fails, --help
+    (argparse's SystemExit) and an exception main() does not map, each
+    through cli.run in a new interpreter: no automatic collection starts
+    during the call, the atexit handlers run, and they find its objects
+    frozen."""
+    (case,), (argv,) = _golden(["invariants_unbroken4"], tmp_path / "summary.json")
+    lines = {"success": argv, "precondition": _failing_lines(tmp_path)[3],
+             "help": ["--help"], "unexpected": argv}
+    probe = tmp_path / "probe.json"
+    code = _ENTRY_PROBE.replace("PLANT", str(way_out == "unexpected"))
+    proc = _process(["-c", code, str(probe), *lines[way_out]])
+    assert proc.returncode == {"precondition": 3, "unexpected": 1}.get(way_out, 0)
+    if way_out == "success":
+        assert_same_text(proc.stdout.decode(), (GOLDEN / f"{case['name']}.out").read_text(
+            encoding="utf-8"), case["name"])
+    if way_out == "unexpected":
+        assert proc.stderr.decode().rstrip().endswith("RuntimeError: planted")
+    seen = json.loads(probe.read_text())
+    assert seen["collections"] == 0
+    assert seen["frozen"] > 0
+
+
+def test_main_leaves_the_collector_as_it_finds_it(tmp_path):
+    """cli.main in process, as the tests, library callers and the
+    benchmark's warm-up call it, on a success, each mapped error and
+    --help: the collector stays enabled and nothing is frozen."""
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    (success,) = _golden(["classify_unbroken2"], tmp_path / "summary.json")[1]
+    lines = [(0, success), *_failing_lines(tmp_path).items(), (2, ["classify", "--bogus"])]
+    for code, argv in lines:
+        assert main(argv) == code, argv
+        assert gc.isenabled() and gc.get_freeze_count() == 0, argv
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert gc.isenabled() and gc.get_freeze_count() == 0
