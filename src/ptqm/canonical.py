@@ -246,6 +246,8 @@ def _decomposition(h: np.ndarray, h_norm: float, pair: PTPair, psi: np.ndarray,
     elif cond > 1e8:
         warning = f"Psi condition number {cond:.3e}; results may lose accuracy"
 
+    for a in (h, pair.pt, psi):
+        a.setflags(write=False)
     decomp = CanonicalDecomposition(hamiltonian=h, h_norm=h_norm, pt=pair.pt, Psi=psi,
                                     blocks=blocks, condition_number=cond, warning=warning,
                                     pt_tested=pt_tested, can_tol=can_tol)

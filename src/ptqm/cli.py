@@ -389,7 +389,7 @@ def cmd_dilate(args, cfg) -> None:
         doc = {
             "c": report.c,
             "max_deviation": report.max_deviation,
-            "max_unitarity_residual": report.unitarity_residuals.max(),
+            "max_unitarity_residual": report.unitarity_residual,
             "times": report.times,
             "success_probabilities": report.success_probabilities,
         }

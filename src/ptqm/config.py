@@ -13,7 +13,7 @@ import math
 import os
 from typing import Optional
 
-from .errors import ValidationError
+from .errors import MAX_GRID_POINTS, ValidationError
 from .matio import _entry_to_complex, _load_json
 
 ENV_CONFIG = "PTQM_CONFIG"
@@ -60,8 +60,12 @@ class RunConfig:
             fail("{slack} must be in (0, 1), got %r" % (self.slack,), "slack")
         if not isinstance(self.num_points, int) or self.num_points < 1:
             fail("{num_points} must be a positive integer", "num_points")
+        if self.num_points > MAX_GRID_POINTS:
+            fail("{num_points} must be at most %d" % MAX_GRID_POINTS, "num_points")
         if not self.t_end >= self.t_start:
             fail("{t_end} must be >= {t_start}", "t_end", "t_start")
+        if self.num_points > 1 and self.t_end == self.t_start:
+            fail("{t_end} must exceed {t_start}", "t_end", "t_start")
         if self.signs is not None:
             if not all(e in (-1, 1) for e in self.signs):
                 fail("{signs} entries must be +1 or -1", "signs")

@@ -17,16 +17,13 @@ Applying V to a state supported on the first block and post-selecting
 that block reproduces the normalized PT evolution with success
 probability c^2 Tr[U rho U^dag].
 
-The same SVD factors the dilation as V = diag(W, X) M(Sigma)
-diag(X^dag, W^dag), where M(Sigma) is the direct sum of the real 2x2
-blocks [[s, (1 - s^2)^1/2], [(1 - s^2)^1/2, -s]] (Halmos 1950; Paige &
-Wei, Linear Algebra Appl. 208/209, 1994). V is unitary exactly when W
-and X are, the post-selected block is W Sigma X^dag rho X Sigma W^dag,
-and the failure branch carries Tr[(I - Sigma^2) X^dag rho X]. The
-embedded check therefore works in these d-dimensional frames, one SVD
-of c U(t) per time point for a whole grid at once, and builds no V;
-halmos_dilation builds V explicitly. No joint time-independent
-generator on the large space is attempted.
+The embedded check gates every point of a time grid on the singular
+values of c U(t) alone and builds V once, with halmos_dilation, at the
+point where the gap 1 - sigma_max^2 is smallest: the defect operators
+are square roots of that gap, so that is where V loses unitarity
+first. Anything computed in the frames of the SVD itself would hold
+to rounding at every point whatever the SVD returned. No joint
+time-independent generator on the large space is attempted.
 """
 
 from __future__ import annotations
@@ -44,8 +41,8 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .linalg import (_fixed_product, _max_last, as_square, as_square_stack, dagger,
-                     first_index, hermitian_root, require_psd_floor)
+from .linalg import (_fixed_product, as_square, as_square_stack, dagger, first_index,
+                     hermitian_root, require_psd_floor)
 from .symmetry import PTPair
 
 DEFAULT_SLACK = 0.99
@@ -126,56 +123,26 @@ def halmos_dilation(u, c: float) -> DilationResult:
                           contraction_margin=margin)
 
 
-def _max_trace_distance(delta: np.ndarray, best: float) -> float:
-    """The larger of best and the largest 0.5 ||delta_k||_1 over a stack
-    of Hermitian delta_k, each the sum of the |eigenvalues| of eigvalsh,
-    which is computed only where that sum can exceed the best found.
-
-    eigvalsh reads the real diagonal and the strict lower triangle; with
-    F the Frobenius norm of the Hermitian matrix they define, its trace
-    norm lies in [F, sqrt(d) F]. The point of largest F is evaluated
-    first, then every point whose upper bound, widened for rounding,
-    reaches the best value so far. Each value is computed as on the
-    whole stack, so the maximum is the same float.
-    """
-    d = delta.shape[-1]
-    diagonal = np.diagonal(delta, axis1=-2, axis2=-1).real
-    lower = np.tril(delta, -1)
-    frobenius = np.sqrt(np.sum(diagonal * diagonal, axis=-1) + 2.0 * np.sum(
-        lower.real * lower.real + lower.imag * lower.imag, axis=(-2, -1)))
-    # squares that underflow take at most d * 1e-153 off F
-    upper = 0.5 * np.sqrt(d) * (frobenius * (1.0 + 1e-8) + d * 1e-153)
-
-    def exact(points):
-        return np.max(0.5 * np.sum(np.abs(np.linalg.eigvalsh(delta[points])), axis=-1))
-
-    first = int(np.argmax(frobenius))
-    best = max(best, float(exact([first])))
-    rest = np.flatnonzero(~(upper < best))
-    rest = rest[rest != first]
-    return max(best, float(exact(rest))) if rest.size else best
-
-
 @dataclass(frozen=True)
 class EmbeddingReport:
-    """What embedded_evolution_check measured on its grid.
+    """What embedded_evolution_check measured.
 
     c is the contraction factor. success_probabilities[k] is
-    p = Tr[c U rho (c U)^dag] at times[k]. max_deviation is the largest
-    trace distance, over the grid, between the post-selected state the
-    dilation yields, W Sigma X^dag rho X Sigma W^dag over its trace with
-    c U = W Sigma X^dag, and c U rho (c U)^dag / p. unitarity_residuals[k]
-    is the largest of ||W^dag W - I||_2 and ||X^dag X - I||_2, zero
-    exactly when the dilation is unitary, and the conservation defect
-    |p + Tr[(I - Sigma^2) X^dag rho X] - Tr rho| of the two post-selection
-    branches.
+    p = Tr[c U rho (c U)^dag] at times[k]. The dilation V is built once,
+    at checked_time: the first grid point with the largest singular value
+    of c U, where the gap 1 - sigma_max^2 is smallest. There
+    unitarity_residual is the larger of ||V^dag V - I||_2 and the
+    conservation defect |Tr V (rho + 0) V^dag - Tr rho|, and max_deviation
+    is the trace distance between the post-selected block of
+    V (rho + 0) V^dag, over its trace, and c U rho (c U)^dag / p.
     """
 
     c: float
     times: np.ndarray
     max_deviation: float
     success_probabilities: np.ndarray
-    unitarity_residuals: np.ndarray
+    unitarity_residual: float
+    checked_time: float
 
 
 def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
@@ -184,21 +151,18 @@ def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
                              decomp: CanonicalDecomposition | None = None) -> EmbeddingReport:
     """Compare post-selected dilated evolution with the direct route.
 
-    For each grid time one SVD c U(t) = W Sigma X^dag gives the Halmos
-    dilation in its d-dimensional frames (module docstring): the state
-    post-selected from V(t) (rho + 0) V(t)^dag, normalized, is compared
-    in trace distance with c U rho (c U)^dag normalized, the frames are
-    checked for orthonormality, and the two post-selection branches for
-    conservation of Tr rho; EmbeddingReport names each quantity. The
-    contraction gate and the positive semidefinite floor of the gap
-    1 - Sigma^2 are those of halmos_dilation.
+    Every grid time is gated on the singular values of c U(t), with the
+    contraction gate and positive semidefinite floor of halmos_dilation,
+    and gives the success probability p(t). halmos_dilation then builds
+    V at the grid time of the smallest gap (module docstring), where
+    EmbeddingReport's residual and deviation are measured.
 
-    U(t) comes from the canonical decomposition of H, and every check
-    runs on the stacked grid at once; a failed contraction or
-    post-selection check names the first t where it fails. The
-    decomposition of H is computed here at the default tolerances unless
-    decomp is given, which must then be the decomposition of this H
-    (ValidationError otherwise). val_tol bounds the validation of rho.
+    U(t) comes from the canonical decomposition of H, and the grid is
+    evaluated in stacked chunks; a failed contraction or post-selection
+    check names the first t where it fails. The decomposition of H is
+    computed here at the default tolerances unless decomp is given,
+    which must then be the decomposition of this H (ValidationError
+    otherwise). val_tol bounds the validation of rho.
     """
     h = as_square(h, "H")
     rho = _matching_density(rho, h, val_tol)
@@ -208,14 +172,12 @@ def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
 
     d = h.shape[0]
     times = grid.times
-    mass = np.trace(rho).real
-    max_deviation = 0.0
     probs = np.empty(len(times))
-    residuals = np.empty(len(times))
+    tops = np.empty(len(times))
     for chunk in _grid_chunks(len(times), d):
         t = times[chunk]
         cu = c * propagator_stack(decomp, t)
-        w, sigma, xh = np.linalg.svd(cu)
+        sigma = np.linalg.svd(cu, compute_uv=False)
         try:
             gap = _contraction_gap(sigma)
         except PreconditionError as exc:
@@ -229,23 +191,24 @@ def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
             raise DegeneratePostSelectionError(
                 f"success probability {prob[low]:.3e} at t = {t[low]:.6f}")
         probs[chunk] = prob
+        tops[chunk] = sigma[:, 0]
 
-        inner = _fixed_product(xh, rho) @ dagger(xh)  # X^dag rho X
-        ws = w * sigma[:, None, :]
-        post = ws @ inner @ dagger(ws)
-        post /= np.trace(post, axis1=1, axis2=2).real[:, None, None]
-        # each matrix below is Hermitian, so its 2-norm is its largest
-        # |eigenvalue| and its trace norm the sum of them
-        max_deviation = _max_trace_distance(post - direct / prob[:, None, None], max_deviation)
-        grams = np.concatenate([dagger(w) @ w, xh @ dagger(xh)]) - np.eye(d)
-        frame = _max_last(np.abs(np.linalg.eigvalsh(grams))).reshape(2, -1).max(axis=0)
-        fail = np.sum(gap * np.diagonal(inner, axis1=1, axis2=2).real, axis=-1)
-        residuals[chunk] = np.maximum(frame, np.abs(prob + fail - mass))
-
+    checked = int(np.argmax(tops))
+    u = propagator_stack(decomp, times[checked:checked + 1])[0]
+    dil = halmos_dilation(u, c)
+    column = dil.V[:, :d]  # V (rho + 0) V^dag = V[:, :d] rho V[:, :d]^dag
+    dilated = column @ rho @ dagger(column)
+    post = dilated[:d, :d]
+    cu = c * u
+    delta = post / np.trace(post).real - cu @ rho @ dagger(cu) / probs[checked]
+    # delta is Hermitian, so its trace norm is the sum of its |eigenvalues|
+    deviation = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
+    conservation = abs(float(np.trace(dilated).real - np.trace(rho).real))
     return EmbeddingReport(
         c=c,
         times=times,
-        max_deviation=max_deviation,
+        max_deviation=deviation,
         success_probabilities=probs,
-        unitarity_residuals=residuals,
+        unitarity_residual=max(dil.unitarity_residual, conservation),
+        checked_time=float(times[checked]),
     )

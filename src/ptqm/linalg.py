@@ -295,7 +295,9 @@ class BlockLayout:
                 lams.extend([z] * order)
             spans.append((offset, len(lams) - offset))
             paired.append(bool(pair))
-        return cls(np.array(lams, dtype=complex), tuple(chains), tuple(spans), tuple(paired))
+        eigenvalues = np.array(lams, dtype=complex)
+        eigenvalues.setflags(write=False)
+        return cls(eigenvalues, tuple(chains), tuple(spans), tuple(paired))
 
     @property
     def n_real(self) -> int:

@@ -108,6 +108,7 @@ def build_metric(decomp: CanonicalDecomposition,
             f"intertwining defect {verify_metric(h, eta):.6e} exceeds tolerance")
 
     positive = bool(evals[0] > 1e-12 * eta_norm)
+    eta.setflags(write=False)
     return MetricOperator(eta=eta, signs=signs, positive_definite=positive, source=decomp)
 
 

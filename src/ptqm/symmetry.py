@@ -106,6 +106,8 @@ def validate_pt_pair(p, t, val_tol: float = 1e-10) -> PTPair:
     _require_positive(val_tol=val_tol)
 
     pt = p @ t
+    for a in (p, t, pt):
+        a.setflags(write=False)
     if not (p.imag.any() or t.imag.any()) and _cleared_in_real(p, t, pt, val_tol):
         return PTPair(parity=p, time_reversal=t, pt=pt, val_tol=val_tol)
     defects = _defects(p, t, pt)

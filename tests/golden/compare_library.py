@@ -24,8 +24,9 @@ result, or the type and text of the error it raised, and the category
 and text of every warning it issued. The inputs are hashed too, so a
 change of the sampler shows as well.
 
-The script prints the first call whose hash differs, if any, and one
-sha256 per tree over all calls; the exit status is 1 when they differ.
+The script prints every call whose hash differs, then how many calls
+of each function differ, and one sha256 per tree over all calls; the
+exit status is 1 when they differ.
 The golden tests compare within a tolerance and compare_trees.py
 compares the command line's text; this compares every bit the library
 returns.
@@ -38,6 +39,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -167,10 +169,12 @@ def main(argv: list) -> int:
             return 2
     runs = [_lines(tree) for tree in trees]
     a, b = runs
-    first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
-    if first is not None:
-        print(f"first differing call: {a[first][0]} (A) / {b[first][0]} (B)")
-    elif len(a) != len(b):
+    differing = [(x[0], y[0]) for x, y in zip(a, b) if x != y]
+    for name_a, name_b in differing:
+        print(f"differs: {name_a}" + (f" (A) / {name_b} (B)" if name_a != name_b else ""))
+    for function, count in Counter(name.split()[0] for name, _ in differing).items():
+        print(f"{function}: {count} differing calls")
+    if len(a) != len(b):
         print(f"A made {len(a)} calls, B {len(b)}")
     print(f"{len(a)} calls")
     for tree, lines in zip(trees, runs):

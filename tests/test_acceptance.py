@@ -161,7 +161,7 @@ def test_criterion_08_dilation():
         inst = random_instance(rng, d, "unbroken")
         rho = random_density(rng, d)
         rep = embedded_evolution_check(inst["h"], inst["pair"], rho, grid)
-        worst_unit = max(worst_unit, float(np.max(rep.unitarity_residuals)))
+        worst_unit = max(worst_unit, rep.unitarity_residual)
         worst_dev = max(worst_dev, rep.max_deviation)
     _verdict(8, "dilation", worst_unit <= 1e-9 and worst_dev <= 1e-8)
 

@@ -270,3 +270,20 @@ def test_canonical_form_rejects_a_non_finite_tolerance(name, value):
     if name != "can_tol":
         with pytest.raises(ValidationError, match=f"^{name} must be finite and positive"):
             classify_spectrum(h, pair, **{name: value})
+
+
+def test_record_arrays_are_read_only():
+    """The arrays a decomposition, its pair and its metric are built from
+    cannot be changed in place under the records that hold them."""
+    from ptqm.metric import build_metric
+
+    h, pair = bender(1.0, 1.0, np.pi / 6)
+    dec = pt_canonical_form(h, pair)
+    arrays = {"parity": pair.parity, "time_reversal": pair.time_reversal, "pair pt": pair.pt,
+              "hamiltonian": dec.hamiltonian, "pt": dec.pt, "Psi": dec.Psi,
+              "eigenvalues": dec.layout.eigenvalues, "eta": build_metric(dec).eta}
+    for name, a in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] += 1.0
+        assert not a.flags.writeable, name
+    h[0, 0] += 1.0  # the caller's H is copied, not frozen

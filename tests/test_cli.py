@@ -166,6 +166,9 @@ def test_metric_signs_with_empty_part_is_rejected(files, capsys, text):
     ([], {"t_start": 2, "t_end": 1}, "config: t_end must be >= t_start"),
     (["--slack", "2"], None, "--slack must be in (0, 1), got 2.0"),
     (["--num-points", "0"], None, "--num-points must be a positive integer"),
+    (["--t-start", "1", "--t-end", "1", "--num-points", "3"], None,
+     "--t-end must exceed --t-start"),
+    ([], {"t_start": 1, "t_end": 1, "num_points": 3}, "config: t_end must exceed t_start"),
 ])
 def test_settings_error_names_the_flag_it_came_from(files, capsys, extra, config, detail):
     paths, _ = files
@@ -530,8 +533,9 @@ def test_oversized_grid_is_validation(files, capsys, tmp_path, source):
     code, out, err = run(capsys, ["invariants", paths["h_unbroken"], paths["p_swap"],
                                   paths["t_id"], paths["rho"], *extra])
     assert (code, out) == (2, "")
-    assert err == ('{"error":"validation","detail":"num_points must be at most %d"}\n'
-                   % dynamics.MAX_GRID_POINTS)
+    name = "config: num_points" if source == "config" else "--num-points"
+    assert err == ('{"error":"validation","detail":"%s must be at most %d"}\n'
+                   % (name, dynamics.MAX_GRID_POINTS))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

@@ -5,10 +5,11 @@ import pytest
 import scipy.linalg as sla
 
 import ptqm.dilation as dilation
+import ptqm.dynamics as dynamics
 from ptqm.bender import BenderParams, bender_hamiltonian
 from ptqm.canonical import pt_canonical_form
 from ptqm.dilation import embedded_evolution_check, halmos_dilation, uniform_bound
-from ptqm.dynamics import TimeGrid, propagator
+from ptqm.dynamics import TimeGrid, propagator, propagator_stack
 from ptqm.errors import (BrokenSymmetryError, DimensionError, NotPositiveSemidefiniteError,
                          PreconditionError, ValidationError)
 from ptqm.linalg import operator_norm
@@ -133,7 +134,7 @@ def test_embedded_hermitian_exact():
     assert rep.max_deviation <= 1e-10
     # unitary U makes the success probability exactly c^2
     assert np.max(np.abs(rep.success_probabilities - rep.c ** 2)) <= 1e-12
-    assert np.max(rep.unitarity_residuals) <= 1e-9
+    assert rep.unitarity_residual <= 1e-9
 
 
 def test_embedded_unbroken_matches_direct():
@@ -141,7 +142,7 @@ def test_embedded_unbroken_matches_direct():
     rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
     rep = embedded_evolution_check(h, pair, rho, TimeGrid(0.0, 10.0, 101))
     assert rep.max_deviation <= 1e-8
-    assert np.max(rep.unitarity_residuals) <= 1e-9
+    assert rep.unitarity_residual <= 1e-9
     assert np.all(rep.success_probabilities > 0.0)
     assert np.all(rep.success_probabilities <= 1.0 + 1e-12)
 
@@ -185,7 +186,7 @@ def _small_rotation(d, seed):
 
 
 _R = _small_rotation(2, 103)
-# each fault spoils one factor of the stacked SVD c U = W Sigma X^dag
+# each fault spoils one factor of the SVD c U = W Sigma X^dag
 _SVD_FAULTS = {
     "sigma_scaled": lambda w, s, xh: (w, s * (1.0 + 1e-6), xh),
     "w_rotated": lambda w, s, xh: (w @ _R, s, xh),
@@ -202,14 +203,41 @@ def test_embedded_check_flags_a_planted_svd_fault(monkeypatch, fault):
 
     def planted(a, *args, **kwargs):
         factors = svd(a, *args, **kwargs)
-        # only the stacked SVD with vectors, the one of c U over the grid
-        if np.ndim(a) == 3 and not isinstance(factors, np.ndarray):
+        # only the SVD with vectors of one matrix, the one halmos_dilation takes
+        if np.ndim(a) == 2 and not isinstance(factors, np.ndarray):
             return _SVD_FAULTS[fault](*factors)
         return factors
 
     monkeypatch.setattr(np.linalg, "svd", planted)
     rep = embedded_evolution_check(h, pair, rho, grid, decomp=dec)
-    assert max(rep.max_deviation, np.max(rep.unitarity_residuals)) > 1e-8
+    assert rep.unitarity_residual > 1e-8
+
+
+def test_embedded_check_builds_one_dilation_at_the_largest_norm(monkeypatch):
+    """halmos_dilation runs once per check, on c U at the first grid point
+    of largest ||c U||_2, here an interior one, whichever chunk holds it."""
+    h, pair, rho, grid = _unbroken_instance()
+    dec = pt_canonical_form(h, pair)
+    u = propagator_stack(dec, grid.times)
+    k = int(np.argmax(np.linalg.norm(u, 2, axis=(-2, -1))))
+    assert 0 < k < grid.num_points - 1
+    calls = []
+    build = dilation.halmos_dilation
+
+    def counted(a, c):
+        calls.append((np.array(a), c))
+        return build(a, c)
+
+    monkeypatch.setattr(dilation, "halmos_dilation", counted)
+    for points in (None, 7):
+        if points is not None:
+            monkeypatch.setattr(dynamics, "GRID_CHUNK_BYTES", points * 16 * 2 ** 2)
+        calls.clear()
+        rep = embedded_evolution_check(h, pair, rho, grid, decomp=dec)
+        assert len(calls) == 1
+        assert calls[0][1] == rep.c
+        assert np.array_equal(calls[0][0], u[k])
+        assert rep.checked_time == grid.times[k]
 
 
 def test_embedded_margin_between_the_gates_is_not_psd(monkeypatch):
@@ -225,69 +253,3 @@ def test_embedded_margin_between_the_gates_is_not_psd(monkeypatch):
                         lambda decomp, t: np.repeat(u[None] / c, len(t), axis=0))
     with pytest.raises(NotPositiveSemidefiniteError, match="below the positive semidefinite floor"):
         embedded_evolution_check(h, pair, np.eye(3) / 3, TimeGrid(0.0, 1.0, 5), decomp=dec)
-
-
-def _trace_distances(delta):
-    """0.5 ||delta_k||_1 for every matrix of the stack, from eigvalsh."""
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
-
-
-def _eigvalsh_frobenius(delta):
-    """Frobenius norm of the Hermitian matrix eigvalsh reads: the real
-    diagonal and the strict lower triangle."""
-    lower = np.tril(delta, -1)
-    return np.sqrt(np.sum(np.diagonal(delta, axis1=-2, axis2=-1).real ** 2, axis=-1)
-                   + 2.0 * np.sum(np.abs(lower) ** 2, axis=(-2, -1)))
-
-
-def test_max_trace_distance_skips_points_that_cannot_be_the_maximum(monkeypatch):
-    """The maximum sits at a point without the largest F, and a point
-    whose bound sqrt(d) F / 2 is below it is never decomposed."""
-    delta = np.array([0.7 * np.diag([1.0, -1.0, 1.0, -1.0]),  # F 1.4, value 1.4
-                      np.diag([1.5, 0.0, 0.0, 0.0]),          # F 1.5, value 0.75
-                      np.diag([1e-3, 0.0, 0.0, 0.0])], dtype=complex)
-    values = _trace_distances(delta)
-    assert np.argmax(_eigvalsh_frobenius(delta)) != np.argmax(values)
-    seen = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(a):
-        seen.extend(np.asarray(a).reshape(-1, 4, 4)[:, 0, 0].real.tolist())
-        return eigvalsh(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    assert dilation._max_trace_distance(delta, 0.0) == np.max(values)
-    assert sorted(seen) == [0.7, 1.5]
-    assert dilation._max_trace_distance(delta, 2.0) == 2.0
-
-
-def test_embedded_max_deviation_equals_the_unpruned_maximum(monkeypatch):
-    """On random unbroken instances, d = 2 ... 16, max_deviation is the
-    float that decomposing every grid point gives, including instances
-    whose maximum sits at a point without the largest F."""
-    from ptqm.sampling import random_instance
-
-    deltas = []
-
-    def unpruned(delta, best):
-        deltas.append(delta)
-        return max(best, float(np.max(_trace_distances(delta))))
-
-    elsewhere = 0
-    for d in (2, 3, 4, 8, 16):
-        for seed in range(4):
-            inst = random_instance(np.random.default_rng(seed), d, "unbroken")
-            g = np.random.default_rng(100 + seed).normal(size=(d, d, 2)) @ np.array([1, 1j])
-            rho = g @ g.conj().T
-            rho = 0.5 * (rho + rho.conj().T) / np.trace(rho).real
-            grid = TimeGrid(0.0, 10.0, 201)
-            pruned = embedded_evolution_check(inst["h"], inst["pair"], rho, grid).max_deviation
-            deltas.clear()
-            with monkeypatch.context() as m:
-                m.setattr(dilation, "_max_trace_distance", unpruned)
-                full = embedded_evolution_check(inst["h"], inst["pair"], rho, grid).max_deviation
-            assert pruned == full, (d, seed)
-            stack = np.concatenate(deltas)
-            elsewhere += np.argmax(_eigvalsh_frobenius(stack)) != np.argmax(
-                _trace_distances(stack))
-    assert elsewhere > 0
