@@ -23,6 +23,7 @@ import errno
 import gc
 import math
 import os
+import re
 import stat
 import sys
 from contextlib import contextmanager
@@ -207,26 +208,46 @@ def _matrix_doc(a: np.ndarray) -> dict:
     return {"dim": a.shape[0], "rows": a.astype(complex, copy=False)}
 
 
+def _descriptor(path: str) -> int | None:
+    """N for /dev/stdout (1), /dev/stderr (2), /dev/fd/N and
+    /proc/self/fd/N, else None."""
+    std = {"/dev/stdout": 1, "/dev/stderr": 2}.get(path)
+    number = re.fullmatch(r"/(?:dev|proc/self)/fd/([0-9]+)", path)
+    return int(number.group(1)) if number else std
+
+
 def _emit(path: str | None, pieces) -> None:
     """Write the text pieces, the only way output leaves a subcommand.
-    Without a path they go to stdout as they come. A path that resolves
-    through symlinks to a regular file or to nothing is written whole or
-    not at all: into a new file beside that file, which takes its
-    permission bits and is renamed over it once the last piece is
-    written, and is removed if any piece fails. Any other path (a device,
-    a pipe, /dev/fd/N of a pipe, a directory) is opened and written in
-    place. An error names path, as open(path, "w") would, except where
-    an existing directory refuses the new file: it names that directory."""
+    Without a path they go to stdout as they come. A path that names one
+    of the process's descriptors (_descriptor), /dev/fd/N say, is
+    written through that descriptor at its current offset, whatever
+    it is open on, so that what the caller wrote before and after stays.
+    A path that resolves through symlinks to a regular file or to nothing
+    is written whole or not at all: into a new file beside that file,
+    which takes its permission bits and is renamed over it once the last
+    piece is written, and is removed if any piece fails. Any other path
+    (a device, a pipe, a directory) is opened and written in place. An
+    error names path, as open(path, "w") would, except where an existing
+    directory refuses the new file: it names that directory."""
     if not path:
         sys.stdout.writelines(pieces)
         sys.stdout.flush()
+        return
+    fd = _descriptor(path)
+    if fd is not None:
+        try:
+            # a duplicate shares N's offset, and closing it leaves N open
+            with open(os.dup(fd), "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from exc
         return
     target = os.path.realpath(path)
     try:
         found = os.stat(target)
         whole = stat.S_ISREG(found.st_mode) and os.path.samestat(found, os.stat(path))
     except FileNotFoundError:
-        # the symlinks of /dev/fd/N resolve to no path when N is a pipe
+        # nothing is there yet, or /proc/PID/fd/N names a pipe: its symlink resolves to no path
         found, whole = None, not os.path.exists(path)
     except OSError:
         whole = False

@@ -12,18 +12,19 @@ with D_L = sqrt(I - c^2 U U^dag) and D_R = sqrt(I - c^2 U^dag U).
 Both come from one singular value decomposition c U = W Sigma X^dag
 as W (I - Sigma^2)^1/2 W^dag and X (I - Sigma^2)^1/2 X^dag, the Halmos
 completion (Sz.-Nagy & Foias, Harmonic Analysis of Operators on Hilbert
-Space, ch. I); the Gram matrices I - c^2 U U^dag are never formed.
+Space, ch. I); halmos_dilation never forms the Gram matrices.
 Applying V to a state supported on the first block and post-selecting
 that block reproduces the normalized PT evolution with success
 probability c^2 Tr[U rho U^dag].
 
-The embedded check gates every point of a time grid on the singular
-values of c U(t) alone and builds V once, with halmos_dilation, at the
-point where the gap 1 - sigma_max^2 is smallest: the defect operators
-are square roots of that gap, so that is where V loses unitarity
-first. Anything computed in the frames of the SVD itself would hold
-to rounding at every point whatever the SVD returned. No joint
-time-independent generator on the large space is attempted.
+The embedded check gates every point of a time grid on the contraction
+margin 1 - sigma_max^2 of c U(t), read as the smallest eigenvalue of
+I - c^2 U^dag U by the rule of the free-operation check, and builds V
+once, with halmos_dilation, at the first point of smallest margin: the
+defect operators are square roots of it, so that is where V loses
+unitarity first. Anything computed in the frames of the SVD itself
+would hold to rounding at every point whatever the SVD returned. No
+joint time-independent generator on the large space is attempted.
 """
 
 from __future__ import annotations
@@ -33,16 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalDecomposition
-from .dynamics import (TimeGrid, _grid_chunks, _matching_density, _own_decomposition,
-                       default_grid, propagator_stack)
+from .dynamics import (TimeGrid, _contraction_gaps, _grid_chunks, _matching_density,
+                       _own_decomposition, default_grid, propagator_stack)
 from .errors import (
     BrokenSymmetryError,
     DegeneratePostSelectionError,
     PreconditionError,
     ValidationError,
 )
-from .linalg import (_fixed_product, as_square, as_square_stack, dagger, first_index,
-                     hermitian_root, require_psd_floor)
+from .linalg import (_fixed_product, as_square, dagger, first_index, hermitian_root,
+                     require_psd_floor)
 from .symmetry import PTPair
 
 DEFAULT_SLACK = 0.99
@@ -70,22 +71,15 @@ class DilationResult:
     contraction_margin: float
 
 
-def _contraction_gap(sigma: np.ndarray) -> np.ndarray:
-    """1 - sigma^2 for singular values sigma, shape (..., d), in
-    descending order, so the gap ascends and gap[..., 0] is the
-    contraction margin. The first matrix of a stack whose margin lies
-    below -1e-10 raises PreconditionError with its stack position as the
-    error's index attribute."""
-    gap = 1.0 - sigma * sigma
-    margin = gap[..., 0]
-    bad = first_index(margin < -1e-10)
+def _require_contraction(margins: np.ndarray, times: np.ndarray | None = None) -> None:
+    """Raise PreconditionError for the first contraction margin, the
+    smallest eigenvalue of I - c^2 U^dag U, below -1e-10, naming its t
+    when times are given."""
+    bad = first_index(margins < -1e-10)
     if bad is not None:
-        err = PreconditionError(
-            f"c U is not a contraction (eigenvalue {np.ravel(margin)[bad]:.6e} "
-            f"of I - c^2 U^dag U)")
-        err.index = bad
-        raise err
-    return gap
+        at = "" if times is None else f" at t = {float(times[bad])!r}"
+        raise PreconditionError(f"c U is not a contraction (eigenvalue {margins[bad]:.6e} "
+                                f"of I - c^2 U^dag U){at}")
 
 
 def halmos_dilation(u, c: float) -> DilationResult:
@@ -98,29 +92,22 @@ def halmos_dilation(u, c: float) -> DilationResult:
     on Hilbert Space, ch. I). A margin below -1e-10 raises
     PreconditionError; one between that and the positive semidefinite
     floor of hermitian_root raises NotPositiveSemidefiniteError.
-
-    A stack of matrices, shape (..., d, d), gives a stack of V with one
-    unitarity residual and one contraction margin per matrix; a failed
-    contraction check then carries the stack position of the first
-    failure as the error's index attribute.
     """
-    u = as_square_stack(u, "U")
+    u = as_square(u, "U")
     if not 0 < c <= 1:
         raise ValidationError("c must lie in (0, 1]")
-    d = u.shape[-1]
+    d = u.shape[0]
     cu = c * u
     w, sigma, xh = np.linalg.svd(cu)
-    gap = _contraction_gap(sigma)
-    margin = gap[..., 0]
+    gap = 1.0 - sigma * sigma  # ascending, as sigma descends
+    _require_contraction(gap[:1])
     d_l = hermitian_root(gap, w)
     d_r = hermitian_root(gap, dagger(xh))
     v = np.block([[cu, d_l], [d_r, -dagger(cu)]])
     # V^dag V - I is Hermitian, so its 2-norm is its largest |eigenvalue|
-    residual = np.max(np.abs(np.linalg.eigvalsh(dagger(v) @ v - np.eye(2 * d))), axis=-1)
-    if u.ndim == 2:
-        margin, residual = float(margin), float(residual)
-    return DilationResult(c=float(c), V=v, unitarity_residual=residual,
-                          contraction_margin=margin)
+    residual = np.max(np.abs(np.linalg.eigvalsh(dagger(v) @ v - np.eye(2 * d))))
+    return DilationResult(c=float(c), V=v, unitarity_residual=float(residual),
+                          contraction_margin=float(gap[0]))
 
 
 @dataclass(frozen=True)
@@ -129,8 +116,8 @@ class EmbeddingReport:
 
     c is the contraction factor. success_probabilities[k] is
     p = Tr[c U rho (c U)^dag] at times[k]. The dilation V is built once,
-    at checked_time: the first grid point with the largest singular value
-    of c U, where the gap 1 - sigma_max^2 is smallest. There
+    at checked_time: the first grid point of smallest contraction margin,
+    the smallest eigenvalue of I - c^2 U^dag U. There
     unitarity_residual is the larger of ||V^dag V - I||_2 and the
     conservation defect |Tr V (rho + 0) V^dag - Tr rho|, and max_deviation
     is the trace distance between the post-selected block of
@@ -151,10 +138,10 @@ def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
                              decomp: CanonicalDecomposition | None = None) -> EmbeddingReport:
     """Compare post-selected dilated evolution with the direct route.
 
-    Every grid time is gated on the singular values of c U(t), with the
+    Every grid time is gated on the margin of c U(t), with the
     contraction gate and positive semidefinite floor of halmos_dilation,
     and gives the success probability p(t). halmos_dilation then builds
-    V at the grid time of the smallest gap (module docstring), where
+    V at the grid time of the smallest margin (module docstring), where
     EmbeddingReport's residual and deviation are measured.
 
     U(t) comes from the canonical decomposition of H, and the grid is
@@ -173,27 +160,25 @@ def embedded_evolution_check(h, pair: PTPair, rho, grid: TimeGrid | None = None,
     d = h.shape[0]
     times = grid.times
     probs = np.empty(len(times))
-    tops = np.empty(len(times))
+    margins = np.empty(len(times))
     for chunk in _grid_chunks(len(times), d):
         t = times[chunk]
-        cu = c * propagator_stack(decomp, t)
-        sigma = np.linalg.svd(cu, compute_uv=False)
-        try:
-            gap = _contraction_gap(sigma)
-        except PreconditionError as exc:
-            raise PreconditionError(f"{exc} at t = {t[exc.index]:.6f}") from exc
-        require_psd_floor(gap)
+        u = propagator_stack(decomp, t)
+        gaps = _contraction_gaps(u, c, t)
+        _require_contraction(gaps[:, 0], t)
+        require_psd_floor(gaps)
 
+        cu = c * u
         direct = _fixed_product(cu, rho) @ dagger(cu)
         prob = np.trace(direct, axis1=1, axis2=2).real
         low = first_index(prob < 1e-12)
         if low is not None:
             raise DegeneratePostSelectionError(
-                f"success probability {prob[low]:.3e} at t = {t[low]:.6f}")
+                f"success probability {prob[low]:.3e} at t = {float(t[low])!r}")
         probs[chunk] = prob
-        tops[chunk] = sigma[:, 0]
+        margins[chunk] = gaps[:, 0]
 
-    checked = int(np.argmax(tops))
+    checked = int(np.argmin(margins))
     u = propagator_stack(decomp, times[checked:checked + 1])[0]
     dil = halmos_dilation(u, c)
     column = dil.V[:, :d]  # V (rho + 0) V^dag = V[:, :d] rho V[:, :d]^dag

@@ -139,7 +139,18 @@ def _require_finite(stack: np.ndarray, times: np.ndarray, what: str) -> None:
     finite = np.isfinite(stack)
     if not finite.all():
         bad = first_index(~finite.all(axis=(-2, -1)))
-        raise NumericalError(f"{what} is not finite at t = {times[bad]:.6f}")
+        raise NumericalError(f"{what} is not finite at t = {float(times[bad])!r}")
+
+
+def _contraction_gaps(u: np.ndarray, c: float, times: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of I - c^2 U^dag U for each U of a stack, by one
+    stacked eigvalsh: [:, 0] is the contraction margin at every t. A
+    NumericalError names the first t where c^2 U^dag U is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ku = c * u
+        gram = dagger(ku) @ ku
+    _require_finite(gram, times, "c^2 U^dag U")
+    return np.linalg.eigvalsh(np.subtract(np.eye(u.shape[-1]), gram, out=gram))
 
 
 def _exponential_stack(decomp: CanonicalDecomposition, s: np.ndarray) -> np.ndarray:
@@ -313,7 +324,7 @@ def invariant_report(h, pair: PTPair, rho, grid: TimeGrid | None = None,
             overflow = True
             usable = np.abs(times) <= t_cap
             if not usable.any():
-                raise PreconditionError(f"no grid point lies within t_cap = {t_cap:.6f} "
+                raise PreconditionError(f"no grid point lies within t_cap = {float(t_cap)!r} "
                                         f"of t = 0, so no drift can be measured")
 
     lams = decomp.layout.eigenvalues.tolist()

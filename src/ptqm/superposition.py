@@ -11,6 +11,12 @@ Incoherent states are the special case of an orthonormal basis. A
 Kraus operator is free when it maps every basis ray onto a basis ray
 (or annihilates it); checking the generators suffices because free
 states are their convex hull.
+
+verify_free_evolution reads the contraction margin of c U(t) on every
+grid point, by the rule of the dilation check (dynamics._contraction_gaps),
+and the Kraus defect once, at the first point of smallest margin: for
+U = Psi e^{-itJ} Psi^-1, c U Psi = c Psi e^{-itJ} with e^{-itJ} diagonal,
+so the defect is zero by construction at every point.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalDecomposition
-from .dynamics import (TimeGrid, _grid_chunks, _own_decomposition, _require_finite,
+from .dynamics import (TimeGrid, _contraction_gaps, _grid_chunks, _own_decomposition,
                        default_grid, propagator_stack, validate_density)
 from .errors import (
     BrokenSymmetryError,
@@ -28,8 +34,8 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .linalg import (_fixed_product, _max_last, _require_positive, as_square, as_square_stack,
-                     as_vector, congruence_solve, dagger, norm_within, operator_norm)
+from .linalg import (_require_positive, as_square, as_vector, congruence_solve, norm_within,
+                     operator_norm)
 from .symmetry import PTPair
 
 # free_basis: smallest singular value of an independent unit-vector basis
@@ -119,26 +125,24 @@ def is_incoherent(rho, orthobasis: FreeBasis,
     return is_superposition_free(rho, orthobasis, tol)
 
 
-def free_kraus_defect(k, basis: FreeBasis, tol: float = 1e-8):
+def free_kraus_defect(k, basis: FreeBasis, tol: float = 1e-8) -> float:
     """Worst-case parallelism defect of K over the basis rays.
 
     For every basis vector with ||K c_i|| > tol the defect is
     min_j (1 - |<c_j, K c_i>| / ||K c_i||); the maximum over i is
-    returned (0 when every image lands on a basis ray). A stack of
-    operators, shape (..., d, d), gives one defect per operator.
+    returned (0 when every image lands on a basis ray).
     """
-    k = as_square_stack(k, "K")
+    k = as_square(k, "K")
     _require_positive(tol=tol)
-    if k.shape[-1] != basis.dim:
+    if k.shape[0] != basis.dim:
         raise DimensionError("K dimension does not match the basis")
     c = basis.matrix
-    images = _fixed_product(k, c)
-    norms = np.linalg.norm(images, axis=-2)
+    images = k @ c
+    norms = np.linalg.norm(images, axis=0)
     live = norms > tol
-    overlaps = np.abs(c.conj().T @ images) / np.where(live, norms, 1.0)[..., None, :]
-    defects = np.where(live, 1.0 - _max_last(overlaps.swapaxes(-1, -2)), 0.0)
-    worst = np.maximum(0.0, _max_last(defects))
-    return float(worst) if k.ndim == 2 else worst
+    overlaps = np.abs(c.conj().T @ images) / np.where(live, norms, 1.0)
+    defects = np.where(live, 1.0 - np.max(overlaps, axis=0), 0.0)
+    return float(max(0.0, np.max(defects)))
 
 
 def is_free_kraus(k, basis: FreeBasis, tol: float = 1e-8) -> bool:
@@ -151,6 +155,7 @@ class FreeEvolutionReport:
     ok: bool
     worst_defect: float
     min_contraction_margin: float
+    checked_time: float
 
 
 def verify_free_evolution(h, pair: PTPair, c: float,
@@ -160,16 +165,16 @@ def verify_free_evolution(h, pair: PTPair, c: float,
     """Check that c U(t) is a free operation of the eigenbasis of H.
 
     H must be unbroken; its (PT-adapted, unit-norm) eigenvectors form
-    the free basis. At every grid point both conditions are checked:
-    c U(t) maps basis rays to basis rays, and c^2 U(t)^dag U(t) <= I
-    within tol (trace-nonincreasing). The report carries the worst
-    parallelism defect and the smallest contraction margin
-    min eig(I - c^2 U^dag U) across the grid. Both are computed for the
-    stacked grid at once, with U(t) from the canonical decomposition of
-    H. A c so large that c^2 U^dag U overflows raises NumericalError
-    naming the first t where it does. The decomposition of H is computed
-    here at the default tolerances unless decomp is given, which must
-    then be the decomposition of this H (ValidationError otherwise).
+    the free basis. c U(t) must be trace-nonincreasing, c^2 U^dag U <= I
+    within tol, and map basis rays to basis rays. The report carries the
+    smallest contraction margin min eig(I - c^2 U^dag U) over the stacked
+    grid, with U(t) from the canonical decomposition of H, and as
+    worst_defect the parallelism defect at checked_time, the first grid
+    point of that margin (module docstring). A c so large that
+    c^2 U^dag U overflows raises NumericalError naming the first t where
+    it does. The decomposition of H is computed here at the default
+    tolerances unless decomp is given, which must then be the
+    decomposition of this H (ValidationError otherwise).
     """
     h = as_square(h, "H")
     _require_positive(c=c, tol=tol)
@@ -181,17 +186,14 @@ def verify_free_evolution(h, pair: PTPair, c: float,
     grid = grid if grid is not None else default_grid()
 
     times = grid.times
-    worst, margin = 0.0, np.inf
-    eye = np.eye(h.shape[0])
+    margins = np.empty(len(times))
     for chunk in _grid_chunks(len(times), h.shape[0]):
-        u = propagator_stack(decomp, times[chunk])
-        with np.errstate(over="ignore", invalid="ignore"):
-            ku = c * u
-            gram = dagger(ku) @ ku
-        _require_finite(gram, times[chunk], "c^2 U^dag U")
-        gaps = np.linalg.eigvalsh(np.subtract(eye, gram, out=gram))[:, 0]
-        margin = min(margin, float(np.min(gaps)))
-        worst = max(worst, float(np.max(free_kraus_defect(ku, basis, tol))))
-    ok = margin >= -tol and worst <= tol
-    return FreeEvolutionReport(ok=ok, worst_defect=worst,
-                               min_contraction_margin=float(margin))
+        t = times[chunk]
+        margins[chunk] = _contraction_gaps(propagator_stack(decomp, t), c, t)[:, 0]
+    checked = int(np.argmin(margins))
+    u = propagator_stack(decomp, times[checked:checked + 1])[0]
+    worst = free_kraus_defect(c * u, basis, tol)
+    margin = float(margins[checked])
+    return FreeEvolutionReport(ok=margin >= -tol and worst <= tol, worst_defect=worst,
+                               min_contraction_margin=margin,
+                               checked_time=float(times[checked]))

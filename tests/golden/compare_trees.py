@@ -26,7 +26,11 @@ an exceptional-point H under a Householder T, on the default grid,
 which runs there in two chunks, then invariants, dilate and free-check
 at d = 3 and d = 5, sizes where OpenBLAS takes other small-matrix
 kernels, for an unbroken and a conjugate-pair H under a Householder T,
-on the default grid. Exit code,
+on the default grid, then three lines that end at a margin or a named
+t: free-check at 4 times the uniform bound of golden unbroken4 (ok
+false), free-check with --c 1e155 (c^2 U^dag U overflows at t = 0), and
+invariants for golden h_complex2 scaled by 1e12 over [0, 1e-7] in 5
+points (the evolved density first overflows at t = 2.5e-8). Exit code,
 stdout, stderr, the --summary file and the series.csv file that an
 --output line writes are recorded.
 
@@ -35,7 +39,8 @@ seeded numpy generators in this script, written once into the scratch
 directory, so both trees read the same bytes. The d = 48 density, the
 d = 4 case, the d = 200 case, the d = 8 cases with their density and
 the d = 3 and d = 5 cases with theirs have generators of their own, so
-adding them left the bytes of the earlier inputs as they were.
+adding them left the bytes of the earlier inputs as they were. The
+scaled h_complex2 is written from the golden file.
 
 The golden test compares numbers within NUM_TOL of a recording, and
 recordings drift in their last digits whenever the numerics change at
@@ -202,6 +207,18 @@ _EXTRA = [
                                      "{inputs}/p_unbroken4.json", "{tmp}/t_phase4.json"]),
 ]
 
+# (name, argv) of the lines that end at a contraction margin or a named t
+_MARGINS = [
+    # 4 times c = 0.15895312349742952, the uniform bound of golden unbroken4
+    ("free-check-unbroken4-expansive", ["free-check", *(f"{{inputs}}/{n}_unbroken4.json"
+                                                        for n in ("h", "p", "t")),
+                                        "--c", "0.6358124939897181"]),
+    ("numerical-free-check-overflow", ["free-check", *_U2, "--c", "1e155"]),
+    ("numerical-invariants-tiny-t", ["invariants", "{tmp}/h_complex2_e12.json",
+                                     *(f"{{inputs}}/{n}_complex2.json" for n in ("p", "t", "rho")),
+                                     "--t-end", "1e-7", "--num-points", "5"]),
+]
+
 # the d = 48 cases: (name, spectrum, pair shape), every pair shape once
 _LARGE_D = 48
 _LARGE = (("unbroken48", "unbroken", "trivial"), ("complex48", "complex", "swap"),
@@ -255,8 +272,8 @@ def _case_files(rng, name: str, d: int, kind: str, shape: str) -> dict:
 def _large_files(seed: int = 48) -> dict:
     """File name -> text of the H, P and T of every d = 48 case, of one
     d = 48 density matrix, of the d = 4 conjugate-pair case, of the
-    d = 200 unbroken case, and of the d = 8, d = 3 and d = 5 cases with
-    one density matrix per size."""
+    d = 200 unbroken case, of the d = 8, d = 3 and d = 5 cases with one
+    density matrix per size, and of golden h_complex2 times 1e12."""
     rng = np.random.default_rng(seed)
     files = {}
     for name, kind, shape in _LARGE:
@@ -281,6 +298,8 @@ def _large_files(seed: int = 48) -> dict:
         g = odd.normal(size=(d, d, 2)) @ np.array([1.0, 1.0j])
         rho = g @ g.conj().T
         files[f"rho_{d}.json"] = _matrix_text(0.5 * (rho + rho.conj().T) / np.trace(rho).real)
+    rows = json.loads((INPUTS / "h_complex2.json").read_text(encoding="utf-8"))["rows"]
+    files["h_complex2_e12.json"] = _matrix_text(1e12 * (np.array(rows) @ np.array([1.0, 1.0j])))
     return files
 
 
@@ -333,7 +352,7 @@ def _small_lines() -> list:
 
 def _lines() -> list:
     cases = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
-    return [(c["name"], c["argv"]) for c in cases] + _EXTRA + _large_lines()
+    return [(c["name"], c["argv"]) for c in cases] + _EXTRA + _large_lines() + _MARGINS
 
 
 def _run(src: Path, argv: list, tmp: Path) -> dict:

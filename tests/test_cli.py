@@ -271,8 +271,8 @@ def test_invariants_grid_beyond_t_cap_is_precondition(capsys, tmp_path):
                                   "--summary", str(summary)])
     assert (code, out) == (3, "")
     assert err == render_json({"error": "precondition",
-                               "detail": "no grid point lies within t_cap = 10.949063 of t = 0, "
-                                         "so no drift can be measured"}) + "\n"
+                               "detail": "no grid point lies within t_cap = 10.949063387857834 "
+                                         "of t = 0, so no drift can be measured"}) + "\n"
     assert not summary.exists()
 
 
@@ -782,7 +782,7 @@ def test_evolve_overflowing_exponent_names_t(capsys, tmp_path, h_rows, t):
                                   "--t", repr(t)])
     assert (code, out) == (4, "")
     assert err == render_json({"error": "numerical",
-                               "detail": f"evolved density is not finite at t = {t:.6f}"}) + "\n"
+                               "detail": f"evolved density is not finite at t = {t!r}"}) + "\n"
 
 
 @pytest.mark.parametrize("command", ["classify", "dilate"])
@@ -807,7 +807,7 @@ def test_free_check_overflowing_scale_is_numerical_error(capsys):
     assert code == 4 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err) == {"error": "numerical",
-                               "detail": "c^2 U^dag U is not finite at t = 0.000000"}
+                               "detail": "c^2 U^dag U is not finite at t = 0.0"}
 
 
 def test_overflowing_stokes_field_is_numerical_error(capsys):
@@ -1076,6 +1076,53 @@ def test_invariants_output_to_an_open_pipe_is_written_in_place(files, capsys):
             finally:
                 os.close(write_end)
             assert reader.read() == whole
+
+
+@pytest.mark.parametrize("spelling", ["/dev/fd/{}", "/proc/self/fd/{}"])
+def test_output_to_an_open_file_descriptor_is_written_at_its_offset(files, capsys, tmp_path,
+                                                                    spelling):
+    """/dev/fd/N of a regular file is written through descriptor N, at its
+    offset: what the caller wrote before and after stays, and the file
+    keeps its inode; for canonical too."""
+    paths, _ = files
+    for argv in _writers(paths):
+        _, whole, _ = run(capsys, argv)
+        target = tmp_path / f"{argv[0]}.txt"
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+        try:
+            inode = os.fstat(fd).st_ino
+            os.write(fd, b"first\n")
+            assert run(capsys, argv + ["--output", spelling.format(fd)]) == (0, "", "")
+            os.write(fd, b"last\n")
+        finally:
+            os.close(fd)
+        assert target.read_text() == "first\n" + whole + "last\n"
+        assert target.stat().st_ino == inode
+
+
+def test_output_to_dev_stdout_keeps_what_the_shell_wrote_around_it(files, capsys, tmp_path):
+    """{ echo first; ptqm ... -o /dev/stdout; echo last; } > out.txt: the
+    report lands between the two lines, in the file the shell opened."""
+    paths, _ = files
+    argv = ["canonical", paths["h_unbroken"], paths["p_swap"], paths["t_id"]]
+    _, whole, _ = run(capsys, argv)
+    target = tmp_path / "out.txt"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+    try:
+        inode = os.fstat(fd).st_ino
+        os.write(fd, b"first\n")
+        proc = subprocess.run([sys.executable, "-m", "ptqm.cli", *argv, "-o", "/dev/stdout"],
+                              stdout=fd, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+        os.write(fd, b"last\n")
+    finally:
+        os.close(fd)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert target.read_text() == "first\n" + whole + "last\n"
+    assert target.stat().st_ino == inode
 
 
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])

@@ -103,28 +103,20 @@ def test_halmos_margin_between_the_gates_is_not_psd():
         halmos_dilation(u, 1.0)
 
 
-def test_halmos_contraction_error_carries_first_bad_index():
-    rng = np.random.default_rng(97)
-    tops = [0.9, 0.5, np.sqrt(1.0 + 1e-9), np.sqrt(1.0 + 1e-9), 0.3]
-    stack = np.stack([_with_singular_values(rng, [top, 0.4, 0.1]) for top in tops])
-    with pytest.raises(PreconditionError, match="c U is not a contraction") as info:
-        halmos_dilation(stack, 1.0)
-    assert info.value.index == 2
-
-
 def test_halmos_defects_square_to_the_gram_complements():
     rng = np.random.default_rng(101)
     c = 0.9
     for d in (2, 3, 5):
-        a = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
-        u = a / (1.01 * operator_norm(a))[:, None, None]
-        v = halmos_dilation(u, c).V
-        d_l, d_r = v[:, :d, d:], v[:, d:, :d]
-        ud = u.conj().swapaxes(-1, -2)
-        assert np.array_equal(d_l, d_l.conj().swapaxes(-1, -2))
-        assert np.array_equal(d_r, d_r.conj().swapaxes(-1, -2))
-        assert np.max(operator_norm(d_l @ d_l - (np.eye(d) - c * c * u @ ud))) <= 1e-12
-        assert np.max(operator_norm(d_r @ d_r - (np.eye(d) - c * c * ud @ u))) <= 1e-12
+        for _ in range(4):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            u = a / (1.01 * operator_norm(a))
+            v = halmos_dilation(u, c).V
+            d_l, d_r = v[:d, d:], v[d:, :d]
+            ud = u.conj().T
+            assert np.array_equal(d_l, d_l.conj().T)
+            assert np.array_equal(d_r, d_r.conj().T)
+            assert operator_norm(d_l @ d_l - (np.eye(d) - c * c * u @ ud)) <= 1e-12
+            assert operator_norm(d_r @ d_r - (np.eye(d) - c * c * ud @ u)) <= 1e-12
 
 
 def test_embedded_hermitian_exact():
@@ -163,8 +155,9 @@ def test_embedded_rejects_broken():
 
 
 @pytest.mark.parametrize("u, message", [
-    (np.zeros((2, 2, 3)), r"U must be square, got shape \(2, 2, 3\)"),
+    (np.zeros((2, 3)), r"U must be square, got shape \(2, 3\)"),
     (np.zeros(2), r"U must be 2-dimensional, got shape \(2,\)"),
+    (np.zeros((2, 2, 2)), r"U must be 2-dimensional, got shape \(2, 2, 2\)"),
 ])
 def test_dilation_input_errors(u, message):
     with pytest.raises(DimensionError, match=f"^{message}$"):
@@ -215,11 +208,13 @@ def test_embedded_check_flags_a_planted_svd_fault(monkeypatch, fault):
 
 def test_embedded_check_builds_one_dilation_at_the_largest_norm(monkeypatch):
     """halmos_dilation runs once per check, on c U at the first grid point
-    of largest ||c U||_2, here an interior one, whichever chunk holds it."""
+    of largest ||c U||_2, the first smallest eigenvalue of I - c^2 U^dag U,
+    here an interior one, whichever chunk holds it."""
     h, pair, rho, grid = _unbroken_instance()
     dec = pt_canonical_form(h, pair)
     u = propagator_stack(dec, grid.times)
-    k = int(np.argmax(np.linalg.norm(u, 2, axis=(-2, -1))))
+    cu = uniform_bound(dec) * u
+    k = int(np.argmin(np.linalg.eigvalsh(np.eye(2) - cu.conj().swapaxes(-1, -2) @ cu)[:, 0]))
     assert 0 < k < grid.num_points - 1
     calls = []
     build = dilation.halmos_dilation
@@ -238,6 +233,23 @@ def test_embedded_check_builds_one_dilation_at_the_largest_norm(monkeypatch):
         assert calls[0][1] == rep.c
         assert np.array_equal(calls[0][0], u[k])
         assert rep.checked_time == grid.times[k]
+
+
+def test_embedded_check_takes_no_svd_on_the_grid(monkeypatch):
+    """The grid pass reads the margin from eigvalsh of I - c^2 U^dag U;
+    the one SVD is halmos_dilation's, of one matrix, at the checked point."""
+    h, pair, rho, grid = _unbroken_instance()
+    dec = pt_canonical_form(h, pair)
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    embedded_evolution_check(h, pair, rho, grid, decomp=dec)
+    assert shapes and all(len(shape) == 2 for shape in shapes)
 
 
 def test_embedded_margin_between_the_gates_is_not_psd(monkeypatch):

@@ -5,12 +5,13 @@ evaluate every time point of a grid in one stacked step, chunk by
 chunk. The references below are the per-point loops they replace: the
 per-block exponential of the canonical form for the invariants, one
 propagator per point and one dilation at the point of largest ||c U||
-for the dilation, and the dense exponential with one Kraus-defect scan
-per point for the free-operation check.
+for the dilation, and the dense exponential with one margin and one
+Kraus-defect scan per point for the free-operation check.
 """
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from ptqm.canonical import COMPLEX_PAIR, pt_canonical_form
 from ptqm.dilation import embedded_evolution_check, halmos_dilation, uniform_bound
 from ptqm.dynamics import (TimeGrid, default_grid, invariant_report, propagator, propagator_stack,
                            validate_density)
-from ptqm.errors import (DegeneratePostSelectionError, IllConditionedError, NumericalError,
-                         PreconditionError, ValidationError)
+from ptqm.errors import (DegeneratePostSelectionError, DimensionError, IllConditionedError,
+                         NumericalError, PreconditionError, ValidationError)
 from ptqm.linalg import operator_norm
 from ptqm.metric import basis_coefficients
 from ptqm.superposition import free_basis, free_kraus_defect, verify_free_evolution
@@ -115,7 +116,8 @@ def drift_of(key, series, traces, usable):
 
 def ref_embedded(us, rho, c):
     """Probabilities, one per propagator U of us, and at the first U of
-    largest ||c U||_2 its index, the residual and the deviation of the
+    largest ||c U||_2, the first smallest eigenvalue of I - c^2 U^dag U,
+    its index, the residual and the deviation of the
     dilation V = [[c U, D_L], [D_R, -(c U)^dag]] whose defect operators
     are scipy's square roots of I - c U (c U)^dag and I - (c U)^dag c U:
     the larger of ||V^dag V - I||_2 and |Tr V (rho + 0) V^dag - Tr rho|, and
@@ -125,7 +127,7 @@ def ref_embedded(us, rho, c):
     rho = validate_density(rho)
     eye = np.eye(d)
     probs = np.array([np.trace(c * u @ rho @ (c * u).conj().T).real for u in us])
-    k = int(np.argmax([np.linalg.norm(c * u, 2) for u in us]))
+    k = int(np.argmin([np.linalg.eigvalsh(eye - (c * u).conj().T @ (c * u))[0] for u in us]))
     cu = c * us[k]
     v = np.block([[cu, sla.sqrtm(eye - cu @ cu.conj().T)],
                   [sla.sqrtm(eye - cu.conj().T @ cu), -cu.conj().T]])
@@ -152,12 +154,13 @@ def ref_kraus_defect(k, basis, tol):
 
 
 def ref_free(h, basis, c, times, tol):
-    worst, margin = 0.0, np.inf
+    """ok, the Kraus defect at every t, and the smallest margin."""
+    defects, margin = [], np.inf
     for t in times:
         ku = c * sla.expm(-1j * t * h)
         margin = min(margin, float(np.linalg.eigvalsh(np.eye(h.shape[0]) - ku.conj().T @ ku)[0]))
-        worst = max(worst, ref_kraus_defect(ku, basis, tol))
-    return margin >= -tol and worst <= tol, worst, margin
+        defects.append(ref_kraus_defect(ku, basis, tol))
+    return margin >= -tol and max(defects) <= tol, np.array(defects), margin
 
 
 # -- agreement with the per-point loops ----------------------------------
@@ -187,7 +190,7 @@ def test_embedded_check_matches_per_point_loop(d):
     rep = embedded_evolution_check(h, pair, rho)
     probs, _, _, _ = ref_embedded([sla.expm(-1j * t * h) for t in rep.times], rho, rep.c)
     assert np.max(np.abs(rep.success_probabilities - probs)) <= 4e-15
-    # the checked point is the first of largest ||c U||_2, a tie broken by
+    # the checked point is the first of smallest margin, a tie broken by
     # rounding, so it is found on the propagators the analysis uses
     _, k, residual, deviation = ref_embedded(
         propagator_stack(pt_canonical_form(h, pair), rep.times), rho, rep.c)
@@ -202,12 +205,18 @@ def test_free_evolution_matches_per_point_loop(d):
     dec = pt_canonical_form(h, pair)
     basis = free_basis([dec.Psi[:, i] for i in range(d)])
     times = default_grid().times
+    u = propagator_stack(dec, times)
     for c in (uniform_bound(dec), 1.0):
         rep = verify_free_evolution(h, pair, c)
-        ok, worst, margin = ref_free(h, basis, c, times, 1e-8)
+        ok, defects, margin = ref_free(h, basis, c, times, 1e-8)
         assert rep.ok == ok
-        assert abs(rep.worst_defect - worst) <= 4.5e-16
         assert abs(rep.min_contraction_margin - margin) <= 1e-14
+        # the defect is checked at the first point of smallest margin, a tie
+        # broken by rounding, so it is found on the propagators the analysis uses
+        gram = (c * u).conj().swapaxes(-1, -2) @ (c * u)
+        k = int(np.argmin(np.linalg.eigvalsh(np.eye(d) - gram)[:, 0]))
+        assert rep.checked_time == times[k]
+        assert abs(rep.worst_defect - defects[k]) <= 4.5e-16
 
 
 def test_kraus_defect_stack_matches_single_calls():
@@ -217,12 +226,12 @@ def test_kraus_defect_stack_matches_single_calls():
     rng = np.random.default_rng(5)
     ks = rng.normal(size=(4, 6, 6)) + 1j * rng.normal(size=(4, 6, 6))
     ks[1] = dec.Psi @ np.diag([1.0, 0.0, 2.0, 0.0, 1.0, 3.0]) @ np.linalg.inv(dec.Psi)
-    stacked = free_kraus_defect(ks, basis)
-    assert stacked.shape == (4,)
-    for k, value in zip(ks, stacked):
-        assert value == free_kraus_defect(k, basis)
+    for k in ks:
+        value = free_kraus_defect(k, basis)
+        assert isinstance(value, float)
         assert abs(value - ref_kraus_defect(k, basis, 1e-8)) <= 4.5e-16
-    assert isinstance(free_kraus_defect(ks[0], basis), float)
+    with pytest.raises(DimensionError, match=r"^K must be 2-dimensional"):
+        free_kraus_defect(ks, basis)
 
 
 # -- chunking ------------------------------------------------------------
@@ -305,17 +314,18 @@ def test_dilation_norms_match_svd_reference(d):
     c = uniform_bound(dec)
     times = default_grid().times
     u = propagator_stack(dec, times)
-    dil = halmos_dilation(u, c)
-    gram = dil.V.conj().swapaxes(-1, -2) @ dil.V - np.eye(2 * d)
+    dils = [halmos_dilation(x, c) for x in u]
+    vs = np.array([dil.V for dil in dils])
+    gram = vs.conj().swapaxes(-1, -2) @ vs - np.eye(2 * d)
     residuals = np.linalg.svd(gram, compute_uv=False)[:, 0]
-    assert np.max(np.abs(dil.unitarity_residual - residuals)) <= 1e-15
+    assert np.max(np.abs([dil.unitarity_residual for dil in dils] - residuals)) <= 1e-15
 
     # the embedded check's quantities, at its checked point of the same U stack
     rho = validate_density(rho)
     cu = c * u
     prob = np.trace(cu @ rho @ cu.conj().swapaxes(-1, -2), axis1=1, axis2=2).real
-    k = int(np.argmax(np.linalg.svd(cu, compute_uv=False)[:, 0]))
-    column = dil.V[k][:, :d]
+    k = int(np.argmin(np.linalg.eigvalsh(np.eye(d) - cu.conj().swapaxes(-1, -2) @ cu)[:, 0]))
+    column = vs[k][:, :d]
     dilated = column @ rho @ column.conj().T
     delta = (dilated[:d, :d] / np.trace(dilated[:d, :d]).real
              - cu[k] @ rho @ cu[k].conj().T / prob[k])
@@ -329,6 +339,11 @@ def test_dilation_norms_match_svd_reference(d):
 
 
 # -- error contract on grids ---------------------------------------------
+
+
+def at_t(t):
+    """The end of an error text that names grid time t, as a pattern."""
+    return re.escape(f" at t = {float(t)!r}") + "$"
 
 
 def test_post_selection_error_names_first_failing_t(monkeypatch):
@@ -346,7 +361,7 @@ def test_post_selection_error_names_first_failing_t(monkeypatch):
     for points in (None, first, 2):
         if points is not None:
             chunk_points(monkeypatch, 3, points)
-        with pytest.raises(DegeneratePostSelectionError, match=f"t = {times[first]:.6f}"):
+        with pytest.raises(DegeneratePostSelectionError, match=at_t(times[first])):
             embedded_evolution_check(h, pair, rho, slack=slack)
 
 
@@ -363,7 +378,7 @@ def test_contraction_error_names_first_failing_t(monkeypatch):
     for points in (None, first, 5):
         if points is not None:
             chunk_points(monkeypatch, 3, points)
-        with pytest.raises(PreconditionError, match=f"t = {times[first]:.6f}"):
+        with pytest.raises(PreconditionError, match=at_t(times[first])):
             embedded_evolution_check(h, pair, rho, decomp=dec)
     rep = verify_free_evolution(h, pair, c, decomp=dec)
     assert not rep.ok and rep.min_contraction_margin < -1e-8
@@ -398,7 +413,7 @@ def test_overflowing_grid_is_a_numerical_error(tmp_path, capsys):
         finite = [np.all(np.isfinite(u @ rho @ u.conj().T))
                   for u in (ref_propagator(dec, t) for t in times)]
     first = finite.index(False)
-    assert f"t = {times[first]:.6f}" in doc["detail"]
+    assert doc["detail"].endswith(f"at t = {float(times[first])!r}")
     with pytest.raises(NumericalError):
         propagator_stack(dec, times[-1:])
 

@@ -1,10 +1,13 @@
 """Superposition-free states, free Kraus operators, free evolution."""
 
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ptqm.dynamics as dynamics
+import ptqm.superposition as superposition
 from ptqm.canonical import pt_canonical_form
 from ptqm.dilation import uniform_bound
 from ptqm.dynamics import TimeGrid, default_grid, propagator, propagator_stack
@@ -194,7 +197,8 @@ def test_verify_free_evolution_overflow_names_first_t(c):
         finite = [np.all(np.isfinite((c * u).conj().T @ (c * u)))
                   for u in (propagator_stack(dec, [s])[0] for s in times)]
     first = finite.index(False)
-    with pytest.raises(NumericalError, match=f"not finite at t = {times[first]:.6f}$"):
+    with pytest.raises(NumericalError,
+                       match=re.escape(f"not finite at t = {float(times[first])!r}") + "$"):
         verify_free_evolution(h, pair, c, decomp=dec)
 
 
@@ -268,3 +272,66 @@ def test_free_basis_normalises_vectors_whose_norm_leaves_the_float_range(vectors
 def test_superposition_input_errors(call, kind, message):
     with pytest.raises(kind, match=f"^{message}$"):
         call(free_basis(np.eye(2)))
+
+
+def _golden_unbroken(d):
+    golden = Path(__file__).with_name("golden") / "inputs"
+    h, p, t = (load_matrix_file(golden / f"{n}_unbroken{d}.json") for n in "hpt")
+    pair = validate_pt_pair(p, t)
+    return h, pair, pt_canonical_form(h, pair)
+
+
+def test_free_evolution_checks_the_kraus_defect_once_at_the_smallest_margin(monkeypatch):
+    """free_kraus_defect runs once per check, on c U at checked_time, the
+    first grid point of smallest margin, whichever chunk holds it."""
+    h, pair, dec = _golden_unbroken(4)
+    c = uniform_bound(dec)
+    times = default_grid().times
+    ku = c * propagator_stack(dec, times)
+    gaps = np.linalg.eigvalsh(np.eye(4) - ku.conj().swapaxes(-1, -2) @ ku)[:, 0]
+    k = int(np.argmin(gaps))
+    assert 0 < k < len(times) - 1
+    calls = []
+    defect = superposition.free_kraus_defect
+
+    def counted(op, basis, tol):
+        calls.append(np.array(op))
+        return defect(op, basis, tol)
+
+    monkeypatch.setattr(superposition, "free_kraus_defect", counted)
+    for points in (None, 7):
+        if points is not None:
+            monkeypatch.setattr(dynamics, "GRID_CHUNK_BYTES", points * 16 * 4 ** 2)
+        calls.clear()
+        rep = verify_free_evolution(h, pair, c, decomp=dec)
+        assert len(calls) == 1 and calls[0].shape == (4, 4)
+        assert np.array_equal(calls[0], ku[k])
+        assert rep.checked_time == times[k]
+        assert rep.min_contraction_margin == gaps[k]
+
+
+def _rotation(d, angle):
+    """A rotation by angle in the plane of the first two coordinates."""
+    r = np.eye(d)
+    r[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    return r
+
+
+# each fault moves U off the closed form Psi e^{-itJ} Psi^-1 of the decomposition
+_PROPAGATOR_FAULTS = {
+    "wrong_inverse": lambda u, psi: u @ (np.eye(len(psi)) + 1e-3 * np.ones_like(psi)),
+    "rotated_basis": lambda u, psi: u @ psi @ _rotation(len(psi), 0.05) @ np.linalg.inv(psi),
+}
+
+
+@pytest.mark.parametrize("fault", list(_PROPAGATOR_FAULTS))
+@pytest.mark.parametrize("d", [2, 4])
+def test_free_evolution_flags_a_planted_propagator_fault(monkeypatch, d, fault):
+    """A propagator that is not free fails the one-point Kraus check."""
+    h, pair, dec = _golden_unbroken(d)
+    stack = superposition.propagator_stack
+    monkeypatch.setattr(superposition, "propagator_stack",
+                        lambda decomp, t: _PROPAGATOR_FAULTS[fault](stack(decomp, t), dec.Psi))
+    rep = verify_free_evolution(h, pair, uniform_bound(dec), decomp=dec)
+    assert not rep.ok
+    assert rep.worst_defect > 1e-8
