@@ -164,7 +164,7 @@ def bender_eigensystem(p: BenderParams, crit_tol: float = 1e-6) -> BenderEigensy
     canonical decomposition assembled from the normalized eigenvectors
     with signs (+1, +1).
     """
-    from .canonical import BlockDescriptor, _decomposition
+    from .canonical import BlockDescriptor, CanonicalDecomposition
     from .metric import build_metric
 
     if p.s == 0:
@@ -197,7 +197,8 @@ def bender_eigensystem(p: BenderParams, crit_tol: float = 1e-6) -> BenderEigensy
     else:
         cols, lams = [e_plus, e_minus], [lam_plus, lam_minus]
     blocks = tuple(BlockDescriptor(REAL_SIMPLE, complex(lam), 1) for lam in lams)
-    decomp = _decomposition(h, float(np.linalg.norm(h, 2)), pair, np.column_stack(cols), blocks)
+    decomp = CanonicalDecomposition(h, float(np.linalg.norm(h, 2)), pair.pt, np.column_stack(cols),
+                                    blocks)
     return BenderEigensystem(params=p, alpha=alpha, E_plus_raw=e_plus_raw,
                              E_minus_raw=e_minus_raw, E_plus=e_plus, E_minus=e_minus,
                              eigenvalues=(float(lam_plus), float(lam_minus)),

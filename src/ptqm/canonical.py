@@ -12,7 +12,7 @@ exactly and halves the numerical error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -60,16 +60,26 @@ class CanonicalDecomposition:
     spectral_class, J and K are read off it. J and K are rebuilt from
     layout on every read, as the residual gate does; K is exact (0/1
     entries). pt is the P T and can_tol the residual tolerance the
-    decomposition was built with. h_norm is ||H||_2, computed once here
-    for every later scale. warning is set when the structure was
-    decided inside the clustering tolerance band or Psi is badly
-    conditioned.
+    decomposition is gated at. h_norm is ||H||_2, computed once by the
+    caller for every later scale. pt_tested says H passed a PT-symmetry
+    test.
+
+    Construction is the gate. It makes hamiltonian, pt and Psi
+    read-only, takes the one SVD of Psi that gives condition_number,
+    and raises IllConditionedError, naming both exact residuals, unless
+    the similarity and K-relation defects pass at can_tol, which must
+    be finite and positive (ValidationError). warning is
+    set when in_band (the structure was decided inside the clustering
+    tolerance band) or Psi is badly conditioned. dataclasses.replace()
+    runs the same gate: it recomputes condition_number and warning,
+    does not carry the in-band note over, and makes the arrays passed
+    in read-only. So every record has passed its gate at its own
+    can_tol, and its arrays cannot be written through it.
 
     The residual gates are screened (linalg.norm_within), so the exact
     residuals are computed on first access: pt_residual is
-    ||H PT - PT conj(H)||_2, None unless pt_tested (H passed the
-    PT-symmetry test); residuals holds the 2-norms of the similarity and
-    K-relation defects.
+    ||H PT - PT conj(H)||_2, None unless pt_tested; residuals holds the
+    2-norms of the similarity and K-relation defects.
     """
 
     hamiltonian: np.ndarray
@@ -77,10 +87,27 @@ class CanonicalDecomposition:
     pt: np.ndarray
     Psi: np.ndarray
     blocks: tuple
-    condition_number: float
-    warning: str | None
-    pt_tested: bool
-    can_tol: float
+    pt_tested: bool = False
+    can_tol: float = 1e-8
+    in_band: InitVar[bool] = False
+    condition_number: float = field(init=False)
+    warning: str | None = field(init=False)
+
+    def __post_init__(self, in_band: bool):
+        _require_positive(can_tol=self.can_tol)
+        for a in (self.hamiltonian, self.pt, self.Psi):
+            a.setflags(write=False)
+        sing = np.linalg.svd(self.Psi, compute_uv=False)
+        cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
+        warning = None
+        if in_band:
+            warning = ("eigenvalue cluster diameter lies within the clustering "
+                       "tolerance band; the Jordan structure is tolerance-dependent")
+        elif cond > 1e8:
+            warning = f"Psi condition number {cond:.3e}; results may lose accuracy"
+        object.__setattr__(self, "condition_number", cond)
+        object.__setattr__(self, "warning", warning)
+        _residual_gate(self, float(sing[0]))
 
     @property
     def dim(self) -> int:
@@ -215,8 +242,8 @@ def pt_canonical_form(h, pair: PTPair, tol: float = 1e-8, *,
         if block.kind == COMPLEX_PAIR:
             cols.extend(pair.pt @ np.conj(v) for v in chain)
     blocks = tuple(block for block, _ in units)
-    return _decomposition(h, h_norm, pair, np.array(cols).T.copy(), blocks, can_tol, in_band,
-                          pt_tested=True)
+    return CanonicalDecomposition(h, h_norm, pair.pt, np.array(cols).T.copy(), blocks,
+                                  pt_tested=True, can_tol=can_tol, in_band=in_band)
 
 
 def _canonical_defects(decomp: CanonicalDecomposition) -> np.ndarray:
@@ -225,34 +252,6 @@ def _canonical_defects(decomp: CanonicalDecomposition) -> np.ndarray:
     (j, k), psi = decomp.layout.matrices(), decomp.Psi
     return np.stack([np.linalg.solve(psi, decomp.hamiltonian @ psi) - j,
                      decomp.pt @ np.conj(psi) - psi @ k])
-
-
-def _decomposition(h: np.ndarray, h_norm: float, pair: PTPair, psi: np.ndarray,
-                   blocks: tuple, can_tol: float = 1e-8, in_band: bool = False,
-                   pt_tested: bool = False) -> CanonicalDecomposition:
-    """CanonicalDecomposition of H in the basis psi, whose columns follow blocks.
-
-    Raises when the similarity or K-relation residual exceeds can_tol,
-    naming both exact residuals; in_band says the structure was decided
-    inside the clustering tolerance band. pt_tested says H passed a
-    PT-symmetry test.
-    """
-    sing = np.linalg.svd(psi, compute_uv=False)
-    cond = float(sing[0] / sing[-1]) if sing[-1] > 0 else np.inf
-    warning = None
-    if in_band:
-        warning = ("eigenvalue cluster diameter lies within the clustering "
-                   "tolerance band; the Jordan structure is tolerance-dependent")
-    elif cond > 1e8:
-        warning = f"Psi condition number {cond:.3e}; results may lose accuracy"
-
-    for a in (h, pair.pt, psi):
-        a.setflags(write=False)
-    decomp = CanonicalDecomposition(hamiltonian=h, h_norm=h_norm, pt=pair.pt, Psi=psi,
-                                    blocks=blocks, condition_number=cond, warning=warning,
-                                    pt_tested=pt_tested, can_tol=can_tol)
-    _residual_gate(decomp, float(sing[0]))
-    return decomp
 
 
 def _residual_gate(decomp: CanonicalDecomposition, psi_norm: float) -> None:

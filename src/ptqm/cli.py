@@ -209,19 +209,31 @@ def _matrix_doc(a: np.ndarray) -> dict:
 
 
 def _descriptor(path: str) -> int | None:
-    """N for /dev/stdout (1), /dev/stderr (2), /dev/fd/N and
-    /proc/self/fd/N, else None."""
-    std = {"/dev/stdout": 1, "/dev/stderr": 2}.get(path)
-    number = re.fullmatch(r"/(?:dev|proc/self)/fd/([0-9]+)", path)
-    return int(number.group(1)) if number else std
+    """N when path, resolved link by link (each directory part through
+    os.path.realpath, so . and doubled / too), reaches /dev/fd/N or
+    /proc/self/fd/N, descriptor N of this process: /dev/stdin (0),
+    /dev/stdout (1) or a symlink to either, say. Else None."""
+    fd_dirs = {"/dev/fd", f"/proc/{os.getpid()}/fd"}  # realpath turns /proc/self into the pid
+    for _ in range(40):  # the links Linux follows in one lookup
+        head, name = os.path.split(path)
+        head = os.path.realpath(head)
+        if head in fd_dirs and re.fullmatch("0|[1-9][0-9]*", name):
+            return int(name)
+        try:
+            path = os.path.join(head, os.readlink(os.path.join(head, name)))
+        except OSError:  # not a link, or nothing there
+            return None
+    return None
 
 
 def _emit(path: str | None, pieces) -> None:
     """Write the text pieces, the only way output leaves a subcommand.
-    Without a path they go to stdout as they come. A path that names one
-    of the process's descriptors (_descriptor), /dev/fd/N say, is
-    written through that descriptor at its current offset, whatever
-    it is open on, so that what the caller wrote before and after stays.
+    Without a path they go to stdout as they come. A path that reaches
+    one of the process's descriptors (_descriptor), /dev/fd/N or a
+    symlink to /dev/stdout say, is written through that descriptor at
+    its current offset, whatever it is open on, so that what the caller
+    wrote before and after stays; an N that is no open descriptor, or
+    one not open for writing, is a ValidationError naming path.
     A path that resolves through symlinks to a regular file or to nothing
     is written whole or not at all: into a new file beside that file,
     which takes its permission bits and is renamed over it once the last
@@ -239,7 +251,7 @@ def _emit(path: str | None, pieces) -> None:
             # a duplicate shares N's offset, and closing it leaves N open
             with open(os.dup(fd), "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(pieces)
-        except OSError as exc:
+        except (OSError, OverflowError) as exc:  # OverflowError: N is no C int
             raise ValidationError(f"cannot write {path}: {exc}") from exc
         return
     target = os.path.realpath(path)

@@ -78,10 +78,10 @@ def _coerce(name: str, value):
     if name == "signs":
         if not isinstance(value, list):
             raise ValidationError("config: signs must be a list")
-        try:
-            return [int(v) for v in value]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError("config: signs entries must be +1 or -1") from exc
+        # JSON integers only: int() would truncate 1.7, and True == 1
+        if not all(type(v) is int and v in (-1, 1) for v in value):
+            raise ValidationError("config: signs entries must be +1 or -1")
+        return value
     if name == "probe":
         if not isinstance(value, list) or len(value) != 2:
             raise ValidationError("config: probe must be a list of two [re, im] pairs")

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import (DimensionError, InvalidDensityError, NumericalError, PreconditionError,
                      ValidationError)
 from .linalg import (MAX_GRID_POINTS, _fixed_product, _within_scale, as_square, dagger,
-                     first_index, matrix_exponential, operator_norm, solve_stack)
+                     first_index, matrix_exponential, solve_stack)
 
 if TYPE_CHECKING:
     from .canonical import CanonicalDecomposition, SpectralClass
@@ -117,12 +117,11 @@ def _own_decomposition(h, pair: PTPair, decomp: CanonicalDecomposition | None,
     A given decomp must be the decomposition of H itself, built under the
     PT of pair (ValidationError otherwise): a caller given the
     decomposition of another H, or under another PT, would report on
-    that decomposition and ignore its own input. It must also still pass
-    the residual gate it passed when it was built (IllConditionedError
-    otherwise): a layout moved after the gate would evolve by another H,
-    while every per-point check compares the decomposition with itself.
+    that decomposition and ignore its own input. It is not gated again:
+    every CanonicalDecomposition passed its residual gate when it was
+    made, dataclasses.replace() included, and its arrays are read-only.
     """
-    from .canonical import _residual_gate, pt_canonical_form
+    from .canonical import pt_canonical_form
 
     if decomp is None:
         return pt_canonical_form(h, pair, **settings)
@@ -130,7 +129,6 @@ def _own_decomposition(h, pair: PTPair, decomp: CanonicalDecomposition | None,
         raise ValidationError("decomp is the canonical decomposition of another H")
     if not np.array_equal(decomp.pt, pair.pt):
         raise ValidationError("decomp was built under another PT")
-    _residual_gate(decomp, operator_norm(decomp.Psi))
     return decomp
 
 

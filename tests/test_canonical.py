@@ -11,6 +11,7 @@ from ptqm.canonical import (
     REAL_JORDAN,
     REAL_SIMPLE,
     BlockDescriptor,
+    CanonicalDecomposition,
     SpectralClass,
     classify_spectrum,
     pt_canonical_form,
@@ -20,6 +21,8 @@ from ptqm.linalg import operator_norm
 from ptqm.matio import load_matrix_file
 from ptqm.sampling import random_instance, random_pt_pair
 from ptqm.symmetry import apply_antilinear, validate_pt_pair
+from test_grid_batch import _moved_blocks
+from test_residual_reads import _golden
 
 INPUTS = Path(__file__).with_name("golden") / "inputs"
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -102,11 +105,14 @@ def test_canonical_k_matrix_is_exact():
 ])
 def test_blocks_are_the_one_record_of_the_structure(block, j, k):
     """layout, spectral_class, J and K are read off blocks: none of them
-    can be replaced on its own, and replacing blocks moves all four."""
-    dec = pt_canonical_form(*bender(1.0, 1.0, np.pi / 6))
+    can be replaced on its own, and replacing blocks moves all four. The
+    planted blocks pass the residual gate only at a can_tol of 10."""
+    dec = pt_canonical_form(*bender(1.0, 1.0, np.pi / 6), can_tol=10.0)
     for name in ("J", "K", "layout", "spectral_class"):
         with pytest.raises(TypeError):
             dataclasses.replace(dec, **{name: getattr(dec, name)})
+    with pytest.raises(IllConditionedError, match="^canonical residuals exceed tolerance"):
+        dataclasses.replace(dec, blocks=(block,), can_tol=1e-8)
     moved = dataclasses.replace(dec, blocks=(block,))
     assert moved.spectral_class == SpectralClass("Broken", (block,))
     assert np.array_equal(moved.layout.eigenvalues, np.diag(j))
@@ -287,3 +293,71 @@ def test_record_arrays_are_read_only():
             a[0] += 1.0
         assert not a.flags.writeable, name
     h[0, 0] += 1.0  # the caller's H is copied, not frozen
+
+
+@pytest.mark.parametrize("name", ["unbroken4", "complex4", "ep4"])
+def test_replace_runs_the_residual_gate(name):
+    """A record whose block eigenvalues are moved by 1e-3 evolves by
+    another H. dataclasses.replace() runs the gate the constructor runs,
+    at the record's can_tol, and names both exact residuals; at a
+    can_tol the moved blocks pass, it builds the moved record."""
+    h, pair, cluster_tol = _golden(name)
+    dec = pt_canonical_form(h, pair, cluster_tol=cluster_tol)
+    loose = _moved_blocks(pt_canonical_form(h, pair, cluster_tol=cluster_tol, can_tol=1.0), 1e-3)
+    assert np.array_equal(loose.Psi, dec.Psi)
+    similarity = operator_norm(np.linalg.solve(dec.Psi, h @ dec.Psi) - loose.J)
+    k_relation = operator_norm(pair.pt @ np.conj(dec.Psi) - dec.Psi @ dec.K)
+    with pytest.raises(IllConditionedError) as info:
+        _moved_blocks(dec, 1e-3)
+    assert str(info.value) == (f"canonical residuals exceed tolerance (similarity "
+                               f"{similarity:.3e}, K-relation {k_relation:.3e})")
+    assert info.value.residual == max(similarity, k_relation)
+
+
+def test_replace_makes_the_arrays_it_is_given_read_only():
+    dec = pt_canonical_form(*bender(1.0, 1.0, np.pi / 6))
+    copied = dataclasses.replace(dec, Psi=dec.Psi.copy(), hamiltonian=dec.hamiltonian.copy())
+    for a in (copied.Psi, copied.hamiltonian):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] += 1.0
+    assert np.array_equal(copied.Psi, dec.Psi)
+
+
+def test_replace_recomputes_the_condition_number_and_warning():
+    """A real simple column may be rescaled: Psi^-1 H Psi = J and PT
+    conj(Psi) = Psi K still hold. The record made by replace() carries
+    the condition number of the Psi it holds, and the warning that goes
+    with it."""
+    pair = validate_pt_pair(np.eye(2), np.eye(2))
+    well = pt_canonical_form(*bender(1.0, 1.0, np.pi / 6))
+    ill = pt_canonical_form(np.array([[1.0, 1e9], [0.0, 2.0]]), pair, cluster_tol=1e-12)
+    for dec, column, scale in ((well, 0, 10.0), (ill, 1, 1e9)):
+        psi = dec.Psi.copy()
+        psi[:, column] *= scale
+        scaled = dataclasses.replace(dec, Psi=psi)
+        sing = np.linalg.svd(psi, compute_uv=False)
+        assert scaled.condition_number == float(sing[0] / sing[-1])
+        assert scaled.condition_number > 5 * dec.condition_number
+        warning = None if scaled.condition_number <= 1e8 else (
+            f"Psi condition number {scaled.condition_number:.3e}; results may lose accuracy")
+        assert scaled.warning == warning
+    assert well.warning is None and scaled.warning != ill.warning
+
+
+def test_replace_does_not_carry_the_in_band_note_over():
+    blocks = tuple(BlockDescriptor(REAL_SIMPLE, complex(x), 1) for x in (1.0, 2.0))
+    dec = CanonicalDecomposition(np.diag([1.0, 2.0]), 2.0, np.eye(2), np.eye(2), blocks,
+                                 in_band=True)
+    assert "clustering tolerance band" in dec.warning
+    assert dataclasses.replace(dec).warning is None
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(dec, condition_number=1.0)
+
+
+@pytest.mark.parametrize("can_tol", [np.inf, -1.0, np.nan])
+def test_replace_refuses_a_can_tol_that_switches_the_gate_off(can_tol):
+    """An infinite or negative can_tol would let any residual pass."""
+    dec = pt_canonical_form(*bender(1.0, 1.0, np.pi / 6))
+    with pytest.raises(ValidationError, match="^can_tol must be finite and positive"):
+        dataclasses.replace(dec, can_tol=can_tol)

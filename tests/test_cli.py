@@ -1100,29 +1100,106 @@ def test_output_to_an_open_file_descriptor_is_written_at_its_offset(files, capsy
         assert target.stat().st_ino == inode
 
 
-def test_output_to_dev_stdout_keeps_what_the_shell_wrote_around_it(files, capsys, tmp_path):
-    """{ echo first; ptqm ... -o /dev/stdout; echo last; } > out.txt: the
-    report lands between the two lines, in the file the shell opened."""
+def _cli_process(argv, **kwargs):
+    """python -m ptqm.cli argv in a subprocess, on this tree's ptqm."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ptqm.cli", *argv], text=True, env=env,
+                          timeout=120, **kwargs)
+
+
+def _assert_kept_between_lines(files, capsys, tmp_path, output):
+    """Run canonical -o output in a subprocess whose stdout is a new file
+    that holds "first" and gets "last" after it: the report must land
+    between the two lines, in the file opened, which keeps its inode."""
     paths, _ = files
     argv = ["canonical", paths["h_unbroken"], paths["p_swap"], paths["t_id"]]
     _, whole, _ = run(capsys, argv)
     target = tmp_path / "out.txt"
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
     fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
     try:
         inode = os.fstat(fd).st_ino
         os.write(fd, b"first\n")
-        proc = subprocess.run([sys.executable, "-m", "ptqm.cli", *argv, "-o", "/dev/stdout"],
-                              stdout=fd, stderr=subprocess.PIPE, text=True, env=env,
-                              timeout=120)
+        proc = _cli_process([*argv, "-o", output], stdout=fd, stderr=subprocess.PIPE)
         os.write(fd, b"last\n")
     finally:
         os.close(fd)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert target.read_text() == "first\n" + whole + "last\n"
     assert target.stat().st_ino == inode
+
+
+def test_output_to_dev_stdout_keeps_what_the_shell_wrote_around_it(files, capsys, tmp_path):
+    """{ echo first; ptqm ... -o /dev/stdout; echo last; } > out.txt: the
+    report lands between the two lines, in the file the shell opened."""
+    _assert_kept_between_lines(files, capsys, tmp_path, "/dev/stdout")
+
+
+@pytest.mark.parametrize("spelling", ["link", "/dev/./stdout", "//dev//stdout"])
+def test_output_to_a_path_that_resolves_to_stdout_keeps_what_the_shell_wrote(files, capsys,
+                                                                            tmp_path, spelling):
+    """A symlink to /dev/stdout, or /dev/stdout spelt with . or doubled
+    /, reaches descriptor 1 as /dev/stdout does."""
+    if spelling == "link":
+        spelling = str(tmp_path / "link")
+        os.symlink("/dev/stdout", spelling)
+    _assert_kept_between_lines(files, capsys, tmp_path, spelling)
+
+
+def test_output_to_dev_stdin_open_for_reading_is_validation(files, tmp_path):
+    """ptqm ... -o /dev/stdin < in.json: descriptor 0 is open for reading
+    only, so the write fails, and in.json is neither replaced nor
+    changed."""
+    paths, _ = files
+    source = tmp_path / "in.json"
+    source.write_text('{"x": 1}\n')
+    inode = source.stat().st_ino
+    with open(source) as stdin:
+        proc = _cli_process(["canonical", paths["h_unbroken"], paths["p_swap"], paths["t_id"],
+                             "-o", "/dev/stdin"], stdin=stdin, capture_output=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr) == {
+        "error": "validation", "detail": "cannot write /dev/stdin: [Errno 9] Bad file descriptor"}
+    assert source.read_text() == '{"x": 1}\n' and source.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("spelling", ["link", "/dev/./fd/{}", "/dev//fd/{}",
+                                      "/proc/self/../self/fd/{}"])
+def test_output_to_a_path_that_resolves_to_a_descriptor_is_written_at_its_offset(
+        files, capsys, tmp_path, spelling):
+    """A symlink to /dev/fd/N, or /dev/fd/N spelt with ., .. or doubled
+    /, is written through descriptor N at its offset; for canonical too."""
+    paths, _ = files
+    for argv in _writers(paths):
+        _, whole, _ = run(capsys, argv)
+        target = tmp_path / f"{argv[0]}.txt"
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+        try:
+            output = spelling.format(fd)
+            if spelling == "link":
+                output = str(tmp_path / f"{argv[0]}.link")
+                os.symlink(f"/dev/fd/{fd}", output)
+            inode = os.fstat(fd).st_ino
+            os.write(fd, b"first\n")
+            assert run(capsys, argv + ["--output", output]) == (0, "", "")
+            os.write(fd, b"last\n")
+        finally:
+            os.close(fd)
+        assert target.read_text() == "first\n" + whole + "last\n"
+        assert target.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("number", ["2147483648", "99999999999999999999999"])
+def test_output_to_a_descriptor_number_past_any_c_int_is_validation(files, capsys, number):
+    """os.dup raises OverflowError, not OSError, for such an N."""
+    paths, _ = files
+    code, out, err = run(capsys, ["canonical", paths["h_unbroken"], paths["p_swap"],
+                                  paths["t_id"], "--output", f"/dev/fd/{number}"])
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "validation"
+    assert doc["detail"].startswith(f"cannot write /dev/fd/{number}: ")
 
 
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])

@@ -33,6 +33,10 @@ from ptqm.errors import ParseError, ValidationError
     ({"t_start": float("nan")}, "config: t_start must be finite, got nan"),
     ({"t_end": float("-inf")}, "config: t_end must be finite, got -inf"),
     ({"tol": float("inf")}, "config: tol must be finite, got inf"),
+    # after the entries above, so that their parameter ids stay as they were
+    ({"signs": [1.7, -1.2]}, "config: signs entries must be +1 or -1"),
+    ({"signs": [True, -1]}, "config: signs entries must be +1 or -1"),
+    ({"signs": [1.0, -1]}, "config: signs entries must be +1 or -1"),
 ])
 def test_malformed_entry_message(tmp_path, doc, message):
     path = tmp_path / "cfg.json"

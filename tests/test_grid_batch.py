@@ -472,41 +472,39 @@ def _moved_blocks(decomp, shift):
 def test_analyses_reject_a_decomposition_whose_layout_was_moved():
     """A decomposition of H itself whose block eigenvalues, and with them
     its layout and J, are shifted by 1e-3 evolves by another H: at d = 4
-    its propagator is 1.4e-2 from expm(-10iH) at t = 10. Each analysis
-    re-runs the residual gate the decomposition passed when it was built,
-    with J and K from its layout and the can_tol it was built with, and
-    names both residuals. The same shift cannot be made in place: the
+    its propagator is 1.4e-2 from expm(-10iH) at t = 10. Such a record
+    exists only at a can_tol its residuals pass: dataclasses.replace()
+    runs the residual gate the constructor runs, with J and K from the
+    layout and the record's can_tol, and names both residuals, so no
+    analysis is given it. The same shift cannot be made in place: the
     layout's eigenvalues are read-only."""
     h, pair, rho, _ = real_instance(4, "unbroken", seed=17)
     decomp = pt_canonical_form(h, pair)
-    moved = _moved_blocks(decomp, 1e-3)
-    assert np.array_equal(moved.hamiltonian, h)
-    drift = np.linalg.norm(propagator_stack(moved, np.array([10.0]))[0]
+    loose = _moved_blocks(pt_canonical_form(h, pair, can_tol=1e-2), 1e-3)
+    assert np.array_equal(loose.hamiltonian, h) and np.array_equal(loose.Psi, decomp.Psi)
+    drift = np.linalg.norm(propagator_stack(loose, np.array([10.0]))[0]
                            - sla.expm(-10j * h), 2)
     assert drift > 1e-2
-    similarity = operator_norm(np.linalg.solve(decomp.Psi, h @ decomp.Psi) - moved.J)
+    similarity = operator_norm(np.linalg.solve(decomp.Psi, h @ decomp.Psi) - loose.J)
     k_relation = operator_norm(pair.pt @ np.conj(decomp.Psi) - decomp.Psi @ decomp.K)
     message = (f"canonical residuals exceed tolerance (similarity {similarity:.3e}, "
                f"K-relation {k_relation:.3e})")
+    with pytest.raises(IllConditionedError) as err:
+        _moved_blocks(decomp, 1e-3)
+    assert str(err.value) == message
     grid = TimeGrid(0.0, 10.0, 11)
     c = 0.5 * uniform_bound(decomp)
-    analyses = {
-        "invariants": lambda dec: invariant_report(h, pair, rho, grid, decomp=dec),
-        "dilation": lambda dec: embedded_evolution_check(h, pair, rho, grid, decomp=dec),
-        "free": lambda dec: verify_free_evolution(h, pair, c, grid, decomp=dec),
-    }
-    for name, run in analyses.items():
-        with pytest.raises(IllConditionedError) as err:
-            run(moved)
-        assert str(err.value) == message, name
-        run(decomp)
+    invariant_report(h, pair, rho, grid, decomp=decomp)
+    embedded_evolution_check(h, pair, rho, grid, decomp=decomp)
+    verify_free_evolution(h, pair, c, grid, decomp=decomp)
     with pytest.raises(ValueError, match="read-only"):
         decomp.layout.eigenvalues[:] += 1e-3
 
 
 def test_a_given_decomposition_is_gated_at_the_can_tol_it_was_built_with():
-    """A decomposition built at a looser can_tol passes the analyses'
-    re-run gate at that can_tol, not at the default one."""
+    """A decomposition built at a looser can_tol is gated at that can_tol
+    when replace() moves it, not at the default one, and the analyses
+    take it as it is."""
     h, pair, rho, _ = real_instance(4, "unbroken", seed=17)
     decomp = pt_canonical_form(h, pair, can_tol=1e-2)
     moved = _moved_blocks(decomp, 1e-3)

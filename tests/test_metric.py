@@ -1,6 +1,5 @@
 """Metric operator construction, eta inner products, sign characteristics."""
 
-import dataclasses
 import re
 from types import SimpleNamespace
 
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptqm import metric
-from ptqm.canonical import pt_canonical_form
+from ptqm.canonical import REAL_SIMPLE, BlockDescriptor, CanonicalDecomposition, pt_canonical_form
 from ptqm.errors import DimensionError, NumericalError, SingularMatrixError, ValidationError
 from ptqm.linalg import BlockLayout, operator_norm
 from ptqm.metric import (
@@ -253,6 +252,15 @@ def test_build_metric_rejects_a_non_finite_tolerance(met_tol):
         build_metric(pt_canonical_form(h, pair), met_tol=met_tol)
 
 
+def _ill_conditioned():
+    """H = diag(1, 2), P = T = I, in the basis Psi = diag(1, 1e-15): both
+    residuals are exactly 0, so the record passes its gate, and its
+    condition number is 1e15."""
+    blocks = tuple(BlockDescriptor(REAL_SIMPLE, complex(x), 1) for x in (1.0, 2.0))
+    return CanonicalDecomposition(np.diag([1.0, 2.0]), 2.0, np.eye(2), np.diag([1.0, 1e-15]),
+                                  blocks)
+
+
 @pytest.mark.parametrize("call, kind, message", [
     (lambda dec: verify_metric(np.eye(2), np.eye(3)), DimensionError,
      r"H and eta dimensions differ: \(2, 2\) vs \(3, 3\)"),
@@ -264,10 +272,9 @@ def test_build_metric_rejects_a_non_finite_tolerance(met_tol):
      r"rho and eta dimensions differ: \(3, 3\) vs \(2, 2\)"),
     (lambda dec: basis_coefficients(np.eye(3) / 3.0, dec), DimensionError,
      r"rho dimension \(3, 3\) does not match basis \(2, 2\)"),
-    (lambda dec: build_metric(dataclasses.replace(dec, condition_number=1e15)),
+    (lambda dec: build_metric(_ill_conditioned()),
      SingularMatrixError, "Psi is numerically singular"),
-    (lambda dec: build_metric(dataclasses.replace(dec, condition_number=1e15),
-                              SignCharacteristic(epsilons=(1,))),
+    (lambda dec: build_metric(_ill_conditioned(), SignCharacteristic(epsilons=(1,))),
      ValidationError, "sign characteristic has 1 entries, decomposition has 2 real blocks"),
 ])
 def test_metric_input_errors(call, kind, message):

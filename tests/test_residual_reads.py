@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptqm.canonical import _decomposition, classify_spectrum, pt_canonical_form
+from ptqm.canonical import CanonicalDecomposition, classify_spectrum, pt_canonical_form
 from ptqm.dynamics import validate_density
 from ptqm.errors import (IllConditionedError, InvalidDensityError, NotPTSymmetricError,
                          NumericalError, ValidationError)
@@ -135,7 +135,8 @@ def test_canonical_gates_at_the_bound(side, kind):
     planted, other = (sim, krel) if kind == "similarity" else (krel, sim)
     can_tol = planted / (1 + side * NEAR)
     assert other < 1e-6 * can_tol and np.linalg.svd(psi, compute_uv=False)[0] < 1.0
-    build = lambda: _decomposition(h, operator_norm(h), pair, psi, dec.blocks, can_tol)
+    build = lambda: CanonicalDecomposition(h, operator_norm(h), pair.pt, psi, dec.blocks,
+                                           can_tol=can_tol)
     if side < 0:
         assert build().residuals == {"similarity": sim, "k_relation": krel}
         return
@@ -148,10 +149,15 @@ def test_canonical_gates_at_the_bound(side, kind):
 
 @pytest.mark.parametrize("side", [-1, 1])
 def test_metric_gate_at_the_bound(side):
+    """The planted H passes the residual gate of a record built at
+    can_tol 1e-3, not at the default one."""
     h = np.array([[0.3, 0.2], [0.2, 0.3]])
-    dec = pt_canonical_form(h, validate_pt_pair(SWAP, np.eye(2)))
+    dec = pt_canonical_form(h, validate_pt_pair(SWAP, np.eye(2)), can_tol=1e-3)
     eta = build_metric(dec).eta
-    moved = dataclasses.replace(dec, hamiltonian=h + 1e-4 * np.outer([1.0, 0.0], [0.0, 1.0]))
+    planted = h + 1e-4 * np.outer([1.0, 0.0], [0.0, 1.0])
+    with pytest.raises(IllConditionedError, match="^canonical residuals exceed tolerance"):
+        dataclasses.replace(dec, hamiltonian=planted, can_tol=1e-8)
+    moved = dataclasses.replace(dec, hamiltonian=planted)
     defect = verify_metric(moved.hamiltonian, eta)
     eta_norm = float(np.max(np.abs(np.linalg.eigvalsh(eta))))
     met_tol = defect / ((1 + side * NEAR) * eta_norm * max(1.0, dec.h_norm))
